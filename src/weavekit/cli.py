@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -111,7 +112,7 @@ def analyze_report(
     adeq = invariants.adequacy(d)
     rep["plus_adequate"] = adeq["plus"]
     rep["minus_adequate"] = adeq["minus"]
-    rep["writhe"] = invariants.writhe(d) if d.crossings else 0
+    rep["writhe"] = writhe = invariants.writhe(d)
     rep["writhe_per_component"] = {
         f"t{tid}": w for tid, w in sorted(invariants.writhe_per_component(d).items())
     } if d.crossings else {}
@@ -119,9 +120,10 @@ def analyze_report(
         f"t{i}-t{j}": v for (i, j), v in sorted(invariants.linking_matrix(d).items())
     }
     b = invariants.bracket(d, budget=budget, parallel=parallel)
+    f = b.normalized(writhe)
     rep["bracket"] = b.format()
-    rep["kauffman_f"] = invariants.kauffman_f(d, budget=budget, parallel=parallel).format()
-    rep["jones"] = invariants.jones(d, budget=budget, parallel=parallel).format()
+    rep["kauffman_f"] = f.format()
+    rep["jones"] = f.substitute_quarter_inverse("q").format()
     if not b.is_zero:
         rep["maxdeg"] = b.max_degree()
         rep["mindeg"] = b.min_degree()
@@ -165,11 +167,11 @@ def verify_invariance(steps: int, seed: int, cap: int, budget: Optional[int]):
     trace = moves.fuzz(base, steps, seed, max_crossings=cap)
     cur = base
     cur_b = invariants.bracket(cur, budget=budget)
-    cur_f = invariants.kauffman_f(cur, budget=budget)
+    cur_f = cur_b.normalized(invariants.writhe(cur))
     checked = {"R1": 0, "R2": 0, "R3": 0}
     for mv, nxt in zip(trace.moves, trace.diagrams):
         nxt_b = invariants.bracket(nxt, budget=budget)
-        nxt_f = invariants.kauffman_f(nxt, budget=budget)
+        nxt_f = nxt_b.normalized(invariants.writhe(nxt))
         if mv.kind in ("R1_add", "R1_remove"):
             if mv.kind == "R1_add":
                 chir = mv.params[1]
@@ -373,10 +375,19 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="weavekit")
-    top.add_argument("--parallel", type=int, default=1)
-    top.add_argument("--crossing-budget", type=int, default=None)
+    top.add_argument("--parallel", type=_int_at_least(1), default=1)
+    top.add_argument("--crossing-budget", type=_int_at_least(0), default=None)
     top.add_argument("--format", choices=["text", "json-report"], default="text")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -422,7 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; send the unwritten bytes that the exit flush retries to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except TooManyCrossings as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -434,55 +451,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 if __name__ == "__main__":
     sys.exit(main())
 
-
-def run_determinism_probe(workdir) -> dict[str, tuple[str, str]]:
-    """Run every subcommand twice with fixed seeds; return paired outputs.
-
-    Used by the acceptance suite: each pair must be byte-identical,
-    including the state sum split across four workers.
-    """
-    import io
-    import os
-    from contextlib import redirect_stderr, redirect_stdout
-
-    def run(argv, files=()):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
-        blob = f"exit={code}\n--stdout--\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
-        for f in files:
-            blob += f"\n--file {os.path.basename(f)}--\n"
-            with open(f) as fh:
-                blob += fh.read()
-        return blob
-
-    diagram_path = os.path.join(str(workdir), "probe.weave")
-    trace_path = os.path.join(str(workdir), "probe.trace")
-    end_path = os.path.join(str(workdir), "probe-end.weave")
-    commands = {
-        "build": (
-            ["build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--m", "1",
-             "--scale", "2", "--seq", "1,2:1,1", "-o", diagram_path],
-            [diagram_path],
-        ),
-        "analyze": (["analyze", diagram_path], []),
-        "analyze-json": (["--format", "json-report", "analyze", diagram_path], []),
-        "analyze-parallel-4": (["--parallel", "4", "analyze", diagram_path], []),
-        "fuzz": (
-            ["fuzz", diagram_path, "--steps", "40", "--seed", "11", "--cap", "11",
-             "--trace", trace_path, "-o", end_path],
-            [trace_path, end_path],
-        ),
-        "canonicalize": (["canonicalize", diagram_path, "--certify-ball", "3"], []),
-        "verify-invariance": (
-            ["verify", "--suite", "invariance", "--steps", "30", "--seed", "4", "--cap", "10"],
-            [],
-        ),
-        "verify-oracle": (["verify", "--suite", "oracle"], []),
-    }
-    results: dict[str, tuple[str, str]] = {}
-    for label, (argv, files) in commands.items():
-        first = run(argv, files)
-        second = run(argv, files)
-        results[label] = (first, second)
-    return results

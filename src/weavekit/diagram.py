@@ -547,6 +547,8 @@ def parse(text: str) -> SurfaceDiagram:
         if kind == "genus":
             if genus is not None:
                 raise DiagramError(f"line {lineno}: duplicate genus declaration")
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise DiagramError(f"line {lineno}: expected 'genus N' with N an integer")
             genus = int(parts[1])
             if genus < 1:
                 raise DiagramError(f"line {lineno}: genus must be >= 1")
@@ -555,6 +557,8 @@ def parse(text: str) -> SurfaceDiagram:
                 raise DiagramError(f"line {lineno}: genus must come first")
             if len(parts) != 3 or not parts[2].startswith("over="):
                 raise DiagramError(f"line {lineno}: expected 'crossing cN over=..'")
+            if parts[1][:1] != "c" or not parts[1][1:].isdecimal():
+                raise DiagramError(f"line {lineno}: bad crossing name {parts[1]!r}")
             cid = int(parts[1][1:])
             axis_s = parts[2][len("over="):]
             if axis_s not in ("02", "13"):

@@ -17,34 +17,22 @@ bottom when divided by d), so span and the degree bounds match the
 convention above on the nose. Display reduces P_k by d when the division
 is exact, which covers every diagram whose states keep at least one
 trivial loop.
+
+One Gray-code walker enumerates the states for the bracket, its
+``--parallel`` chunks and ``full_winding_multiset``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+import itertools
 import os
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from . import laurent, words
-from .diagram import (
-    AXIS_02,
-    AXIS_13,
-    Crossing,
-    DiagramError,
-    Edge,
-    SurfaceDiagram,
-    ThreadId,
-)
+from .diagram import AXIS_13, Crossing, DiagramError, SurfaceDiagram, ThreadId
 from .laurent import LaurentPoly, LOOP_FACTOR
-from .states import (
-    A_PAIRING,
-    StateTracer,
-    WindingKey,
-    normalize_class,
-    resolve_to_diagram,
-    split,
-)
+from .states import StateTracer, WindingKey, normalize_class, split
 
 DEFAULT_BUDGET = 24
 BUDGET_ENV_VAR = "WEAVE_CROSSING_BUDGET"
@@ -62,7 +50,19 @@ def crossing_budget(override: Optional[int] = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    if not env.strip().isdecimal():
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}")
+    return int(env)
+
+
+def _check_budget(d: SurfaceDiagram, budget: Optional[int] = None) -> None:
+    """Raise TooManyCrossings when a state sum over d would exceed the budget."""
+    C = len(d.crossings)
+    limit = crossing_budget(budget)
+    if C > limit:
+        raise TooManyCrossings(f"{C} crossings exceed the budget of {limit}")
 
 
 # -- keyed bracket values -------------------------------------------------------
@@ -112,6 +112,10 @@ class BracketValue:
             {k: laurent.shift(laurent.scale(p, coeff), exp) for k, p in self.parts.items()},
             self.variable,
         )
+
+    def normalized(self, writhe: int) -> "BracketValue":
+        """Writhe normalization (-A)^(-3w) of this bracket."""
+        return self.scaled(-3 * writhe, -1 if writhe % 2 else 1)
 
     def map_keys(self, fn: Callable[[WindingKey], WindingKey]) -> "BracketValue":
         out: dict[WindingKey, LaurentPoly] = {}
@@ -171,19 +175,9 @@ class BracketValue:
 # -- state-sum bracket -----------------------------------------------------------
 
 
-def _d_powers(upto: int) -> list[LaurentPoly]:
-    pows = [dict(laurent.ONE)]
-    for _ in range(upto):
-        pows.append(laurent.mul(pows[-1], LOOP_FACTOR))
-    return pows
-
-
-def _accumulate_range(
-    tracer: StateTracer, lo: int, hi: int, dpows: list[LaurentPoly]
-) -> dict[WindingKey, LaurentPoly]:
-    """Sum contributions of state indices [lo, hi) in Gray-code order."""
-    C = tracer.n_crossings
-    acc: dict[WindingKey, LaurentPoly] = {}
+def _walk_states(tracer: StateTracer, lo: int, hi: int) -> Iterator[tuple[int, int, WindingKey]]:
+    """Yield (gray, trivial, key) for state indices [lo, hi) in Gray-code order;
+    crossing c is B-split in state ``gray`` iff bit c is set."""
     gray = lo ^ (lo >> 1)
     pair = tracer.pairing_for_bits(gray)
     for k in range(lo, hi):
@@ -192,6 +186,19 @@ def _accumulate_range(
             gray ^= 1 << bit
             tracer.set_crossing(pair, bit, bool(gray >> bit & 1))
         trivial, key = tracer.resolve_bits(gray, pair)
+        yield gray, trivial, key
+
+
+def _accumulate_range(
+    d: SurfaceDiagram, lo: int, hi: int, max_loops: int
+) -> dict[WindingKey, LaurentPoly]:
+    """Sum contributions of state indices [lo, hi)."""
+    C = len(d.crossings)
+    dpows = [dict(laurent.ONE)]
+    for _ in range(max_loops):
+        dpows.append(laurent.mul(dpows[-1], LOOP_FACTOR))
+    acc: dict[WindingKey, LaurentPoly] = {}
+    for gray, trivial, key in _walk_states(StateTracer(d), lo, hi):
         exp = C - 2 * (gray.bit_count())
         bucket = acc.setdefault(key, {})
         for e, co in dpows[trivial].items():
@@ -204,9 +211,7 @@ def _accumulate_range(
 
 
 def _chunk_worker(args) -> dict[WindingKey, LaurentPoly]:
-    d, lo, hi, max_loops = args
-    tracer = StateTracer(d)
-    return _accumulate_range(tracer, lo, hi, _d_powers(max_loops))
+    return _accumulate_range(*args)
 
 
 def bracket(
@@ -215,16 +220,11 @@ def bracket(
     parallel: int = 1,
 ) -> BracketValue:
     """Exact state-sum bracket over all 2^C split assignments."""
-    C = len(d.crossings)
-    limit = crossing_budget(budget)
-    if C > limit:
-        raise TooManyCrossings(f"{C} crossings exceed the budget of {limit}")
-    tracer = StateTracer(d)
-    max_loops = C + 2 + len(d.loops)
-    total = 1 << C
+    _check_budget(d, budget)
+    max_loops = len(d.crossings) + 2 + len(d.loops)
+    total = 1 << len(d.crossings)
     if parallel <= 1 or total < 4 * parallel:
-        parts = _accumulate_range(tracer, 0, total, _d_powers(max_loops))
-        return BracketValue(parts)
+        return BracketValue(_accumulate_range(d, 0, total, max_loops))
     from multiprocessing import get_context
 
     chunk = (total + parallel - 1) // parallel
@@ -241,10 +241,7 @@ def bracket(
 
 def bracket_by_skein(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
     """Independent bracket path: recursive splitting down to loop censuses."""
-    C = len(d.crossings)
-    limit = crossing_budget(budget)
-    if C > limit:
-        raise TooManyCrossings(f"{C} crossings exceed the budget of {limit}")
+    _check_budget(d, budget)
     acc: dict[WindingKey, LaurentPoly] = {}
 
     def leaf(dd: SurfaceDiagram, a_minus_b: int) -> None:
@@ -275,7 +272,7 @@ def bracket_by_skein(d: SurfaceDiagram, budget: Optional[int] = None) -> Bracket
 
 
 def _passage_data(d: SurfaceDiagram) -> dict[int, list[tuple[int, bool, ThreadId]]]:
-    """Per crossing: (exit slot, is_over, thread) for both oriented passages."""
+    """Per crossing: (exit slot, is_over, thread) for both oriented passages, over first."""
     out: dict[int, list[tuple[int, bool, ThreadId]]] = {c.id: [] for c in d.crossings}
     for t in d.threads():
         for cid, entry in t.route:
@@ -284,6 +281,9 @@ def _passage_data(d: SurfaceDiagram) -> dict[int, list[tuple[int, bool, ThreadId
     for cid, passages in out.items():
         if len(passages) != 2:
             raise DiagramError(f"crossing c{cid} is not traversed by two strands")
+        if passages[0][1] == passages[1][1]:
+            raise DiagramError(f"crossing c{cid} has inconsistent over/under passages")
+        passages.sort(key=lambda p: not p[1])
     return out
 
 
@@ -295,14 +295,10 @@ def crossing_signs(d: SurfaceDiagram) -> dict[int, int]:
     positive when the under-strand exits one counterclockwise step after
     the over-strand exit.
     """
-    signs: dict[int, int] = {}
-    for cid, passages in _passage_data(d).items():
-        (e1, over1, _t1), (e2, over2, _t2) = passages
-        if over1 == over2:
-            raise DiagramError(f"crossing c{cid} has inconsistent over/under passages")
-        over_exit, under_exit = (e1, e2) if over1 else (e2, e1)
-        signs[cid] = 1 if under_exit == (over_exit + 1) % 4 else -1
-    return signs
+    return {
+        cid: 1 if under[0] == (over[0] + 1) % 4 else -1
+        for cid, (over, under) in _passage_data(d).items()
+    }
 
 
 def writhe(d: SurfaceDiagram) -> int:
@@ -311,11 +307,7 @@ def writhe(d: SurfaceDiagram) -> int:
 
 def crossing_threads(d: SurfaceDiagram) -> dict[int, tuple[ThreadId, ThreadId]]:
     """Per crossing: (over thread, under thread)."""
-    out: dict[int, tuple[ThreadId, ThreadId]] = {}
-    for cid, passages in _passage_data(d).items():
-        (e1, over1, t1), (e2, over2, t2) = passages
-        out[cid] = (t1, t2) if over1 else (t2, t1)
-    return out
+    return {cid: (over[2], under[2]) for cid, (over, under) in _passage_data(d).items()}
 
 
 def writhe_per_component(d: SurfaceDiagram) -> dict[ThreadId, int]:
@@ -342,22 +334,17 @@ def linking_number(
     ids = {t.id for t in d.threads()}
     if i not in ids or j not in ids:
         raise DiagramError("unknown thread id")
-    signs = crossing_signs(d)
-    threads = crossing_threads(d)
-    total = sum(
-        signs[cid]
-        for cid, pair in threads.items()
-        if set(pair) == {i, j}
-    )
+    total = linking_matrix(d)[min(i, j), max(i, j)]
     return Fraction(total, 2) if halved else total
 
 
 def linking_matrix(d: SurfaceDiagram) -> dict[tuple[ThreadId, ThreadId], int]:
-    out: dict[tuple[ThreadId, ThreadId], int] = {}
-    ids = [t.id for t in d.threads()]
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            out[(ids[a], ids[b])] = linking_number(d, ids[a], ids[b])  # type: ignore[assignment]
+    """Linking numbers of all thread pairs (i, j), i < j, from one pass over the crossings."""
+    signs = crossing_signs(d)
+    out = dict.fromkeys(itertools.combinations([t.id for t in d.threads()], 2), 0)
+    for cid, (t_over, t_under) in crossing_threads(d).items():
+        if t_over != t_under:
+            out[min(t_over, t_under), max(t_over, t_under)] += signs[cid]
     return out
 
 
@@ -368,9 +355,7 @@ def kauffman_f(
     d: SurfaceDiagram, budget: Optional[int] = None, parallel: int = 1
 ) -> BracketValue:
     """Writhe-normalized bracket (-A)^(-3w) <D>, invariant under all moves."""
-    b = bracket(d, budget=budget, parallel=parallel)
-    w = writhe(d) if d.crossings else 0
-    return b.scaled(-3 * w, -1 if w % 2 else 1)
+    return bracket(d, budget=budget, parallel=parallel).normalized(writhe(d))
 
 
 def jones(
@@ -554,21 +539,9 @@ def full_winding_multiset(
 
     This is the exact multiset the canonical-form machinery minimizes; the
     keyed bracket cannot recover per-state multiplicities once states with
-    equal keys merge, so the states are enumerated again.
+    equal keys merge, so this runs its own pass of the bracket's Gray-code
+    state walker and collects each state's winding classes.
     """
-    C = len(d.crossings)
-    limit = crossing_budget(budget)
-    if C > limit:
-        raise TooManyCrossings(f"{C} crossings exceed the budget of {limit}")
-    tracer = StateTracer(d)
-    out: list[tuple[int, ...]] = []
-    gray = 0
-    pair = tracer.pairing_for_bits(0)
-    for k in range(1 << C):
-        if k:
-            bit = (k & -k).bit_length() - 1
-            gray ^= 1 << bit
-            tracer.set_crossing(pair, bit, bool(gray >> bit & 1))
-        _trivial, key = tracer.resolve_bits(gray, pair)
-        out.extend(key)
-    return tuple(sorted(out))
+    _check_budget(d, budget)
+    states = _walk_states(StateTracer(d), 0, 1 << len(d.crossings))
+    return tuple(sorted(vec for _gray, _trivial, key in states for vec in key))

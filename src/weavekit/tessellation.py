@@ -613,8 +613,6 @@ def _decompose_cycle(pattern: list[bool]) -> Optional[tuple[int, int]]:
     if ones == 0 or ones == n:
         return None
     for p in range(1, n):
-        q_ = 0
-        period = None
         # candidate period p+q must divide n with the rotation matching 1^p 0^q
         for q in range(1, n - p + 1):
             if n % (p + q):

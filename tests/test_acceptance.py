@@ -37,7 +37,7 @@ from weavekit.invariants import (
 )
 from weavekit.moves import crossing_number_bounds, fuzz, simplify
 from weavekit.states import split
-from weavekit.cli import run_determinism_probe
+from determinism_probe import run_determinism_probe
 
 
 def _verdict(n, label, detail=""):

@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from fixtures import grid_weave
+from weavekit import cli, invariants
 from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, format_move, main, parse_move
+from weavekit.corpus import full_corpus
 from weavekit.moves import Move
 
 
@@ -192,3 +196,93 @@ def test_verify_harness_detects_corruption():
     crossings[0] = Crossing(0, 1 - crossings[0].over_axis)
     corrupted = SurfaceDiagram(good.genus, tuple(crossings), good.edges, good.loops)
     assert bracket(corrupted) != bracket(good)
+
+
+def test_one_bracket_per_report_and_per_walk_step(monkeypatch):
+    calls = []
+    state_sum = invariants.bracket
+
+    def counted(d, *args, **kwargs):
+        calls.append(d)
+        return state_sum(d, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "bracket", counted)
+    cli.analyze_report(grid_weave(3), None, 1)
+    assert len(calls) == 1
+    calls.clear()
+    failures, lines = cli.verify_invariance(20, 1, 10, None)
+    walked = int(lines[0].split()[1])
+    assert not failures and walked > 0
+    assert len(calls) == walked + 1
+
+
+def test_report_polynomials_match_library():
+    tested = 0
+    for name, d in full_corpus():
+        if len(d.crossings) > 10 or not d.validate().ok:
+            continue
+        rep = cli.analyze_report(d, None, 1)
+        assert rep["bracket"] == invariants.bracket(d).format(), name
+        assert rep["kauffman_f"] == invariants.kauffman_f(d).format(), name
+        assert rep["jones"] == invariants.jones(d).format(), name
+        tested += 1
+    assert tested >= 8
+
+
+def _rejected(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, err.getvalue()
+
+
+def test_negative_crossing_budget_is_input_error(plain_file):
+    code, err = _rejected(["--crossing-budget", "-5", "analyze", str(plain_file)])
+    assert code == EXIT_INPUT
+    assert "argument --crossing-budget: must be at least 0, got -5" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_parallel_below_one_is_input_error(plain_file, workers):
+    code, err = _rejected(["--parallel", workers, "analyze", str(plain_file)])
+    assert code == EXIT_INPUT
+    assert f"argument --parallel: must be at least 1, got {workers}" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_budget_env_var_is_input_error(plain_file, monkeypatch, value):
+    monkeypatch.setenv("WEAVE_CROSSING_BUDGET", value)
+    code, out, err = run_cli("analyze", str(plain_file))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"WEAVE_CROSSING_BUDGET must be a non-negative integer, got '{value}'" in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        err = io.StringIO()
+        with redirect_stdout(_ClosedPipe(fd)), redirect_stderr(err):
+            code = main(["canonicalize", "--winding", "(1,0);(0,1)", "--certify-ball", "1"])
+        # the descriptor now leads to devnull, so a late flush lands nowhere
+        os.write(fd, b"flushed at exit")
+    finally:
+        os.close(fd)
+    assert code == EXIT_OK
+    assert err.getvalue() == ""
+    assert target.read_bytes() == b""

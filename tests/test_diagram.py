@@ -158,6 +158,20 @@ def test_parse_rejects_bad_input():
         parse("genus 1\ncrossing c1 over=13\n")  # names must be dense
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("genus x\n", 1),
+        ("genus\n", 1),
+        ("# header\ngenus 1\ncrossing cz over=13\n", 3),
+        ("genus 1\ncrossing x0 over=13\n", 2),
+    ],
+)
+def test_parse_errors_name_the_line(text, lineno):
+    with pytest.raises(DiagramError, match=f"^line {lineno}: "):
+        parse(text)
+
+
 def test_parse_comments_and_loops():
     d = parse("# comment\ngenus 1\nloop word=aB\n")
     assert d.loops == ((1, -2),)

@@ -4,6 +4,7 @@ import pytest
 
 from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl, twill_4x4
 from weavekit import laurent
+from weavekit.corpus import full_corpus
 from weavekit.diagram import SurfaceDiagram, isomorphic
 from weavekit.invariants import (
     BracketValue,
@@ -14,6 +15,7 @@ from weavekit.invariants import (
     bracket_by_skein,
     checkerboard_coloring,
     crossing_signs,
+    crossing_threads,
     degree_bounds_check,
     degree_stats,
     format_key,
@@ -28,7 +30,7 @@ from weavekit.invariants import (
     writhe_per_component,
 )
 from weavekit.moves import Move, apply_move
-from weavekit.states import split
+from weavekit.states import resolve_state, split
 
 PLAIN_BRACKET = (
     "<> : -1A^6 + 3A^2 + 3A^-2 + -1A^-6; "
@@ -214,3 +216,38 @@ def test_bracket_format_key():
 def test_full_winding_multiset_matches_bracket_keys():
     d = torus_curl()
     assert full_winding_multiset(d) == ((1, -1), (1, 1))
+
+
+def _valid_corpus(max_crossings):
+    return [
+        (name, d)
+        for name, d in full_corpus()
+        if len(d.crossings) <= max_crossings and d.validate().ok
+    ]
+
+
+def test_full_winding_multiset_equals_brute_force_census():
+    tested = 0
+    for name, d in _valid_corpus(8) + [("curl", torus_curl()), ("loop", single_loop())]:
+        census = []
+        for kinds in itertools.product("AB", repeat=len(d.crossings)):
+            census.extend(resolve_state(d, kinds).winding)
+        assert full_winding_multiset(d) == tuple(sorted(census)), name
+        tested += 1
+    assert tested >= 8
+
+
+def test_linking_matrix_equals_pairwise_reference():
+    diagrams = _valid_corpus(64) + [
+        ("curled", apply_move(plain_weave_2x2(), Move("R1_add", (2, -1)))),
+        ("twill", twill_4x4()),
+    ]
+    for name, d in diagrams:
+        signs = crossing_signs(d)
+        threads = crossing_threads(d)
+        ids = [t.id for t in d.threads()]
+        m = linking_matrix(d)
+        assert list(m) == list(itertools.combinations(ids, 2)), name
+        for i, j in m:
+            ref = sum(signs[cid] for cid, pair in threads.items() if set(pair) == {i, j})
+            assert m[(i, j)] == ref == linking_number(d, j, i), (name, i, j)
