@@ -23,6 +23,8 @@ from .states import normalize_class
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 WindingSet = tuple[Vector, ...]
+# distinct vectors with their multiplicities, in order of first occurrence
+Weighted = list[tuple[Vector, int]]
 
 
 class NonSymplectic(ValueError):
@@ -77,13 +79,34 @@ def vec_mul(v: Vector, U: Matrix) -> Vector:
 # -- winding sets ------------------------------------------------------------------
 
 
+def _sign_normalized(v: Vector) -> Vector:
+    nv = normalize_class(v)
+    return nv if nv is not None else v
+
+
 def winding_set(vectors: Iterable[Sequence[int]]) -> WindingSet:
     """Normalize to the canonical multiset form (sorted, sign-normalized)."""
-    out = []
-    for v in vectors:
-        nv = normalize_class(tuple(v))
-        out.append(nv if nv is not None else tuple(v))
-    return tuple(sorted(out))
+    return tuple(sorted(_sign_normalized(tuple(v)) for v in vectors))
+
+
+def _collapse(vs: Iterable[Vector]) -> Weighted:
+    counts: dict[Vector, int] = {}
+    for v in vs:
+        counts[v] = counts.get(v, 0) + 1
+    return list(counts.items())
+
+
+def _weighted_q(wv: Weighted) -> int:
+    return sum(n * sum(x * x for x in v) for v, n in wv)
+
+
+def _moved_set(wv: Weighted, U: Matrix) -> WindingSet:
+    """winding_set of every vector times U, expanded from the multiplicities."""
+    counts: dict[Vector, int] = {}
+    for v, n in wv:
+        key = _sign_normalized(vec_mul(v, U))
+        counts[key] = counts.get(key, 0) + n
+    return tuple(v for v in sorted(counts) for _ in range(counts[v]))
 
 
 def q_functional(V: Iterable[Sequence[int]]) -> int:
@@ -109,16 +132,16 @@ class CanonicalResult:
 # -- exact minimization on the torus -------------------------------------------------
 
 
-def _gram(vs: Sequence[Vector]) -> tuple[int, int, int]:
-    g00 = sum(v[0] * v[0] for v in vs)
-    g01 = sum(v[0] * v[1] for v in vs)
-    g11 = sum(v[1] * v[1] for v in vs)
+def _gram(wv: Weighted) -> tuple[int, int, int]:
+    g00 = sum(n * v[0] * v[0] for v, n in wv)
+    g01 = sum(n * v[0] * v[1] for v, n in wv)
+    g11 = sum(n * v[1] * v[1] for v, n in wv)
     return g00, g01, g11
 
 
-def _canonical_g1(vs: Sequence[Vector]) -> CanonicalResult:
-    q_before = q_functional(vs)
-    g00, g01, g11 = _gram(vs)
+def _canonical_g1(wv: Weighted) -> CanonicalResult:
+    q_before = _weighted_q(wv)
+    g00, g01, g11 = _gram(wv)
 
     def q(u: tuple[int, int]) -> int:
         return g00 * u[0] * u[0] + 2 * g01 * u[0] * u[1] + g11 * u[1] * u[1]
@@ -131,13 +154,13 @@ def _canonical_g1(vs: Sequence[Vector]) -> CanonicalResult:
         )
 
     if g00 == 0 and g01 == 0 and g11 == 0:
-        return CanonicalResult(winding_set(vs), identity(2), q_before, q_before, True)
+        return CanonicalResult(_moved_set(wv, identity(2)), identity(2), q_before, q_before, True)
 
     det_g = g00 * g11 - g01 * g01
     if det_g == 0:
         # all vectors on one line through a primitive direction p
         p = None
-        for v in vs:
+        for v, _n in wv:
             if v != (0, 0):
                 g = gcd(abs(v[0]), abs(v[1]))
                 p = (v[0] // g, v[1] // g)
@@ -145,7 +168,7 @@ def _canonical_g1(vs: Sequence[Vector]) -> CanonicalResult:
         assert p is not None
         x, y = _bezout(p[0], p[1])
         U = ((x, -p[1]), (y, p[0]))  # columns (x,y) and (-p2,p1), det = 1
-        out = winding_set(vec_mul(v, U) for v in vs)
+        out = _moved_set(wv, U)
         return CanonicalResult(out, U, q_before, q_functional(out), True)
 
     # Gauss-reduce a basis (u1, u2) of Z^2 for the quadratic form q
@@ -185,7 +208,7 @@ def _canonical_g1(vs: Sequence[Vector]) -> CanonicalResult:
         for b in shorts:
             if a[0] * b[1] - a[1] * b[0] == 1 and q(a) + q(b) == best_q:
                 U = ((a[0], b[0]), (a[1], b[1]))
-                candidates.append((winding_set(vec_mul(v, U) for v in vs), U))
+                candidates.append((_moved_set(wv, U), U))
     top_set = max(s for s, _ in candidates)
     top_matrix = min(U for s, U in candidates if s == top_set)
     return CanonicalResult(top_set, top_matrix, q_before, best_q, True)
@@ -249,8 +272,8 @@ def _transvection(v: Vector, sign: int, genus: int) -> Matrix:
     )
 
 
-def _canonical_descent(vs: Sequence[Vector], genus: int) -> CanonicalResult:
-    q_before = q_functional(vs)
+def _canonical_descent(wv: Weighted, genus: int) -> CanonicalResult:
+    q_before = _weighted_q(wv)
     gens = [
         _transvection(v, s, genus) for v in _transvection_vectors(genus) for s in (1, -1)
     ]
@@ -258,14 +281,14 @@ def _canonical_descent(vs: Sequence[Vector], genus: int) -> CanonicalResult:
 
     def descend(U0: Matrix) -> tuple[int, Matrix]:
         U = U0
-        cur = [vec_mul(tuple(v), U) for v in vs]
-        cur_q = q_functional(cur)
+        cur = [(vec_mul(v, U), n) for v, n in wv]
+        cur_q = _weighted_q(cur)
         improved = True
         while improved:
             improved = False
             for M in gens:
-                cand = [vec_mul(v, M) for v in cur]
-                cq = q_functional(cand)
+                cand = [(vec_mul(v, M), n) for v, n in cur]
+                cq = _weighted_q(cand)
                 if cq < cur_q:
                     U = mat_mul(U, M)
                     cur, cur_q = cand, cq
@@ -277,8 +300,7 @@ def _canonical_descent(vs: Sequence[Vector], genus: int) -> CanonicalResult:
         cq, U = descend(U0)
         if best_q is None or cq < best_q or (cq == best_q and U < best_u):
             best_q, best_u = cq, U
-    out = winding_set(vec_mul(tuple(v), best_u) for v in vs)
-    return CanonicalResult(out, best_u, q_before, best_q, False)
+    return CanonicalResult(_moved_set(wv, best_u), best_u, q_before, best_q, False)
 
 
 def canonical_form(V: Iterable[Sequence[int]], genus: int) -> CanonicalResult:
@@ -286,19 +308,20 @@ def canonical_form(V: Iterable[Sequence[int]], genus: int) -> CanonicalResult:
 
     Exact and certified on the torus; locally optimal (greedy transvection
     descent, flagged uncertified) for genus >= 2. Empty sets return the
-    identity.
+    identity. Works on the distinct vectors with their multiplicities and
+    expands only the candidate multisets it compares.
     """
-    vs = [tuple(v) for v in V]
+    wv = _collapse(tuple(v) for v in V)
     if genus < 1:
         raise DiagramError("genus must be >= 1")
-    for v in vs:
+    for v, _n in wv:
         if len(v) != 2 * genus:
             raise DiagramError("winding vectors must have length 2*genus")
-    if not vs:
+    if not wv:
         return CanonicalResult((), identity(2 * genus), 0, 0, True)
     if genus == 1:
-        return _canonical_g1(vs)
-    return _canonical_descent(vs, genus)
+        return _canonical_g1(wv)
+    return _canonical_descent(wv, genus)
 
 
 def brute_force_minimum(

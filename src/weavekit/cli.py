@@ -206,8 +206,11 @@ def verify_oracle(budget: Optional[int]):
         if not d.validate().ok:
             continue
         tested += 1
-        if invariants.bracket(d, budget=budget) != invariants.bracket_by_skein(d, budget=budget):
-            failures.append(f"state sum and skein recursion disagree on {name}")
+        frontier = invariants.bracket_by_frontier(d, budget=budget)
+        if frontier != invariants.bracket_by_state_sum(d, budget=budget):
+            failures.append(f"frontier and state sum disagree on {name}")
+        if frontier != invariants.bracket_by_skein(d, budget=budget):
+            failures.append(f"frontier and skein recursion disagree on {name}")
     lines.append(f"oracle: {tested} diagrams compared, {len(failures)} violations")
     return failures, lines
 
@@ -280,8 +283,13 @@ def cmd_build(args) -> int:
         seq: dict[tuple[int, int], tuple[int, int]] = {}
         for chunk in args.seq.split(";"):
             pair, _, pq = chunk.partition(":")
-            i, j = (int(x) for x in pair.split(","))
-            p, q = (int(x) for x in pq.split(","))
+            try:
+                i, j = (int(x) for x in pair.split(","))
+                p, q = (int(x) for x in pq.split(","))
+            except ValueError:
+                raise ValueError(
+                    f'--seq: expected entries like "1,2:1,1", got {chunk!r}'
+                ) from None
             seq[(i, j)] = (p, q)
         d = tessellation.assign_weaving_map(d, seq)
     elif args.alternating:
@@ -331,10 +339,16 @@ def cmd_canonicalize(args) -> int:
     if args.winding:
         vectors = []
         for chunk in args.winding.split(";"):
-            chunk = chunk.strip().strip("()")
-            vectors.append(tuple(int(x) for x in chunk.split(",")))
+            try:
+                vectors.append(tuple(int(x) for x in chunk.strip().strip("()").split(",")))
+            except ValueError:
+                raise ValueError(
+                    f'--winding: expected vectors like "(1,0);(2,1)", got {chunk!r}'
+                ) from None
         genus = len(vectors[0]) // 2 if vectors else args.genus
         V = tuple(vectors)
+    elif args.file is None:
+        raise ValueError("canonicalize needs a diagram FILE or --winding")
     else:
         with open(args.file) as fh:
             d = diagram.parse(fh.read())
@@ -386,7 +400,10 @@ def _int_at_least(low: int):
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="weavekit")
-    top.add_argument("--parallel", type=_int_at_least(1), default=1)
+    top.add_argument(
+        "--parallel", type=_int_at_least(1), default=1,
+        help="accepted for compatibility; the bracket is serial and output is the same",
+    )
     top.add_argument("--crossing-budget", type=_int_at_least(0), default=None)
     top.add_argument("--format", choices=["text", "json-report"], default="text")
     sub = top.add_subparsers(dest="command", required=True)

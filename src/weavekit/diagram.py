@@ -524,18 +524,19 @@ def parse(text: str) -> SurfaceDiagram:
     genus: Optional[int] = None
     crossing_axes: dict[int, int] = {}
     edge_specs: list[tuple[End, End, Word]] = []
+    edge_lines: list[int] = []
     loops: list[Word] = []
 
-    def parse_end(token: str) -> End:
+    def parse_end(token: str, lineno: int) -> End:
         if not token.startswith("c") or "." not in token:
-            raise DiagramError(f"bad attachment {token!r}")
+            raise DiagramError(f"line {lineno}: bad attachment {token!r}")
         name, _, slot_s = token.partition(".")
         try:
             cid, slot = int(name[1:]), int(slot_s)
         except ValueError as exc:
-            raise DiagramError(f"bad attachment {token!r}") from exc
+            raise DiagramError(f"line {lineno}: bad attachment {token!r}") from exc
         if not 0 <= slot <= 3:
-            raise DiagramError(f"slot out of range in {token!r}")
+            raise DiagramError(f"line {lineno}: slot out of range in {token!r}")
         return (cid, slot)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -571,13 +572,14 @@ def parse(text: str) -> SurfaceDiagram:
                 raise DiagramError(f"line {lineno}: genus must come first")
             if len(parts) != 4 or not parts[3].startswith("word="):
                 raise DiagramError(f"line {lineno}: expected 'edge cA.s cB.t word=..'")
-            a = parse_end(parts[1])
-            b = parse_end(parts[2])
+            a = parse_end(parts[1], lineno)
+            b = parse_end(parts[2], lineno)
             try:
                 w = words.parse_word(parts[3][len("word="):], genus)
             except ValueError as exc:
                 raise DiagramError(f"line {lineno}: {exc}") from exc
             edge_specs.append((a, b, w))
+            edge_lines.append(lineno)
         elif kind == "loop":
             if genus is None:
                 raise DiagramError(f"line {lineno}: genus must come first")
@@ -595,10 +597,10 @@ def parse(text: str) -> SurfaceDiagram:
     ids = sorted(crossing_axes)
     if ids != list(range(len(ids))):
         raise DiagramError("crossing names must be c0..cN-1 without gaps")
-    for a, b, _ in edge_specs:
+    for (a, b, _), lineno in zip(edge_specs, edge_lines):
         for cid, _slot in (a, b):
             if cid not in crossing_axes:
-                raise DiagramError(f"edge references unknown crossing c{cid}")
+                raise DiagramError(f"line {lineno}: edge references unknown crossing c{cid}")
     return SurfaceDiagram.build(genus, [crossing_axes[i] for i in ids], edge_specs, loops)
 
 

@@ -286,3 +286,44 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     assert code == EXIT_OK
     assert err.getvalue() == ""
     assert target.read_bytes() == b""
+
+
+def test_malformed_winding_names_the_flag():
+    code, out, err = run_cli("canonicalize", "--winding", "(1,0);(1,x)")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: --winding: expected vectors like \"(1,0);(2,1)\", got '(1,x)'\n"
+
+
+def test_malformed_seq_names_the_flag():
+    code, out, err = run_cli(
+        "build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "2", "--seq", "1,2:1"
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: --seq: expected entries like \"1,2:1,1\", got '1,2:1'\n"
+
+
+def test_canonicalize_without_input_is_input_error():
+    code, out, err = run_cli("canonicalize")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: canonicalize needs a diagram FILE or --winding\n"
+
+
+def test_parallel_flag_starts_no_pool(tmp_path):
+    from weavekit.diagram import serialize
+
+    path = tmp_path / "grid.weave"
+    path.write_text(serialize(grid_weave(4)))
+    probe = (
+        "import sys; from weavekit.cli import main; code = main(sys.argv[1:]); "
+        "print('multiprocessing' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    runs = [
+        subprocess.run([sys.executable, "-c", probe, *flags, "analyze", str(path)],
+                       capture_output=True, text=True, timeout=120)
+        for flags in ([], ["--parallel", "4"])
+    ]
+    serial, pooled = runs
+    assert serial.returncode == pooled.returncode == EXIT_OK
+    assert "span = " in serial.stdout
+    assert pooled.stdout == serial.stdout
+    assert pooled.stderr == "False\n"

@@ -165,6 +165,11 @@ def test_parse_rejects_bad_input():
         ("genus\n", 1),
         ("# header\ngenus 1\ncrossing cz over=13\n", 3),
         ("genus 1\ncrossing x0 over=13\n", 2),
+        ("genus 1\ncrossing c0 over=13\nedge c0.0 c0.x word=\n", 3),
+        ("genus 1\ncrossing c0 over=13\nedge q0.0 c0.2 word=\n", 3),
+        ("genus 1\ncrossing c0 over=13\nedge c0.0 c0.5 word=\n", 3),
+        ("genus 1\ncrossing c0 over=13\nedge c0.0 c3.2 word=\n", 3),
+        ("genus 1\nedge c0.0 c3.2 word=\n\ncrossing c0 over=13\n", 2),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno):

@@ -1,18 +1,24 @@
 import itertools
+import random
 
 import pytest
 
 from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl, twill_4x4
 from weavekit import laurent
 from weavekit.corpus import full_corpus
-from weavekit.diagram import SurfaceDiagram, isomorphic
+from weavekit.diagram import Crossing, Edge, SurfaceDiagram, isomorphic
 from weavekit.invariants import (
+    FRONTIER_MIN_CROSSINGS,
     BracketValue,
     NotCheckerboardColorable,
     TooManyCrossings,
+    _crossing_order,
+    _walk_states,
     adequacy,
     bracket,
+    bracket_by_frontier,
     bracket_by_skein,
+    bracket_by_state_sum,
     checkerboard_coloring,
     crossing_signs,
     crossing_threads,
@@ -30,7 +36,7 @@ from weavekit.invariants import (
     writhe_per_component,
 )
 from weavekit.moves import Move, apply_move
-from weavekit.states import resolve_state, split
+from weavekit.states import StateTracer, resolve_state, split
 
 PLAIN_BRACKET = (
     "<> : -1A^6 + 3A^2 + 3A^-2 + -1A^-6; "
@@ -83,6 +89,8 @@ def test_budget_guard():
 def test_parallel_bracket_matches_serial():
     d = plain_weave_2x2()
     assert bracket(d, parallel=4) == bracket(d)
+    with pytest.raises(ValueError, match="parallel must be at least 1"):
+        bracket(d, parallel=0)
 
 
 def test_writhe_of_alternating_plain_weave_vanishes():
@@ -251,3 +259,63 @@ def test_linking_matrix_equals_pairwise_reference():
         for i, j in m:
             ref = sum(signs[cid] for cid, pair in threads.items() if set(pair) == {i, j})
             assert m[(i, j)] == ref == linking_number(d, j, i), (name, i, j)
+
+
+def test_three_evaluators_agree_up_to_ten_crossings():
+    tested = 0
+    for name, d in _valid_corpus(10) + [("curl", torus_curl()), ("loop", single_loop())]:
+        frontier = bracket_by_frontier(d)
+        assert frontier == bracket_by_state_sum(d) == bracket_by_skein(d), name
+        assert bracket(d) == frontier, name
+        tested += 1
+    assert tested >= 10
+
+
+def test_frontier_equals_state_sum_up_to_sixteen_crossings():
+    diagrams = _valid_corpus(16) + [("grid4", grid_weave(4)), ("twill", twill_4x4())]
+    assert any(len(d.crossings) == 16 for _name, d in diagrams)
+    for name, d in diagrams:
+        assert bracket_by_frontier(d) == bracket_by_state_sum(d), name
+
+
+def test_full_winding_multiset_equals_state_walk_on_grid():
+    d = grid_weave(4)
+    census = [vec for _gray, _trivial, key in _walk_states(StateTracer(d)) for vec in key]
+    assert len(d.crossings) >= FRONTIER_MIN_CROSSINGS
+    assert full_winding_multiset(d) == tuple(sorted(census))
+
+
+def _relabelled(d, rng):
+    """The same diagram with crossing ids and edge order shuffled."""
+    perm = list(range(len(d.crossings)))
+    rng.shuffle(perm)
+    crossings = sorted(
+        (Crossing(perm[c.id], c.over_axis) for c in d.crossings), key=lambda c: c.id
+    )
+    edges = [
+        Edge(i, ((perm[e.ends[0][0]], e.ends[0][1]), (perm[e.ends[1][0]], e.ends[1][1])), e.word)
+        for i, e in enumerate(rng.sample(d.edges, len(d.edges)))
+    ]
+    return SurfaceDiagram(d.genus, crossings, edges, d.loops)
+
+
+def test_bracket_does_not_depend_on_crossing_order():
+    rng = random.Random(5)
+    orders = set()
+    for name, d in _valid_corpus(16) + [("twill", twill_4x4())]:
+        if len(d.crossings) < FRONTIER_MIN_CROSSINGS:
+            continue
+        for _ in range(3):
+            copy = _relabelled(d, rng)
+            orders.add(tuple(_crossing_order(StateTracer(copy))))
+            assert bracket(copy) == bracket(d), name
+            assert full_winding_multiset(copy) == full_winding_multiset(d), name
+    assert len(orders) > 10
+
+
+def test_frontier_reaches_past_the_default_budget():
+    d = grid_weave(5)
+    with pytest.raises(TooManyCrossings, match="25 crossings exceed the budget of 24"):
+        bracket(d)
+    rep = degree_bounds_check(d, budget=25)
+    assert rep["max_ok"] and rep["min_ok"]
