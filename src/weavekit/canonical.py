@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from . import words
-from .diagram import DiagramError, SurfaceDiagram, Edge, Crossing
+from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, Crossing, map_walk
 from .states import normalize_class
 
 Vector = tuple[int, ...]
@@ -314,6 +314,8 @@ def canonical_form(V: Iterable[Sequence[int]], genus: int) -> CanonicalResult:
     wv = _collapse(tuple(v) for v in V)
     if genus < 1:
         raise DiagramError("genus must be >= 1")
+    if genus > MAX_GENUS:
+        raise DiagramError(f"genus must be at most {MAX_GENUS}")
     for v, _n in wv:
         if len(v) != 2 * genus:
             raise DiagramError("winding vectors must have length 2*genus")
@@ -418,39 +420,8 @@ def size(d: SurfaceDiagram) -> int:
 
 def _slot_preserving_automorphisms(d: SurfaceDiagram) -> list[dict[int, int]]:
     """Nontrivial graph automorphisms fixing slot labels and over-axes."""
-    n = len(d.crossings)
-    if n < 2:
-        return []
-    table = d.end_map()
-    out: list[dict[int, int]] = []
-    for target in range(1, n):
-        if d.crossings[0].over_axis != d.crossings[target].over_axis:
-            continue
-        phi = {0: target}
-        queue = [0]
-        ok = True
-        while queue and ok:
-            c = queue.pop()
-            t = phi[c]
-            for s in range(4):
-                eid, which = table[(c, s)]
-                c2, s2 = d.edges[eid].ends[1 - which]
-                eid2, which2 = table[(t, s)]
-                c2t, s2t = d.edges[eid2].ends[1 - which2]
-                if s2t != s2 or d.crossings[c2].over_axis != d.crossings[c2t].over_axis:
-                    ok = False
-                    break
-                if c2 in phi:
-                    if phi[c2] != c2t:
-                        ok = False
-                        break
-                else:
-                    phi[c2] = c2t
-                    queue.append(c2)
-        if not ok or len(phi) != n or len(set(phi.values())) != n:
-            continue
-        out.append(phi)
-    return out
+    maps = (map_walk(d, d, 0, t) for t in range(1, len(d.crossings)))
+    return [phi for phi in maps if phi is not None]
 
 
 def _orbit_sizes(phi: dict[int, int]) -> Optional[int]:

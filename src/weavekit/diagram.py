@@ -16,15 +16,20 @@ identity is consistent across modules.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import words
 from .words import Word
 
 AXIS_02 = 0
 AXIS_13 = 1
+
+# largest genus accepted from input: higher-genus canonical descent builds
+# O(g^2) transvections of 2g x 2g matrices and takes over a minute at 8
+MAX_GENUS = 8
 
 CrossingId = int
 EdgeId = int
@@ -317,6 +322,26 @@ class SurfaceDiagram:
             self._cache["thread_of_passage"] = cached
         return cached  # type: ignore[return-value]
 
+    def crossing_passages(self) -> dict[CrossingId, list[tuple[int, bool, ThreadId]]]:
+        """Per crossing: (exit slot, is_over, thread) for both oriented passages, over first."""
+        cached = self._cache.get("crossing_passages")
+        if cached is None:
+            table: dict[CrossingId, list[tuple[int, bool, ThreadId]]] = {
+                c.id: [] for c in self.crossings
+            }
+            for t in self.threads():
+                for cid, entry in t.route:
+                    table[cid].append(((entry + 2) % 4, self.passage_is_over(cid, entry), t.id))
+            for cid, passages in table.items():
+                if len(passages) != 2:
+                    raise DiagramError(f"crossing c{cid} is not traversed by two strands")
+                if passages[0][1] == passages[1][1]:
+                    raise DiagramError(f"crossing c{cid} has inconsistent over/under passages")
+                passages.sort(key=lambda p: not p[1])
+            cached = table
+            self._cache["crossing_passages"] = cached
+        return cached  # type: ignore[return-value]
+
     def thread_sets(self) -> tuple[tuple[ThreadId, ...], ...]:
         """Group threads by primitive homology direction."""
         groups: dict[tuple[int, ...], list[ThreadId]] = {}
@@ -553,6 +578,8 @@ def parse(text: str) -> SurfaceDiagram:
             genus = int(parts[1])
             if genus < 1:
                 raise DiagramError(f"line {lineno}: genus must be >= 1")
+            if genus > MAX_GENUS:
+                raise DiagramError(f"line {lineno}: genus must be at most {MAX_GENUS}")
         elif kind == "crossing":
             if genus is None:
                 raise DiagramError(f"line {lineno}: genus must come first")
@@ -604,13 +631,59 @@ def parse(text: str) -> SurfaceDiagram:
     return SurfaceDiagram.build(genus, [crossing_axes[i] for i in ids], edge_specs, loops)
 
 
+def map_walk(
+    a: SurfaceDiagram, b: SurfaceDiagram, root_a: CrossingId, root_b: CrossingId
+) -> Optional[dict[CrossingId, CrossingId]]:
+    """The crossing bijection sending ``root_a`` to ``root_b`` that keeps slot
+    labels and over-axes, or None when there is none.
+
+    A connected map with a fixed slot rotation is rigid: once the root's
+    image is chosen, the neighbour across each slot fixes the next image, so
+    one breadth-first walk settles the question in O(C) (Weinberg, 1966).
+    Every slot of both diagrams must be attached.
+    """
+    n = len(a.crossings)
+    if n != len(b.crossings):
+        return None
+    ta, tb = a.end_map(), b.end_map()
+    phi = {root_a: root_b}
+    queue = deque([root_a])
+    while queue:
+        c = queue.popleft()
+        t = phi[c]
+        if a.crossings[c].over_axis != b.crossings[t].over_axis:
+            return None
+        for s in range(4):
+            eid, which = ta[(c, s)]
+            c2, s2 = a.edges[eid].ends[1 - which]
+            eid, which = tb[(t, s)]
+            t2, s2b = b.edges[eid].ends[1 - which]
+            if s2 != s2b:
+                return None
+            if c2 not in phi:
+                phi[c2] = t2
+                queue.append(c2)
+            elif phi[c2] != t2:
+                return None
+    if len(phi) != n or len(set(phi.values())) != n:
+        return None
+    return phi
+
+
 def isomorphic(a: SurfaceDiagram, b: SurfaceDiagram, exact_words: bool = True) -> bool:
-    """Isomorphism search: relabel crossings/edges preserving slots, axes,
+    """Isomorphism test: relabel crossings/edges preserving slots, axes,
     and loops. With ``exact_words`` the boundary words must match letter for
     letter; without it the projections must match and corresponding threads
     must carry the same homology, which identifies diagrams that differ by
-    sliding cell-side crossings along the strands. Exponential in
-    principle, fine at desk scale."""
+    sliding cell-side crossings along the strands. Tries each crossing of
+    ``b`` as the image of crossing 0 with ``map_walk``, so O(C^2); raises
+    ``DiagramError`` when the crossings of either diagram do not form one
+    connected map (free loops are matched as a multiset)."""
+    for d in (a, b):
+        d._check_closed()
+        parts = _component_count(d) - len(d.loops)
+        if parts > 1:
+            raise DiagramError(f"isomorphism needs a connected diagram, got {parts} components")
     if (
         a.genus != b.genus
         or len(a.crossings) != len(b.crossings)
@@ -621,60 +694,23 @@ def isomorphic(a: SurfaceDiagram, b: SurfaceDiagram, exact_words: bool = True) -
     n = len(a.crossings)
     if n == 0:
         return True
-    eb = b.end_map()
 
-    def compatible(mapping: dict[int, int]) -> bool:
-        for e in a.edges:
-            (c0, s0), (c1, s1) = e.ends
-            if c0 in mapping and c1 in mapping:
-                t0, t1 = (mapping[c0], s0), (mapping[c1], s1)
-                if t0 not in eb or t1 not in eb:
+    def decorations_match(phi: dict[CrossingId, CrossingId]) -> bool:
+        if exact_words:
+            tb = b.end_map()
+            for e in a.edges:
+                c, s = e.ends[0]
+                eid, which = tb[(phi[c], s)]
+                if b.edges[eid].directed_word(which) != e.word:
                     return False
-                f0, f1 = eb[t0], eb[t1]
-                if f0[0] != f1[0]:
-                    return False
-                fe = b.edges[f0[0]]
-                if f0[1] == 0:
-                    same = fe.ends == (t0, t1)
-                    if exact_words:
-                        same = same and fe.word == e.word
-                else:
-                    same = fe.ends == (t1, t0)
-                    if exact_words:
-                        same = same and fe.word == words.invert(e.word)
-                if not same:
-                    return False
-        return True
-
-    def threads_match(mapping: dict[int, int]) -> bool:
+            return True
+        hom_b = b.threads()
         passage_b = b.thread_of_passage()
-        hom_b = {t.id: t.homology for t in b.threads()}
-        for t in a.threads():
-            if not t.route:
-                continue
-            cid, slot = t.route[0]
-            other = hom_b[passage_b[(mapping[cid], slot)]]
-            if t.homology != other:
-                return False
-        return True
+        return all(
+            t.homology == hom_b[passage_b[(phi[t.route[0][0]], t.route[0][1])]].homology
+            for t in a.threads()
+            if t.route
+        )
 
-    order = list(range(n))
-
-    def extend(mapping: dict[int, int], used: set[int]) -> bool:
-        if len(mapping) == n:
-            return exact_words or threads_match(mapping)
-        cid = order[len(mapping)]
-        for target in range(n):
-            if target in used:
-                continue
-            if a.crossings[cid].over_axis != b.crossings[target].over_axis:
-                continue
-            mapping[cid] = target
-            used.add(target)
-            if compatible(mapping) and extend(mapping, used):
-                return True
-            del mapping[cid]
-            used.remove(target)
-        return False
-
-    return extend({}, set())
+    walks = (map_walk(a, b, 0, t) for t in range(n))
+    return any(phi is not None and decorations_match(phi) for phi in walks)

@@ -407,22 +407,6 @@ def bracket_by_skein(d: SurfaceDiagram, budget: Optional[int] = None) -> Bracket
 # -- writhe and orientations -------------------------------------------------------
 
 
-def _passage_data(d: SurfaceDiagram) -> dict[int, list[tuple[int, bool, ThreadId]]]:
-    """Per crossing: (exit slot, is_over, thread) for both oriented passages, over first."""
-    out: dict[int, list[tuple[int, bool, ThreadId]]] = {c.id: [] for c in d.crossings}
-    for t in d.threads():
-        for cid, entry in t.route:
-            exit_slot = (entry + 2) % 4
-            out[cid].append((exit_slot, d.passage_is_over(cid, entry), t.id))
-    for cid, passages in out.items():
-        if len(passages) != 2:
-            raise DiagramError(f"crossing c{cid} is not traversed by two strands")
-        if passages[0][1] == passages[1][1]:
-            raise DiagramError(f"crossing c{cid} has inconsistent over/under passages")
-        passages.sort(key=lambda p: not p[1])
-    return out
-
-
 def crossing_signs(d: SurfaceDiagram) -> dict[int, int]:
     """Signs under the canonical thread orientations.
 
@@ -433,7 +417,7 @@ def crossing_signs(d: SurfaceDiagram) -> dict[int, int]:
     """
     return {
         cid: 1 if under[0] == (over[0] + 1) % 4 else -1
-        for cid, (over, under) in _passage_data(d).items()
+        for cid, (over, under) in d.crossing_passages().items()
     }
 
 
@@ -443,7 +427,7 @@ def writhe(d: SurfaceDiagram) -> int:
 
 def crossing_threads(d: SurfaceDiagram) -> dict[int, tuple[ThreadId, ThreadId]]:
     """Per crossing: (over thread, under thread)."""
-    return {cid: (over[2], under[2]) for cid, (over, under) in _passage_data(d).items()}
+    return {cid: (over[2], under[2]) for cid, (over, under) in d.crossing_passages().items()}
 
 
 def writhe_per_component(d: SurfaceDiagram) -> dict[ThreadId, int]:

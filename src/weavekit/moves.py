@@ -4,23 +4,32 @@ crossing-number bounds.
 Removal sites carry holonomy guards: a one-sided or two-sided region can
 only be undone when its boundary word is trivial in the surface group,
 because a curl or clasp that wraps the cell is not a planar configuration
-and removing it would change the weave. The third move flips a triangle
-whose strands admit a top strand; its rewiring shifts every triangle-side
-attachment by two slots and swaps the strand continuations into the old
-side slots, which keeps all boundary words and over-axes in place.
+and removing it would change the weave. Nor is a two-sided region a site
+when the regions beyond its two crossings are one region: pulling the
+strands apart would leave an annulus, not a cell decomposition. The third
+move flips a triangle whose strands admit a top strand; its rewiring
+shifts every triangle-side attachment by two slots and swaps the strand
+continuations into the old side slots, which keeps all boundary words and
+over-axes in place. When the triangle sides cross cell sides, the flip
+re-solves the local words, which is implemented for the abelian torus
+group only: off the torus such a triangle is not a site.
+
+One routine, ``_site``, decides whether a region is a removal or flip
+site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
+removal or flip only when ``_site`` finds it again, so every advertised
+move applies.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import words
 from .diagram import (
     AXIS_02,
     AXIS_13,
-    Crossing,
     DiagramError,
     Edge,
     End,
@@ -46,10 +55,6 @@ class Move:
 _KIND_ORDER = ("R1_add", "R1_remove", "R2_add", "R2_remove", "R3")
 
 
-def _sort_key(m: Move):
-    return (_KIND_ORDER.index(m.kind), m.params)
-
-
 # -- site discovery --------------------------------------------------------------
 
 
@@ -68,11 +73,16 @@ def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     (e1, d1), (e2, d2) = face.steps
     if e1 == e2:
         return None
-    x1, _ = face.corners[0]
-    x2, _ = face.corners[1]
+    (x1, a1), (x2, a2) = face.corners
     if x1 == x2:
         return None
     if not words.is_trivial(face.holonomy, d.genus):
+        return None
+    # pulling the strands apart joins the regions beyond the two crossings
+    # through the bigon; if they are one region the join is an annulus and
+    # the result no longer cuts the surface into discs
+    where = d.corner_face()
+    if where[(x1, (a1 + 2) % 4)] == where[(x2, (a2 + 2) % 4)]:
         return None
     # the strand through one bigon edge must be on top at both crossings
     g1 = d.edges[e1]
@@ -105,36 +115,40 @@ def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     ]
     if not any(o1 and o2 for o1, o2 in strand_pairs):
         return None
+    if d.genus != 1 and any(d.edges[eid].word for eid, _ in face.steps):
+        # sliding across cell-side arcs re-solves words, torus only
+        return None
     return Move("R3", (corners,))
 
 
+_SITE_FINDERS = {1: _monogon_site, 2: _bigon_site, 3: _triangle_site}
+# region length of each removal or flip kind
+_SITE_LENGTH = {"R1_remove": 1, "R2_remove": 2, "R3": 3}
+
+
+def _site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
+    """The removal or flip move this region supports, if any."""
+    finder = _SITE_FINDERS.get(len(face))
+    return finder(d, face) if finder else None
+
+
 def enumerate_moves(d: SurfaceDiagram) -> list[Move]:
-    """All applicable moves in a canonical order."""
-    out: list[Move] = []
+    """All applicable moves, ordered by kind and then by parameters."""
+    found: dict[str, set[tuple]] = {kind: set() for kind in _KIND_ORDER}
     for e in d.edges:
-        out.append(Move("R1_add", (e.id, 1)))
-        out.append(Move("R1_add", (e.id, -1)))
-    faces = d.faces() if d.crossings or d.edges else ()
-    for f in faces:
-        if len(f) == 1:
-            site = _monogon_site(d, f)
-            if site:
-                out.append(site)
-        elif len(f) == 2:
-            site = _bigon_site(d, f)
-            if site:
-                out.append(site)
-        elif len(f) == 3:
-            site = _triangle_site(d, f)
-            if site:
-                out.append(site)
-        for i, step_a in enumerate(f.steps):
-            for j, step_b in enumerate(f.steps):
-                if i == j or step_a[0] == step_b[0]:
-                    continue
-                for over_first in (True, False):
-                    out.append(Move("R2_add", (step_a, step_b, over_first)))
-    return sorted(set(out), key=_sort_key)
+        found["R1_add"].update(((e.id, 1), (e.id, -1)))
+    for f in d.faces() if d.crossings or d.edges else ():
+        site = _site(d, f)
+        if site:
+            found[site.kind].add(site.params)
+        found["R2_add"].update(
+            (a, b, over_first)
+            for a in f.steps
+            for b in f.steps
+            if a[0] != b[0]
+            for over_first in (True, False)
+        )
+    return [Move(kind, params) for kind in _KIND_ORDER for params in sorted(found[kind])]
 
 
 # -- surgery ----------------------------------------------------------------------
@@ -162,27 +176,12 @@ def _apply_r1_add(d: SurfaceDiagram, eid: int, chirality: int) -> SurfaceDiagram
     return _rebuild(d, over_axes, specs, d.loops)
 
 
-def _curl_slots(d: SurfaceDiagram, cid: int) -> Optional[tuple[int, int]]:
-    """(loop edge id, loop slot s) when slots s, s+1 carry a loop edge."""
-    table = d.end_map()
-    for s in range(4):
-        eid, which = table[(cid, s)]
-        e = d.edges[eid]
-        if e.ends[1 - which] == (cid, (s + 1) % 4):
-            return eid, s
-    return None
-
-
-def _apply_r1_remove(d: SurfaceDiagram, cid: int) -> SurfaceDiagram:
-    if not 0 <= cid < len(d.crossings):
-        raise IllegalMove(f"unknown crossing c{cid}")
-    curl = _curl_slots(d, cid)
-    if curl is None:
-        raise IllegalMove(f"crossing c{cid} carries no curl")
-    loop_eid, s = curl
+def _apply_r1_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
+    # the one-sided region at corner (cid, s) is bounded by the loop edge
+    # on slots s and s+1
+    (loop_eid, _), = face.steps
+    (cid, s), = face.corners
     loop_edge = d.edges[loop_eid]
-    if not words.is_trivial(loop_edge.word, d.genus):
-        raise IllegalMove(f"curl at c{cid} wraps the cell; removing it changes the weave")
     table = d.end_map()
     in_eid, in_which = table[(cid, (s + 2) % 4)]
     out_eid, out_which = table[(cid, (s + 3) % 4)]
@@ -283,43 +282,11 @@ def _apply_r2_add(
     return _rebuild(d, over_axes, specs, d.loops)
 
 
-def _find_bigon(d: SurfaceDiagram, x1: int, x2: int) -> Optional[Face]:
-    for f in d.faces():
-        if len(f) != 2:
-            continue
-        cids = sorted(c for c, _ in f.corners)
-        if cids == sorted((x1, x2)):
-            return f
-    return None
+def _apply_r2_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
+    return smooth_crossings(d, {cid: PASS_PAIRING for cid, _ in face.corners})
 
 
-def _apply_r2_remove(d: SurfaceDiagram, x1: int, x2: int) -> SurfaceDiagram:
-    for cid in (x1, x2):
-        if not 0 <= cid < len(d.crossings):
-            raise IllegalMove(f"unknown crossing c{cid}")
-    if x1 == x2:
-        raise IllegalMove("a two-sided region needs two distinct crossings")
-    face = _find_bigon(d, x1, x2)
-    if face is None:
-        raise IllegalMove(f"no two-sided region between c{x1} and c{x2}")
-    if _bigon_site(d, face) is None:
-        raise IllegalMove(f"region between c{x1} and c{x2} is not removable")
-    return smooth_crossings(d, {x1: PASS_PAIRING, x2: PASS_PAIRING})
-
-
-def _apply_r3(d: SurfaceDiagram, corners: tuple[End, End, End]) -> SurfaceDiagram:
-    by_id = {c: s for c, s in corners}
-    if len(by_id) != 3:
-        raise IllegalMove("a triangle site needs three distinct crossings")
-    face = None
-    for f in d.faces():
-        if len(f) == 3 and tuple(sorted(f.corners)) == tuple(sorted(corners)):
-            face = f
-            break
-    if face is None:
-        raise IllegalMove("no such triangle region")
-    if _triangle_site(d, face) is None:
-        raise IllegalMove("triangle has no strand passing over both others")
+def _apply_r3(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
     remap: dict[End, End] = {}
     cs = face.corners
     table = d.end_map()
@@ -343,16 +310,11 @@ def _apply_r3(d: SurfaceDiagram, corners: tuple[End, End, End]) -> SurfaceDiagra
         # no cell-side arcs cross the triangle: the flip moves nothing past
         # anything and every word stays put
         return out
-    if d.genus != 1:
-        raise IllegalMove(
-            "triangle sides carry cell identifications; sliding across them "
-            "is only supported on the torus"
-        )
-    return _resolve_r3_words(d, out, side_ids)
+    return _resolve_r3_words(d, out, side_ids, sorted(cs))
 
 
 def _resolve_r3_words(
-    d: SurfaceDiagram, flipped: SurfaceDiagram, side_ids: list[int]
+    d: SurfaceDiagram, flipped: SurfaceDiagram, side_ids: list[int], corners: list[End]
 ) -> SurfaceDiagram:
     """Re-derive local words after flipping a triangle on the torus.
 
@@ -368,7 +330,7 @@ def _resolve_r3_words(
 
     table = d.end_map()
     local: list[int] = list(side_ids)
-    for X, x in _corner_list(d, side_ids):
+    for X, x in corners:
         for s in (2, 3):
             eid = table[(X, (x + s) % 4)][0]
             if eid not in local:
@@ -478,30 +440,29 @@ def _resolve_r3_words(
     return result
 
 
-def _corner_list(d: SurfaceDiagram, side_ids: list[int]) -> list[End]:
-    """Recover the triangle's (crossing, corner slot) list from its sides."""
-    table = d.end_map()
-    corners: list[End] = []
-    for cid in range(len(d.crossings)):
-        for x in range(4):
-            eid_out = table[(cid, (x + 1) % 4)][0]
-            eid_in = table[(cid, x)][0]
-            if eid_out in side_ids and eid_in in side_ids:
-                corners.append((cid, x))
-    return corners
+_SITE_SURGERY = {"R1_remove": _apply_r1_remove, "R2_remove": _apply_r2_remove, "R3": _apply_r3}
+
+
+def _site_face(d: SurfaceDiagram, m: Move) -> Face:
+    """The region whose site is ``m``, found by the check enumeration uses."""
+    if m.kind == "R2_remove":
+        m = Move(m.kind, tuple(sorted(m.params)))
+    elif m.kind == "R3":
+        m = Move(m.kind, (tuple(sorted(m.params[0])),))
+    n = _SITE_LENGTH[m.kind]
+    for f in d.faces():
+        if len(f) == n and _site(d, f) == m:
+            return f
+    raise IllegalMove(f"{m} is not a site of this diagram")
 
 
 def apply_move(d: SurfaceDiagram, m: Move) -> SurfaceDiagram:
     if m.kind == "R1_add":
         return _apply_r1_add(d, *m.params)
-    if m.kind == "R1_remove":
-        return _apply_r1_remove(d, *m.params)
     if m.kind == "R2_add":
         return _apply_r2_add(d, *m.params)
-    if m.kind == "R2_remove":
-        return _apply_r2_remove(d, *m.params)
-    if m.kind == "R3":
-        return _apply_r3(d, *m.params)
+    if m.kind in _SITE_SURGERY:
+        return _SITE_SURGERY[m.kind](d, _site_face(d, m))
     raise IllegalMove(f"unknown move kind {m.kind!r}")
 
 

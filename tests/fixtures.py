@@ -7,7 +7,7 @@ vertical strands the 1-3 axis.
 
 from __future__ import annotations
 
-from weavekit.diagram import AXIS_02, AXIS_13, SurfaceDiagram
+from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
 
 
 def grid_weave(n: int, over_parity: int = 0) -> SurfaceDiagram:
@@ -33,6 +33,20 @@ def grid_weave(n: int, over_parity: int = 0) -> SurfaceDiagram:
 
 def plain_weave_2x2() -> SurfaceDiagram:
     return grid_weave(2)
+
+
+def relabelled(d: SurfaceDiagram, rng) -> SurfaceDiagram:
+    """The same diagram with crossing ids and edge order shuffled."""
+    perm = list(range(len(d.crossings)))
+    rng.shuffle(perm)
+    crossings = sorted(
+        (Crossing(perm[c.id], c.over_axis) for c in d.crossings), key=lambda c: c.id
+    )
+    edges = [
+        Edge(i, ((perm[e.ends[0][0]], e.ends[0][1]), (perm[e.ends[1][0]], e.ends[1][1])), e.word)
+        for i, e in enumerate(rng.sample(d.edges, len(d.edges)))
+    ]
+    return SurfaceDiagram(d.genus, crossings, edges, d.loops)
 
 
 def torus_curl() -> SurfaceDiagram:

@@ -327,3 +327,44 @@ def test_parallel_flag_starts_no_pool(tmp_path):
     assert "span = " in serial.stdout
     assert pooled.stdout == serial.stdout
     assert pooled.stderr == "False\n"
+
+
+def test_passage_table_built_once_per_report(monkeypatch):
+    # writhe, writhe_per_component and linking_matrix all read the one
+    # cached table of oriented passages
+    from weavekit.diagram import SurfaceDiagram
+
+    built = []
+    table = SurfaceDiagram.crossing_passages
+
+    def counted(self):
+        if "crossing_passages" not in self._cache:
+            built.append(self)
+        return table(self)
+
+    monkeypatch.setattr(SurfaceDiagram, "crossing_passages", counted)
+    for name, d in full_corpus():
+        if len(d.crossings) > 10:
+            continue
+        built.clear()
+        rep = cli.analyze_report(d, None, 1)
+        assert rep["valid"] and "linking" in rep, name
+        assert len(built) == 1 and built[0] is d, name
+
+
+def test_genus_above_the_cap_is_input_error(tmp_path):
+    from weavekit.canonical import canonical_form
+    from weavekit.diagram import MAX_GENUS, DiagramError
+
+    path = tmp_path / "big.weave"
+    path.write_text(f"genus {MAX_GENUS + 1}\nloop word=a1\n")
+    for argv in (("analyze", str(path)), ("canonicalize", str(path))):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: line 1: genus must be at most {MAX_GENUS}\n"
+    wide = "(" + ",".join(["1"] + ["0"] * (2 * MAX_GENUS + 1)) + ")"
+    code, out, err = run_cli("canonicalize", "--winding", wide)
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: genus must be at most {MAX_GENUS}\n"
+    with pytest.raises(DiagramError, match="at most"):
+        canonical_form([], MAX_GENUS + 1)

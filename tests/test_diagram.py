@@ -208,3 +208,86 @@ def test_isomorphism_invariance_of_predicates():
     d2 = parse(text)
     assert d2.is_reduced() == d.is_reduced()
     assert d2.is_proper() == d.is_proper()
+
+
+def _valid_corpus():
+    from weavekit.corpus import full_corpus
+
+    return [(name, d) for name, d in full_corpus() if d.validate().ok]
+
+
+def test_relabelled_corpus_diagrams_are_isomorphic():
+    import random
+
+    from fixtures import relabelled
+    from weavekit.diagram import Edge
+
+    rng = random.Random(3)
+    for name, d in _valid_corpus():
+        for _ in range(3):
+            copy = relabelled(d, rng)
+            # store some edges the other way round, word inverted
+            copy = copy.replace(edges=[
+                Edge(e.id, e.ends[::-1], words.invert(e.word)) if rng.random() < 0.5 else e
+                for e in copy.edges
+            ])
+            assert isomorphic(d, copy), name
+            assert isomorphic(copy, d, exact_words=False), name
+
+
+def test_distinct_corpus_diagrams_are_not_isomorphic():
+    # the Cr builds of the kagome and the triangular tiling at scale 1 give
+    # the same three-crossing diagram; every other pair of equal size differs
+    valid = _valid_corpus()
+    same = set()
+    for i, (n1, d1) in enumerate(valid):
+        for n2, d2 in valid[i + 1:]:
+            if len(d1.crossings) != len(d2.crossings):
+                continue
+            exact, loose = isomorphic(d1, d2), isomorphic(d1, d2, exact_words=False)
+            assert exact == loose, (n1, n2)
+            if exact:
+                same.add((n1, n2))
+    assert same == {("kagome-cr-s1", "tri-cr-s1")}
+
+
+def test_is_minimal_size_on_the_corpus():
+    from weavekit.canonical import is_minimal_size
+
+    shrinkable = {name for name, d in _valid_corpus() if not is_minimal_size(d)}
+    assert shrinkable == {
+        "square-cr-s2", "kagome-cr-s2", "hex-3br1-s2", "square-4cr0-s1",
+        "square-4br1-s2", "square-cr-s3", "tri-cr-s2", "square-twill-s4",
+    }
+
+
+def test_isomorphic_rejects_disconnected_diagrams():
+    two_curls = SurfaceDiagram.build(
+        1,
+        [AXIS_13, AXIS_13],
+        [((0, 0), (0, 1), ()), ((0, 2), (0, 3), ()), ((1, 0), (1, 1), ()), ((1, 2), (1, 3), ())],
+    )
+    with pytest.raises(DiagramError, match="connected"):
+        isomorphic(two_curls, two_curls)
+    with pytest.raises(DiagramError, match="connected"):
+        isomorphic(plain_weave_2x2(), two_curls, exact_words=False)
+
+
+def test_map_walk_is_rigid():
+    from weavekit.diagram import map_walk
+
+    d = plain_weave_2x2()
+    # the 2x2 grid's translations: each root image gives one automorphism
+    maps = [map_walk(d, d, 0, t) for t in range(4)]
+    assert maps[0] == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert maps[3] == {0: 3, 1: 2, 2: 1, 3: 0}
+    assert maps[1] is None and maps[2] is None  # over-axes differ
+    assert map_walk(d, torus_curl(), 0, 0) is None
+
+
+def test_parse_caps_the_genus():
+    from weavekit.diagram import MAX_GENUS
+
+    assert parse(f"genus {MAX_GENUS}\n").genus == MAX_GENUS
+    with pytest.raises(DiagramError, match=f"^line 2: genus must be at most {MAX_GENUS}$"):
+        parse(f"# too many handles\ngenus {MAX_GENUS + 1}\n")

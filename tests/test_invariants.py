@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl, twill_4x4
+from fixtures import grid_weave, plain_weave_2x2, relabelled, single_loop, torus_curl, twill_4x4
 from weavekit import laurent
 from weavekit.corpus import full_corpus
-from weavekit.diagram import Crossing, Edge, SurfaceDiagram, isomorphic
+from weavekit.diagram import SurfaceDiagram
 from weavekit.invariants import (
     FRONTIER_MIN_CROSSINGS,
     BracketValue,
@@ -285,20 +285,6 @@ def test_full_winding_multiset_equals_state_walk_on_grid():
     assert full_winding_multiset(d) == tuple(sorted(census))
 
 
-def _relabelled(d, rng):
-    """The same diagram with crossing ids and edge order shuffled."""
-    perm = list(range(len(d.crossings)))
-    rng.shuffle(perm)
-    crossings = sorted(
-        (Crossing(perm[c.id], c.over_axis) for c in d.crossings), key=lambda c: c.id
-    )
-    edges = [
-        Edge(i, ((perm[e.ends[0][0]], e.ends[0][1]), (perm[e.ends[1][0]], e.ends[1][1])), e.word)
-        for i, e in enumerate(rng.sample(d.edges, len(d.edges)))
-    ]
-    return SurfaceDiagram(d.genus, crossings, edges, d.loops)
-
-
 def test_bracket_does_not_depend_on_crossing_order():
     rng = random.Random(5)
     orders = set()
@@ -306,7 +292,7 @@ def test_bracket_does_not_depend_on_crossing_order():
         if len(d.crossings) < FRONTIER_MIN_CROSSINGS:
             continue
         for _ in range(3):
-            copy = _relabelled(d, rng)
+            copy = relabelled(d, rng)
             orders.add(tuple(_crossing_order(StateTracer(copy))))
             assert bracket(copy) == bracket(d), name
             assert full_winding_multiset(copy) == full_winding_multiset(d), name

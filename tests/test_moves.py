@@ -218,3 +218,94 @@ def test_wrapping_bigon_is_not_removable():
     assert sites == []
     with pytest.raises(IllegalMove):
         apply_move(d, Move("R2_remove", (0, 1)))
+
+
+def test_every_listed_removal_and_flip_applies_at_both_genera():
+    # enumeration and application share one site check, so every removal
+    # or flip that is offered must apply and give a well-formed diagram,
+    # on the torus and at genus 2 alike
+    from weavekit.corpus import full_corpus
+    from weavekit.diagram import parse
+
+    checked = {1: 0, 2: 0}
+    for name, d in full_corpus():
+        assert d.validate().ok, name
+        for seed in range(3):
+            trace = fuzz(d, 6, seed, max_crossings=len(d.crossings) + 4)
+            for cur in [d, *trace.diagrams]:
+                for m in enumerate_moves(cur):
+                    if m.kind not in ("R1_remove", "R2_remove", "R3"):
+                        continue
+                    nxt = apply_move(cur, m)
+                    assert nxt.validate().ok, (name, seed, str(m))
+                    text = serialize(nxt)
+                    assert serialize(parse(text)) == text, (name, seed, str(m))
+                    checked[d.genus] += 1
+    assert checked[1] > 0 and checked[2] > 0
+
+
+def test_worded_triangle_is_a_site_on_the_torus_only():
+    # flipping across cell-side arcs re-solves words in the abelian torus
+    # group only, so off the torus such a triangle is not offered
+    from weavekit.corpus import genus2_corpus
+
+    worded = 0
+    for name, d in genus2_corpus():
+        for cur in fuzz(d, 30, seed=1, max_crossings=10).diagrams:
+            for f in cur.faces():
+                if len(f) == 3 and any(cur.edges[eid].word for eid, _ in f.steps):
+                    worded += 1
+                    corners = tuple(sorted(f.corners))
+                    assert Move("R3", (corners,)) not in enumerate_moves(cur), name
+    assert worded > 0
+
+
+def test_removal_sites_replay_with_params_in_any_order():
+    d = plain_weave_2x2()
+    up = apply_move(d, next(m for m in enumerate_moves(d) if m.kind == "R2_add"))
+    assert apply_move(up, Move("R2_remove", (5, 4))) == apply_move(up, Move("R2_remove", (4, 5)))
+    for seed in range(40):
+        cur = fuzz(d, 6, seed, max_crossings=10, keep_diagrams=False).end
+        flips = [m for m in enumerate_moves(cur) if m.kind == "R3"]
+        if flips:
+            break
+    m = flips[0]
+    shuffled = Move("R3", (tuple(reversed(m.params[0])),))
+    assert apply_move(cur, shuffled) == apply_move(cur, m)
+    with pytest.raises(IllegalMove):
+        apply_move(cur, Move("R2_remove", (0, 0)))
+    with pytest.raises(IllegalMove):
+        apply_move(cur, Move("R1_remove", (len(cur.crossings),)))
+
+
+ANNULUS_BIGON = """\
+genus 1
+crossing c0 over=13
+crossing c1 over=13
+crossing c2 over=13
+crossing c3 over=13
+crossing c4 over=13
+edge c0.0 c2.2 word=
+edge c0.1 c3.3 word=A
+edge c0.2 c3.2 word=A
+edge c0.3 c1.1 word=
+edge c1.0 c3.1 word=
+edge c1.2 c4.2 word=B
+edge c1.3 c2.0 word=B
+edge c2.1 c4.3 word=
+edge c2.3 c3.0 word=
+edge c4.0 c4.1 word=
+"""
+
+
+def test_bigon_whose_removal_leaves_an_annulus_is_not_a_site():
+    # the bigon between c0 and c3 has trivial holonomy and a top strand,
+    # but the regions beyond its two crossings are one region: pulling the
+    # strands apart would leave an annulus, not a cell decomposition
+    from weavekit.diagram import parse
+
+    d = parse(ANNULUS_BIGON)
+    assert d.validate().ok
+    assert Move("R2_remove", (0, 3)) not in enumerate_moves(d)
+    with pytest.raises(IllegalMove):
+        apply_move(d, Move("R2_remove", (0, 3)))

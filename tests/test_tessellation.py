@@ -1,6 +1,5 @@
 import pytest
 
-from weavekit.diagram import isomorphic
 from weavekit.invariants import bracket, degree_stats
 from weavekit.tessellation import (
     InconsistentSequence,
