@@ -7,6 +7,12 @@ torus the minimum is found exactly by Gauss lattice reduction of the Gram
 matrix followed by a certified enumeration of all minimizing bases, with a
 deterministic tie-break. Higher genus uses greedy descent over symplectic
 transvections and is reported as locally optimal only.
+
+Minimal size is decided from the automorphisms alone, which come from the
+rigid ``map_walk``: (i) a nontrivial one fixes no crossing, (ii) one whose
+powers fix no edge or region acts freely, so the diagram covers a
+well-formed quotient, and (iii) a cover alternates exactly when its base
+does, so no quotient is built.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words
-from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, Crossing, map_walk
+from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, map_walk
 from .states import normalize_class
 
 Vector = tuple[int, ...]
@@ -418,131 +424,45 @@ def size(d: SurfaceDiagram) -> int:
     return len(incident)
 
 
-def _slot_preserving_automorphisms(d: SurfaceDiagram) -> list[dict[int, int]]:
-    """Nontrivial graph automorphisms fixing slot labels and over-axes."""
+def _slot_preserving_automorphisms(d: SurfaceDiagram) -> Iterator[dict[int, int]]:
+    """Nontrivial graph automorphisms fixing slot labels and over-axes, walked
+    one root at a time so that a caller can stop at the first it needs."""
     maps = (map_walk(d, d, 0, t) for t in range(1, len(d.crossings)))
-    return [phi for phi in maps if phi is not None]
-
-
-def _orbit_sizes(phi: dict[int, int]) -> Optional[int]:
-    """Common orbit length when the action is free; None otherwise."""
-    n = len(phi)
-    seen: set[int] = set()
-    length: Optional[int] = None
-    for start in range(n):
-        if start in seen:
-            continue
-        orbit = [start]
-        cur = phi[start]
-        while cur != start:
-            if cur in orbit:
-                return None
-            orbit.append(cur)
-            cur = phi[cur]
-        seen.update(orbit)
-        if length is None:
-            length = len(orbit)
-        elif length != len(orbit):
-            return None
-    return length if length and length > 1 else None
-
-
-def _edge_key(d: SurfaceDiagram, phi: dict[int, int], eid: int) -> tuple:
-    (c0, s0), (c1, s1) = d.edges[eid].ends
-    a, b = (phi[c0], s0), (phi[c1], s1)
-    return (a, b) if a <= b else (b, a)
+    return (phi for phi in maps if phi is not None)
 
 
 def _acts_freely(d: SurfaceDiagram, phi: dict[int, int]) -> bool:
-    """No crossing, edge, or face is preserved by any power of phi."""
-    n = _orbit_sizes(phi)
-    if n is None:
-        return False
+    """No nontrivial power of phi fixes an edge or a region. By rigidity the
+    first power that fixes crossing 0 is the identity."""
     table = d.end_map()
-    power = dict(phi)
-    for _ in range(n - 1):
-        if any(power[c] == c for c in power):
-            return False
+    power = phi
+    while power[0] != 0:
         for e in d.edges:
-            (c0, s0), (c1, s1) = e.ends
-            eid_img, _ = table[(power[c0], s0)]
-            if eid_img == e.id:
+            c0, s0 = e.ends[0]
+            if table[(power[c0], s0)][0] == e.id:
                 return False
         for f in d.faces():
-            corners_img = {(power[c], s) for c, s in f.corners}
-            if corners_img == set(f.corners):
+            if {(power[c], s) for c, s in f.corners} == set(f.corners):
                 return False
         power = {c: phi[power[c]] for c in power}
     return True
 
 
-def _quotient(d: SurfaceDiagram, phi: dict[int, int]) -> Optional[SurfaceDiagram]:
-    """Quotient diagram by the free cyclic action, words dropped."""
-    n = len(d.crossings)
-    order = _orbit_sizes(phi)
-    if order is None or n % order != 0:
-        return None
-    rep: dict[int, int] = {}
-    for start in range(n):
-        if start in rep:
-            continue
-        orbit = [start]
-        cur = phi[start]
-        while cur != start:
-            orbit.append(cur)
-            cur = phi[cur]
-        root = min(orbit)
-        for c in orbit:
-            rep[c] = root
-    roots = sorted(set(rep.values()))
-    new_id = {r: i for i, r in enumerate(roots)}
-    over = [d.crossings[r].over_axis for r in roots]
-    seen_edges: set[tuple] = set()
-    specs = []
-    for e in d.edges:
-        (c0, s0), (c1, s1) = e.ends
-        key = tuple(
-            sorted([(new_id[rep[c0]], s0), (new_id[rep[c1]], s1)])
-        )
-        if key in seen_edges:
-            continue
-        seen_edges.add(key)
-        specs.append(((new_id[rep[c0]], s0), (new_id[rep[c1]], s1), ()))
-    expected_edges = len(d.edges) // order
-    if len(specs) != expected_edges:
-        return None
-    try:
-        dd = SurfaceDiagram.build(d.genus, over, specs)
-        dd.faces()
-    except DiagramError:
-        return None
-    nfaces = len(dd.faces())
-    genus2 = (len(dd.crossings) + 2 - nfaces)
-    if genus2 % 2 != 0 or genus2 // 2 < 1:
-        return None
-    if genus2 // 2 != d.genus:
-        dd = SurfaceDiagram.build(genus2 // 2, over, specs)
-    return dd
-
-
 def is_minimal_size(d: SurfaceDiagram) -> bool:
     """True when no free translation-like symmetry lets the cell shrink.
 
-    A diagram is reducible when some nontrivial slot- and over-preserving
-    automorphism acts freely on crossings, edges, and regions, and the
-    quotient is a well-formed diagram that preserves alternation whenever
-    the input is alternating.
+    The diagram is reducible exactly when some nontrivial slot- and
+    over-preserving automorphism phi generates a group that fixes no edge
+    and no region. No quotient is built; three facts make that enough:
+
+    (i) a nontrivial automorphism of a rigid connected map fixes no
+        crossing, so every orbit of <phi> has length ord phi;
+    (ii) a cyclic group of order n fixing no crossing, edge or region acts
+        freely on the surface, so the diagram covers its quotient, a
+        well-formed diagram of genus 1 + (g - 1)/n;
+    (iii) a cover is alternating exactly when its base is, so the quotient
+        of an alternating diagram alternates.
     """
-    if not d.crossings:
-        return True
-    alternating = d.is_alternating()
-    for phi in _slot_preserving_automorphisms(d):
-        if not _acts_freely(d, phi):
-            continue
-        q = _quotient(d, phi)
-        if q is None:
-            continue
-        if alternating and not q.is_alternating():
-            continue
-        return False
-    return True
+    if d.crossings:
+        d._check_closed()  # map_walk needs every slot attached
+    return not any(_acts_freely(d, phi) for phi in _slot_preserving_automorphisms(d))

@@ -75,9 +75,7 @@ def parse_move(line: str) -> moves.Move:
 # -- analyze -----------------------------------------------------------------------
 
 
-def analyze_report(
-    d: SurfaceDiagram, budget: Optional[int], parallel: int
-) -> dict[str, object]:
+def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object]:
     rep: dict[str, object] = {}
     validation = d.validate()
     rep["genus"] = d.genus
@@ -119,7 +117,7 @@ def analyze_report(
     rep["linking"] = {
         f"t{i}-t{j}": v for (i, j), v in sorted(invariants.linking_matrix(d).items())
     }
-    b = invariants.bracket(d, budget=budget, parallel=parallel)
+    b = invariants.bracket(d, budget=budget)
     f = b.normalized(writhe)
     rep["bracket"] = b.format()
     rep["kauffman_f"] = f.format()
@@ -314,7 +312,7 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     with open(args.file) as fh:
         d = diagram.parse(fh.read())
-    rep = analyze_report(d, args.crossing_budget, args.parallel)
+    rep = analyze_report(d, args.crossing_budget)
     _emit_report(rep, args.format)
     return EXIT_OK
 

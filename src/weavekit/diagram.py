@@ -63,9 +63,6 @@ class Edge:
     ends: tuple[End, End]
     word: Word = ()
 
-    def other_end(self, which: int) -> End:
-        return self.ends[1 - which]
-
     def directed_word(self, direction: int) -> Word:
         """Word picked up traversing the edge; direction 0 is ep0 -> ep1."""
         return self.word if direction == 0 else words.invert(self.word)
@@ -154,10 +151,6 @@ class SurfaceDiagram:
         )
 
     # -- basic counts ----------------------------------------------------------
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.crossings)
 
     def __repr__(self) -> str:
         return (

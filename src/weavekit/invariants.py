@@ -326,19 +326,9 @@ def _fold(census: dict[WindingKey, FrontierValue]) -> BracketValue:
     return BracketValue(parts)
 
 
-def bracket(
-    d: SurfaceDiagram,
-    budget: Optional[int] = None,
-    parallel: int = 1,
-) -> BracketValue:
+def bracket(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
     """Exact bracket: the Gray-code walk below FRONTIER_MIN_CROSSINGS, the
-    frontier evaluator from there up.
-
-    ``parallel`` is accepted for compatibility and must be at least 1; the
-    evaluation is serial and neither the value nor the speed depends on it.
-    """
-    if parallel < 1:
-        raise ValueError(f"parallel must be at least 1, got {parallel}")
+    frontier evaluator from there up."""
     return _fold(_census(d, budget))
 
 
@@ -471,23 +461,17 @@ def linking_matrix(d: SurfaceDiagram) -> dict[tuple[ThreadId, ThreadId], int]:
 # -- normalized polynomials ---------------------------------------------------------
 
 
-def kauffman_f(
-    d: SurfaceDiagram, budget: Optional[int] = None, parallel: int = 1
-) -> BracketValue:
+def kauffman_f(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
     """Writhe-normalized bracket (-A)^(-3w) <D>, invariant under all moves."""
-    return bracket(d, budget=budget, parallel=parallel).normalized(writhe(d))
+    return bracket(d, budget=budget).normalized(writhe(d))
 
 
-def jones(
-    d: SurfaceDiagram, budget: Optional[int] = None, parallel: int = 1
-) -> BracketValue:
+def jones(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
     """Jones polynomial as a Laurent object in q, the quarter power of t.
 
     The substitution A = t^(-1/4) negates every exponent; spans in t units
     are a quarter of the printed q spans."""
-    return kauffman_f(d, budget=budget, parallel=parallel).substitute_quarter_inverse(
-        "q"
-    )
+    return kauffman_f(d, budget=budget).substitute_quarter_inverse("q")
 
 
 # -- checkerboard degrees -------------------------------------------------------------
@@ -523,11 +507,9 @@ def checkerboard_coloring(d: SurfaceDiagram) -> tuple[set[int], set[int]]:
     return white, black
 
 
-def degree_stats(
-    d: SurfaceDiagram, budget: Optional[int] = None, parallel: int = 1
-) -> dict[str, int]:
+def degree_stats(d: SurfaceDiagram, budget: Optional[int] = None) -> dict[str, int]:
     white, black = checkerboard_coloring(d)
-    b = bracket(d, budget=budget, parallel=parallel)
+    b = bracket(d, budget=budget)
     return {
         "maxdeg": b.max_degree(),
         "mindeg": b.min_degree(),

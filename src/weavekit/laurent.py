@@ -30,10 +30,6 @@ def poly(pairs: Mapping[int, int] | Iterable[tuple[int, int]]) -> LaurentPoly:
     return out
 
 
-def monomial(exp: int, coeff: int = 1) -> LaurentPoly:
-    return {exp: coeff} if coeff else {}
-
-
 def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     r = dict(p)
     for e, c in q.items():

@@ -21,16 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import AXIS_13, DiagramError, End, SurfaceDiagram
+from .diagram import AXIS_13, Crossing, DiagramError, End, SurfaceDiagram
 from .words import Word
 
 
 class TessellationError(DiagramError):
     pass
-
-
-class InfeasibleSymbol(TessellationError):
-    """The vertex symbol cannot close up flat around a vertex."""
 
 
 class UnsupportedTiling(TessellationError):
@@ -649,15 +645,13 @@ def assign_weaving_map(
         if p < 1 or q < 1:
             raise TessellationError("crossing sequence entries must be >= 1")
 
-    threads = d.threads()
     passage_thread = d.thread_of_passage()
 
-    # positions of each thread's crossings against each opposing set
-    # var key: (thread id, opposing set); phase in Z_{p+q}
-    crossing_positions: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    crossing_info: dict[int, list[tuple[int, int, int, int]]] = {}
-    for t in threads:
-        counters: dict[int, int] = {}
+    # var key: (thread id, opposing set); phase in Z_{p+q}. Each crossing
+    # records (var, position k along the var, entry slot) per passage.
+    crossings_of: dict[tuple[int, int], list[int]] = {}
+    crossing_info: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
+    for t in d.threads():
         for cid, slot in t.route:
             other = passage_thread[(cid, (slot + 1) % 4)]
             if other == t.id:
@@ -667,10 +661,9 @@ def assign_weaving_map(
                 raise MixedSetCrossing(
                     f"crossing c{cid} joins two threads of direction set {si}"
                 )
-            k = counters.get(sj, 0)
-            counters[sj] = k + 1
-            crossing_positions.setdefault((t.id, sj), []).append((cid, k))
-            crossing_info.setdefault(cid, []).append((t.id, si, sj, k))
+            cids = crossings_of.setdefault((t.id, sj), [])
+            crossing_info.setdefault(cid, []).append(((t.id, sj), len(cids), slot))
+            cids.append(cid)
 
     def pair_pq(si: int, sj: int) -> tuple[int, int]:
         key = (min(si, sj), max(si, sj))
@@ -681,55 +674,41 @@ def assign_weaving_map(
         p, q = seq[key]
         return (p, q) if si < sj else (q, p)
 
-    variables = sorted(crossing_positions)
-    var_period: dict[tuple[int, int], int] = {}
+    variables = sorted(crossings_of)
+    pattern: dict[tuple[int, int], tuple[int, int]] = {}  # var -> (p, period)
     for var in variables:
         tid, sj = var
-        si = set_of_thread[tid]
-        p, q = pair_pq(si, sj)
-        period = p + q
-        count = len(crossing_positions[var])
-        if count % period:
+        p, q = pair_pq(set_of_thread[tid], sj)
+        count = len(crossings_of[var])
+        if count % (p + q):
             raise InconsistentSequence(
-                f"thread {tid} crosses set {sj} {count} times, not a multiple of {period}"
+                f"thread {tid} crosses set {sj} {count} times, not a multiple of {p + q}"
             )
-        var_period[var] = period
+        pattern[var] = (p, p + q)
 
     # over(t at its k-th crossing with set s) <=> (k + phase) mod period < p
     def is_over(var: tuple[int, int], k: int, phase: int) -> bool:
-        tid, sj = var
-        p, _q = pair_pq(set_of_thread[tid], sj)
-        return (k + phase) % var_period[var] < p
+        p, period = pattern[var]
+        return (k + phase) % period < p
 
     assignment: dict[tuple[int, int], int] = {}
 
-    def consistent(cid: int) -> Optional[bool]:
-        """True/False when decidable under current phases, None otherwise."""
-        info = crossing_info[cid]
-        states = []
-        for tid, _si, sj, k in info:
-            var = (tid, sj)
-            if var not in assignment:
-                return None
-            states.append(is_over(var, k, assignment[var]))
-        return states[0] != states[1]
+    def consistent(cid: int) -> bool:
+        """False when both passages are decided and both go over or under."""
+        (va, ka, _), (vb, kb, _) = crossing_info[cid]
+        if va not in assignment or vb not in assignment:
+            return True
+        return is_over(va, ka, assignment[va]) != is_over(vb, kb, assignment[vb])
 
     def backtrack(idx: int) -> bool:
         if idx == len(variables):
             return True
         var = variables[idx]
-        for phase in range(var_period[var]):
+        for phase in range(pattern[var][1]):
             assignment[var] = phase
-            ok = True
-            for cid, info in crossing_info.items():
-                if any((tid, sj) == var for tid, _si, sj, _k in info):
-                    verdict = consistent(cid)
-                    if verdict is False:
-                        ok = False
-                        break
-            if ok and backtrack(idx + 1):
+            if all(consistent(cid) for cid in crossings_of[var]) and backtrack(idx + 1):
                 return True
-            del assignment[var]
+        del assignment[var]
         return False
 
     if not backtrack(0):
@@ -737,28 +716,15 @@ def assign_weaving_map(
             "the requested crossing sequences do not close up on this cell"
         )
 
-    # translate the over/under verdicts into over_axis choices: find the
-    # route passage behind each crossing's first recorded strand
-    from .diagram import Crossing
-
-    passage_slot: dict[tuple[int, int, int], int] = {}
-    for t in threads:
-        counters: dict[int, int] = {}
-        for cid, slot in t.route:
-            other = passage_thread[(cid, (slot + 1) % 4)]
-            sj = set_of_thread[other]
-            k = counters.get(sj, 0)
-            counters[sj] = k + 1
-            passage_slot[(t.id, sj, k)] = slot
-
+    # the over/under verdict of each crossing's first recorded passage
+    # fixes its over_axis through that passage's entry slot
     new_axes: list[int] = []
     for c in d.crossings:
         info = crossing_info.get(c.id)
         if not info:
             raise MixedSetCrossing(f"crossing c{c.id} saw no thread passage")
-        tid, _si, sj, k = info[0]
-        over_first = is_over((tid, sj), k, assignment[(tid, sj)])
-        slot = passage_slot[(tid, sj, k)]
+        var, k, slot = info[0]
+        over_first = is_over(var, k, assignment[var])
         new_axes.append(slot % 2 if over_first else (slot + 1) % 2)
     crossings = [Crossing(i, ax) for i, ax in enumerate(new_axes)]
     return SurfaceDiagram(d.genus, tuple(crossings), d.edges, d.loops)
@@ -804,8 +770,6 @@ def assign_alternating(d: SurfaceDiagram) -> SurfaceDiagram:
                 raise InconsistentSequence(
                     "no alternating assignment closes up on this cell"
                 )
-
-    from .diagram import Crossing
 
     axes: list[int] = []
     for cid in range(C):

@@ -7,7 +7,19 @@ vertical strands the 1-3 axis.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for
+    child interpreters that must import the package under test."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def grid_weave(n: int, over_parity: int = 0) -> SurfaceDiagram:

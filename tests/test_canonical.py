@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import grid_weave, plain_weave_2x2
+from fixtures import grid_weave, plain_weave_2x2, relabelled
 from weavekit.canonical import (
     NonSymplectic,
     UnsupportedGenus,
@@ -20,10 +20,13 @@ from weavekit.canonical import (
     symplectic_form,
     twist_matrix,
     winding_set,
+    _acts_freely,
+    _slot_preserving_automorphisms,
     _transvection,
     _transvection_vectors,
 )
-from weavekit.invariants import bracket, kauffman_f, writhe
+from weavekit.diagram import DiagramError, Edge, SurfaceDiagram
+from weavekit.invariants import bracket, kauffman_f, r_parallel, writhe
 from weavekit.states import normalize_class
 from weavekit import words
 
@@ -162,6 +165,81 @@ def test_dehn_twist_preserves_structure_and_f():
     assert bracket(t) == bracket(d).map_keys(push)
 
 
+def _minimal_size_family():
+    """Tiling builds at scales 1-3, skeleton and alternating, and the 2- and
+    3-parallels of the alternating corpus."""
+    from weavekit import tessellation as T
+    from weavekit.corpus import alternating_corpus
+
+    tilings = {"square": "(4,4,4,4)", "kagome": "(3,6,3,6)", "tri": "(3,3,3,3,3,3)",
+               "hex": "(6,6,6)"}
+    out = []
+    for tiling, symbol in tilings.items():
+        for method, m in (("Cr", 1), ("nCr", 0), ("nCr", 1), ("nCr", 2), ("nBr", 1), ("nBr", 2)):
+            for scale in (1, 2, 3):
+                try:
+                    skeleton = T.transform(
+                        T.build_tiling(T.parse_vertex_symbol(symbol), scale),
+                        T.TransformSpec(method, m),
+                    )
+                except T.OddValencyForCr:
+                    continue
+                name = f"{tiling}-{method}{m}-s{scale}"
+                out.append((name + "-skel", skeleton))
+                try:
+                    out.append((name + "-alt", T.assign_alternating(skeleton)))
+                except T.InconsistentSequence:
+                    pass
+    for name, d in alternating_corpus():
+        out.extend((f"{name}-x{r}", r_parallel(d, r)) for r in (2, 3))
+    return out
+
+
+def test_minimal_size_pinned_on_builds_and_parallels():
+    family = _minimal_size_family()
+    assert len(family) == 148
+    minimal = {name for name, d in family if is_minimal_size(d)}
+    # at scale 1 only the square and triangular nCr0 cells shrink; every
+    # scale 2 and 3 build does, and a parallel shrinks when its base does
+    assert minimal == {
+        "square-Cr1-s1-skel", "square-nCr1-s1-skel", "square-nCr1-s1-alt",
+        "square-nCr2-s1-skel", "square-nCr2-s1-alt", "square-nBr1-s1-skel",
+        "square-nBr1-s1-alt", "square-nBr2-s1-skel", "square-nBr2-s1-alt",
+        "kagome-Cr1-s1-skel", "kagome-Cr1-s1-alt", "kagome-nCr0-s1-skel",
+        "kagome-nCr0-s1-alt", "kagome-nCr1-s1-skel", "kagome-nCr1-s1-alt",
+        "kagome-nCr2-s1-skel", "kagome-nCr2-s1-alt", "kagome-nBr1-s1-skel",
+        "kagome-nBr1-s1-alt", "kagome-nBr2-s1-skel", "kagome-nBr2-s1-alt",
+        "tri-Cr1-s1-skel", "tri-Cr1-s1-alt", "tri-nCr1-s1-skel", "tri-nCr1-s1-alt",
+        "tri-nCr2-s1-skel", "tri-nCr2-s1-alt", "tri-nBr1-s1-skel", "tri-nBr1-s1-alt",
+        "tri-nBr2-s1-skel", "tri-nBr2-s1-alt", "hex-nCr0-s1-skel", "hex-nCr0-s1-alt",
+        "hex-nCr1-s1-skel", "hex-nCr1-s1-alt", "hex-nCr2-s1-skel", "hex-nCr2-s1-alt",
+        "hex-nBr1-s1-skel", "hex-nBr1-s1-alt", "hex-nBr2-s1-skel", "hex-nBr2-s1-alt",
+        "kagome-cr-s1-x2", "kagome-cr-s1-x3", "tri-cr-s1-x2", "tri-cr-s1-x3",
+        "hex-3br1-s1-x2", "hex-3br1-s1-x3",
+    }
+    rng = random.Random(5)
+    for name, d in family:
+        assert is_minimal_size(relabelled(d, rng)) == (name in minimal), name
+
+
+def test_free_automorphisms_have_covering_orders():
+    # a free cyclic action of order n makes the diagram an n-fold cover, so n
+    # divides the numbers of crossings, edges and regions
+    free = 0
+    for name, d in _minimal_size_family():
+        counts = (len(d.crossings), len(d.edges), len(d.faces()))
+        for phi in _slot_preserving_automorphisms(d):
+            if not _acts_freely(d, phi):
+                continue
+            free += 1
+            # by rigidity the orbit of crossing 0 has length ord phi
+            order, c = 1, phi[0]
+            while c != 0:
+                order, c = order + 1, phi[c]
+            assert all(k % order == 0 for k in counts), (name, order, counts)
+    assert free > 100
+
+
 def test_dehn_twist_needs_torus():
     from weavekit.corpus import genus2_corpus
 
@@ -185,3 +263,8 @@ def test_minimal_size_detection():
 
     kag = dict(alternating_corpus())["kagome-cr-s1"]
     assert is_minimal_size(kag)
+    # a slot left unattached is refused before any map walk
+    grid = plain_weave_2x2()
+    edges = [Edge(i, e.ends, e.word) for i, e in enumerate(grid.edges[1:])]
+    with pytest.raises(DiagramError, match="unattached slot"):
+        is_minimal_size(SurfaceDiagram(1, grid.crossings, edges))

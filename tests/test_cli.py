@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fixtures import grid_weave
+from fixtures import grid_weave, src_env
 from weavekit import cli, invariants
 from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, format_move, main, parse_move
 from weavekit.corpus import full_corpus
@@ -147,6 +147,7 @@ def test_console_script_entry_point(plain_file):
         [sys.executable, "-m", "weavekit.cli", "analyze", str(plain_file)],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert "span = 12" in proc.stdout
@@ -207,7 +208,7 @@ def test_one_bracket_per_report_and_per_walk_step(monkeypatch):
         return state_sum(d, *args, **kwargs)
 
     monkeypatch.setattr(invariants, "bracket", counted)
-    cli.analyze_report(grid_weave(3), None, 1)
+    cli.analyze_report(grid_weave(3), None)
     assert len(calls) == 1
     calls.clear()
     failures, lines = cli.verify_invariance(20, 1, 10, None)
@@ -221,7 +222,7 @@ def test_report_polynomials_match_library():
     for name, d in full_corpus():
         if len(d.crossings) > 10 or not d.validate().ok:
             continue
-        rep = cli.analyze_report(d, None, 1)
+        rep = cli.analyze_report(d, None)
         assert rep["bracket"] == invariants.bracket(d).format(), name
         assert rep["kauffman_f"] == invariants.kauffman_f(d).format(), name
         assert rep["jones"] == invariants.jones(d).format(), name
@@ -319,7 +320,7 @@ def test_parallel_flag_starts_no_pool(tmp_path):
     )
     runs = [
         subprocess.run([sys.executable, "-c", probe, *flags, "analyze", str(path)],
-                       capture_output=True, text=True, timeout=120)
+                       capture_output=True, text=True, timeout=120, env=src_env())
         for flags in ([], ["--parallel", "4"])
     ]
     serial, pooled = runs
@@ -347,7 +348,7 @@ def test_passage_table_built_once_per_report(monkeypatch):
         if len(d.crossings) > 10:
             continue
         built.clear()
-        rep = cli.analyze_report(d, None, 1)
+        rep = cli.analyze_report(d, None)
         assert rep["valid"] and "linking" in rep, name
         assert len(built) == 1 and built[0] is d, name
 

@@ -1,11 +1,12 @@
 """Each demo script runs to completion against the package in ``src``."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fixtures import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,12 +18,9 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)], env=src_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -86,13 +86,6 @@ def test_budget_guard():
         bracket_by_skein(plain_weave_2x2(), budget=3)
 
 
-def test_parallel_bracket_matches_serial():
-    d = plain_weave_2x2()
-    assert bracket(d, parallel=4) == bracket(d)
-    with pytest.raises(ValueError, match="parallel must be at least 1"):
-        bracket(d, parallel=0)
-
-
 def test_writhe_of_alternating_plain_weave_vanishes():
     d = plain_weave_2x2()
     assert writhe(d) == 0

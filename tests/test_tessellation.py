@@ -140,6 +140,21 @@ def test_sequence_complementarity_on_twill():
     assert read_sequence(d31, 2, 1) == (1, 3)
 
 
+@pytest.mark.parametrize("scale", [3, 4, 6])
+def test_assigned_sequences_read_back(scale):
+    # a thread meets the other set `scale` times, so (p, q) closes up
+    # exactly when p + q divides the scale
+    d = transform(square(scale), TransformSpec("Cr", 1))
+    for p, q in ((1, 1), (2, 2), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
+        if scale % (p + q):
+            with pytest.raises(InconsistentSequence, match=f"not a multiple of {p + q}"):
+                assign_weaving_map(d, {(1, 2): (p, q)})
+            continue
+        woven = assign_weaving_map(d, {(1, 2): (p, q)})
+        assert read_sequence(woven, 1, 2) == (p, q)
+        assert read_sequence(woven, 2, 1) == (q, p)
+
+
 def test_sequence_must_divide_thread_cycle():
     d = transform(square(2), TransformSpec("Cr", 1))
     with pytest.raises(InconsistentSequence):
