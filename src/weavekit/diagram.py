@@ -8,16 +8,18 @@ edge remembers the identified cell sides it crosses as a boundary word,
 read while traversing from endpoint 0 to endpoint 1. Closed curves that
 meet no crossing are kept separately as free loops.
 
-Faces are traced with the fixed corner rule "arrive at a slot, leave by
-the next slot counterclockwise"; every derived quantity (regions,
-checkerboard colors, isthmus detection) uses that same rule so region
-identity is consistent across modules.
+Faces and threads come from one walk over directed edges: arrive at a
+slot, leave by the next slot counterclockwise for a face, by the opposite
+slot for a thread. Every derived quantity (regions, checkerboard colors,
+isthmus detection) uses that same corner rule so region identity is
+consistent across modules.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, product
 from math import gcd
 from typing import Optional, Sequence
 
@@ -200,45 +202,48 @@ class SurfaceDiagram:
 
     # -- faces -------------------------------------------------------------------
 
+    def _cycle(
+        self, start: tuple[EdgeId, int], turn: int
+    ) -> tuple[list[tuple[EdgeId, int]], list[End], list[int]]:
+        """Walk directed edges from ``start`` until it recurs, leaving each
+        arrival slot by the slot ``turn`` steps counterclockwise from it.
+
+        Returns the directed edges, the (crossing, arrival slot) of each and
+        the word read along the way. Turn 1 walks a face, turn 2 a thread.
+        On a closed diagram the step map is a permutation of the directed
+        edges, so every walk returns to its start.
+        """
+        table = self.end_map()
+        edges = self.edges
+        steps: list[tuple[EdgeId, int]] = []
+        arrivals: list[End] = []
+        word: list[int] = []
+        step = start
+        while True:
+            steps.append(step)
+            e = edges[step[0]]
+            word.extend(e.directed_word(step[1]))
+            # direction 0 arrives at ends[1], direction 1 at ends[0]
+            cid, slot = e.ends[1 - step[1]]
+            arrivals.append((cid, slot))
+            step = table[(cid, (slot + turn) % 4)]
+            if step == start:
+                return steps, arrivals, word
+
     def faces(self) -> tuple[Face, ...]:
         cached = self._cache.get("faces")
         if cached is None:
-            cached = self._trace_faces()
-            self._cache["faces"] = cached
-        return cached  # type: ignore[return-value]
-
-    def _next_step(self, eid: EdgeId, direction: int) -> tuple[EdgeId, int, End]:
-        """Follow the corner rule from a directed edge; returns next step + corner."""
-        # direction 0 arrives at ends[1], direction 1 arrives at ends[0]
-        arrive = self.edges[eid].ends[1] if direction == 0 else self.edges[eid].ends[0]
-        cid, slot = arrive
-        out_slot = (slot + 1) % 4
-        eid2, which = self.end_map()[(cid, out_slot)]
-        return eid2, 0 if which == 0 else 1, arrive
-
-    def _trace_faces(self) -> tuple[Face, ...]:
-        self._check_closed()
-        visited: set[tuple[EdgeId, int]] = set()
-        out: list[Face] = []
-        for eid in range(len(self.edges)):
-            for direction in (0, 1):
-                if (eid, direction) in visited:
+            self._check_closed()
+            visited: set[tuple[EdgeId, int]] = set()
+            out: list[Face] = []
+            for start in product(range(len(self.edges)), (0, 1)):
+                if start in visited:
                     continue
-                steps: list[tuple[EdgeId, int]] = []
-                corners: list[End] = []
-                holonomy: list[int] = []
-                cur = (eid, direction)
-                while cur not in visited:
-                    visited.add(cur)
-                    steps.append(cur)
-                    holonomy.extend(self.edges[cur[0]].directed_word(cur[1]))
-                    nxt_eid, nxt_dir, corner = self._next_step(*cur)
-                    corners.append(corner)
-                    cur = (nxt_eid, nxt_dir)
-                if cur != (eid, direction):
-                    raise DiagramError("face walk did not close on its start")
+                steps, corners, holonomy = self._cycle(start, 1)
+                visited.update(steps)
                 out.append(Face(len(out), tuple(steps), tuple(corners), tuple(holonomy)))
-        return tuple(out)
+            cached = self._cache["faces"] = tuple(out)
+        return cached  # type: ignore[return-value]
 
     def corner_face(self) -> dict[End, FaceId]:
         """Map each corner (crossing, slot s meaning the region between s and s+1)."""
@@ -257,50 +262,30 @@ class SurfaceDiagram:
     def threads(self) -> tuple[Thread, ...]:
         cached = self._cache.get("threads")
         if cached is None:
-            cached = self._trace_threads()
-            self._cache["threads"] = cached
-        return cached  # type: ignore[return-value]
-
-    def _trace_threads(self) -> tuple[Thread, ...]:
-        self._check_closed()
-        table = self.end_map()
-        claimed: set[tuple[EdgeId, int]] = set()
-        out: list[Thread] = []
-        for eid in range(len(self.edges)):
-            for direction in (0, 1):
-                if (eid, direction) in claimed:
+            self._check_closed()
+            claimed: set[tuple[EdgeId, int]] = set()
+            out: list[Thread] = []
+            for start in product(range(len(self.edges)), (0, 1)):
+                if start in claimed:
                     continue
-                route: list[End] = []
-                tedges: list[tuple[EdgeId, int]] = []
-                cur = (eid, direction)
-                while cur not in claimed:
-                    claimed.add(cur)
-                    tedges.append(cur)
-                    e = self.edges[cur[0]]
-                    cid, slot = e.ends[1] if cur[1] == 0 else e.ends[0]
-                    route.append((cid, slot))
-                    exit_slot = (slot + 2) % 4
-                    eid2, which = table[(cid, exit_slot)]
-                    cur = (eid2, 0 if which == 0 else 1)
-                if cur != (eid, direction):
-                    raise DiagramError("thread walk did not close on its start")
-                # claim the reverse traversal as the same physical thread
-                for e2, d2 in tedges:
-                    claimed.add((e2, 1 - d2))
-                hom = [0] * (2 * self.genus)
-                for e2, d2 in tedges:
-                    vec = words.abelianize(self.edges[e2].directed_word(d2), self.genus)
-                    hom = [a + b for a, b in zip(hom, vec)]
+                steps, route, word = self._cycle(start, 2)
+                # the reverse traversal is the same physical thread
+                claimed.update(steps)
+                claimed.update((eid, 1 - direction) for eid, direction in steps)
+                hom = words.abelianize(word, self.genus)
                 if _lex_negative(hom):
                     # canonical orientation: homology lexicographically positive
-                    route, tedges, hom = _reverse_thread(self, route, tedges, hom)
-                out.append(Thread(len(out), tuple(route), tuple(tedges), tuple(hom)))
-        for li, w in enumerate(self.loops):
-            hom = list(words.abelianize(w, self.genus))
-            if _lex_negative(hom):
-                hom = [-v for v in hom]
-            out.append(Thread(len(out), (), (), tuple(hom), loop_index=li))
-        return tuple(out)
+                    eid, direction = steps[-1]
+                    steps, route, _ = self._cycle((eid, 1 - direction), 2)
+                    hom = tuple(-v for v in hom)
+                out.append(Thread(len(out), tuple(route), tuple(steps), hom))
+            for li, w in enumerate(self.loops):
+                hom = words.abelianize(w, self.genus)
+                if _lex_negative(hom):
+                    hom = tuple(-v for v in hom)
+                out.append(Thread(len(out), (), (), hom, loop_index=li))
+            cached = self._cache["threads"] = tuple(out)
+        return cached  # type: ignore[return-value]
 
     def thread_of_passage(self) -> dict[End, ThreadId]:
         """Map each passage entry (crossing, entry slot) to its thread."""
@@ -476,18 +461,6 @@ def _lex_negative(vec: Sequence[int]) -> bool:
     return False
 
 
-def _reverse_thread(d: SurfaceDiagram, route, tedges, hom):
-    """Reverse the traversal direction of a traced thread cycle."""
-    n = len(tedges)
-    new_edges = [(eid, 1 - direction) for eid, direction in reversed(tedges)]
-    new_route = []
-    for eid, direction in new_edges:
-        e = d.edges[eid]
-        cid, slot = e.ends[1] if direction == 0 else e.ends[0]
-        new_route.append((cid, slot))
-    return new_route, new_edges, [-v for v in hom]
-
-
 def primitive_direction(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Homology direction divided by content, sign-normalized; None for zero."""
     g = 0
@@ -517,6 +490,68 @@ def _component_count(d: SurfaceDiagram) -> int:
             parent[a] = b
     roots = {find(i) for i in range(n)}
     return len(roots) + len(d.loops)
+
+
+# -- splicing ------------------------------------------------------------------------
+
+# a splice node: an End for a crossing slot, ("j", key) for a junction
+Node = tuple
+
+
+def splice(
+    segments: Sequence[tuple[Node, Node, Word]],
+) -> tuple[list[tuple[End, End, Word]], list[Word]]:
+    """Join word-carrying segments through junctions into edges and free loops.
+
+    Each junction ends exactly two segments. Walks start at crossing slots,
+    taken in segment order and end 0 before end 1, and each becomes an edge
+    ``(start, stop, word)``. Segments left over close into free loops, each
+    read from end 0 of its first segment. Words are concatenated along the
+    walk, never reduced.
+    """
+    across = [-1] * (2 * len(segments))  # half 2*sid + end -> the half across its junction
+    first: dict[Node, int] = {}
+    starts: list[int] = []  # halves at crossing slots
+    for half, node in enumerate(chain.from_iterable(seg[:2] for seg in segments)):
+        if node[0] != "j":
+            starts.append(half)
+            continue
+        other = first.setdefault(node, half)
+        if other != half:
+            if across[other] >= 0:
+                raise DiagramError(f"splice junction {node} has more than two ends")
+            across[half], across[other] = other, half
+    lone = [node for node, half in first.items() if across[half] < 0]
+    if lone:
+        raise DiagramError(f"splice junction {lone[0]} has one end")
+
+    done = bytearray(len(segments))
+    edge_specs: list[tuple[End, End, Word]] = []
+    loops: list[Word] = []
+    # leftover segments only meet junctions, so a walk from end 0 is a loop
+    for half in chain(starts, range(0, 2 * len(segments), 2)):
+        if done[half >> 1]:
+            continue
+        start = segments[half >> 1][half & 1]
+        word: list[int] = []
+        while True:
+            sid = half >> 1
+            done[sid] = 1
+            a, b, w = segments[sid]
+            if half & 1:
+                far = a
+                word.extend(words.invert(w))
+            else:
+                far = b
+                word.extend(w)
+            half = across[half ^ 1]
+            if half < 0 or done[half >> 1]:
+                break
+        if start[0] == "j":
+            loops.append(tuple(word))
+        else:
+            edge_specs.append((start, far, tuple(word)))
+    return edge_specs, loops
 
 
 # -- text interchange format ---------------------------------------------------------

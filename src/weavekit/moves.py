@@ -88,9 +88,7 @@ def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     g1 = d.edges[e1]
     slot_at_x1 = g1.ends[0][1] if g1.ends[0][0] == x1 else g1.ends[1][1]
     slot_at_x2 = g1.ends[0][1] if g1.ends[0][0] == x2 else g1.ends[1][1]
-    over_at_x1 = (slot_at_x1 % 2) == d.crossings[x1].over_axis
-    over_at_x2 = (slot_at_x2 % 2) == d.crossings[x2].over_axis
-    if over_at_x1 != over_at_x2:
+    if d.passage_is_over(x1, slot_at_x1) != d.passage_is_over(x2, slot_at_x2):
         return None
     return Move("R2_remove", (min(x1, x2), max(x1, x2)))
 
@@ -103,11 +101,9 @@ def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
         return None
     corners = tuple(sorted(face.corners))
     (A, a), (B, b), (C, c) = face.corners
-    # sides: arriving edge at each corner slot; strand over-ness per crossing
-    def over_at(cid: int, slot: int) -> bool:
-        return (slot % 2) == d.crossings[cid].over_axis
-
-    # strand through the departing side at each crossing occupies slot+1
+    over_at = d.passage_is_over
+    # sides: arriving edge at each corner slot; the strand through the
+    # departing side at each crossing occupies slot+1
     strand_pairs = [
         (over_at(A, (a + 1) % 4), over_at(B, b)),   # side A->B
         (over_at(B, (b + 1) % 4), over_at(C, c)),   # side B->C
@@ -419,17 +415,13 @@ def _resolve_r3_words(
     if xa is None or xb is None:
         raise IllegalMove("could not rebalance cell-side words across the triangle")
 
-    def vec_word(va: int, vb: int) -> words.Word:
-        out: list[int] = []
-        out.extend([1 if va > 0 else -1] * abs(va))
-        out.extend([2 if vb > 0 else -2] * abs(vb))
-        return tuple(out)
-
     final = [
         Edge(
             e.id,
             e.ends,
-            vec_word(xa[unknown[e.id]], xb[unknown[e.id]]) if e.id in unknown else e.word,
+            words.torus_word((xa[unknown[e.id]], xb[unknown[e.id]]))
+            if e.id in unknown
+            else e.word,
         )
         for e in flipped.edges
     ]

@@ -6,9 +6,10 @@ slots (0,1) and (2,3); the B-split joins (1,2) and (3,0). Frames with the
 over-strand on the 0-2 axis are one counterclockwise step away, so their
 tables rotate accordingly.
 
-Two independent code paths produce resolved states: a surgery that builds
-the smoothed diagram edge by edge (used by the recursive bracket oracle),
-and a flat dart tracer used by the state-sum bracket. Tests hold them to
+Two independent code paths produce resolved states: a surgery that hands
+the diagram's edges to the splice that also assembles tessellation builds
+(used by the recursive bracket oracle and by the R2 removal move), and a
+flat dart tracer used by the state-sum bracket. Tests hold them to
 identical answers.
 """
 
@@ -25,7 +26,9 @@ from .diagram import (
     DiagramError,
     Edge,
     End,
+    Node,
     SurfaceDiagram,
+    splice,
 )
 
 Pairing = tuple[tuple[int, int], tuple[int, int]]
@@ -56,78 +59,49 @@ def smooth_crossings(
 ) -> SurfaceDiagram:
     """Remove the given crossings, reconnecting strands per slot pairing.
 
-    Edge words concatenate along the reconnected chains; chains that close
-    without meeting a surviving crossing become free loops.
+    Each edge is one segment for ``splice``: a surviving slot is a crossing
+    node and each pair of a removed crossing's pairing is a junction. An
+    edge is taken at its first surviving slot in (crossing, slot) order and
+    read away from it; edges with no surviving end follow in id order.
+    Edge words concatenate along the reconnected chains, chains that meet
+    no surviving crossing close into free loops, and both are free-reduced.
     """
     for cid in pairings:
         if not 0 <= cid < len(d.crossings):
             raise DiagramError(f"unknown crossing c{cid}")
     end_map = d.end_map()
-    partner: dict[End, End] = {}
+    survivors = [c for c in d.crossings if c.id not in pairings]
+    junction: dict[End, Node] = {}
     for cid, pairing in pairings.items():
         for a, b in pairing:
-            partner[(cid, a)] = (cid, b)
-            partner[(cid, b)] = (cid, a)
+            junction[(cid, a)] = junction[(cid, b)] = ("j", cid, a)
 
-    survivors = [c for c in d.crossings if c.id not in pairings]
-    new_id = {c.id: i for i, c in enumerate(survivors)}
-
-    visited_dart_dirs: set[tuple[int, int]] = set()  # (edge id, direction taken)
-
-    def walk(start: End) -> tuple[End, words.Word, list[tuple[int, int]]]:
-        """Follow the strand from a surviving dart until the next surviving dart."""
-        acc: list[int] = []
-        used: list[tuple[int, int]] = []
-        pos = start
-        while True:
-            eid, which = end_map[pos]
-            e = d.edges[eid]
-            direction = 0 if which == 0 else 1
-            used.append((eid, direction))
-            acc.extend(e.directed_word(direction))
-            nxt = e.ends[1 - which]
-            if nxt[0] not in pairings:
-                return nxt, words.free_reduce(acc), used
-            pos = partner[nxt]
-
-    new_edges: list[tuple[End, End, words.Word]] = []
-    consumed: set[End] = set()
+    segments: list[tuple[Node, Node, words.Word]] = []
+    taken = bytearray(len(d.edges))
     for c in survivors:
         for s in range(4):
-            start = (c.id, s)
-            if start in consumed:
-                continue
-            stop, word, used = walk(start)
-            consumed.add(start)
-            consumed.add(stop)
-            for pair_step in used:
-                visited_dart_dirs.add(pair_step)
-                visited_dart_dirs.add((pair_step[0], 1 - pair_step[1]))
-            new_edges.append(
-                ((new_id[start[0]], start[1]), (new_id[stop[0]], stop[1]), word)
-            )
-
-    # chains living entirely on smoothed crossings close into free loops
-    new_loops: list[words.Word] = list(d.loops)
+            eid, which = end_map[(c.id, s)]
+            if not taken[eid]:
+                taken[eid] = 1
+                e = d.edges[eid]
+                far = e.ends[1 - which]
+                segments.append((e.ends[which], junction.get(far, far), e.directed_word(which)))
     for e in d.edges:
-        if (e.id, 0) in visited_dart_dirs:
-            continue
-        acc: list[int] = []
-        eid, direction = e.id, 0
-        while (eid, direction) not in visited_dart_dirs:
-            visited_dart_dirs.add((eid, direction))
-            visited_dart_dirs.add((eid, 1 - direction))
-            ee = d.edges[eid]
-            acc.extend(ee.directed_word(direction))
-            nxt = ee.ends[1] if direction == 0 else ee.ends[0]
-            hop = partner[nxt]
-            eid2, which = end_map[hop]
-            eid, direction = eid2, 0 if which == 0 else 1
-        new_loops.append(words.free_reduce(acc))
+        if not taken[e.id]:
+            segments.append((junction[e.ends[0]], junction[e.ends[1]], e.word))
 
-    crossings = [Crossing(i, c.over_axis) for i, c in enumerate(survivors)]
-    edges = [Edge(i, (a, b), w) for i, (a, b, w) in enumerate(new_edges)]
-    return SurfaceDiagram(d.genus, crossings, edges, new_loops)
+    edge_specs, loops = splice(segments)
+    new_id = {c.id: i for i, c in enumerate(survivors)}
+    return SurfaceDiagram(
+        d.genus,
+        # crossings below the first removed one keep their ids and objects
+        [c if c.id == i else Crossing(i, c.over_axis) for i, c in enumerate(survivors)],
+        [
+            Edge(i, ((new_id[a], s), (new_id[b], t)), words.free_reduce(w))
+            for i, ((a, s), (b, t), w) in enumerate(edge_specs)
+        ],
+        d.loops + tuple(words.free_reduce(w) for w in loops),
+    )
 
 
 def split(d: SurfaceDiagram, cid: int, kind: str) -> SurfaceDiagram:
@@ -243,18 +217,17 @@ class StateTracer:
 
     def pairing_for_bits(self, bits: int) -> list[int]:
         pair = list(self.pair_a)
-        for c in range(self.n_crossings):
-            if bits >> c & 1:
-                base = 4 * c
-                for s in range(4):
-                    pair[base + s] = self.pair_b[base + s]
+        bits &= (1 << self.n_crossings) - 1
+        while bits:
+            low = bits & -bits
+            base = 4 * (low.bit_length() - 1)
+            pair[base:base + 4] = self.pair_b[base:base + 4]
+            bits ^= low
         return pair
 
     def set_crossing(self, pair: list[int], cid: int, to_b: bool) -> None:
         src = self.pair_b if to_b else self.pair_a
-        base = 4 * cid
-        for s in range(4):
-            pair[base + s] = src[base + s]
+        pair[4 * cid:4 * cid + 4] = src[4 * cid:4 * cid + 4]
 
 
 def resolve_state(d: SurfaceDiagram, assignment: Iterable[str]) -> State:
@@ -272,14 +245,3 @@ def resolve_state(d: SurfaceDiagram, assignment: Iterable[str]) -> State:
             bits |= 1 << cid
     trivial, winding = tracer.resolve_bits(bits)
     return State(kinds, trivial, winding)
-
-
-def resolve_to_diagram(d: SurfaceDiagram, assignment: Iterable[str]) -> SurfaceDiagram:
-    """Smooth every crossing, producing the crossing-free diagram."""
-    kinds = tuple(assignment)
-    if len(kinds) != len(d.crossings):
-        raise DiagramError("assignment length must equal the crossing count")
-    pairings = {
-        c.id: split_pairing(c, kinds[c.id]) for c in d.crossings
-    }
-    return smooth_crossings(d, pairings)

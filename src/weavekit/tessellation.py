@@ -7,7 +7,9 @@ curves, n-crossed curves, or n-branched curves) and, for the doubled
 methods, every tiling edge by an m-twisted double line. Vertex blocks are
 realized as straight chords in a small disk, slightly perturbed so all
 intersections are transverse; their combinatorics, not the coordinates,
-end up in the diagram.
+end up in the diagram. Blocks and lines meet at ports, and
+``diagram.splice`` joins the pieces through them into edges and free
+loops; a tiling edge's wrap vector becomes its word a^x b^y.
 
 Over/under data on the produced skeleton is arbitrary until a crossing
 sequence assignment fixes it.
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import AXIS_13, Crossing, DiagramError, End, SurfaceDiagram
+from . import words
+from .diagram import AXIS_13, Crossing, DiagramError, Node, SurfaceDiagram, splice
 from .words import Word
 
 
@@ -354,80 +357,9 @@ def _disk_arrangement(chords: list[tuple[tuple[float, float], tuple[float, float
 
 # -- transform assembly -----------------------------------------------------------------
 
-_Node = tuple  # ('c', crossing id, slot) or ('j', junction key)
-
-
 def _circle_point(angle_deg: float, radius: float = 1.0) -> tuple[float, float]:
     a = math.radians(angle_deg)
     return (radius * math.cos(a), radius * math.sin(a))
-
-
-def _splice(
-    genus: int,
-    over_axes: list[int],
-    segments: list[tuple[_Node, _Node, Word]],
-) -> SurfaceDiagram:
-    """Resolve two-sided junction nodes into edges and free loops."""
-    at_node: dict[_Node, list[tuple[int, int]]] = {}
-    for sid, (a, b, _w) in enumerate(segments):
-        at_node.setdefault(a, []).append((sid, 0))
-        at_node.setdefault(b, []).append((sid, 1))
-    for node, ends in at_node.items():
-        expect = 1 if node[0] == "c" else 2
-        if len(ends) != expect:
-            raise AssertionError(f"node {node} has {len(ends)} attachments, wants {expect}")
-
-    def seg_walk(sid: int, from_end: int):
-        """Traverse a segment from one end; returns (far node, word)."""
-        a, b, w = segments[sid]
-        if from_end == 0:
-            return b, w
-        return a, tuple(-x for x in reversed(w))
-
-    visited: set[tuple[int, int]] = set()
-    edge_specs: list[tuple[End, End, Word]] = []
-    loops: list[Word] = []
-
-    def follow(sid: int, from_end: int):
-        word: list[int] = []
-        cur_sid, cur_from = sid, from_end
-        while True:
-            visited.add((cur_sid, cur_from))
-            visited.add((cur_sid, 1 - cur_from))
-            far, w = seg_walk(cur_sid, cur_from)
-            word.extend(w)
-            if far[0] == "c":
-                return far, tuple(word), False
-            arrival = (cur_sid, 1 - cur_from)
-            s2, e2 = next(x for x in at_node[far] if x != arrival)
-            if (s2, e2) in visited:
-                return None, tuple(word), True
-            cur_sid, cur_from = s2, e2
-
-    for sid, (a, b, _w) in enumerate(segments):
-        for from_end, node in ((0, a), (1, b)):
-            if node[0] != "c" or (sid, from_end) in visited:
-                continue
-            far, word, closed = follow(sid, from_end)
-            assert not closed and far is not None
-            edge_specs.append(((node[1], node[2]), (far[1], far[2]), word))
-
-    for sid in range(len(segments)):
-        if (sid, 0) in visited:
-            continue
-        _far, word, closed = follow(sid, 0)
-        assert closed
-        loops.append(word)
-
-    return SurfaceDiagram.build(genus, over_axes, edge_specs, loops)
-
-
-def _wrap_word(wrap: tuple[int, int]) -> Word:
-    dx, dy = wrap
-    out: list[int] = []
-    out.extend([1 if dx > 0 else -1] * abs(dx))
-    out.extend([2 if dy > 0 else -2] * abs(dy))
-    return tuple(out)
 
 
 def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
@@ -437,11 +369,11 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
     placeholder until a crossing-sequence assignment overwrites it.
     """
     over_axes: list[int] = []
-    segments: list[tuple[_Node, _Node, Word]] = []
+    segments: list[tuple[Node, Node, Word]] = []
     doubled = spec.method in ("nCr", "nBr")
 
     # ports per (vertex, dart position, side); side 0 = clockwise of the dart
-    def port(v: int, pos: int, side: int) -> _Node:
+    def port(v: int, pos: int, side: int) -> Node:
         return ("j", ("p", v, pos, side))
 
     for v in range(tiling.n_vertices):
@@ -449,7 +381,7 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
         angles = tiling.angles[v]
         eta = 9.0  # half-spread of the doubled lines, in degrees
         chords: list[tuple[tuple[float, float], tuple[float, float]]] = []
-        chord_ports: list[tuple[_Node, _Node]] = []
+        chord_ports: list[tuple[Node, Node]] = []
         if spec.method == "Cr":
             if n % 2:
                 raise OddValencyForCr(
@@ -505,11 +437,7 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
         over_axes.extend(block.over_axes)
         for chord_id, chain in enumerate(block.chains):
             start, stop = chord_ports[chord_id]
-            nodes: list[_Node] = [start]
-            for item in chain[1:-1]:
-                _tag, cid, slot = item
-                nodes.append(("c", base + cid, slot))
-            nodes.append(stop)
+            nodes = [start, *((base + cid, slot) for _tag, cid, slot in chain[1:-1]), stop]
             for k in range(0, len(nodes), 2):
                 segments.append((nodes[k], nodes[k + 1], ()))
 
@@ -522,7 +450,7 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
     for eid, (_tail, _head, wrap) in enumerate(tiling.edges):
         v, pos_v = where[(eid, 0)]
         w, pos_w = where[(eid, 1)]
-        word = _wrap_word(wrap)
+        word = words.torus_word(wrap)
         if not doubled:
             segments.append((port(v, pos_v, 0), port(w, pos_w, 0), word))
             continue
@@ -534,15 +462,16 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
             continue
         base = len(over_axes)
         over_axes.extend([AXIS_13] * spec.m)
-        segments.append((lv, ("c", base, 2), word))
-        segments.append((rv, ("c", base, 3), word))
+        segments.append((lv, (base, 2), word))
+        segments.append((rv, (base, 3), word))
         for t in range(spec.m - 1):
-            segments.append((("c", base + t, 1), ("c", base + t + 1, 2), ()))
-            segments.append((("c", base + t, 0), ("c", base + t + 1, 3), ()))
-        segments.append((("c", base + spec.m - 1, 1), rw, ()))
-        segments.append((("c", base + spec.m - 1, 0), lw, ()))
+            segments.append(((base + t, 1), (base + t + 1, 2), ()))
+            segments.append(((base + t, 0), (base + t + 1, 3), ()))
+        segments.append(((base + spec.m - 1, 1), rw, ()))
+        segments.append(((base + spec.m - 1, 0), lw, ()))
 
-    return _splice(1, over_axes, segments)
+    edge_specs, loops = splice(segments)
+    return SurfaceDiagram.build(1, over_axes, edge_specs, loops)
 
 
 # -- classification and crossing sequences ------------------------------------------------

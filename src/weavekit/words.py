@@ -82,6 +82,12 @@ def abelianize(word: Iterable[int], genus: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def torus_word(vec: Sequence[int]) -> Word:
+    """The genus-1 word a^x b^y, whose abelianization is ``vec`` = (x, y)."""
+    x, y = vec
+    return (1 if x > 0 else -1,) * abs(x) + (2 if y > 0 else -2,) * abs(y)
+
+
 def free_reduce(word: Sequence[int]) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
     out: list[int] = []

@@ -15,7 +15,7 @@ def run_determinism_probe(workdir) -> dict[str, tuple[str, str]]:
     """Run every subcommand twice with fixed seeds; return paired outputs.
 
     Used by the acceptance suite: each pair must be byte-identical,
-    including the state sum split across four workers.
+    ``analyze --parallel 4`` included.
     """
 
     def run(argv, files=()):

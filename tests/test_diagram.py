@@ -11,6 +11,7 @@ from weavekit.diagram import (
     isomorphic,
     parse,
     serialize,
+    splice,
 )
 
 
@@ -291,3 +292,48 @@ def test_parse_caps_the_genus():
     assert parse(f"genus {MAX_GENUS}\n").genus == MAX_GENUS
     with pytest.raises(DiagramError, match=f"^line 2: genus must be at most {MAX_GENUS}$"):
         parse(f"# too many handles\ngenus {MAX_GENUS + 1}\n")
+
+
+def test_splice_joins_segments_through_junctions():
+    j = lambda k: ("j", k)  # noqa: E731
+    segments = [
+        ((0, 0), j(1), (1,)),
+        (j(2), j(1), (2,)),          # walked backwards from j1
+        (j(2), (0, 2), (-1, 1)),     # the splice keeps unreduced words
+        (j(5), (0, 1), (2,)),        # starts at its end 1
+        (j(5), (0, 3), ()),
+        (j(3), j(4), (1,)),
+        (j(4), j(3), (2,)),
+    ]
+    edge_specs, loops = splice(segments)
+    assert edge_specs == [((0, 0), (0, 2), (1, -2, -1, 1)), ((0, 1), (0, 3), (-2,))]
+    assert loops == [(1, 2)]
+
+
+def test_splice_rejects_junctions_without_two_ends():
+    with pytest.raises(DiagramError, match="one end"):
+        splice([((0, 0), ("j", 1), ())])
+    with pytest.raises(DiagramError, match="more than two"):
+        splice([((0, s), ("j", 1), ()) for s in range(3)])
+
+
+def test_threads_are_straight_walks_with_positive_homology():
+    from weavekit.corpus import full_corpus
+
+    for _, d in full_corpus():
+        if not d.validate().ok:
+            continue
+        for t in d.threads():
+            if t.loop_index is not None:
+                continue
+            n = len(t.edges)
+            for i, (eid, direction) in enumerate(t.edges):
+                assert d.edges[eid].ends[1 - direction] == t.route[i]
+                cid, entry = t.route[i]
+                leave_eid, leave_dir = t.edges[(i + 1) % n]
+                assert d.edges[leave_eid].ends[leave_dir] == (cid, (entry + 2) % 4)
+            hom = words.abelianize(
+                [l for eid, dd in t.edges for l in d.edges[eid].directed_word(dd)], d.genus
+            )
+            assert hom == t.homology
+            assert next((v for v in hom if v), 0) >= 0

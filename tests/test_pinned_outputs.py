@@ -1,0 +1,104 @@
+"""Outputs pinned by sha256, so that changes to the splice, the crossing
+smoothing and the face and thread walks keep them byte for byte.
+
+Each digest covers ``serialize`` (the form the CLI writes) followed by every
+crossing, edge and loop in id order, which ``serialize`` sorts away but
+which fixes the ids that thread numbering and move parameters depend on.
+"""
+
+import hashlib
+
+from weavekit import corpus
+from weavekit.diagram import serialize
+from weavekit.moves import apply_move, enumerate_moves, fuzz
+from weavekit.states import split
+from weavekit.tessellation import (
+    TransformSpec,
+    assign_alternating,
+    assign_weaving_map,
+    build_tiling,
+    parse_vertex_symbol,
+    transform,
+)
+
+SYMBOLS = ("(4,4,4,4)", "(3,6,3,6)", "(3,3,3,3,3,3)", "(6,6,6)")
+
+# digests and counts taken before the splice was shared
+CORPUS = "441a16db69643ee4f9c81771744c61ac7cd45a4c61768a9c53882dd83c6a503d"
+SKELETONS = "a607cfa0b2363d57437f578fc1d73421ec6c011c414ea954b34aa2a649e04b6c"
+BENCH_MODERATE = "bf30dfa11aefb99ee305002c8a3aae0d18ae59e66d52193014274682b553a440"
+SPLIT_COUNT = 184
+SPLITS = "5cc622ae67af58c1bf8a52eb165fea7ba9a7767313e0b84f556e5469ef4ff4db"
+R2_COUNT = 285
+R2_REMOVALS = "8c94d2847ba8baf65c2e73b1d6fd63d5d1195972f7f4e35828da2df93e0dfe20"
+
+
+def _text(d) -> str:
+    lines = [serialize(d)]
+    lines += [f"c{c.id} {c.over_axis}" for c in d.crossings]
+    lines += [f"e{e.id} {e.ends} {e.word}" for e in d.edges]
+    lines += [f"loop {w}" for w in d.loops]
+    return "\n".join(lines) + "\n"
+
+
+def _digest(diagrams) -> str:
+    h = hashlib.sha256()
+    for d in diagrams:
+        h.update(_text(d).encode())
+    return h.hexdigest()
+
+
+def _build(symbol, method, m, scale):
+    return transform(build_tiling(parse_vertex_symbol(symbol), scale), TransformSpec(method, m))
+
+
+def _valid_corpus(max_crossings):
+    return [
+        d
+        for _, d in corpus.full_corpus()
+        if d.validate().ok and len(d.crossings) <= max_crossings
+    ]
+
+
+def test_corpus_and_builds_are_pinned():
+    skeletons = [
+        _build(symbol, method, m, scale)
+        for symbol in SYMBOLS
+        for method, m in (("Cr", 1), ("nCr", 0), ("nCr", 1), ("nBr", 1), ("nBr", 2))
+        if not (method == "Cr" and symbol == "(6,6,6)")
+        for scale in (1, 2)
+    ]
+    # the moderate builds of the benchmark's build-inspect workload
+    bench = [
+        assign_weaving_map(_build("(4,4,4,4)", "Cr", 1, 14), {(1, 2): (1, 1)}),
+        assign_alternating(_build("(3,6,3,6)", "Cr", 1, 8)),
+        assign_alternating(_build("(3,3,3,3,3,3)", "Cr", 1, 8)),
+        assign_alternating(_build("(6,6,6)", "nBr", 1, 8)),
+    ]
+    assert _digest(d for _, d in corpus.full_corpus()) == CORPUS
+    assert _digest(skeletons) == SKELETONS
+    assert _digest(bench) == BENCH_MODERATE
+
+
+def test_every_split_is_pinned():
+    results = [
+        split(d, cid, kind)
+        for d in _valid_corpus(10)
+        for cid in range(len(d.crossings))
+        for kind in "AB"
+    ]
+    assert len(results) == SPLIT_COUNT
+    assert _digest(results) == SPLITS
+
+
+def test_r2_removals_along_fuzz_walks_are_pinned():
+    starts = [d for d in _valid_corpus(12) if d.crossings]
+    results = []
+    for i, start in enumerate(starts):
+        trace = fuzz(start, 20, 100 + i, max_crossings=len(start.crossings) + 4)
+        for d in trace.diagrams:
+            results.extend(
+                apply_move(d, m) for m in enumerate_moves(d) if m.kind == "R2_remove"
+            )
+    assert len(results) == R2_COUNT
+    assert _digest(results) == R2_REMOVALS

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from fixtures import plain_weave_2x2, single_loop, torus_curl
+from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl
 from weavekit import words
 from weavekit.diagram import DiagramError
 from weavekit.states import (
@@ -10,9 +10,15 @@ from weavekit.states import (
     StateTracer,
     normalize_class,
     resolve_state,
-    resolve_to_diagram,
+    smooth_crossings,
     split,
+    split_pairing,
 )
+
+
+def resolve_to_diagram(d, kinds):
+    """Smooth every crossing, producing the crossing-free diagram."""
+    return smooth_crossings(d, {c.id: split_pairing(c, kinds[c.id]) for c in d.crossings})
 
 
 def test_split_torus_curl_by_hand():
@@ -95,3 +101,13 @@ def test_tracer_and_surgery_agree_on_curl():
     tracer = StateTracer(d)
     assert tracer.resolve_bits(0) == (0, ((1, -1),))
     assert tracer.resolve_bits(1) == (0, ((1, 1),))
+
+
+def test_pairing_for_bits_takes_the_b_pairing_at_set_bits():
+    tracer = StateTracer(grid_weave(3))
+    for bits in (0, 1, 0b101010101, 0b100000000, (1 << 9) - 1):
+        expected = [
+            (tracer.pair_b if bits >> (dart // 4) & 1 else tracer.pair_a)[dart]
+            for dart in range(tracer.n_darts)
+        ]
+        assert tracer.pairing_for_bits(bits) == expected

@@ -38,6 +38,15 @@ def test_abelianize():
     assert words.abelianize((1, 3, -1), 2) == (0, 0, 1, 0)
 
 
+def test_torus_word_inverts_abelianize():
+    for x in range(-3, 4):
+        for y in range(-3, 4):
+            w = words.torus_word((x, y))
+            assert words.abelianize(w, 1) == (x, y)
+            assert len(w) == abs(x) + abs(y)
+    assert words.torus_word((2, -1)) == (1, 1, -2)
+
+
 @given(letters(1))
 def test_invert_is_involution(w):
     assert words.invert(words.invert(w)) == w
