@@ -389,27 +389,9 @@ def dehn_twist_diagram(
     if curve not in ("a", "b"):
         raise ValueError("curve must be 'a' or 'b'")
 
-    def rewrite(word: words.Word) -> words.Word:
-        out: list[int] = []
-        for letter in word:
-            if curve == "a":
-                if letter == 2:
-                    out.extend((2, 1 if direction > 0 else -1))
-                elif letter == -2:
-                    out.extend((-1 if direction > 0 else 1, -2))
-                else:
-                    out.append(letter)
-            else:
-                if letter == 1:
-                    out.extend((1, 2 if direction > 0 else -2))
-                elif letter == -1:
-                    out.extend((-2 if direction > 0 else 2, -1))
-                else:
-                    out.append(letter)
-        return tuple(out)
-
-    edges = [Edge(e.id, e.ends, rewrite(e.word)) for e in d.edges]
-    loops = [rewrite(w) for w in d.loops]
+    images = {2: (2, direction)} if curve == "a" else {1: (1, 2 * direction)}
+    edges = [Edge(e.id, e.ends, words.substitute(e.word, images)) for e in d.edges]
+    loops = [words.substitute(w, images) for w in d.loops]
     return SurfaceDiagram(d.genus, d.crossings, edges, loops)
 
 

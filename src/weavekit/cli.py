@@ -343,7 +343,7 @@ def cmd_canonicalize(args) -> int:
                 raise ValueError(
                     f'--winding: expected vectors like "(1,0);(2,1)", got {chunk!r}'
                 ) from None
-        genus = len(vectors[0]) // 2 if vectors else args.genus
+        genus = len(vectors[0]) // 2
         V = tuple(vectors)
     elif args.file is None:
         raise ValueError("canonicalize needs a diagram FILE or --winding")
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("canonicalize", help="canonical winding form of a diagram")
     c.add_argument("file", nargs="?")
     c.add_argument("--winding", default=None, help='vectors like "(1,0);(2,1)"')
-    c.add_argument("--genus", type=int, default=1)
     c.add_argument("--certify-ball", type=int, default=0)
     c.set_defaults(func=cmd_canonicalize)
 

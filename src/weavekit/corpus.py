@@ -93,14 +93,18 @@ def skeleton_corpus() -> list[tuple[str, SurfaceDiagram]]:
     ]
 
 
-def mutated_corpus(seeds=(3, 5, 11), steps: int = 12) -> list[tuple[str, SurfaceDiagram]]:
+_MUTATION_SEEDS = (3, 5, 11)
+_MUTATION_STEPS = 12
+
+
+def mutated_corpus() -> list[tuple[str, SurfaceDiagram]]:
     """Move-scrambled variants of the plain weave, capped at small sizes."""
     from .moves import fuzz
 
     base = assign_weaving_map(_build("(4,4,4,4)", "Cr", 1, 2), {(1, 2): (1, 1)})
     out = []
-    for seed in seeds:
-        tr = fuzz(base, steps, seed, max_crossings=10, keep_diagrams=False)
+    for seed in _MUTATION_SEEDS:
+        tr = fuzz(base, _MUTATION_STEPS, seed, max_crossings=10, keep_diagrams=False)
         out.append((f"plain-fuzz-{seed}", tr.end))
     return out
 

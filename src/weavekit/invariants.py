@@ -41,9 +41,9 @@ import os
 from typing import Callable, Iterator, Optional
 
 from . import laurent, words
-from .diagram import AXIS_13, Crossing, DiagramError, SurfaceDiagram, ThreadId
+from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId
 from .laurent import LaurentPoly, LOOP_FACTOR
-from .states import StateTracer, WindingKey, normalize_class, split
+from .states import A_PAIRING, B_PAIRING, StateTracer, WindingKey, normalize_class, split
 
 DEFAULT_BUDGET = 24
 BUDGET_ENV_VAR = "WEAVE_CROSSING_BUDGET"
@@ -477,28 +477,20 @@ def jones(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
 # -- checkerboard degrees -------------------------------------------------------------
 
 
-def _split_corner_labels(crossing: Crossing) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(A-corners, B-corners) around a crossing; corner s spans slots s..s+1.
-
-    The A-corners are the two regions pinched off by the A-smoothing arcs;
-    in the all-A state each uniformly A-labeled face boundary becomes one
-    state loop, which is what the degree formulas count.
-    """
-    if crossing.over_axis == AXIS_13:
-        return (0, 2), (1, 3)
-    return (1, 3), (0, 2)
-
-
 def checkerboard_coloring(d: SurfaceDiagram) -> tuple[set[int], set[int]]:
-    """Faces split into white (A-side) and black (B-side); raises when mixed."""
+    """Faces split into white (A-side) and black (B-side); raises when mixed.
+
+    Corner s spans slots s..s+1, so each pair (s, s+1) of a split's pairing
+    pinches off corner s. In the all-A state each uniformly A-labeled face
+    boundary becomes one state loop, which is what the degree formulas count.
+    """
     table = d.corner_face()
     white: set[int] = set()
     black: set[int] = set()
     for c in d.crossings:
-        a_corners, b_corners = _split_corner_labels(c)
-        for s in a_corners:
+        for s, _ in A_PAIRING[c.over_axis]:
             white.add(table[(c.id, s)])
-        for s in b_corners:
+        for s, _ in B_PAIRING[c.over_axis]:
             black.add(table[(c.id, s)])
     if white & black:
         raise NotCheckerboardColorable(

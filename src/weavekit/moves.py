@@ -519,12 +519,11 @@ def fuzz(
     return trace
 
 
-def simplify(
-    d: SurfaceDiagram,
-    seed: int = 0,
-    max_rounds: int = 200,
-    restarts: int = 4,
-) -> SurfaceDiagram:
+_SIMPLIFY_ROUNDS = 200
+_SIMPLIFY_RESTARTS = 4
+
+
+def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
     """Budgeted greedy reduction: removals first, triangle flips to unstick."""
     best = d
 
@@ -535,10 +534,10 @@ def simplify(
                 return cur
             cur = apply_move(cur, removals[0])
 
-    for attempt in range(restarts):
+    for attempt in range(_SIMPLIFY_RESTARTS):
         rng = random.Random(seed + attempt)
         cur = greedy(d)
-        for _ in range(max_rounds):
+        for _ in range(_SIMPLIFY_ROUNDS):
             if len(cur.crossings) < len(best.crossings):
                 best = cur
             moves = enumerate_moves(cur)
@@ -562,7 +561,6 @@ def crossing_number_bounds(
     d: SurfaceDiagram,
     seed: int = 0,
     budget: Optional[int] = None,
-    restarts: int = 4,
 ) -> dict[str, object]:
     """Span-based lower bound and a search-based upper bound.
 
@@ -580,7 +578,7 @@ def crossing_number_bounds(
     else:
         span = b.span()
         lower = -(-span // 4) + d.genus if certified else 0
-    reduced = simplify(d, seed=seed, restarts=restarts)
+    reduced = simplify(d, seed=seed)
     upper = len(reduced.crossings)
     return {
         "lower": lower,

@@ -1,15 +1,21 @@
-"""From uniform tessellations to weave diagrams on the torus.
+"""From uniform tessellations to weave diagrams on a closed surface.
 
 A curated set of Euclidean tilings is stored as explicit torus-cell data:
-vertices with counterclockwise dart lists, edges with integer wrap
-vectors. Transforms replace every vertex by a strand block (crossed
-curves, n-crossed curves, or n-branched curves) and, for the doubled
-methods, every tiling edge by an m-twisted double line. Vertex blocks are
-realized as straight chords in a small disk, slightly perturbed so all
+vertices with counterclockwise dart lists, edges with integer offsets
+between neighbouring cells. ``build_tiling`` replicates a cell and is the
+only step that knows the torus: it writes each edge's wrap across the
+scaled cell as its word a^x b^y. Everything after it reads a
+``PeriodicTiling`` of any genus, whose edges carry words.
+
+Transforms replace every vertex by a strand block (crossed curves,
+n-crossed curves, or n-branched curves) and, for the doubled methods,
+every tiling edge by an m-twisted double line. Vertex blocks are realized
+as straight chords in a small disk, slightly perturbed so all
 intersections are transverse; their combinatorics, not the coordinates,
-end up in the diagram. Blocks and lines meet at ports, and
-``diagram.splice`` joins the pieces through them into edges and free
-loops; a tiling edge's wrap vector becomes its word a^x b^y.
+end up in the diagram. A block depends only on the method and the
+vertex's dart angles, so it is built once per vertex type. Blocks and
+lines meet at ports, one per tiling dart and side, and ``diagram.splice``
+joins the pieces through them into edges and free loops.
 
 Over/under data on the produced skeleton is arbitrary until a crossing
 sequence assignment fixes it.
@@ -24,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import words
-from .diagram import AXIS_13, Crossing, DiagramError, Node, SurfaceDiagram, splice
+from .diagram import AXIS_13, Crossing, DiagramError, End, Node, SurfaceDiagram, splice
 from .words import Word
 
 
@@ -67,10 +73,6 @@ class VertexSymbol:
                 if best is None or rot < best:
                     best = rot
         return VertexSymbol(best)
-
-    @property
-    def valency(self) -> int:
-        return len(self.ks)
 
     @property
     def euclidean(self) -> bool:
@@ -122,13 +124,14 @@ class TransformSpec:
 # -- curated torus cells ----------------------------------------------------------
 
 # Each entry: vertices as counterclockwise dart lists; darts name an edge
-# label with an end index; edges carry (tail vertex, head vertex, wrap).
-_TilingEdge = tuple[int, int, tuple[int, int]]
+# label with an end index; edges carry (tail vertex, head vertex, offset),
+# the offset being the Z^2 step from the tail's cell to the head's. Offsets,
+# not words, because scale-k replication divides them by k.
 
 
 @dataclass(frozen=True)
 class _CellTable:
-    edges: tuple[_TilingEdge, ...]
+    edges: tuple[tuple[int, int, tuple[int, int]], ...]
     darts: tuple[tuple[tuple[int, int], ...], ...]   # per vertex: (edge label, end)
     angles: tuple[tuple[float, ...], ...]            # matching dart directions
 
@@ -188,48 +191,50 @@ _CURATED: dict[tuple[int, ...], _CellTable] = {
 
 @dataclass(frozen=True)
 class PeriodicTiling:
+    """A tiling of the closed genus-g surface, as a rotation system.
+
+    Each edge carries the word of cell sides it crosses from tail to head.
+    """
+
     symbol: VertexSymbol
     scale: int
+    genus: int
     n_vertices: int
-    edges: tuple[_TilingEdge, ...]                        # wraps on the scaled cell
+    edges: tuple[tuple[int, int, Word], ...]              # (tail, head, word)
     darts: tuple[tuple[tuple[int, int], ...], ...]        # per vertex
     angles: tuple[tuple[float, ...], ...]
 
-    def valency(self, v: int) -> int:
-        return len(self.darts[v])
-
     def euler_check(self) -> bool:
-        # rotation-system face count must close the torus: V - E + F = 0
-        return self.face_count() == len(self.edges) - self.n_vertices
+        # rotation-system face count must close the surface: V - E + F = 2 - 2g
+        return self.n_vertices - len(self.edges) + self.face_count() == 2 - 2 * self.genus
 
     def face_count(self) -> int:
-        nxt: dict[tuple[int, int], tuple[int, int]] = {}
-        where: dict[tuple[int, int], tuple[int, int]] = {}
-        for v, dlist in enumerate(self.darts):
+        # a face boundary leaves along a dart, then turns one step
+        # counterclockwise at the vertex the dart's edge reaches
+        turn: dict[tuple[int, int], tuple[int, int]] = {}
+        for dlist in self.darts:
             for pos, dart in enumerate(dlist):
-                where[dart] = (v, pos)
-        for v, dlist in enumerate(self.darts):
-            for pos, dart in enumerate(dlist):
-                label, end = dart
-                other = (label, 1 - end)
-                w, wpos = where[other]
-                succ = self.darts[w][(wpos + 1) % len(self.darts[w])]
-                nxt[dart] = succ
+                turn[dart] = dlist[(pos + 1) % len(dlist)]
         count = 0
         seen: set[tuple[int, int]] = set()
-        for dart in nxt:
+        for dart in turn:
             if dart in seen:
                 continue
             count += 1
             cur = dart
             while cur not in seen:
                 seen.add(cur)
-                cur = nxt[cur]
+                label, end = cur
+                cur = turn[(label, 1 - end)]
         return count
 
 
 def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
-    """Replicate a curated primitive cell scale x scale on the torus."""
+    """Replicate a curated primitive cell scale x scale on the torus.
+
+    An edge's offset, added to its tail's cell, wraps across the scaled
+    cell some (x, y) times; the edge carries that wrap as the word a^x b^y.
+    """
     if scale < 1:
         raise TessellationError("scale must be >= 1")
     table = _CURATED.get(symbol.ks)
@@ -244,13 +249,13 @@ def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
     def vador(v: int, i: int, j: int) -> int:
         return (j % k) * k * base_v + (i % k) * base_v + v
 
-    edges: list[_TilingEdge] = []
+    edges: list[tuple[int, int, Word]] = []
     edge_index: dict[tuple[int, int, int], int] = {}
     for j in range(k):
         for i in range(k):
             for label, (tail, head, (dx, dy)) in enumerate(table.edges):
                 ii, jj = i + dx, j + dy
-                wrap = (ii // k, jj // k)
+                wrap = words.torus_word((ii // k, jj // k))
                 edge_index[(label, i, j)] = len(edges)
                 edges.append((vador(tail, i, j), vador(head, ii, jj), wrap))
 
@@ -271,14 +276,14 @@ def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
                 darts[vador(v, i, j)] = tuple(dlist)
                 angles[vador(v, i, j)] = table.angles[v]
     tiling = PeriodicTiling(
-        symbol, scale, base_v * k * k, tuple(edges), tuple(darts), tuple(angles)
+        symbol, scale, 1, base_v * k * k, tuple(edges), tuple(darts), tuple(angles)
     )
     if not tiling.euler_check():
         raise AssertionError("curated cell table failed its Euler check")
     return tiling
 
 
-# -- disk arrangements for vertex blocks ----------------------------------------------
+# -- vertex blocks ------------------------------------------------------------------------
 
 
 def _seg_intersection(p1, p2, p3, p4) -> Optional[tuple[float, float]]:
@@ -296,172 +301,136 @@ def _seg_intersection(p1, p2, p3, p4) -> Optional[tuple[float, float]]:
     return None
 
 
-@dataclass
-class _Block:
-    """A vertex block: crossings plus chord segment chains between ports."""
+def _disk_arrangement(
+    chords: list[tuple[tuple[float, float], tuple[float, float]]],
+) -> tuple[int, list[list[End]]]:
+    """Combinatorics of straight chords in a disk, all crossings transverse.
 
-    n_crossings: int
-    over_axes: list[int]
-    # per chord: list of nodes from start port to end port; nodes are
-    # ('port', port index) or ('x', local crossing, slot)
-    chains: list[list[tuple]]
-
-
-def _disk_arrangement(chords: list[tuple[tuple[float, float], tuple[float, float]]]) -> _Block:
-    """Combinatorics of straight chords in a disk, all crossings transverse."""
-    hits: list[list[tuple[float, int, float]]] = [[] for _ in chords]
-    pair_at: dict[tuple[int, int], int] = {}
+    Returns the crossing count and, per chord, the (crossing, slot) stops
+    it makes from its first point to its second, entry slot before exit.
+    """
+    hits: list[list[tuple[float, int, int, int]]] = [[] for _ in chords]
     n_cross = 0
-    pos: list[tuple[float, float]] = []
     for a, b in itertools.combinations(range(len(chords)), 2):
         got = _seg_intersection(*chords[a], *chords[b])
         if got is None:
             continue
-        t, u = got
-        cid = n_cross
-        n_cross += 1
-        pair_at[(a, b)] = cid
-        p1, p2 = chords[a]
-        pos.append((p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1])))
-        hits[a].append((t, cid, 0.0))
-        hits[b].append((u, cid, 0.0))
-
-    # slot layout per crossing: rays sorted counterclockwise
-    rays: list[list[tuple[float, int, float]]] = [[] for _ in range(n_cross)]
-    for (a, b), cid in pair_at.items():
-        for chord, other in ((a, b), (b, a)):
+        # slot layout: the four rays sorted counterclockwise
+        rays = []
+        for chord in (a, b):
             p1, p2 = chords[chord]
             ang = math.atan2(p2[1] - p1[1], p2[0] - p1[0])
-            rays[cid].append((ang % (2 * math.pi), chord, +1.0))
-            rays[cid].append(((ang + math.pi) % (2 * math.pi), chord, -1.0))
-    crossing_slot: dict[tuple[int, int, float], int] = {}
-    for cid in range(n_cross):
-        ordered = sorted(set(rays[cid]))
+            rays.append((ang % (2 * math.pi), chord, +1.0))
+            rays.append(((ang + math.pi) % (2 * math.pi), chord, -1.0))
+        ordered = sorted(set(rays))
         if len(ordered) != 4:
             raise AssertionError("degenerate chord arrangement")
-        for slot, (_ang, chord, sign) in enumerate(ordered):
-            crossing_slot[(cid, chord, sign)] = slot
+        slot_of = {(chord, sign): s for s, (_ang, chord, sign) in enumerate(ordered)}
+        for chord, t in zip((a, b), got):
+            hits[chord].append((t, n_cross, slot_of[(chord, -1.0)], slot_of[(chord, +1.0)]))
+        n_cross += 1
+    stops = [
+        [(cid, slot) for _t, cid, *slots in sorted(chord_hits) for slot in slots]
+        for chord_hits in hits
+    ]
+    return n_cross, stops
 
-    chains: list[list[tuple]] = []
-    for chord_id, chord_hits in enumerate(hits):
-        chain: list[tuple] = [("port", 2 * chord_id)]
-        for t, cid, _ in sorted(chord_hits):
-            entry = crossing_slot[(cid, chord_id, -1.0)]
-            exit_ = crossing_slot[(cid, chord_id, +1.0)]
-            chain.append(("x", cid, entry))
-            chain.append(("x", cid, exit_))
-        chain.append(("port", 2 * chord_id + 1))
-        chains.append(chain)
-    return _Block(n_cross, [AXIS_13] * n_cross, chains)
-
-
-# -- transform assembly -----------------------------------------------------------------
 
 def _circle_point(angle_deg: float, radius: float = 1.0) -> tuple[float, float]:
     a = math.radians(angle_deg)
     return (radius * math.cos(a), radius * math.sin(a))
 
 
+# a block port: (dart position at the vertex, side); side 0 is clockwise of the dart
+_Port = tuple[int, int]
+# a block chord: its two ports and the (crossing, slot) stops between them
+_Chord = tuple[_Port, _Port, list[End]]
+
+
+def _block(method: str, angles: tuple[float, ...]) -> tuple[int, list[_Chord]]:
+    """The strand block of a vertex whose darts point along ``angles``.
+
+    Returns the crossing count, crossings numbered from 0, and the chords.
+    """
+    n = len(angles)
+    eta = 9.0  # half-spread of the doubled lines, in degrees
+    chords: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    ports: list[tuple[_Port, _Port]] = []
+
+    def chord(start: float, stop: float, port_start: _Port, port_stop: _Port) -> None:
+        chords.append((_circle_point(start), _circle_point(stop)))
+        ports.append((port_start, port_stop))
+
+    if method == "Cr":
+        if n % 2:
+            raise OddValencyForCr(
+                f"vertex valency {n} is odd; straight strands cannot pair up"
+            )
+        half = n // 2
+        for i in range(half):
+            skew = 4.5 * (i + 1) / half
+            chord(angles[i] + skew, angles[i + half] - skew, (i, 0), (i + half, 0))
+    elif method == "nCr" and n % 2 == 0:
+        half = n // 2
+        for i in range(half):
+            tilt = 1.5 * (i + 1) / half
+            chord(angles[i] - eta + tilt, angles[i + half] + eta + tilt, (i, 0), (i + half, 1))
+            chord(angles[i] + eta + tilt, angles[i + half] - eta + tilt, (i, 1), (i + half, 0))
+    elif method == "nCr":
+        for i in range(n):
+            nxt = (i + 1) % n
+            chord(angles[i] - eta, angles[nxt] + eta, (i, 0), (nxt, 1))
+    else:  # nBr: touching turns, no crossings in the block
+        for i in range(n):
+            nxt = (i + 1) % n
+            chord(angles[i] + eta, angles[nxt] - eta, (i, 1), (nxt, 0))
+    n_crossings, stops = _disk_arrangement(chords)
+    return n_crossings, [(a, b, chain) for (a, b), chain in zip(ports, stops)]
+
+
+# -- transform assembly -----------------------------------------------------------------
+
+
 def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
     """Replace tiling vertices by strand blocks and edges by covering lines.
 
-    The output is a projection skeleton on the torus; over/under data is a
-    placeholder until a crossing-sequence assignment overwrites it.
+    The output is a projection skeleton on the tiling's surface; over/under
+    data is a placeholder until a crossing-sequence assignment overwrites it.
     """
-    over_axes: list[int] = []
+    n_crossings = 0
     segments: list[tuple[Node, Node, Word]] = []
-    doubled = spec.method in ("nCr", "nBr")
+    blocks: dict[tuple[float, ...], tuple[int, list[_Chord]]] = {}
 
-    # ports per (vertex, dart position, side); side 0 = clockwise of the dart
-    def port(v: int, pos: int, side: int) -> Node:
-        return ("j", ("p", v, pos, side))
+    # one junction per tiling dart and side
+    def port(dart: tuple[int, int], side: int) -> Node:
+        return ("j", dart, side)
 
-    for v in range(tiling.n_vertices):
-        n = tiling.valency(v)
-        angles = tiling.angles[v]
-        eta = 9.0  # half-spread of the doubled lines, in degrees
-        chords: list[tuple[tuple[float, float], tuple[float, float]]] = []
-        chord_ports: list[tuple[Node, Node]] = []
-        if spec.method == "Cr":
-            if n % 2:
-                raise OddValencyForCr(
-                    f"vertex valency {n} is odd; straight strands cannot pair up"
-                )
-            half = n // 2
-            for i in range(half):
-                p1 = _circle_point(angles[i] + 4.5 * (i + 1) / half)
-                p2 = _circle_point(angles[i + half] - 4.5 * (i + 1) / half)
-                chords.append((p1, p2))
-                chord_ports.append((port(v, i, 0), port(v, i + half, 0)))
-        elif spec.method == "nCr" and n % 2 == 0:
-            half = n // 2
-            for i in range(half):
-                tilt = 1.5 * (i + 1) / half
-                chords.append(
-                    (
-                        _circle_point(angles[i] - eta + tilt),
-                        _circle_point(angles[i + half] + eta + tilt),
-                    )
-                )
-                chord_ports.append((port(v, i, 0), port(v, i + half, 1)))
-                chords.append(
-                    (
-                        _circle_point(angles[i] + eta + tilt),
-                        _circle_point(angles[i + half] - eta + tilt),
-                    )
-                )
-                chord_ports.append((port(v, i, 1), port(v, i + half, 0)))
-        elif spec.method == "nCr":
-            for i in range(n):
-                nxt = (i + 1) % n
-                chords.append(
-                    (
-                        _circle_point(angles[i] - eta),
-                        _circle_point(angles[nxt] + eta),
-                    )
-                )
-                chord_ports.append((port(v, i, 0), port(v, nxt, 1)))
-        else:  # nBr: touching turns, no crossings in the block
-            for i in range(n):
-                nxt = (i + 1) % n
-                chords.append(
-                    (
-                        _circle_point(angles[i] + eta),
-                        _circle_point(angles[nxt] - eta),
-                    )
-                )
-                chord_ports.append((port(v, i, 1), port(v, nxt, 0)))
-
-        block = _disk_arrangement(chords)
-        base = len(over_axes)
-        over_axes.extend(block.over_axes)
-        for chord_id, chain in enumerate(block.chains):
-            start, stop = chord_ports[chord_id]
-            nodes = [start, *((base + cid, slot) for _tag, cid, slot in chain[1:-1]), stop]
+    for darts, angles in zip(tiling.darts, tiling.angles):
+        if angles not in blocks:
+            blocks[angles] = _block(spec.method, angles)
+        count, chords = blocks[angles]
+        for (pos_a, side_a), (pos_b, side_b), stops in chords:
+            nodes = [
+                port(darts[pos_a], side_a),
+                *((n_crossings + cid, slot) for cid, slot in stops),
+                port(darts[pos_b], side_b),
+            ]
             for k in range(0, len(nodes), 2):
                 segments.append((nodes[k], nodes[k + 1], ()))
+        n_crossings += count
 
-    # locate each tiling dart for edge hookup
-    where: dict[tuple[int, int], tuple[int, int]] = {}
-    for v in range(tiling.n_vertices):
-        for pos, dart in enumerate(tiling.darts[v]):
-            where[dart] = (v, pos)
-
-    for eid, (_tail, _head, wrap) in enumerate(tiling.edges):
-        v, pos_v = where[(eid, 0)]
-        w, pos_w = where[(eid, 1)]
-        word = words.torus_word(wrap)
-        if not doubled:
-            segments.append((port(v, pos_v, 0), port(w, pos_w, 0), word))
+    for eid, (_tail, _head, word) in enumerate(tiling.edges):
+        if spec.method == "Cr":
+            segments.append((port((eid, 0), 0), port((eid, 1), 0), word))
             continue
-        lv, rv = port(v, pos_v, 1), port(v, pos_v, 0)
-        lw, rw = port(w, pos_w, 1), port(w, pos_w, 0)
+        lv, rv = port((eid, 0), 1), port((eid, 0), 0)
+        lw, rw = port((eid, 1), 1), port((eid, 1), 0)
         if spec.m == 0:
             segments.append((lv, rw, word))
             segments.append((rv, lw, word))
             continue
-        base = len(over_axes)
-        over_axes.extend([AXIS_13] * spec.m)
+        base = n_crossings
+        n_crossings += spec.m
         segments.append((lv, (base, 2), word))
         segments.append((rv, (base, 3), word))
         for t in range(spec.m - 1):
@@ -471,7 +440,7 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
         segments.append(((base + spec.m - 1, 0), lw, ()))
 
     edge_specs, loops = splice(segments)
-    return SurfaceDiagram.build(1, over_axes, edge_specs, loops)
+    return SurfaceDiagram.build(tiling.genus, [AXIS_13] * n_crossings, edge_specs, loops)
 
 
 # -- classification and crossing sequences ------------------------------------------------
@@ -533,21 +502,19 @@ def read_sequence(d: SurfaceDiagram, set_i: int, set_j: int) -> tuple[int, int]:
 
 
 def _decompose_cycle(pattern: list[bool]) -> Optional[tuple[int, int]]:
-    n = len(pattern)
-    ones = sum(pattern)
-    if ones == 0 or ones == n:
+    """(p, q) when the cyclic pattern is (p overs, q unders) repeated, else None.
+
+    Read from a run of overs, the runs alternate over and under; the
+    pattern has that shape exactly when all over runs share one length and
+    all under runs another.
+    """
+    start = next((i for i in range(len(pattern)) if pattern[i] and not pattern[i - 1]), None)
+    if start is None:  # all over or all under
         return None
-    for p in range(1, n):
-        # candidate period p+q must divide n with the rotation matching 1^p 0^q
-        for q in range(1, n - p + 1):
-            if n % (p + q):
-                continue
-            block = [True] * p + [False] * q
-            reps = n // (p + q)
-            full = block * reps
-            for r in range(n):
-                if all(pattern[(r + k) % n] == full[k] for k in range(n)):
-                    return (p, q)
+    runs = [len(list(run)) for _, run in itertools.groupby(pattern[start:] + pattern[:start])]
+    overs, unders = set(runs[0::2]), set(runs[1::2])
+    if len(overs) == 1 and len(unders) == 1:
+        return (overs.pop(), unders.pop())
     return None
 
 
@@ -620,27 +587,41 @@ def assign_weaving_map(
         p, period = pattern[var]
         return (k + phase) % period < p
 
-    assignment: dict[tuple[int, int], int] = {}
+    # Search the variables in order, phases ascending, with forward checking:
+    # fixing a phase strikes from each later variable it crosses the phases
+    # that would put both passages over or both under, so a dead end shows
+    # as an empty phase set. The first solution is the chronological one.
+    later: dict[tuple[int, int], list[tuple[int, tuple[int, int], int]]] = {
+        var: [] for var in variables
+    }
+    for passages in crossing_info.values():
+        (va, ka, _), (vb, kb, _) = sorted(passages)
+        later[va].append((ka, vb, kb))
+    phases = {var: set(range(pattern[var][1])) for var in variables}
+    phase_of: dict[tuple[int, int], int] = {}
 
-    def consistent(cid: int) -> bool:
-        """False when both passages are decided and both go over or under."""
-        (va, ka, _), (vb, kb, _) = crossing_info[cid]
-        if va not in assignment or vb not in assignment:
-            return True
-        return is_over(va, ka, assignment[va]) != is_over(vb, kb, assignment[vb])
-
-    def backtrack(idx: int) -> bool:
+    def extend(idx: int) -> bool:
         if idx == len(variables):
             return True
         var = variables[idx]
-        for phase in range(pattern[var][1]):
-            assignment[var] = phase
-            if all(consistent(cid) for cid in crossings_of[var]) and backtrack(idx + 1):
-                return True
-        del assignment[var]
+        for phase in sorted(phases[var]):
+            struck: list[tuple[tuple[int, int], set[int]]] = []
+            for k, other, k_other in later[var]:
+                over = is_over(var, k, phase)
+                clash = {ph for ph in phases[other] if is_over(other, k_other, ph) == over}
+                phases[other] -= clash
+                struck.append((other, clash))
+                if not phases[other]:
+                    break
+            else:
+                if extend(idx + 1):
+                    phase_of[var] = phase
+                    return True
+            for other, clash in struck:
+                phases[other] |= clash
         return False
 
-    if not backtrack(0):
+    if not extend(0):
         raise InconsistentSequence(
             "the requested crossing sequences do not close up on this cell"
         )
@@ -653,7 +634,7 @@ def assign_weaving_map(
         if not info:
             raise MixedSetCrossing(f"crossing c{c.id} saw no thread passage")
         var, k, slot = info[0]
-        over_first = is_over(var, k, assignment[var])
+        over_first = is_over(var, k, phase_of[var])
         new_axes.append(slot % 2 if over_first else (slot + 1) % 2)
     crossings = [Crossing(i, ax) for i, ax in enumerate(new_axes)]
     return SurfaceDiagram(d.genus, tuple(crossings), d.edges, d.loops)

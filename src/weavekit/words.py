@@ -14,7 +14,7 @@ higher-genus cells need the nonabelian element.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
@@ -71,6 +71,19 @@ def concat(*words: Sequence[int]) -> Word:
     out: list[int] = []
     for w in words:
         out.extend(w)
+    return tuple(out)
+
+
+def substitute(word: Sequence[int], images: Mapping[int, Sequence[int]]) -> Word:
+    """Apply a letter substitution: letter k becomes ``images[k]`` and its
+    inverse the inverse image; letters without an image stay as they are."""
+    out: list[int] = []
+    for l in word:
+        image = images.get(abs(l))
+        if image is None:
+            out.append(l)
+        else:
+            out.extend(image if l > 0 else invert(image))
     return tuple(out)
 
 

@@ -1,10 +1,12 @@
 import pytest
 
+from weavekit import tessellation
 from weavekit.invariants import bracket, degree_stats
 from weavekit.tessellation import (
     InconsistentSequence,
     MixedSetCrossing,
     OddValencyForCr,
+    PeriodicTiling,
     TessellationError,
     TransformSpec,
     UnsupportedTiling,
@@ -82,6 +84,50 @@ def test_cr_transform_counts_and_validity():
     # one crossing per valency-4 vertex
     d1 = transform(square(1), TransformSpec("Cr", 1))
     assert len(d1.crossings) == 1
+
+
+def test_block_geometry_runs_once_per_vertex_type(monkeypatch):
+    calls = []
+    arrange = tessellation._disk_arrangement
+
+    def counted(chords):
+        calls.append(len(chords))
+        return arrange(chords)
+
+    monkeypatch.setattr(tessellation, "_disk_arrangement", counted)
+    d = transform(square(4), TransformSpec("Cr", 1))
+    assert len(d.crossings) == 16
+    assert calls == [2]
+
+
+def genus2_octagon() -> PeriodicTiling:
+    """{8,8} on the genus-2 surface: one vertex, loop edges a1, b1, a2, b2.
+
+    Per handle the rotation is (a_i out, b_i in, a_i in, b_i out), and the
+    darts are evenly spaced.
+    """
+    a1, a2, b1, b2 = 1, 2, 3, 4
+    return PeriodicTiling(
+        symbol=VertexSymbol((8,) * 8),
+        scale=1,
+        genus=2,
+        n_vertices=1,
+        edges=((0, 0, (a1,)), (0, 0, (b1,)), (0, 0, (a2,)), (0, 0, (b2,))),
+        darts=(((0, 0), (1, 1), (0, 1), (1, 0), (2, 0), (3, 1), (2, 1), (3, 0)),),
+        angles=(tuple(45.0 * i for i in range(8)),),
+    )
+
+
+@pytest.mark.parametrize("m, crossings", [(1, 4), (2, 8)])
+def test_genus2_tiling_goes_through_transform(m, crossings):
+    tiling = genus2_octagon()
+    assert tiling.euler_check() and tiling.face_count() == 1
+    d = transform(tiling, TransformSpec("nBr", m))
+    assert (d.genus, len(d.crossings)) == (2, crossings)
+    assert d.validate().ok
+    alt = assign_alternating(d)
+    assert alt.is_reduced()[0]
+    assert bracket(alt).span() == 4 * crossings - 4 * 2
 
 
 def test_cr_rejects_odd_valency():

@@ -91,3 +91,11 @@ def test_triviality_genus2_uses_the_relator():
 def test_conjugates_of_relator_stay_trivial(w):
     rel = (1, 3, -1, -3, 2, 4, -2, -4)
     assert words.is_trivial(words.concat(w, rel, words.invert(w)), 2)
+
+
+def test_substitute_maps_letters_and_inverses():
+    # b -> b a at genus 1: B becomes A B, and a stays
+    images = {2: (2, 1)}
+    assert words.substitute((1, 2, -2, -1), images) == (1, 2, 1, -1, -2, -1)
+    assert words.substitute((), images) == ()
+
