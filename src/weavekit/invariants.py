@@ -514,6 +514,34 @@ def degree_stats(d: SurfaceDiagram, budget: Optional[int] = None) -> dict[str, i
 # -- adequacy --------------------------------------------------------------------------
 
 
+def _extreme_state(tracer: StateTracer, kind: str) -> tuple[int, Iterator[bool]]:
+    """Trivial-loop count of the all-``kind`` state and, lazily per crossing,
+    whether splitting that crossing the other way alone loses a trivial loop.
+
+    The state is walked once, labelling every dart with its loop. A flip at
+    c changes only the loops through c's four darts, at most two before and
+    two after, so it loses the trivial loops labelled at c and gains those
+    walked from c's darts under the flipped pairing; that walk covers only
+    the darts of the old loops through c.
+    """
+    pair = tracer.extreme_pairing(kind)
+    loop_of, trivial = tracer.trace_loops(pair, range(tracer.n_darts))
+    flipped = list(pair)
+    to_b = kind == "A"
+
+    def losses() -> Iterator[bool]:
+        for c in range(tracer.n_crossings):
+            darts = range(4 * c, 4 * c + 4)
+            lost = sum(trivial[loop] for loop in {loop_of[u] for u in darts})
+            if lost:
+                tracer.set_crossing(flipped, c, to_b)
+                lost -= sum(tracer.trace_loops(flipped, darts)[1])
+                tracer.set_crossing(flipped, c, not to_b)
+            yield lost > 0
+
+    return tracer.base_trivial + sum(trivial), losses()
+
+
 def adequacy(d: SurfaceDiagram) -> dict[str, bool]:
     """Loop-count adequacy of the extreme states.
 
@@ -523,25 +551,24 @@ def adequacy(d: SurfaceDiagram) -> dict[str, bool]:
     loop may run through both arcs of a former crossing around a handle,
     in which case the switch splits it into windings and the trivial-loop
     count still drops.
+
+    Cost: one loop walk per extreme state, then per crossing a walk of only
+    the at most two loops through it, stopping at the first crossing whose
+    flip keeps the count. On alternating weaves those loops are face
+    boundaries, so the call is linear in C.
     """
-    C = len(d.crossings)
-    if C == 0:
+    if not d.crossings:
         return {"plus": True, "minus": True}
     tracer = StateTracer(d)
-    full = (1 << C) - 1
-    c_a = tracer.resolve_bits(0)[0]
-    c_b = tracer.resolve_bits(full)[0]
-    plus = all(tracer.resolve_bits(1 << c)[0] < c_a for c in range(C))
-    minus = all(tracer.resolve_bits(full ^ (1 << c))[0] < c_b for c in range(C))
-    return {"plus": plus, "minus": minus}
+    return {
+        "plus": all(_extreme_state(tracer, "A")[1]),
+        "minus": all(_extreme_state(tracer, "B")[1]),
+    }
 
 
 def state_loop_count(d: SurfaceDiagram, kind: str) -> int:
     """Trivial-loop count of the all-A or all-B state."""
-    tracer = StateTracer(d)
-    bits = (1 << len(d.crossings)) - 1 if kind == "B" else 0
-    trivial, _ = tracer.resolve_bits(bits)
-    return trivial
+    return _extreme_state(StateTracer(d), kind)[0]
 
 
 def degree_bounds_check(
@@ -550,9 +577,9 @@ def degree_bounds_check(
     """Degree bounds from the extreme states, with tightness flags."""
     b = bracket(d, budget=budget)
     C = len(d.crossings)
-    c_a = state_loop_count(d, "A")
-    c_b = state_loop_count(d, "B")
-    adeq = adequacy(d)
+    tracer = StateTracer(d)
+    c_a, plus = _extreme_state(tracer, "A")
+    c_b, minus = _extreme_state(tracer, "B")
     maxdeg = b.max_degree()
     mindeg = b.min_degree()
     max_bound = C + 2 * c_a - 2
@@ -566,8 +593,8 @@ def degree_bounds_check(
         "min_bound": min_bound,
         "min_ok": mindeg >= min_bound,
         "min_tight": mindeg == min_bound,
-        "plus_adequate": adeq["plus"],
-        "minus_adequate": adeq["minus"],
+        "plus_adequate": all(plus),
+        "minus_adequate": all(minus),
     }
 
 

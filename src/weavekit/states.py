@@ -9,8 +9,8 @@ tables rotate accordingly.
 Two independent code paths produce resolved states: a surgery that hands
 the diagram's edges to the splice that also assembles tessellation builds
 (used by the recursive bracket oracle and by the R2 removal move), and a
-flat dart tracer used by the state-sum bracket. Tests hold them to
-identical answers.
+flat dart tracer used by the state-sum bracket and by adequacy. Tests hold
+them to identical answers.
 """
 
 from __future__ import annotations
@@ -46,12 +46,15 @@ B_PAIRING: dict[int, Pairing] = {
 PASS_PAIRING: Pairing = ((0, 2), (1, 3))
 
 
+def _is_b_split(kind: str) -> bool:
+    """True for 'B', False for 'A'; any other split kind is a ValueError."""
+    if kind not in ("A", "B"):
+        raise ValueError(f"split kind must be 'A' or 'B', got {kind!r}")
+    return kind == "B"
+
+
 def split_pairing(crossing: Crossing, kind: str) -> Pairing:
-    if kind == "A":
-        return A_PAIRING[crossing.over_axis]
-    if kind == "B":
-        return B_PAIRING[crossing.over_axis]
-    raise ValueError(f"split kind must be 'A' or 'B', got {kind!r}")
+    return (B_PAIRING if _is_b_split(kind) else A_PAIRING)[crossing.over_axis]
 
 
 def smooth_crossings(
@@ -228,6 +231,41 @@ class StateTracer:
     def set_crossing(self, pair: list[int], cid: int, to_b: bool) -> None:
         src = self.pair_b if to_b else self.pair_a
         pair[4 * cid:4 * cid + 4] = src[4 * cid:4 * cid + 4]
+
+    def extreme_pairing(self, kind: str) -> list[int]:
+        """Dart pairing of the state that gives every crossing the same split."""
+        return self.pair_b if _is_b_split(kind) else self.pair_a
+
+    def trace_loops(
+        self, pair: list[int], starts: Iterable[int]
+    ) -> tuple[dict[int, int], list[bool]]:
+        """Walk the loops of state ``pair`` that pass the darts ``starts``.
+
+        Returns the loop index of every dart walked and, per loop, whether
+        it is null-homologous; free loops are not included. The cost is the
+        length of the loops walked, so starting from one crossing's darts
+        touches only the at most two loops through it.
+        """
+        alpha = self.alpha
+        wvec = self.wvec
+        dim = 2 * self.genus
+        loop_of: dict[int, int] = {}
+        trivial: list[bool] = []
+        for start in starts:
+            if start in loop_of:
+                continue
+            loop = len(trivial)
+            acc = [0] * dim
+            dart = start
+            while dart not in loop_of:
+                mate = pair[dart]
+                loop_of[dart] = loop_of[mate] = loop
+                vec = wvec[mate]
+                for i in range(dim):
+                    acc[i] += vec[i]
+                dart = alpha[mate]
+            trivial.append(normalize_class(acc) is None)
+        return loop_of, trivial
 
 
 def resolve_state(d: SurfaceDiagram, assignment: Iterable[str]) -> State:

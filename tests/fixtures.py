@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
+from weavekit.tessellation import PeriodicTiling, VertexSymbol
 
 
 def src_env() -> dict[str, str]:
@@ -95,3 +96,21 @@ def genus2_c3(which: str = "A"):
     from weavekit.diagram import parse
 
     return parse(GENUS2_C3_A if which == "A" else GENUS2_C3_B)
+
+
+def genus2_octagon() -> PeriodicTiling:
+    """{8,8} on the genus-2 surface: one vertex, loop edges a1, b1, a2, b2.
+
+    Per handle the rotation is (a_i out, b_i in, a_i in, b_i out), and the
+    darts are evenly spaced.
+    """
+    a1, a2, b1, b2 = 1, 2, 3, 4
+    return PeriodicTiling(
+        symbol=VertexSymbol((8,) * 8),
+        scale=1,
+        genus=2,
+        n_vertices=1,
+        edges=((0, 0, (a1,)), (0, 0, (b1,)), (0, 0, (a2,)), (0, 0, (b2,))),
+        darts=(((0, 0), (1, 1), (0, 1), (1, 0), (2, 0), (3, 1), (2, 1), (3, 0)),),
+        angles=(tuple(45.0 * i for i in range(8)),),
+    )

@@ -1,16 +1,15 @@
 import pytest
 
+from fixtures import genus2_octagon
 from weavekit import tessellation
 from weavekit.invariants import bracket, degree_stats
 from weavekit.tessellation import (
     InconsistentSequence,
     MixedSetCrossing,
     OddValencyForCr,
-    PeriodicTiling,
     TessellationError,
     TransformSpec,
     UnsupportedTiling,
-    VertexSymbol,
     assign_alternating,
     assign_weaving_map,
     build_tiling,
@@ -98,24 +97,6 @@ def test_block_geometry_runs_once_per_vertex_type(monkeypatch):
     d = transform(square(4), TransformSpec("Cr", 1))
     assert len(d.crossings) == 16
     assert calls == [2]
-
-
-def genus2_octagon() -> PeriodicTiling:
-    """{8,8} on the genus-2 surface: one vertex, loop edges a1, b1, a2, b2.
-
-    Per handle the rotation is (a_i out, b_i in, a_i in, b_i out), and the
-    darts are evenly spaced.
-    """
-    a1, a2, b1, b2 = 1, 2, 3, 4
-    return PeriodicTiling(
-        symbol=VertexSymbol((8,) * 8),
-        scale=1,
-        genus=2,
-        n_vertices=1,
-        edges=((0, 0, (a1,)), (0, 0, (b1,)), (0, 0, (a2,)), (0, 0, (b2,))),
-        darts=(((0, 0), (1, 1), (0, 1), (1, 0), (2, 0), (3, 1), (2, 1), (3, 0)),),
-        angles=(tuple(45.0 * i for i in range(8)),),
-    )
 
 
 @pytest.mark.parametrize("m, crossings", [(1, 4), (2, 8)])
