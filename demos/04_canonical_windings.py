@@ -22,6 +22,8 @@ twisted = dehn_twist_diagram(plain, "a", +1)
 print("bracket keys before:", [k for k in bracket(plain).keys()])
 print("bracket keys after a-twist:", [k for k in bracket(twisted).keys()])
 
+# A winding multiset is a dict from class to its number of loops over all
+# states, sorted by class.
 V = full_winding_multiset(plain)
 W = full_winding_multiset(twisted)
 print("winding multiset before:", V)
@@ -41,4 +43,4 @@ bq, bset = brute_force_minimum(V, 1, entry_bound=4)
 print("bounded search agrees:", bq == r1.q_after and bset == r1.winding)
 
 # A single primitive vector always reduces to (1,0).
-print("canonical of {(5,3)}:", canonical_form([(5, 3)], 1).winding)
+print("canonical of {(5,3)}:", canonical_form({(5, 3): 1}, 1).winding)

@@ -30,7 +30,7 @@ from .invariants import (
     writhe,
     writhe_per_component,
 )
-from .states import State, resolve_state, split
+from .states import split
 from .canonical import (
     CanonicalResult,
     NonSymplectic,

@@ -5,8 +5,14 @@ in Sp(2g, Z) (SL2(Z) on the torus). The canonical representative of a
 winding multiset minimizes the total squared norm over that orbit; on the
 torus the minimum is found exactly by Gauss lattice reduction of the Gram
 matrix followed by a certified enumeration of all minimizing bases, with a
-deterministic tie-break. Higher genus uses greedy descent over symplectic
+deterministic tie-break: the largest multiset, compared as its expanded
+sorted tuple would be. Higher genus uses greedy descent over symplectic
 transvections and is reported as locally optimal only.
+
+Every winding multiset is held in one form, a dict from vector to
+multiplicity (``Multiset``), so the work follows the number of distinct
+vectors; a state census of 2^16 states has tens of thousands of loops but
+only a handful of classes. Nothing expands it except the printed form.
 
 Minimal size is decided from the automorphisms alone, which come from the
 rigid ``map_walk``: (i) a nontrivial one fixes no crossing, (ii) one whose
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from . import words
 from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, map_walk
@@ -28,9 +34,9 @@ from .states import normalize_class
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
-WindingSet = tuple[Vector, ...]
-# distinct vectors with their multiplicities, in order of first occurrence
-Weighted = list[tuple[Vector, int]]
+# a winding multiset: each distinct vector with its multiplicity, in order of
+# first occurrence; results are sign-normalized and sorted by vector
+Multiset = dict[Vector, int]
 
 
 class NonSymplectic(ValueError):
@@ -90,45 +96,35 @@ def _sign_normalized(v: Vector) -> Vector:
     return nv if nv is not None else v
 
 
-def winding_set(vectors: Iterable[Sequence[int]]) -> WindingSet:
-    """Normalize to the canonical multiset form (sorted, sign-normalized)."""
-    return tuple(sorted(_sign_normalized(tuple(v)) for v in vectors))
-
-
-def _collapse(vs: Iterable[Vector]) -> Weighted:
-    counts: dict[Vector, int] = {}
-    for v in vs:
-        counts[v] = counts.get(v, 0) + 1
-    return list(counts.items())
-
-
-def _weighted_q(wv: Weighted) -> int:
-    return sum(n * sum(x * x for x in v) for v, n in wv)
-
-
-def _moved_set(wv: Weighted, U: Matrix) -> WindingSet:
-    """winding_set of every vector times U, expanded from the multiplicities."""
-    counts: dict[Vector, int] = {}
-    for v, n in wv:
+def moved(M: Multiset, U: Matrix) -> Multiset:
+    """Every vector times U, sign-normalized, merged and sorted by vector."""
+    counts: Multiset = {}
+    for v, n in M.items():
         key = _sign_normalized(vec_mul(v, U))
         counts[key] = counts.get(key, 0) + n
-    return tuple(v for v in sorted(counts) for _ in range(counts[v]))
+    return {v: counts[v] for v in sorted(counts)}
 
 
-def q_functional(V: Iterable[Sequence[int]]) -> int:
+def _order(M: Multiset) -> tuple[tuple[Vector, int], ...]:
+    """Sort key of a sorted multiset. On multisets of equal size it orders
+    them exactly as their expanded sorted tuples compare."""
+    return tuple((v, -n) for v, n in M.items())
+
+
+def q_functional(M: Multiset) -> int:
     """Total squared Euclidean norm of the winding vectors."""
-    return sum(sum(x * x for x in v) for v in V)
+    return sum(n * sum(x * x for x in v) for v, n in M.items())
 
 
-def apply_twist(V: Iterable[Sequence[int]], U: Matrix, genus: int) -> WindingSet:
+def apply_twist(M: Multiset, U: Matrix, genus: int) -> Multiset:
     if not is_symplectic(U, genus):
         raise NonSymplectic("matrix does not satisfy U^T J U = J")
-    return winding_set(vec_mul(tuple(v), U) for v in V)
+    return moved(M, U)
 
 
 @dataclass(frozen=True)
 class CanonicalResult:
-    winding: WindingSet
+    winding: Multiset
     matrix: Matrix
     q_before: int
     q_after: int
@@ -138,16 +134,16 @@ class CanonicalResult:
 # -- exact minimization on the torus -------------------------------------------------
 
 
-def _gram(wv: Weighted) -> tuple[int, int, int]:
-    g00 = sum(n * v[0] * v[0] for v, n in wv)
-    g01 = sum(n * v[0] * v[1] for v, n in wv)
-    g11 = sum(n * v[1] * v[1] for v, n in wv)
+def _gram(M: Multiset) -> tuple[int, int, int]:
+    g00 = sum(n * v[0] * v[0] for v, n in M.items())
+    g01 = sum(n * v[0] * v[1] for v, n in M.items())
+    g11 = sum(n * v[1] * v[1] for v, n in M.items())
     return g00, g01, g11
 
 
-def _canonical_g1(wv: Weighted) -> CanonicalResult:
-    q_before = _weighted_q(wv)
-    g00, g01, g11 = _gram(wv)
+def _canonical_g1(M: Multiset) -> CanonicalResult:
+    q_before = q_functional(M)
+    g00, g01, g11 = _gram(M)
 
     def q(u: tuple[int, int]) -> int:
         return g00 * u[0] * u[0] + 2 * g01 * u[0] * u[1] + g11 * u[1] * u[1]
@@ -160,13 +156,14 @@ def _canonical_g1(wv: Weighted) -> CanonicalResult:
         )
 
     if g00 == 0 and g01 == 0 and g11 == 0:
-        return CanonicalResult(_moved_set(wv, identity(2)), identity(2), q_before, q_before, True)
+        return CanonicalResult(moved(M, identity(2)), identity(2), q_before, q_before, True)
 
     det_g = g00 * g11 - g01 * g01
     if det_g == 0:
-        # all vectors on one line through a primitive direction p
+        # all vectors on one line through a primitive direction p, its sign
+        # taken from the first nonzero vector
         p = None
-        for v, _n in wv:
+        for v in M:
             if v != (0, 0):
                 g = gcd(abs(v[0]), abs(v[1]))
                 p = (v[0] // g, v[1] // g)
@@ -174,7 +171,7 @@ def _canonical_g1(wv: Weighted) -> CanonicalResult:
         assert p is not None
         x, y = _bezout(p[0], p[1])
         U = ((x, -p[1]), (y, p[0]))  # columns (x,y) and (-p2,p1), det = 1
-        out = _moved_set(wv, U)
+        out = moved(M, U)
         return CanonicalResult(out, U, q_before, q_functional(out), True)
 
     # Gauss-reduce a basis (u1, u2) of Z^2 for the quadratic form q
@@ -209,13 +206,13 @@ def _canonical_g1(wv: Weighted) -> CanonicalResult:
                 if best_q is None or s < best_q:
                     best_q = s
     assert best_q is not None and best_q <= q_star
-    candidates: list[tuple[WindingSet, Matrix]] = []
+    candidates: list[tuple[Multiset, Matrix]] = []
     for a in shorts:
         for b in shorts:
             if a[0] * b[1] - a[1] * b[0] == 1 and q(a) + q(b) == best_q:
                 U = ((a[0], b[0]), (a[1], b[1]))
-                candidates.append((_moved_set(wv, U), U))
-    top_set = max(s for s, _ in candidates)
+                candidates.append((moved(M, U), U))
+    top_set = max((s for s, _ in candidates), key=_order)
     top_matrix = min(U for s, U in candidates if s == top_set)
     return CanonicalResult(top_set, top_matrix, q_before, best_q, True)
 
@@ -278,25 +275,26 @@ def _transvection(v: Vector, sign: int, genus: int) -> Matrix:
     )
 
 
-def _canonical_descent(wv: Weighted, genus: int) -> CanonicalResult:
-    q_before = _weighted_q(wv)
+def _canonical_descent(M: Multiset, genus: int) -> CanonicalResult:
+    q_before = q_functional(M)
     gens = [
         _transvection(v, s, genus) for v in _transvection_vectors(genus) for s in (1, -1)
     ]
     starts = [identity(2 * genus)] + gens
 
     def descend(U0: Matrix) -> tuple[int, Matrix]:
+        # U is invertible, so distinct vectors stay distinct
         U = U0
-        cur = [(vec_mul(v, U), n) for v, n in wv]
-        cur_q = _weighted_q(cur)
+        cur = {vec_mul(v, U): n for v, n in M.items()}
+        cur_q = q_functional(cur)
         improved = True
         while improved:
             improved = False
-            for M in gens:
-                cand = [(vec_mul(v, M), n) for v, n in cur]
-                cq = _weighted_q(cand)
+            for G in gens:
+                cand = {vec_mul(v, G): n for v, n in cur.items()}
+                cq = q_functional(cand)
                 if cq < cur_q:
-                    U = mat_mul(U, M)
+                    U = mat_mul(U, G)
                     cur, cur_q = cand, cq
                     improved = True
         return cur_q, U
@@ -306,44 +304,40 @@ def _canonical_descent(wv: Weighted, genus: int) -> CanonicalResult:
         cq, U = descend(U0)
         if best_q is None or cq < best_q or (cq == best_q and U < best_u):
             best_q, best_u = cq, U
-    return CanonicalResult(_moved_set(wv, best_u), best_u, q_before, best_q, False)
+    return CanonicalResult(moved(M, best_u), best_u, q_before, best_q, False)
 
 
-def canonical_form(V: Iterable[Sequence[int]], genus: int) -> CanonicalResult:
+def canonical_form(M: Multiset, genus: int) -> CanonicalResult:
     """Twist-orbit representative minimizing the total squared norm.
 
     Exact and certified on the torus; locally optimal (greedy transvection
     descent, flagged uncertified) for genus >= 2. Empty sets return the
-    identity. Works on the distinct vectors with their multiplicities and
-    expands only the candidate multisets it compares.
+    identity.
     """
-    wv = _collapse(tuple(v) for v in V)
     if genus < 1:
         raise DiagramError("genus must be >= 1")
     if genus > MAX_GENUS:
         raise DiagramError(f"genus must be at most {MAX_GENUS}")
-    for v, _n in wv:
+    for v in M:
         if len(v) != 2 * genus:
             raise DiagramError("winding vectors must have length 2*genus")
-    if not wv:
-        return CanonicalResult((), identity(2 * genus), 0, 0, True)
+    if not M:
+        return CanonicalResult({}, identity(2 * genus), 0, 0, True)
     if genus == 1:
-        return _canonical_g1(wv)
-    return _canonical_descent(wv, genus)
+        return _canonical_g1(M)
+    return _canonical_descent(M, genus)
 
 
-def brute_force_minimum(
-    V: Iterable[Sequence[int]], genus: int, entry_bound: int
-) -> tuple[int, WindingSet]:
+def brute_force_minimum(M: Multiset, genus: int, entry_bound: int) -> tuple[int, Multiset]:
     """Reference minimization over all symplectic matrices with bounded entries.
 
-    Exhaustive only for genus 1, where the group is SL2(Z).
+    Exhaustive only for genus 1, where the group is SL2(Z). Each matrix
+    costs one pass over the distinct vectors.
     """
     if genus != 1:
         raise UnsupportedGenus("brute-force search is defined for the torus only")
-    vs = [tuple(v) for v in V]
-    best_q = q_functional(vs)
-    best_set = winding_set(vs)
+    best_q = q_functional(M)
+    best_set = moved(M, identity(2))
     rng = range(-entry_bound, entry_bound + 1)
     for a in rng:
         for b in rng:
@@ -351,11 +345,9 @@ def brute_force_minimum(
                 for d in rng:
                     if a * d - b * c != 1:
                         continue
-                    U = ((a, b), (c, d))
-                    moved = [vec_mul(v, U) for v in vs]
-                    qv = q_functional(moved)
-                    key = winding_set(moved)
-                    if qv < best_q or (qv == best_q and key > best_set):
+                    key = moved(M, ((a, b), (c, d)))
+                    qv = q_functional(key)
+                    if qv < best_q or (qv == best_q and _order(key) > _order(best_set)):
                         best_q, best_set = qv, key
     return best_q, best_set
 

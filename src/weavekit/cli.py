@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import canonical, corpus, diagram, invariants, moves, tessellation
@@ -344,7 +345,9 @@ def cmd_canonicalize(args) -> int:
                     f'--winding: expected vectors like "(1,0);(2,1)", got {chunk!r}'
                 ) from None
         genus = len(vectors[0]) // 2
-        V = tuple(vectors)
+        # counted in first-occurrence order: a collinear set takes its sign
+        # from its first nonzero vector
+        V = Counter(vectors)
     elif args.file is None:
         raise ValueError("canonicalize needs a diagram FILE or --winding")
     else:
@@ -357,7 +360,7 @@ def cmd_canonicalize(args) -> int:
     print(f"q_after = {result.q_after}")
     print(f"certified = {result.certified}")
     print(f"matrix = {result.matrix}")
-    print(f"canonical = {list(result.winding)}")
+    print(f"canonical = {[v for v, n in result.winding.items() for _ in range(n)]}")
     if args.certify_ball:
         bq, bset = canonical.brute_force_minimum(V, genus, args.certify_ball)
         match = bq == result.q_after and bset == result.winding
@@ -422,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fuzz", help="seeded random move walk")
     f.add_argument("file")
-    f.add_argument("--steps", type=int, default=100)
+    f.add_argument("--steps", type=_int_at_least(0), default=100)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--cap", type=int, default=12)
+    f.add_argument("--cap", type=_int_at_least(0), default=12)
     f.add_argument("--trace", default=None)
     f.add_argument("-o", "--output", default=None)
     f.set_defaults(func=cmd_fuzz)
@@ -432,14 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("canonicalize", help="canonical winding form of a diagram")
     c.add_argument("file", nargs="?")
     c.add_argument("--winding", default=None, help='vectors like "(1,0);(2,1)"')
-    c.add_argument("--certify-ball", type=int, default=0)
+    c.add_argument("--certify-ball", type=_int_at_least(0), default=0)
     c.set_defaults(func=cmd_canonicalize)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=["tait1", "tait2", "invariance", "oracle"])
-    v.add_argument("--steps", type=int, default=500)
+    v.add_argument("--steps", type=_int_at_least(0), default=500)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--cap", type=int, default=12)
+    v.add_argument("--cap", type=_int_at_least(0), default=12)
     v.set_defaults(func=cmd_verify)
     return top
 

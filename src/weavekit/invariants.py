@@ -334,20 +334,21 @@ def bracket(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
 
 def full_winding_multiset(
     d: SurfaceDiagram, budget: Optional[int] = None
-) -> tuple[tuple[int, ...], ...]:
-    """Winding classes of every loop of every state, flattened and sorted.
+) -> dict[tuple[int, ...], int]:
+    """Winding classes of every loop of every state, as a dict from class to
+    its number of loops, sorted by class.
 
     This is the exact multiset the canonical-form machinery minimizes; the
     keyed bracket cannot recover per-state multiplicities once states with
-    equal keys merge, so this expands the per-key state counts of the
-    bracket's census.
+    equal keys merge, so this sums the per-key state counts of the bracket's
+    census. The multiplicities run to 2^C; the distinct classes are few.
     """
     counts: dict[tuple[int, ...], int] = {}
     for key, value in _census(d, budget).items():
         n = sum(value.values())
         for vec in key:
             counts[vec] = counts.get(vec, 0) + n
-    return tuple(vec for vec in sorted(counts) for _ in range(counts[vec]))
+    return {vec: counts[vec] for vec in sorted(counts)}
 
 
 # -- oracles ----------------------------------------------------------------------
@@ -525,21 +526,21 @@ def _extreme_state(tracer: StateTracer, kind: str) -> tuple[int, Iterator[bool]]
     the darts of the old loops through c.
     """
     pair = tracer.extreme_pairing(kind)
-    loop_of, trivial = tracer.trace_loops(pair, range(tracer.n_darts))
+    loop_of, classes = tracer.trace_loops(pair, range(tracer.n_darts))
     flipped = list(pair)
     to_b = kind == "A"
 
     def losses() -> Iterator[bool]:
         for c in range(tracer.n_crossings):
             darts = range(4 * c, 4 * c + 4)
-            lost = sum(trivial[loop] for loop in {loop_of[u] for u in darts})
+            lost = sum(classes[loop] is None for loop in {loop_of[u] for u in darts})
             if lost:
                 tracer.set_crossing(flipped, c, to_b)
-                lost -= sum(tracer.trace_loops(flipped, darts)[1])
+                lost -= tracer.trace_loops(flipped, darts)[1].count(None)
                 tracer.set_crossing(flipped, c, not to_b)
             yield lost > 0
 
-    return tracer.base_trivial + sum(trivial), losses()
+    return tracer.base_trivial + classes.count(None), losses()
 
 
 def adequacy(d: SurfaceDiagram) -> dict[str, bool]:

@@ -15,7 +15,6 @@ them to identical answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import words
@@ -122,24 +121,8 @@ def normalize_class(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
     return None
 
 
+# sorted winding classes of the non-trivial loops of a state
 WindingKey = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class State:
-    """A total split assignment together with its resolved loop census."""
-
-    assignment: tuple[str, ...]          # 'A' or 'B' per crossing id
-    trivial_loops: int                   # null-homologous loop count c_S
-    winding: WindingKey                  # sorted multiset of winding classes
-
-    @property
-    def a_count(self) -> int:
-        return sum(1 for k in self.assignment if k == "A")
-
-    @property
-    def b_count(self) -> int:
-        return sum(1 for k in self.assignment if k == "B")
 
 
 class StateTracer:
@@ -147,8 +130,8 @@ class StateTracer:
 
     Darts are numbered 4*crossing + slot. ``alpha`` jumps across an edge,
     a per-state pairing jumps across a smoothed crossing, and cycles of
-    their composition are the directed state loops; direction pairs are
-    collapsed by marking a cycle's partner darts as visited.
+    their composition are the directed state loops; ``trace_loops`` labels
+    both darts of every step, so each loop is walked in one direction only.
     """
 
     def __init__(self, d: SurfaceDiagram):
@@ -191,32 +174,10 @@ class StateTracer:
         """Loop census for the state whose crossing c is B-split iff bit c set."""
         if pair is None:
             pair = self.pairing_for_bits(bits)
-        alpha = self.alpha
-        wvec = self.wvec
-        dim = 2 * self.genus
-        visited = bytearray(self.n_darts)
-        trivial = self.base_trivial
-        winding = list(self.base_winding)
-        for start in range(self.n_darts):
-            if visited[start]:
-                continue
-            acc = [0] * dim
-            dart = start
-            while not visited[dart]:
-                visited[dart] = 1
-                mate = pair[dart]
-                visited[mate] = 1
-                vec = wvec[mate]
-                for i in range(dim):
-                    acc[i] += vec[i]
-                dart = alpha[mate]
-            cls = normalize_class(acc)
-            if cls is None:
-                trivial += 1
-            else:
-                winding.append(cls)
-        winding.sort()
-        return trivial, tuple(winding)
+        classes = self.trace_loops(pair, range(self.n_darts))[1]
+        winding = [cls for cls in classes if cls is not None]
+        trivial = self.base_trivial + len(classes) - len(winding)
+        return trivial, tuple(sorted(self.base_winding + tuple(winding)))
 
     def pairing_for_bits(self, bits: int) -> list[int]:
         pair = list(self.pair_a)
@@ -238,23 +199,24 @@ class StateTracer:
 
     def trace_loops(
         self, pair: list[int], starts: Iterable[int]
-    ) -> tuple[dict[int, int], list[bool]]:
+    ) -> tuple[dict[int, int], list[Optional[tuple[int, ...]]]]:
         """Walk the loops of state ``pair`` that pass the darts ``starts``.
 
-        Returns the loop index of every dart walked and, per loop, whether
-        it is null-homologous; free loops are not included. The cost is the
-        length of the loops walked, so starting from one crossing's darts
-        touches only the at most two loops through it.
+        Returns the loop index of every dart walked and, per loop, its
+        winding class, None when null-homologous; free loops are not
+        included. The cost is the length of the loops walked, so starting
+        from one crossing's darts touches only the at most two loops
+        through it.
         """
         alpha = self.alpha
         wvec = self.wvec
         dim = 2 * self.genus
         loop_of: dict[int, int] = {}
-        trivial: list[bool] = []
+        classes: list[Optional[tuple[int, ...]]] = []
         for start in starts:
             if start in loop_of:
                 continue
-            loop = len(trivial)
+            loop = len(classes)
             acc = [0] * dim
             dart = start
             while dart not in loop_of:
@@ -264,22 +226,5 @@ class StateTracer:
                 for i in range(dim):
                     acc[i] += vec[i]
                 dart = alpha[mate]
-            trivial.append(normalize_class(acc) is None)
-        return loop_of, trivial
-
-
-def resolve_state(d: SurfaceDiagram, assignment: Iterable[str]) -> State:
-    """Split every crossing and classify the resulting closed curves."""
-    kinds = tuple(assignment)
-    if len(kinds) != len(d.crossings):
-        raise DiagramError("assignment length must equal the crossing count")
-    for k in kinds:
-        if k not in ("A", "B"):
-            raise DiagramError("assignment entries must be 'A' or 'B'")
-    tracer = StateTracer(d)
-    bits = 0
-    for cid, k in enumerate(kinds):
-        if k == "B":
-            bits |= 1 << cid
-    trivial, winding = tracer.resolve_bits(bits)
-    return State(kinds, trivial, winding)
+            classes.append(normalize_class(acc))
+        return loop_of, classes

@@ -108,16 +108,13 @@ class TransformSpec:
 
     @staticmethod
     def parse(method: str, m: int) -> "TransformSpec":
-        name = method.strip()
-        while name and name[0].isdigit():
-            name = name[1:]
+        name = method.strip().lstrip("0123456789")
+        prefixed = name != method.strip()
         if name in ("Br", "br"):
             name = "nBr"
-        if name in ("cr",):
-            name = "Cr"
-        if name == "Cr" and method.strip() != "Cr":
-            # a digit prefix like 4Cr selects the doubled method
-            name = "nCr"
+        if name in ("Cr", "cr"):
+            # only a digit prefix like 4Cr selects the doubled method
+            name = "nCr" if prefixed else "Cr"
         return TransformSpec(name, m)
 
 

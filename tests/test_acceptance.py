@@ -6,6 +6,7 @@ integers and polynomials over Z.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -306,10 +307,10 @@ def test_criterion_10_canonicalization():
     sets_checked = 0
     gens = [twist_matrix("a", 1), twist_matrix("a", -1), twist_matrix("b", 1), twist_matrix("b", -1)]
     for _ in range(50):
-        V = [
+        V = Counter(
             (rng.randint(-3, 3), rng.randint(-3, 3))
             for _ in range(rng.randint(1, 4))
-        ]
+        )
         result = canonical_form(V, 1)
         assert result.certified
         ball_q, ball_set = brute_force_minimum(V, 1, 5)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,29 +20,64 @@ from weavekit.canonical import (
     size,
     symplectic_form,
     twist_matrix,
-    winding_set,
+    vec_mul,
     _acts_freely,
+    _order,
     _slot_preserving_automorphisms,
     _transvection,
     _transvection_vectors,
 )
 from weavekit.diagram import DiagramError, Edge, SurfaceDiagram
-from weavekit.invariants import bracket, kauffman_f, r_parallel, writhe
+from weavekit.invariants import bracket, full_winding_multiset, kauffman_f, r_parallel, writhe
 from weavekit.states import normalize_class
 from weavekit import words
 
 
+def expanded(M):
+    """The sorted tuple with one entry per loop that a multiset stands for."""
+    return tuple(v for v, n in M.items() for _ in range(n))
+
+
+def expanded_brute_force(V, entry_bound):
+    """Reference for ``brute_force_minimum``: every SL2(Z) matrix with bounded
+    entries applied to every vector of the expanded multiset."""
+
+    def winding_set(vectors):
+        return tuple(sorted(normalize_class(v) or v for v in vectors))
+
+    vs = [tuple(v) for v in V]
+    best_q = sum(x * x for v in vs for x in v)
+    best_set = winding_set(vs)
+    rng = range(-entry_bound, entry_bound + 1)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                for d in rng:
+                    if a * d - b * c != 1:
+                        continue
+                    moved = [vec_mul(v, ((a, b), (c, d))) for v in vs]
+                    qv = sum(x * x for v in moved for x in v)
+                    key = winding_set(moved)
+                    if qv < best_q or (qv == best_q and key > best_set):
+                        best_q, best_set = qv, key
+    return best_q, best_set
+
+
 def test_q_functional_examples():
-    assert q_functional([]) == 0
-    assert q_functional([(0, 2)]) == 4
-    assert q_functional([(1, 0), (0, 1), (1, 1)]) == 4
+    assert q_functional({}) == 0
+    assert q_functional({(0, 2): 1}) == 4
+    assert q_functional({(1, 0): 1, (0, 1): 1, (1, 1): 1}) == 4
+    assert q_functional({(1, 1): 3, (0, -2): 2}) == 14
 
 
 def test_apply_twist_examples():
-    assert apply_twist([(1, 1)], ((1, 1), (0, 1)), 1) == ((1, 2),)
-    assert apply_twist([(1, 1)], identity(2), 1) == ((1, 1),)
+    assert apply_twist({(1, 1): 1}, ((1, 1), (0, 1)), 1) == {(1, 2): 1}
+    assert apply_twist({(1, 1): 1}, identity(2), 1) == {(1, 1): 1}
+    # sign-normalized, merged and sorted by vector
+    twisted = apply_twist({(1, 0): 2, (-1, -1): 1, (0, -1): 1}, ((1, 1), (0, 1)), 1)
+    assert list(twisted.items()) == [((0, 1), 1), ((1, 1), 2), ((1, 2), 1)]
     with pytest.raises(NonSymplectic):
-        apply_twist([(1, 0)], ((1, 0), (0, 2)), 1)
+        apply_twist({(1, 0): 1}, ((1, 0), (0, 2)), 1)
 
 
 def test_symplectic_check():
@@ -54,23 +90,24 @@ def test_symplectic_check():
 
 
 def test_canonical_form_examples():
-    r = canonical_form([(0, 2)], 1)
-    assert r.q_after == 4 and r.winding == ((2, 0),) and r.certified
-    r = canonical_form([(5, 3)], 1)
-    assert r.q_after == 1 and r.winding == ((1, 0),)
-    r = canonical_form([], 1)
-    assert r.winding == () and r.matrix == identity(2)
+    r = canonical_form({(0, 2): 1}, 1)
+    assert r.q_after == 4 and r.winding == {(2, 0): 1} and r.certified
+    r = canonical_form({(5, 3): 1}, 1)
+    assert r.q_after == 1 and r.winding == {(1, 0): 1}
+    r = canonical_form({}, 1)
+    assert r.winding == {} and r.matrix == identity(2)
 
 
 def test_canonical_form_idempotent():
     rng = random.Random(7)
     for _ in range(25):
-        V = [
+        V = Counter(
             (rng.randint(-4, 4), rng.randint(-4, 4))
             for _ in range(rng.randint(1, 4))
-        ]
+        )
         first = canonical_form(V, 1)
         again = canonical_form(first.winding, 1)
+        assert list(first.winding) == sorted(first.winding)
         assert again.winding == first.winding
         assert again.q_after == first.q_after
 
@@ -78,10 +115,10 @@ def test_canonical_form_idempotent():
 def test_canonical_form_certified_against_bounded_search():
     rng = random.Random(11)
     for _ in range(30):
-        V = [
+        V = Counter(
             (rng.randint(-3, 3), rng.randint(-3, 3))
             for _ in range(rng.randint(1, 3))
-        ]
+        )
         result = canonical_form(V, 1)
         bq, bset = brute_force_minimum(V, 1, 5)
         assert result.q_after <= bq
@@ -89,14 +126,44 @@ def test_canonical_form_certified_against_bounded_search():
             assert result.winding == bset
 
 
+def test_brute_force_matches_expanded_reference():
+    # the random sets of acceptance criterion 10, then a state census
+    rng = random.Random(20260810)
+    sets = [
+        [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
+        for _ in range(50)
+    ]
+    sets.append(expanded(full_winding_multiset(plain_weave_2x2())))
+    for V in sets:
+        bq, bset = brute_force_minimum(Counter(V), 1, 5)
+        assert (bq, expanded(bset)) == expanded_brute_force(V, 5), V
+        assert list(bset) == sorted(bset)
+
+
+small_vectors = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(*[st.lists(small_vectors, min_size=k, max_size=k)] * 2)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_pair_order_sorts_equal_size_multisets_as_expanded_tuples(pair):
+    A, B = (dict(sorted(Counter(vs).items())) for vs in pair)
+    assert expanded(A) == tuple(sorted(pair[0]))
+    assert (_order(A) < _order(B)) == (expanded(A) < expanded(B))
+    assert (_order(A) == _order(B)) == (expanded(A) == expanded(B))
+
+
 def test_canonical_form_invariant_under_twists():
     rng = random.Random(3)
     gens = [twist_matrix("a", 1), twist_matrix("a", -1), twist_matrix("b", 1), twist_matrix("b", -1)]
     for _ in range(20):
-        V = [
+        V = Counter(
             (rng.randint(-3, 3), rng.randint(-3, 3))
             for _ in range(rng.randint(1, 4))
-        ]
+        )
         U = identity(2)
         for _ in range(rng.randint(1, 6)):
             U = mat_mul(U, rng.choice(gens))
@@ -107,7 +174,7 @@ def test_canonical_form_invariant_under_twists():
 
 
 def test_canonical_form_higher_genus_descent():
-    V = [(2, 1, 0, -1), (0, 3, 1, 0)]
+    V = {(2, 1, 0, -1): 1, (0, 3, 1, 0): 1}
     r = canonical_form(V, 2)
     assert not r.certified
     assert r.q_after <= q_functional(V)
@@ -120,7 +187,7 @@ def test_canonical_form_higher_genus_descent():
 
 def test_canonical_form_rejects_bad_vectors():
     with pytest.raises(Exception):
-        canonical_form([(1, 0, 0)], 1)
+        canonical_form({(1, 0, 0): 1}, 1)
 
 
 def test_dehn_twist_rewrites_words():

@@ -243,6 +243,25 @@ def test_negative_crossing_budget_is_input_error(plain_file):
     assert "argument --crossing-budget: must be at least 0, got -5" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["canonicalize", "{f}", "--certify-ball", "-1"], "--certify-ball", "-1"),
+        (["fuzz", "{f}", "--steps", "-5", "--cap", "3"], "--steps", "-5"),
+        (["fuzz", "{f}", "--steps", "5", "--cap", "-3"], "--cap", "-3"),
+        (["verify", "--suite", "tait1", "--steps", "-1"], "--steps", "-1"),
+        (["verify", "--suite", "invariance", "--cap", "-2"], "--cap", "-2"),
+    ],
+)
+def test_negative_counts_are_input_errors(plain_file, argv, flag, value):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code, err = _rejected([a.format(f=plain_file) for a in argv])
+    assert code == EXIT_INPUT
+    assert out.getvalue() == ""
+    assert f"argument {flag}: must be at least 0, got {value}" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_parallel_below_one_is_input_error(plain_file, workers):
     code, err = _rejected(["--parallel", workers, "analyze", str(plain_file)])

@@ -1,15 +1,22 @@
 """Outputs pinned by sha256, so that changes to the splice, the crossing
-smoothing and the face and thread walks keep them byte for byte.
+smoothing, the face and thread walks and the canonical form keep them byte
+for byte.
 
-Each digest covers ``serialize`` (the form the CLI writes) followed by every
-crossing, edge and loop in id order, which ``serialize`` sorts away but
-which fixes the ids that thread numbering and move parameters depend on.
+Each diagram digest covers ``serialize`` (the form the CLI writes) followed
+by every crossing, edge and loop in id order, which ``serialize`` sorts away
+but which fixes the ids that thread numbering and move parameters depend on.
+The ``canonicalize`` digests cover the exit code, stdout and stderr of each
+command line.
 """
 
 import hashlib
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
 
-from weavekit import corpus
-from weavekit.diagram import serialize
+from fixtures import grid_weave
+from weavekit import cli, corpus
+from weavekit.diagram import AXIS_02, AXIS_13, Crossing, SurfaceDiagram, serialize
 from weavekit.moves import apply_move, enumerate_moves, fuzz
 from weavekit.states import split
 from weavekit.tessellation import (
@@ -102,3 +109,71 @@ def test_r2_removals_along_fuzz_walks_are_pinned():
             )
     assert len(results) == R2_COUNT
     assert _digest(results) == R2_REMOVALS
+
+
+# -- canonicalize -----------------------------------------------------------------
+
+# sha256 of exit code, stdout and stderr of every command below, taken while
+# canonical_form still expanded every winding multiset into one tuple entry
+# per loop
+CANONICALIZE_DIAGRAMS = "01dc94db7bc7400ee7e5c7700050e22f29c08355b9508489546a3f47b4d9144b"
+CANONICALIZE_WINDINGS = "a16cf72079c52a6ddf528c9a71b754cca149112962b51e5264ba218a62d013b8"
+WINDING_SETS = (
+    "(1,0)",
+    "(0,2)",
+    "(5,3)",
+    "(0,0);(0,0)",
+    "(-2,1);(4,-2);(0,0)",
+    # collinear, the first nonzero vector not the least: its sign sets the matrix
+    "(2,-1);(-4,2)",
+    "(0,0);(3,1);(-3,-1);(-6,-2)",
+    "(0,-3);(0,3);(0,1)",
+    "(1,0);(0,1);(1,1)",
+    "(1,0);(0,1);(-1,0);(0,-1)",
+    "(3,-2);(-1,4);(3,-2);(2,2)",
+    "(2,1);(1,1);(1,2);(2,1);(-1,-1)",
+    "(7,-4);(-3,5);(0,0);(7,-4);(1,1);(-2,-2)",
+    "(2,1,0,-1);(0,3,1,0)",
+    "(1,0,0,0);(1,0,0,0);(0,1,0,-1);(0,0,2,1)",
+    "(1,0);(1,0,0)",
+    "(1)",
+)
+
+
+def _cli(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"{argv}\nexit={code}\n{out.getvalue()}--stderr--\n{err.getvalue()}"
+
+
+def _canonicalize_digest(runs) -> str:
+    h = hashlib.sha256()
+    for argv in runs:
+        for extra in ((), ("--certify-ball", "1")):
+            h.update(_cli(argv + list(extra)).encode())
+    return h.hexdigest()
+
+
+def _c16_grids():
+    """The plain 4x4 grid and a 4x4 grid with seeded over-strands."""
+    plain = grid_weave(4)
+    rng = random.Random(101)
+    seeded = SurfaceDiagram(
+        1, [Crossing(c.id, rng.choice((AXIS_02, AXIS_13))) for c in plain.crossings],
+        plain.edges, plain.loops,
+    )
+    return [("grid4-plain", plain), ("grid4-seeded", seeded)]
+
+
+def test_canonicalize_outputs_are_pinned(tmp_path, monkeypatch):
+    # relative file names keep the temporary directory out of the digest
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for name, d in [(n, d) for n, d in corpus.full_corpus() if d.validate().ok] + _c16_grids():
+        (tmp_path / f"{name}.weave").write_text(serialize(d))
+        runs.append(["canonicalize", f"{name}.weave"])
+    assert len(runs) == 24
+    assert _canonicalize_digest(runs) == CANONICALIZE_DIAGRAMS
+    runs = [["canonicalize", "--winding", w] for w in WINDING_SETS]
+    assert _canonicalize_digest(runs) == CANONICALIZE_WINDINGS

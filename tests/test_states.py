@@ -6,10 +6,8 @@ from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl
 from weavekit import words
 from weavekit.diagram import DiagramError
 from weavekit.states import (
-    State,
     StateTracer,
     normalize_class,
-    resolve_state,
     smooth_crossings,
     split,
     split_pairing,
@@ -47,8 +45,10 @@ def test_splits_commute_for_distinct_crossings():
 
 def test_resolve_state_matches_diagram_resolution():
     d = plain_weave_2x2()
+    tracer = StateTracer(d)
     for kinds in itertools.product("AB", repeat=4):
-        st = resolve_state(d, kinds)
+        bits = sum(1 << cid for cid, k in enumerate(kinds) if k == "B")
+        trivial_loops, key = tracer.resolve_bits(bits)
         dd = resolve_to_diagram(d, kinds)
         assert not dd.crossings
         trivial = sum(
@@ -59,31 +59,17 @@ def test_resolve_state_matches_diagram_resolution():
             for w in dd.loops
             if any(words.abelianize(w, 1))
         )
-        assert st.trivial_loops == trivial
-        assert list(st.winding) == winding
-        assert st.a_count + st.b_count == 4
+        assert trivial_loops == trivial
+        assert list(key) == winding
 
 
 def test_all_a_state_counts_white_regions():
     # alternating diagrams: the all-A loop census equals the white count
-    d = plain_weave_2x2()
-    st = resolve_state(d, "AAAA")
-    assert st.trivial_loops == 2 and st.winding == ()
+    assert StateTracer(plain_weave_2x2()).resolve_bits(0) == (2, ())
 
 
 def test_resolution_of_crossing_free_loop():
-    d = single_loop((1,))
-    st = resolve_state(d, ())
-    assert st.trivial_loops == 0
-    assert st.winding == ((1, 0),)
-
-
-def test_resolve_state_validates_assignment():
-    d = plain_weave_2x2()
-    with pytest.raises(DiagramError):
-        resolve_state(d, "AB")
-    with pytest.raises(DiagramError):
-        resolve_state(d, "ABXX")
+    assert StateTracer(single_loop((1,))).resolve_bits(0) == (0, ((1, 0),))
 
 
 def test_smoothed_diagrams_stay_well_formed():

@@ -55,6 +55,21 @@ def test_transform_spec_validation():
     assert TransformSpec.parse("Cr", 1) == TransformSpec("Cr", 1)
 
 
+@pytest.mark.parametrize(
+    "method, m, spec",
+    [
+        ("cr", 1, ("Cr", 1)),
+        ("Cr", 1, ("Cr", 1)),
+        ("4cr", 0, ("nCr", 0)),
+        ("br", 2, ("nBr", 2)),
+        ("4Br", 1, ("nBr", 1)),
+    ],
+)
+def test_transform_spec_parse_names(method, m, spec):
+    # a lowercase name is the same method; only a digit prefix doubles Cr
+    assert TransformSpec.parse(method, m) == TransformSpec(*spec)
+
+
 def test_build_tiling_counts():
     t = square(1)
     assert (t.n_vertices, len(t.edges), t.face_count()) == (1, 2, 1)
