@@ -407,8 +407,11 @@ def _slot_preserving_automorphisms(d: SurfaceDiagram) -> Iterator[dict[int, int]
 
 def _acts_freely(d: SurfaceDiagram, phi: dict[int, int]) -> bool:
     """No nontrivial power of phi fixes an edge or a region. By rigidity the
-    first power that fixes crossing 0 is the identity."""
+    first power that fixes crossing 0 is the identity. A slot-preserving
+    map fixes a region exactly when it sends one corner of the region back
+    into it, so each region costs one corner-index lookup."""
     table = d.end_map()
+    where = d.corner_face()
     power = phi
     while power[0] != 0:
         for e in d.edges:
@@ -416,7 +419,8 @@ def _acts_freely(d: SurfaceDiagram, phi: dict[int, int]) -> bool:
             if table[(power[c0], s0)][0] == e.id:
                 return False
         for f in d.faces():
-            if {(power[c], s) for c, s in f.corners} == set(f.corners):
+            c, s = f.corners[0]
+            if where[(power[c], s)] == f.id:
                 return False
         power = {c: phi[power[c]] for c in power}
     return True

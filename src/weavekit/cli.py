@@ -102,10 +102,10 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
     except diagram.ZeroHomologyThread:
         rep["thread_sets"] = None
     rep["alternating"] = d.is_alternating()
-    proper, improper = d.is_proper() if d.crossings else (True, [])
+    proper, improper = d.is_proper()
     rep["proper"] = proper
     rep["improper_crossings"] = improper
-    reduced, isthmi = d.is_reduced() if d.crossings else (True, [])
+    reduced, isthmi = d.is_reduced()
     rep["reduced"] = reduced
     rep["isthmus_crossings"] = isthmi
     adeq = invariants.adequacy(d)
@@ -149,8 +149,6 @@ def _emit_report(rep: dict[str, object], fmt: str, out=None) -> None:
         if isinstance(value, dict):
             body = " ".join(f"{k}={v}" for k, v in value.items())
             out.write(f"{key} = {body}\n")
-        elif isinstance(value, list):
-            out.write(f"{key} = {value}\n")
         else:
             out.write(f"{key} = {value}\n")
 
@@ -274,6 +272,8 @@ def verify_tait2(seed: int, budget: Optional[int]):
 
 
 def cmd_build(args) -> int:
+    if args.seq and args.alternating:
+        raise ValueError("--seq and --alternating cannot be combined")
     symbol = tessellation.parse_vertex_symbol(args.tiling)
     spec = tessellation.TransformSpec.parse(args.method, args.m)
     tiling = tessellation.build_tiling(symbol, args.scale)
@@ -321,7 +321,7 @@ def cmd_analyze(args) -> int:
 def cmd_fuzz(args) -> int:
     with open(args.file) as fh:
         d = diagram.parse(fh.read())
-    trace = moves.fuzz(d, args.steps, args.seed, max_crossings=args.cap)
+    trace = moves.fuzz(d, args.steps, args.seed, max_crossings=args.cap, keep_diagrams=False)
     if args.trace:
         with open(args.trace, "w") as fh:
             for mv in trace.moves:

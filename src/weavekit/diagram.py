@@ -17,6 +17,7 @@ consistent across modules.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -107,6 +108,20 @@ class ValidationReport:
         return not self.errors and not self.advisories
 
 
+def _memoized(method):
+    """Compute a derived table once per diagram, cached under the method's name."""
+    key = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = method(self)
+        return value
+
+    return cached
+
+
 class SurfaceDiagram:
     """Immutable diagram value; derived data is memoized on first use."""
 
@@ -175,18 +190,15 @@ class SurfaceDiagram:
 
     # -- dart tables -----------------------------------------------------------
 
+    @_memoized
     def end_map(self) -> dict[End, tuple[EdgeId, int]]:
         """(crossing, slot) -> (edge id, endpoint index). Fails on double use."""
-        cached = self._cache.get("end_map")
-        if cached is not None:
-            return cached  # type: ignore[return-value]
         table: dict[End, tuple[EdgeId, int]] = {}
         for e in self.edges:
             for which, end in enumerate(e.ends):
                 if end in table:
                     raise DiagramError(f"slot double-use at c{end[0]}.{end[1]}")
                 table[end] = (e.id, which)
-        self._cache["end_map"] = table
         return table
 
     def _check_closed(self) -> None:
@@ -230,95 +242,85 @@ class SurfaceDiagram:
             if step == start:
                 return steps, arrivals, word
 
+    @_memoized
     def faces(self) -> tuple[Face, ...]:
-        cached = self._cache.get("faces")
-        if cached is None:
-            self._check_closed()
-            visited: set[tuple[EdgeId, int]] = set()
-            out: list[Face] = []
-            for start in product(range(len(self.edges)), (0, 1)):
-                if start in visited:
-                    continue
-                steps, corners, holonomy = self._cycle(start, 1)
-                visited.update(steps)
-                out.append(Face(len(out), tuple(steps), tuple(corners), tuple(holonomy)))
-            cached = self._cache["faces"] = tuple(out)
-        return cached  # type: ignore[return-value]
+        self._check_closed()
+        visited: set[tuple[EdgeId, int]] = set()
+        out: list[Face] = []
+        for start in product(range(len(self.edges)), (0, 1)):
+            if start in visited:
+                continue
+            steps, corners, holonomy = self._cycle(start, 1)
+            visited.update(steps)
+            out.append(Face(len(out), tuple(steps), tuple(corners), tuple(holonomy)))
+        return tuple(out)
 
+    @_memoized
     def corner_face(self) -> dict[End, FaceId]:
-        """Map each corner (crossing, slot s meaning the region between s and s+1)."""
-        cached = self._cache.get("corner_face")
-        if cached is None:
-            table: dict[End, FaceId] = {}
-            for f in self.faces():
-                for corner in f.corners:
-                    table[corner] = f.id
-            cached = table
-            self._cache["corner_face"] = cached
-        return cached  # type: ignore[return-value]
+        """Map each corner (crossing, slot s meaning the region between s and
+        s+1) to its region: the one region index.
+
+        A directed step ``(eid, direction)`` lies in the region of its
+        arrival corner ``edges[eid].ends[1 - direction]``, so the region of
+        a corner, a step or a move site is looked up here, never found by
+        scanning ``faces()``.
+        """
+        return {corner: f.id for f in self.faces() for corner in f.corners}
 
     # -- threads ---------------------------------------------------------------
 
+    @_memoized
     def threads(self) -> tuple[Thread, ...]:
-        cached = self._cache.get("threads")
-        if cached is None:
-            self._check_closed()
-            claimed: set[tuple[EdgeId, int]] = set()
-            out: list[Thread] = []
-            for start in product(range(len(self.edges)), (0, 1)):
-                if start in claimed:
-                    continue
-                steps, route, word = self._cycle(start, 2)
-                # the reverse traversal is the same physical thread
-                claimed.update(steps)
-                claimed.update((eid, 1 - direction) for eid, direction in steps)
-                hom = words.abelianize(word, self.genus)
-                if _lex_negative(hom):
-                    # canonical orientation: homology lexicographically positive
-                    eid, direction = steps[-1]
-                    steps, route, _ = self._cycle((eid, 1 - direction), 2)
-                    hom = tuple(-v for v in hom)
-                out.append(Thread(len(out), tuple(route), tuple(steps), hom))
-            for li, w in enumerate(self.loops):
-                hom = words.abelianize(w, self.genus)
-                if _lex_negative(hom):
-                    hom = tuple(-v for v in hom)
-                out.append(Thread(len(out), (), (), hom, loop_index=li))
-            cached = self._cache["threads"] = tuple(out)
-        return cached  # type: ignore[return-value]
+        self._check_closed()
+        claimed: set[tuple[EdgeId, int]] = set()
+        out: list[Thread] = []
+        for start in product(range(len(self.edges)), (0, 1)):
+            if start in claimed:
+                continue
+            steps, route, word = self._cycle(start, 2)
+            # the reverse traversal is the same physical thread
+            claimed.update(steps)
+            claimed.update((eid, 1 - direction) for eid, direction in steps)
+            hom = words.abelianize(word, self.genus)
+            if _lex_negative(hom):
+                # canonical orientation: homology lexicographically positive
+                eid, direction = steps[-1]
+                steps, route, _ = self._cycle((eid, 1 - direction), 2)
+                hom = tuple(-v for v in hom)
+            out.append(Thread(len(out), tuple(route), tuple(steps), hom))
+        for li, w in enumerate(self.loops):
+            hom = words.abelianize(w, self.genus)
+            if _lex_negative(hom):
+                hom = tuple(-v for v in hom)
+            out.append(Thread(len(out), (), (), hom, loop_index=li))
+        return tuple(out)
 
+    @_memoized
     def thread_of_passage(self) -> dict[End, ThreadId]:
         """Map each passage entry (crossing, entry slot) to its thread."""
-        cached = self._cache.get("thread_of_passage")
-        if cached is None:
-            table: dict[End, ThreadId] = {}
-            for t in self.threads():
-                for cid, slot in t.route:
-                    table[(cid, slot)] = t.id
-                    table[(cid, (slot + 2) % 4)] = t.id
-            cached = table
-            self._cache["thread_of_passage"] = cached
-        return cached  # type: ignore[return-value]
+        table: dict[End, ThreadId] = {}
+        for t in self.threads():
+            for cid, slot in t.route:
+                table[(cid, slot)] = t.id
+                table[(cid, (slot + 2) % 4)] = t.id
+        return table
 
+    @_memoized
     def crossing_passages(self) -> dict[CrossingId, list[tuple[int, bool, ThreadId]]]:
         """Per crossing: (exit slot, is_over, thread) for both oriented passages, over first."""
-        cached = self._cache.get("crossing_passages")
-        if cached is None:
-            table: dict[CrossingId, list[tuple[int, bool, ThreadId]]] = {
-                c.id: [] for c in self.crossings
-            }
-            for t in self.threads():
-                for cid, entry in t.route:
-                    table[cid].append(((entry + 2) % 4, self.passage_is_over(cid, entry), t.id))
-            for cid, passages in table.items():
-                if len(passages) != 2:
-                    raise DiagramError(f"crossing c{cid} is not traversed by two strands")
-                if passages[0][1] == passages[1][1]:
-                    raise DiagramError(f"crossing c{cid} has inconsistent over/under passages")
-                passages.sort(key=lambda p: not p[1])
-            cached = table
-            self._cache["crossing_passages"] = cached
-        return cached  # type: ignore[return-value]
+        table: dict[CrossingId, list[tuple[int, bool, ThreadId]]] = {
+            c.id: [] for c in self.crossings
+        }
+        for t in self.threads():
+            for cid, entry in t.route:
+                table[cid].append(((entry + 2) % 4, self.passage_is_over(cid, entry), t.id))
+        for cid, passages in table.items():
+            if len(passages) != 2:
+                raise DiagramError(f"crossing c{cid} is not traversed by two strands")
+            if passages[0][1] == passages[1][1]:
+                raise DiagramError(f"crossing c{cid} has inconsistent over/under passages")
+            passages.sort(key=lambda p: not p[1])
+        return table
 
     def thread_sets(self) -> tuple[tuple[ThreadId, ...], ...]:
         """Group threads by primitive homology direction."""
@@ -358,27 +360,20 @@ class SurfaceDiagram:
 
     def is_reduced(self) -> tuple[bool, list[CrossingId]]:
         """Isthmus test: opposite corners in one region of the infinite diagram."""
-        faces = self.faces()
-        # corner -> (face id, position in the walk)
-        where: dict[End, tuple[FaceId, int]] = {}
-        for f in faces:
-            for pos, corner in enumerate(f.corners):
-                where[corner] = (f.id, pos)
-        bad: list[CrossingId] = []
-        for c in self.crossings:
-            if any(
-                self._corners_merge(where, (c.id, s), (c.id, s + 2))
-                for s in (0, 1)
-            ):
-                bad.append(c.id)
+        bad = [
+            c.id
+            for c in self.crossings
+            if self._corners_merge((c.id, 0), (c.id, 2))
+            or self._corners_merge((c.id, 1), (c.id, 3))
+        ]
         return (not bad, bad)
 
-    def _corners_merge(self, where, corner_a: End, corner_b: End) -> bool:
-        fa, pa = where[(corner_a[0], corner_a[1] % 4)]
-        fb, pb = where[(corner_b[0], corner_b[1] % 4)]
-        if fa != fb:
+    def _corners_merge(self, corner_a: End, corner_b: End) -> bool:
+        table = self.corner_face()
+        if table[corner_a] != table[corner_b]:
             return False
-        face = self.faces()[fa]
+        face = self.faces()[table[corner_a]]
+        pa, pb = face.corners.index(corner_a), face.corners.index(corner_b)
         n = len(face.steps)
 
         def segment_word(src: int, dst: int) -> Word:

@@ -11,7 +11,6 @@ from typing import Iterable, Mapping
 
 LaurentPoly = dict[int, int]
 
-ZERO: LaurentPoly = {}
 ONE: LaurentPoly = {0: 1}
 
 # d = -A^2 - A^-2, the loop multiplier after the bracket specialization

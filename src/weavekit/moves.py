@@ -17,7 +17,11 @@ group only: off the torus such a triangle is not a site.
 One routine, ``_site``, decides whether a region is a removal or flip
 site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
 removal or flip only when ``_site`` finds it again, so every advertised
-move applies.
+move applies. Regions are looked up through the corner index
+``SurfaceDiagram.corner_face`` (a step lies in the region of its arrival
+corner), never found by scanning every region: a site is sought only among
+the regions at its first crossing, and a push only in the region of its
+first strand.
 """
 
 from __future__ import annotations
@@ -150,39 +154,30 @@ def enumerate_moves(d: SurfaceDiagram) -> list[Move]:
 # -- surgery ----------------------------------------------------------------------
 
 
-def _rebuild(d: SurfaceDiagram, over_axes, edge_specs, loops) -> SurfaceDiagram:
-    return SurfaceDiagram.build(d.genus, over_axes, edge_specs, loops)
-
-
 def _apply_r1_add(d: SurfaceDiagram, eid: int, chirality: int) -> SurfaceDiagram:
     if not 0 <= eid < len(d.edges):
         raise IllegalMove(f"unknown edge e{eid}")
     x = len(d.crossings)
     over_axes = [c.over_axis for c in d.crossings]
     over_axes.append(AXIS_13 if chirality > 0 else AXIS_02)
-    e = d.edges[eid]
-    specs: list[tuple[End, End, words.Word]] = []
-    for other in d.edges:
-        if other.id != eid:
-            specs.append((other.ends[0], other.ends[1], other.word))
-        else:
-            specs.append((e.ends[0], (x, 2), e.word))
-    specs.append(((x, 0), (x, 1), ()))
-    specs.append(((x, 3), e.ends[1], ()))
-    return _rebuild(d, over_axes, specs, d.loops)
+    specs = [
+        (e.ends[0], (x, 2) if e.id == eid else e.ends[1], e.word) for e in d.edges
+    ] + [((x, 0), (x, 1), ()), ((x, 3), d.edges[eid].ends[1], ())]
+    return SurfaceDiagram.build(d.genus, over_axes, specs, d.loops)
 
 
 def _apply_r1_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
     # the one-sided region at corner (cid, s) is bounded by the loop edge
-    # on slots s and s+1
-    (loop_eid, _), = face.steps
+    # on slots s and s+1; the face step arrives at slot s
+    (loop_eid, loop_dir), = face.steps
     (cid, s), = face.corners
-    loop_edge = d.edges[loop_eid]
     table = d.end_map()
     in_eid, in_which = table[(cid, (s + 2) % 4)]
     out_eid, out_which = table[(cid, (s + 3) % 4)]
-    # word of the loop traversed from slot s to slot s+1
-    loop_word = loop_edge.word if loop_edge.ends[0] == (cid, s) else words.invert(loop_edge.word)
+    # the strand arrives at slot s+2, runs round the loop from slot s to
+    # slot s+1 and leaves by slot s+3
+    word_in = d.edges[in_eid].directed_word(1 - in_which)
+    loop_word = d.edges[loop_eid].directed_word(1 - loop_dir)
 
     over_axes = [c.over_axis for c in d.crossings if c.id != cid]
 
@@ -194,32 +189,35 @@ def _apply_r1_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
     loops = list(d.loops)
     if in_eid == out_eid:
         # the curl sat on a closed one-crossing component
-        e = d.edges[in_eid]
-        word_in = e.word if e.ends[1] == (cid, (s + 2) % 4) else words.invert(e.word)
         loops.append(words.free_reduce(words.concat(word_in, loop_word)))
         for other in d.edges:
             if other.id not in (loop_eid, in_eid):
                 specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
     else:
-        e_in = d.edges[in_eid]
+        tail = d.edges[in_eid].ends[1 - in_which]
         e_out = d.edges[out_eid]
-        tail = e_in.ends[1 - in_which]
         head = e_out.ends[1 - out_which]
-        # word traversed tail -> crossing: edge arrives at (cid, s+2) at index in_which
-        word_in = e_in.word if e_in.ends[1] == (cid, (s + 2) % 4) else words.invert(e_in.word)
-        word_out = e_out.word if e_out.ends[0] == (cid, (s + 3) % 4) else words.invert(e_out.word)
+        word_out = e_out.directed_word(out_which)
         new_word = words.free_reduce(words.concat(word_in, loop_word, word_out))
-        placed = False
+        # the merged strand takes the place of the lower of its two edges
         for other in d.edges:
-            if other.id in (loop_eid, in_eid, out_eid):
-                if not placed and other.id == min(in_eid, out_eid):
-                    specs.append((remap(tail), remap(head), new_word))
-                    placed = True
-                continue
-            specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
-        if not placed:
-            specs.append((remap(tail), remap(head), new_word))
-    return _rebuild(d, over_axes, specs, loops)
+            if other.id == min(in_eid, out_eid):
+                specs.append((remap(tail), remap(head), new_word))
+            elif other.id not in (loop_eid, in_eid, out_eid):
+                specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
+    return SurfaceDiagram.build(d.genus, over_axes, specs, loops)
+
+
+def _push_face(d: SurfaceDiagram, step_a: tuple[int, int], step_b: tuple[int, int]) -> Face:
+    """The region both strands of a push border: strand a lies in the region
+    of its arrival corner, and strand b must be on that region too."""
+    where = d.corner_face()
+    eid, direction = step_a
+    if 0 <= eid < len(d.edges) and direction in (0, 1):
+        face = d.faces()[where[d.edges[eid].ends[1 - direction]]]
+        if step_b in face.steps:
+            return face
+    raise IllegalMove("strands do not border a common region")
 
 
 def _apply_r2_add(
@@ -232,14 +230,7 @@ def _apply_r2_add(
     eid_b, dir_b = step_b
     if eid_a == eid_b:
         raise IllegalMove("the two strands of a push must be distinct edges")
-    face = None
-    for f in d.faces():
-        steps = set(f.steps)
-        if (eid_a, dir_a) in steps and (eid_b, dir_b) in steps:
-            face = f
-            break
-    if face is None:
-        raise IllegalMove("strands do not border a common region")
+    face = _push_face(d, (eid_a, dir_a), (eid_b, dir_b))
     # the finger travels from the head end of the pushed strand to the tail
     # end of the crossed one; it crosses whichever cell-side arcs the region
     # boundary between those corners records
@@ -254,12 +245,8 @@ def _apply_r2_add(
         pos = (pos + 1) % n
     path = words.free_reduce(tuple(between))
     e, fe = d.edges[eid_a], d.edges[eid_b]
-    tail_e = e.ends[0] if dir_a == 0 else e.ends[1]
-    head_e = e.ends[1] if dir_a == 0 else e.ends[0]
-    word_e = e.directed_word(dir_a)
-    tail_f = fe.ends[0] if dir_b == 0 else fe.ends[1]
-    head_f = fe.ends[1] if dir_b == 0 else fe.ends[0]
-    word_f = fe.directed_word(dir_b)
+    tail_e, head_e, word_e = e.ends[dir_a], e.ends[1 - dir_a], e.directed_word(dir_a)
+    tail_f, head_f, word_f = fe.ends[dir_b], fe.ends[1 - dir_b], fe.directed_word(dir_b)
     x1 = len(d.crossings)
     x2 = x1 + 1
     axis = AXIS_13 if over_first else AXIS_02
@@ -275,7 +262,7 @@ def _apply_r2_add(
     specs.append((tail_f, (x2, 0), ()))                       # f up to the push
     specs.append(((x1, 2), head_f, word_f))                   # f past the push
     specs.append(((x2, 2), (x1, 0), ()))                      # crossed middle
-    return _rebuild(d, over_axes, specs, d.loops)
+    return SurfaceDiagram.build(d.genus, over_axes, specs, d.loops)
 
 
 def _apply_r2_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
@@ -301,7 +288,7 @@ def _apply_r3(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
         (remap.get(e.ends[0], e.ends[0]), remap.get(e.ends[1], e.ends[1]), e.word)
         for e in d.edges
     ]
-    out = _rebuild(d, [c.over_axis for c in d.crossings], specs, d.loops)
+    out = SurfaceDiagram.build(d.genus, [c.over_axis for c in d.crossings], specs, d.loops)
     if all(not d.edges[eid].word for eid in side_ids):
         # no cell-side arcs cross the triangle: the flip moves nothing past
         # anything and every word stays put
@@ -436,14 +423,20 @@ _SITE_SURGERY = {"R1_remove": _apply_r1_remove, "R2_remove": _apply_r2_remove, "
 
 
 def _site_face(d: SurfaceDiagram, m: Move) -> Face:
-    """The region whose site is ``m``, found by the check enumeration uses."""
+    """The region whose site is ``m``, found by the check enumeration uses.
+
+    Every site region has a corner at the move's first crossing, so only
+    the regions there are checked, in ascending id.
+    """
     if m.kind == "R2_remove":
         m = Move(m.kind, tuple(sorted(m.params)))
     elif m.kind == "R3":
         m = Move(m.kind, (tuple(sorted(m.params[0])),))
-    n = _SITE_LENGTH[m.kind]
-    for f in d.faces():
-        if len(f) == n and _site(d, f) == m:
+    crossings = [c for c, _ in m.params[0]] if m.kind == "R3" else m.params
+    where, faces = d.corner_face(), d.faces()
+    at_first = {where.get((c, s)) for c in crossings[:1] for s in range(4)} - {None}
+    for f in (faces[fid] for fid in sorted(at_first)):
+        if len(f) == _SITE_LENGTH[m.kind] and _site(d, f) == m:
             return f
     raise IllegalMove(f"{m} is not a site of this diagram")
 
@@ -534,9 +527,11 @@ def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
                 return cur
             cur = apply_move(cur, removals[0])
 
+    # greedy is deterministic: every restart starts from its one result
+    start = greedy(d)
     for attempt in range(_SIMPLIFY_RESTARTS):
         rng = random.Random(seed + attempt)
-        cur = greedy(d)
+        cur = start
         for _ in range(_SIMPLIFY_ROUNDS):
             if len(cur.crossings) < len(best.crossings):
                 best = cur

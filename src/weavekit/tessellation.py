@@ -333,9 +333,9 @@ def _disk_arrangement(
     return n_cross, stops
 
 
-def _circle_point(angle_deg: float, radius: float = 1.0) -> tuple[float, float]:
+def _circle_point(angle_deg: float) -> tuple[float, float]:
     a = math.radians(angle_deg)
-    return (radius * math.cos(a), radius * math.sin(a))
+    return (math.cos(a), math.sin(a))
 
 
 # a block port: (dart position at the vertex, side); side 0 is clockwise of the dart

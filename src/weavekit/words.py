@@ -18,8 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
 
 def letter_name(letter: int, genus: int) -> str:
     """Render one letter: a/b for genus 1, a1..ag/b1..bg otherwise."""

@@ -322,6 +322,19 @@ def test_malformed_seq_names_the_flag():
     assert err == "error: --seq: expected entries like \"1,2:1,1\", got '1,2:1'\n"
 
 
+def test_seq_with_alternating_is_input_error(tmp_path):
+    path = tmp_path / "w.weave"
+    for tiling in ("(4,4,4,4)", "(7,7)"):
+        # refused before the tiling is even read
+        code, out, err = run_cli(
+            "build", "--tiling", tiling, "--method", "Cr", "--scale", "2",
+            "--seq", "1,2:1,1", "--alternating", "-o", str(path),
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: --seq and --alternating cannot be combined\n"
+        assert not path.exists()
+
+
 def test_canonicalize_without_input_is_input_error():
     code, out, err = run_cli("canonicalize")
     assert code == EXIT_INPUT and out == ""
