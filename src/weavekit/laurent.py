@@ -158,13 +158,6 @@ def divides(q: LaurentPoly, p: LaurentPoly) -> bool:
     return not rem
 
 
-def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    quo, rem = divmod_single(p, q)
-    if rem:
-        raise ValueError("division is not exact")
-    return quo
-
-
 def substitute_inverse(p: LaurentPoly) -> LaurentPoly:
     """Substitute the variable by its inverse (exponent negation)."""
     return {-e: c for e, c in p.items()}
@@ -176,17 +169,3 @@ def format_poly(p: LaurentPoly, var: str = "A") -> str:
         return "0"
     parts = [f"{p[e]}{var}^{e}" for e in sorted(p, reverse=True)]
     return " + ".join(parts)
-
-
-def parse_poly(text: str, var: str = "A") -> LaurentPoly:
-    text = text.strip()
-    if text == "0":
-        return {}
-    out: LaurentPoly = {}
-    for part in text.split("+"):
-        part = part.strip()
-        coeff_s, _, exp_s = part.partition(f"{var}^")
-        if not exp_s:
-            raise ValueError(f"bad term {part!r}")
-        out[int(exp_s)] = out.get(int(exp_s), 0) + int(coeff_s)
-    return poly(out)

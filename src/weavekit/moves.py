@@ -7,12 +7,16 @@ because a curl or clasp that wraps the cell is not a planar configuration
 and removing it would change the weave. Nor is a two-sided region a site
 when the regions beyond its two crossings are one region: pulling the
 strands apart would leave an annulus, not a cell decomposition. The third
-move flips a triangle whose strands admit a top strand; its rewiring
-shifts every triangle-side attachment by two slots and swaps the strand
-continuations into the old side slots, which keeps all boundary words and
-over-axes in place. When the triangle sides cross cell sides, the flip
-re-solves the local words, which is implemented for the abelian torus
-group only: off the torus such a triangle is not a site.
+move flips a triangle whose strands admit a top strand and whose holonomy
+is trivial. It first re-lifts the triangle's second and third corners P by
+the side words g_P that lead to them from the first corner: an edge P->Q
+with word w becomes g_P w g_Q^-1, which leaves the periodic lift as it
+was. Two sides then carry no word, and the third would read the
+triangle's holonomy, which is trivial in the surface group, so it carries
+none either. This works in the free group, so at every genus. The
+rewiring then shifts every triangle-side attachment by two slots and swaps
+the strand continuations into the old side slots, which keeps all
+boundary words and over-axes in place.
 
 One routine, ``_site``, decides whether a region is a removal or flip
 site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
@@ -115,8 +119,7 @@ def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     ]
     if not any(o1 and o2 for o1, o2 in strand_pairs):
         return None
-    if d.genus != 1 and any(d.edges[eid].word for eid, _ in face.steps):
-        # sliding across cell-side arcs re-solves words, torus only
+    if not words.is_trivial(face.holonomy, d.genus):
         return None
     return Move("R3", (corners,))
 
@@ -270,14 +273,28 @@ def _apply_r2_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
 
 
 def _apply_r3(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
-    remap: dict[End, End] = {}
     cs = face.corners
-    table = d.end_map()
-    side_ids: list[int] = []
+    # an edge neither of whose ends moves keeps its word letter for letter;
+    # the third side would read the triangle's holonomy, which the site
+    # check found trivial in the surface group
+    _, (B, _), (C, _) = cs
+    to_b = d.edges[face.steps[1][0]].directed_word(face.steps[1][1])
+    to_c = d.edges[face.steps[2][0]].directed_word(face.steps[2][1])
+    lift = {B: to_b, C: words.concat(to_b, to_c)}
+    third_side = face.steps[0][0]
+
+    def relift(e: Edge) -> words.Word:
+        if e.id == third_side:
+            return ()
+        g_p, g_q = lift.get(e.ends[0][0], ()), lift.get(e.ends[1][0], ())
+        if not g_p and not g_q:
+            return e.word
+        return words.free_reduce(words.concat(g_p, e.word, words.invert(g_q)))
+
+    remap: dict[End, End] = {}
     for idx in range(3):
         X, x = cs[idx]
         Y, y = cs[(idx + 1) % 3]
-        side_ids.append(table[(X, (x + 1) % 4)][0])
         # side X->Y sits at (X, x+1) and (Y, y); it moves two slots on;
         # the strand continuations swap into the old side slots
         remap[(X, (x + 1) % 4)] = (X, (x + 3) % 4)
@@ -285,138 +302,10 @@ def _apply_r3(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
         remap[(X, (x + 3) % 4)] = (Y, y)
         remap[(Y, (y + 2) % 4)] = (X, (x + 1) % 4)
     specs = [
-        (remap.get(e.ends[0], e.ends[0]), remap.get(e.ends[1], e.ends[1]), e.word)
+        (remap.get(e.ends[0], e.ends[0]), remap.get(e.ends[1], e.ends[1]), relift(e))
         for e in d.edges
     ]
-    out = SurfaceDiagram.build(d.genus, [c.over_axis for c in d.crossings], specs, d.loops)
-    if all(not d.edges[eid].word for eid in side_ids):
-        # no cell-side arcs cross the triangle: the flip moves nothing past
-        # anything and every word stays put
-        return out
-    return _resolve_r3_words(d, out, side_ids, sorted(cs))
-
-
-def _resolve_r3_words(
-    d: SurfaceDiagram, flipped: SurfaceDiagram, side_ids: list[int], corners: list[End]
-) -> SurfaceDiagram:
-    """Re-derive local words after flipping a triangle on the torus.
-
-    Sliding a strand across the opposite crossing carries it past whatever
-    cell-side arcs run through the triangle, so letters can migrate
-    between the triangle sides and the six strand continuations. The new
-    words are pinned by two exact requirements: every region of the
-    result is null-homologous, and every thread keeps its homology class.
-    Free directions (gauge moves that slide letters through a crossing)
-    are resolved toward the old words.
-    """
-    from fractions import Fraction
-
-    table = d.end_map()
-    local: list[int] = list(side_ids)
-    for X, x in corners:
-        for s in (2, 3):
-            eid = table[(X, (x + s) % 4)][0]
-            if eid not in local:
-                local.append(eid)
-    unknown = {eid: k for k, eid in enumerate(local)}
-    n_unknown = len(local)
-
-    blank = [
-        Edge(e.id, e.ends, () if e.id in unknown else e.word)
-        for e in flipped.edges
-    ]
-    skeleton = SurfaceDiagram(flipped.genus, flipped.crossings, blank, flipped.loops)
-
-    rows: list[list[int]] = []
-    rhs: list[tuple[int, int]] = []
-
-    def add_walk(steps, target=(0, 0)) -> None:
-        coef = [0] * n_unknown
-        known = [0, 0]
-        for eid, direction in steps:
-            sign = 1 if direction == 0 else -1
-            if eid in unknown:
-                coef[unknown[eid]] += sign
-            else:
-                vec = words.abelianize(flipped.edges[eid].directed_word(direction), 1)
-                known[0] += vec[0]
-                known[1] += vec[1]
-        rows.append(coef)
-        rhs.append((target[0] - known[0], target[1] - known[1]))
-
-    for f in skeleton.faces():
-        add_walk(f.steps)
-
-    # threads of the flipped diagram keep the homology classes they had.
-    # Strands traverse the triangle sides in the opposite direction after
-    # the flip (their two crossings swap order along the strand), so the
-    # anchor tying a new thread to an old one must be a non-side edge;
-    # every strand through a corner continues into one, so one exists.
-    old_dir_hom: dict[tuple[int, int], tuple[int, int]] = {}
-    for t in d.threads():
-        for eid, direction in t.edges:
-            old_dir_hom[(eid, direction)] = (t.homology[0], t.homology[1])
-            old_dir_hom[(eid, 1 - direction)] = (-t.homology[0], -t.homology[1])
-    sides = set(side_ids)
-    for t in skeleton.threads():
-        anchor = next(step for step in t.edges if step[0] not in sides)
-        add_walk(t.edges, old_dir_hom[anchor])
-
-    old_vals = [words.abelianize(d.edges[eid].word, 1) for eid in local]
-
-    def solve(coord: int) -> Optional[list[int]]:
-        m = [
-            [Fraction(c) for c in row] + [Fraction(rhs[i][coord])]
-            for i, row in enumerate(rows)
-        ]
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for c in range(n_unknown):
-            sel = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if sel is None:
-                continue
-            m[r], m[sel] = m[sel], m[r]
-            m[r] = [v / m[r][c] for v in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    factor = m[i][c]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-            pivots.append((r, c))
-            r += 1
-        for i in range(r, len(m)):
-            if m[i][n_unknown]:
-                return None
-        sol = [Fraction(old_vals[k][coord]) for k in range(n_unknown)]
-        for row_i, c in reversed(pivots):
-            acc = m[row_i][n_unknown]
-            for c2 in range(n_unknown):
-                if c2 != c and m[row_i][c2]:
-                    acc -= m[row_i][c2] * sol[c2]
-            sol[c] = acc
-        if any(v.denominator != 1 for v in sol):
-            return None
-        return [int(v) for v in sol]
-
-    xa = solve(0)
-    xb = solve(1)
-    if xa is None or xb is None:
-        raise IllegalMove("could not rebalance cell-side words across the triangle")
-
-    final = [
-        Edge(
-            e.id,
-            e.ends,
-            words.torus_word((xa[unknown[e.id]], xb[unknown[e.id]]))
-            if e.id in unknown
-            else e.word,
-        )
-        for e in flipped.edges
-    ]
-    result = SurfaceDiagram(flipped.genus, flipped.crossings, final, flipped.loops)
-    for f in result.faces():
-        if any(words.abelianize(f.holonomy, 1)):
-            raise AssertionError("triangle word rebalancing left a wrapped region")
-    return result
+    return SurfaceDiagram.build(d.genus, [c.over_axis for c in d.crossings], specs, d.loops)
 
 
 _SITE_SURGERY = {"R1_remove": _apply_r1_remove, "R2_remove": _apply_r2_remove, "R3": _apply_r3}

@@ -108,6 +108,27 @@ def test_fuzz_trace_roundtrip(plain_file, tmp_path):
     assert D.serialize(cur) == out_path.read_text()
 
 
+def test_genus2_fuzz_trace_with_flips_replays(tmp_path):
+    from weavekit import diagram as D
+    from weavekit.moves import apply_move
+
+    start_path = tmp_path / "g2.weave"
+    trace_path = tmp_path / "g2.trace"
+    out_path = tmp_path / "g2end.weave"
+    start_path.write_text(D.serialize(dict(full_corpus())["genus2-c6"]))
+    code, _out, _err = run_cli(
+        "fuzz", str(start_path), "--steps", "60", "--seed", "1",
+        "--cap", "10", "--trace", str(trace_path), "-o", str(out_path),
+    )
+    assert code == EXIT_OK
+    lines = trace_path.read_text().splitlines()
+    assert any(line.startswith("R3 ") for line in lines)
+    cur = D.parse(start_path.read_text())
+    for line in lines:
+        cur = apply_move(cur, parse_move(line))
+    assert D.serialize(cur) == out_path.read_text()
+
+
 def test_fuzz_seed_determinism(plain_file, tmp_path):
     t1 = tmp_path / "a.trace"
     t2 = tmp_path / "b.trace"

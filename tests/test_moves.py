@@ -244,20 +244,72 @@ def test_every_listed_removal_and_flip_applies_at_both_genera():
     assert checked[1] > 0 and checked[2] > 0
 
 
-def test_worded_triangle_is_a_site_on_the_torus_only():
-    # flipping across cell-side arcs re-solves words in the abelian torus
-    # group only, so off the torus such a triangle is not offered
+def test_worded_triangle_is_a_site_at_genus_2():
+    # a flip re-lifts two corners so that no triangle side crosses a cell
+    # side, which works in the free group: worded triangles are flips off
+    # the torus too, and each one keeps the weave
+    from collections import Counter
+
     from weavekit.corpus import genus2_corpus
+    from weavekit.diagram import parse
 
     worded = 0
     for name, d in genus2_corpus():
         for cur in fuzz(d, 30, seed=1, max_crossings=10).diagrams:
+            listed = set(enumerate_moves(cur))
             for f in cur.faces():
-                if len(f) == 3 and any(cur.edges[eid].word for eid, _ in f.steps):
-                    worded += 1
-                    corners = tuple(sorted(f.corners))
-                    assert Move("R3", (corners,)) not in enumerate_moves(cur), name
+                corners = tuple(sorted(f.corners))
+                m = Move("R3", (corners,))
+                if m not in listed or not any(cur.edges[eid].word for eid, _ in f.steps):
+                    continue
+                worded += 1
+                nxt = apply_move(cur, m)
+                assert nxt.validate().ok, (name, str(m))
+                text = serialize(nxt)
+                assert serialize(parse(text)) == text, (name, str(m))
+                homologies = Counter(t.homology for t in nxt.threads())
+                assert homologies == Counter(t.homology for t in cur.threads()), (name, str(m))
+                assert bracket(nxt) == bracket(cur), (name, str(m))
     assert worded > 0
+
+
+def test_listed_flips_keep_the_bracket_on_polycatenane_walks():
+    # all threads of these skeletons are null-homologous, so words on the
+    # triangle sides are all that ties the flip to the cell
+    from weavekit.corpus import skeleton_corpus
+
+    skeletons = dict(skeleton_corpus())
+    flips = 0
+    for name in ("hex-3cr0-s1", "square-4br2-s1"):
+        d = skeletons[name]
+        for seed in range(4):
+            for cur in fuzz(d, 60, seed, max_crossings=len(d.crossings) + 6).diagrams:
+                f0 = None
+                for m in enumerate_moves(cur):
+                    if m.kind == "R3":
+                        f0 = f0 or kauffman_f(cur)
+                        assert kauffman_f(apply_move(cur, m)) == f0, (name, seed, str(m))
+                        flips += 1
+    assert flips > 0
+
+
+def test_triangle_with_wrapping_holonomy_is_not_a_site():
+    # one more letter on a side of a flippable triangle leaves a diagram
+    # that validates but whose triangle wraps the cell: it is no flip
+    from weavekit.corpus import skeleton_corpus
+    from weavekit.diagram import Edge
+
+    d = dict(skeleton_corpus())["tri-cr-s2"]
+    m = next(m for m in enumerate_moves(d) if m.kind == "R3")
+    face = d.faces()[d.corner_face()[m.params[0][0]]]
+    eid = face.steps[0][0]
+    wrapped = d.replace(
+        edges=[Edge(e.id, e.ends, e.word + (1,)) if e.id == eid else e for e in d.edges]
+    )
+    assert wrapped.validate().ok
+    assert m not in enumerate_moves(wrapped)
+    with pytest.raises(IllegalMove):
+        apply_move(wrapped, m)
 
 
 def test_removal_sites_replay_with_params_in_any_order():
