@@ -13,11 +13,13 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import canonical, corpus, diagram, invariants, moves, tessellation
-from .diagram import DiagramError, SurfaceDiagram
-from .invariants import TooManyCrossings
+from . import diagram
+from .diagram import DiagramError, SurfaceDiagram, TooManyCrossings
+
+if TYPE_CHECKING:
+    from .moves import Move
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -28,7 +30,7 @@ EXIT_BUDGET = 3
 # -- move trace format ------------------------------------------------------------
 
 
-def format_move(m: moves.Move) -> str:
+def format_move(m: Move) -> str:
     if m.kind == "R1_add":
         eid, chir = m.params
         return f"R1_add e{eid} chirality={'+1' if chir > 0 else '-1'}"
@@ -47,29 +49,31 @@ def format_move(m: moves.Move) -> str:
     raise ValueError(f"unknown move kind {m.kind!r}")
 
 
-def parse_move(line: str) -> moves.Move:
+def parse_move(line: str) -> Move:
+    from .moves import Move
+
     parts = line.split()
     kind = parts[0]
     if kind == "R1_add":
         eid = int(parts[1][1:])
         chir = 1 if parts[2].endswith("+1") else -1
-        return moves.Move("R1_add", (eid, chir))
+        return Move("R1_add", (eid, chir))
     if kind == "R1_remove":
-        return moves.Move("R1_remove", (int(parts[1][1:]),))
+        return Move("R1_remove", (int(parts[1][1:]),))
     if kind == "R2_add":
         def step(tok: str) -> tuple[int, int]:
             e, _, d = tok.partition(".")
             return (int(e[1:]), int(d))
         over_first = parts[3].endswith("first")
-        return moves.Move("R2_add", (step(parts[1]), step(parts[2]), over_first))
+        return Move("R2_add", (step(parts[1]), step(parts[2]), over_first))
     if kind == "R2_remove":
-        return moves.Move("R2_remove", (int(parts[1][1:]), int(parts[2][1:])))
+        return Move("R2_remove", (int(parts[1][1:]), int(parts[2][1:])))
     if kind == "R3":
         corners = []
         for tok in parts[1:]:
             c, _, s = tok.partition(".")
             corners.append((int(c[1:]), int(s)))
-        return moves.Move("R3", (tuple(corners),))
+        return Move("R3", (tuple(corners),))
     raise ValueError(f"unknown move line {line!r}")
 
 
@@ -77,6 +81,8 @@ def parse_move(line: str) -> moves.Move:
 
 
 def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object]:
+    from . import canonical, invariants, tessellation
+
     rep: dict[str, object] = {}
     validation = d.validate()
     rep["genus"] = d.genus
@@ -158,6 +164,8 @@ def _emit_report(rep: dict[str, object], fmt: str, out=None) -> None:
 
 def verify_invariance(steps: int, seed: int, cap: int, budget: Optional[int]):
     """Bracket behavior move by move along one seeded walk."""
+    from . import corpus, invariants, moves
+
     lines: list[str] = []
     failures: list[str] = []
     base = corpus.alternating_corpus()[0][1]
@@ -194,6 +202,8 @@ def verify_invariance(steps: int, seed: int, cap: int, budget: Optional[int]):
 
 
 def verify_oracle(budget: Optional[int]):
+    from . import corpus, invariants
+
     lines: list[str] = []
     failures: list[str] = []
     tested = 0
@@ -213,6 +223,8 @@ def verify_oracle(budget: Optional[int]):
 
 
 def verify_tait1(steps: int, seed: int, budget: Optional[int]):
+    from . import corpus, moves
+
     lines: list[str] = []
     failures: list[str] = []
     for name, d in corpus.alternating_corpus():
@@ -240,6 +252,8 @@ def verify_tait1(steps: int, seed: int, budget: Optional[int]):
 
 
 def verify_tait2(seed: int, budget: Optional[int]):
+    from . import canonical, corpus, invariants, moves
+
     lines: list[str] = []
     failures: list[str] = []
     base_pairs = []
@@ -272,6 +286,8 @@ def verify_tait2(seed: int, budget: Optional[int]):
 
 
 def cmd_build(args) -> int:
+    from . import tessellation
+
     if args.seq and args.alternating:
         raise ValueError("--seq and --alternating cannot be combined")
     symbol = tessellation.parse_vertex_symbol(args.tiling)
@@ -319,6 +335,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import moves
+
     with open(args.file) as fh:
         d = diagram.parse(fh.read())
     trace = moves.fuzz(d, args.steps, args.seed, max_crossings=args.cap, keep_diagrams=False)
@@ -335,6 +353,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
+    from . import canonical
+
     if args.winding:
         vectors = []
         for chunk in args.winding.split(";"):
@@ -351,6 +371,8 @@ def cmd_canonicalize(args) -> int:
     elif args.file is None:
         raise ValueError("canonicalize needs a diagram FILE or --winding")
     else:
+        from . import invariants
+
         with open(args.file) as fh:
             d = diagram.parse(fh.read())
         genus = d.genus
@@ -460,7 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TooManyCrossings as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DiagramError, tessellation.TessellationError, OSError, ValueError) as exc:
+    except (DiagramError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -50,6 +50,10 @@ class ZeroHomologyThread(DiagramError):
     """A component expected to wrap the cell is null-homologous."""
 
 
+class TooManyCrossings(DiagramError):
+    """State enumeration would exceed the configured crossing budget."""
+
+
 @dataclass(frozen=True)
 class Crossing:
     id: CrossingId
@@ -446,6 +450,10 @@ class SurfaceDiagram:
             report.errors.append(
                 f"Euler count: {nfaces} faces, expected {expected} for genus {self.genus}"
             )
+        for f in self.faces():
+            if not words.is_trivial(f.holonomy, self.genus):
+                word = words.format_word(words.free_reduce(f.holonomy), self.genus)
+                report.errors.append(f"region f{f.id} wraps the cell: boundary word {word}")
         return report
 
 

@@ -41,16 +41,12 @@ import os
 from typing import Callable, Iterator, Optional
 
 from . import laurent, words
-from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId
+from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
 from .laurent import LaurentPoly, LOOP_FACTOR
 from .states import A_PAIRING, B_PAIRING, StateTracer, WindingKey, normalize_class, split
 
 DEFAULT_BUDGET = 24
 BUDGET_ENV_VAR = "WEAVE_CROSSING_BUDGET"
-
-
-class TooManyCrossings(DiagramError):
-    """State enumeration would exceed the configured crossing budget."""
 
 
 class NotCheckerboardColorable(DiagramError):

@@ -151,13 +151,6 @@ def divmod_single(p: LaurentPoly, q: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     )
 
 
-def divides(q: LaurentPoly, p: LaurentPoly) -> bool:
-    if not p:
-        return True
-    _, rem = divmod_single(p, q)
-    return not rem
-
-
 def substitute_inverse(p: LaurentPoly) -> LaurentPoly:
     """Substitute the variable by its inverse (exponent negation)."""
     return {-e: c for e, c in p.items()}

@@ -21,11 +21,14 @@ boundary words and over-axes in place.
 One routine, ``_site``, decides whether a region is a removal or flip
 site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
 removal or flip only when ``_site`` finds it again, so every advertised
-move applies. Regions are looked up through the corner index
-``SurfaceDiagram.corner_face`` (a step lies in the region of its arrival
-corner), never found by scanning every region: a site is sought only among
-the regions at its first crossing, and a push only in the region of its
-first strand.
+move applies. ``enumerate_moves(d, kind)`` lists only the moves of one
+kind. ``fuzz`` draws a kind among the kinds that have a move, found
+without listing them, and then lists only that kind, so a seed gives the
+same walk as when every step listed every move. Regions are looked up
+through the corner index ``SurfaceDiagram.corner_face`` (a step lies in
+the region of its arrival corner), never found by scanning every region:
+a site is sought only among the regions at its first crossing, and a push
+only in the region of its first strand.
 """
 
 from __future__ import annotations
@@ -127,6 +130,7 @@ def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
 _SITE_FINDERS = {1: _monogon_site, 2: _bigon_site, 3: _triangle_site}
 # region length of each removal or flip kind
 _SITE_LENGTH = {"R1_remove": 1, "R2_remove": 2, "R3": 3}
+_LENGTH_SITE = {n: kind for kind, n in _SITE_LENGTH.items()}
 
 
 def _site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
@@ -135,23 +139,45 @@ def _site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     return finder(d, face) if finder else None
 
 
-def enumerate_moves(d: SurfaceDiagram) -> list[Move]:
-    """All applicable moves, ordered by kind and then by parameters."""
-    found: dict[str, set[tuple]] = {kind: set() for kind in _KIND_ORDER}
-    for e in d.edges:
-        found["R1_add"].update(((e.id, 1), (e.id, -1)))
+def enumerate_moves(d: SurfaceDiagram, kind: Optional[str] = None) -> list[Move]:
+    """All applicable moves, ordered by kind and then by parameters; with
+    ``kind``, only the moves of that kind, in the same order."""
+    if kind is not None and kind not in _KIND_ORDER:
+        raise ValueError(f"unknown move kind {kind!r}")
+    kinds = _KIND_ORDER if kind is None else (kind,)
+    found: dict[str, set[tuple]] = {k: set() for k in kinds}
+    if "R1_add" in found:
+        for e in d.edges:
+            found["R1_add"].update(((e.id, 1), (e.id, -1)))
+    site_lengths = {_SITE_LENGTH[k] for k in kinds if k in _SITE_LENGTH}
     for f in d.faces() if d.crossings or d.edges else ():
-        site = _site(d, f)
-        if site:
-            found[site.kind].add(site.params)
-        found["R2_add"].update(
-            (a, b, over_first)
-            for a in f.steps
-            for b in f.steps
-            if a[0] != b[0]
-            for over_first in (True, False)
-        )
-    return [Move(kind, params) for kind in _KIND_ORDER for params in sorted(found[kind])]
+        if len(f) in site_lengths:
+            site = _site(d, f)
+            if site:
+                found[site.kind].add(site.params)
+        if "R2_add" in found:
+            found["R2_add"].update(
+                (a, b, over_first)
+                for a in f.steps
+                for b in f.steps
+                if a[0] != b[0]
+                for over_first in (True, False)
+            )
+    return [Move(k, params) for k in kinds for params in sorted(found[k])]
+
+
+def _kinds_present(d: SurfaceDiagram) -> set[str]:
+    """The kinds ``enumerate_moves`` would list a move of, found without
+    listing them: a push needs a region with two distinct edges, and a
+    removal or flip kind is present once ``_site`` finds one site of it."""
+    present = {"R1_add"} if d.edges else set()
+    for f in d.faces() if d.crossings or d.edges else ():
+        if "R2_add" not in present and len({eid for eid, _ in f.steps}) > 1:
+            present.add("R2_add")
+        kind = _LENGTH_SITE.get(len(f))
+        if kind and kind not in present and _site(d, f):
+            present.add(kind)
+    return present
 
 
 # -- surgery ----------------------------------------------------------------------
@@ -377,21 +403,18 @@ def fuzz(
     trace = MoveTrace(seed, d)
     cur = d
     for _ in range(steps):
-        options = [
-            m
-            for m in enumerate_moves(cur)
-            if len(cur.crossings) + _DELTA[m.kind] <= max_crossings
-        ]
-        if not options:
+        n = len(cur.crossings)
+        kinds = [k for k in _kinds_present(cur) if n + _DELTA[k] <= max_crossings]
+        if not kinds:
             break
-        if len(cur.crossings) > 0.75 * max_crossings:
-            removals = [m for m in options if m.kind in _REMOVE_KINDS]
+        if n > 0.75 * max_crossings:
+            removals = [k for k in kinds if k in _REMOVE_KINDS]
             if removals:
-                options = removals
-        # choose the kind first so rare sites still get exercised
-        kinds = sorted({m.kind for m in options})
-        kind = rng.choice(kinds)
-        pick = rng.choice([m for m in options if m.kind == kind])
+                kinds = removals
+        # choose the kind first so rare sites still get exercised, and list
+        # only the moves of that kind
+        kind = rng.choice(sorted(kinds))
+        pick = rng.choice(enumerate_moves(cur, kind))
         cur = apply_move(cur, pick)
         trace.moves.append(pick)
         if keep_diagrams:
@@ -409,12 +432,13 @@ def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
     """Budgeted greedy reduction: removals first, triangle flips to unstick."""
     best = d
 
+    def removals(cur: SurfaceDiagram) -> list[Move]:
+        return enumerate_moves(cur, "R1_remove") or enumerate_moves(cur, "R2_remove")
+
     def greedy(cur: SurfaceDiagram) -> SurfaceDiagram:
-        while True:
-            removals = [m for m in enumerate_moves(cur) if m.kind in _REMOVE_KINDS]
-            if not removals:
-                return cur
-            cur = apply_move(cur, removals[0])
+        while found := removals(cur):
+            cur = apply_move(cur, found[0])
+        return cur
 
     # greedy is deterministic: every restart starts from its one result
     start = greedy(d)
@@ -424,12 +448,11 @@ def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
         for _ in range(_SIMPLIFY_ROUNDS):
             if len(cur.crossings) < len(best.crossings):
                 best = cur
-            moves = enumerate_moves(cur)
-            removals = [m for m in moves if m.kind in _REMOVE_KINDS]
-            if removals:
-                cur = apply_move(cur, removals[0])
+            found = removals(cur)
+            if found:
+                cur = apply_move(cur, found[0])
                 continue
-            flips = [m for m in moves if m.kind == "R3"]
+            flips = enumerate_moves(cur, "R3")
             if not flips:
                 break
             cur = apply_move(cur, rng.choice(flips))

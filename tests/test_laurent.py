@@ -12,6 +12,10 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return quo
 
 
+def divides(q: LaurentPoly, p: LaurentPoly) -> bool:
+    return not p or not laurent.divmod_single(p, q)[1]
+
+
 def parse_poly(text: str, var: str = "A") -> LaurentPoly:
     """Read back the text form ``laurent.format_poly`` writes."""
     text = text.strip()
@@ -64,8 +68,8 @@ def test_loop_factor_divides_its_powers():
 
 
 def test_division_detects_non_multiples():
-    assert not laurent.divides(LOOP_FACTOR, {1: 1})
-    assert laurent.divides(LOOP_FACTOR, {})
+    assert not divides(LOOP_FACTOR, {1: 1})
+    assert divides(LOOP_FACTOR, {})
     with pytest.raises(ValueError):
         exact_div({1: 1}, LOOP_FACTOR)
 

@@ -200,8 +200,8 @@ def test_windings_only_diagram_has_no_certified_bound():
 
 def test_wrapping_bigon_is_not_removable():
     # two perpendicular wrapping threads crossing twice: the two-sided
-    # regions between them wrap the cell, so pulling them apart would
-    # change the weave
+    # regions between them wrap the cell, which validation reports, and
+    # pulling them apart would change the weave
     d = SurfaceDiagram.build(
         1,
         [AXIS_13, AXIS_13],
@@ -212,7 +212,10 @@ def test_wrapping_bigon_is_not_removable():
             ((1, 1), (0, 3), (2,)),
         ],
     )
-    assert d.validate().ok
+    assert d.validate().errors == [
+        "region f0 wraps the cell: boundary word Ab",
+        "region f1 wraps the cell: boundary word aB",
+    ]
     assert len(d.faces()) == 2
     sites = [m for m in enumerate_moves(d) if m.kind == "R2_remove"]
     assert sites == []
@@ -295,7 +298,8 @@ def test_listed_flips_keep_the_bracket_on_polycatenane_walks():
 
 def test_triangle_with_wrapping_holonomy_is_not_a_site():
     # one more letter on a side of a flippable triangle leaves a diagram
-    # that validates but whose triangle wraps the cell: it is no flip
+    # whose triangle, and the region across that side, wrap the cell:
+    # validation reports both, and the triangle is no flip
     from weavekit.corpus import skeleton_corpus
     from weavekit.diagram import Edge
 
@@ -306,7 +310,10 @@ def test_triangle_with_wrapping_holonomy_is_not_a_site():
     wrapped = d.replace(
         edges=[Edge(e.id, e.ends, e.word + (1,)) if e.id == eid else e for e in d.edges]
     )
-    assert wrapped.validate().ok
+    assert wrapped.validate().errors == [
+        "region f0 wraps the cell: boundary word a",
+        "region f1 wraps the cell: boundary word A",
+    ]
     assert m not in enumerate_moves(wrapped)
     with pytest.raises(IllegalMove):
         apply_move(wrapped, m)
@@ -361,3 +368,27 @@ def test_bigon_whose_removal_leaves_an_annulus_is_not_a_site():
     assert Move("R2_remove", (0, 3)) not in enumerate_moves(d)
     with pytest.raises(IllegalMove):
         apply_move(d, Move("R2_remove", (0, 3)))
+
+
+def test_listing_one_kind_matches_the_filtered_full_list():
+    # a fuzz step draws a kind among the kinds present and lists only that
+    # kind, so both must agree with the full listing, at both genera
+    from weavekit.corpus import alternating_corpus, full_corpus, genus2_corpus
+    from weavekit.moves import _KIND_ORDER, _kinds_present
+
+    alternating = dict(alternating_corpus())
+    starts = [alternating["square-cr-s2"], alternating["kagome-cr-s2"]]
+    starts += [d for _, d in genus2_corpus()]
+    diagrams = [d for _, d in full_corpus()]
+    for seed, d in enumerate(starts):
+        diagrams += fuzz(d, 30, seed, max_crossings=12).diagrams
+    seen = {1: set(), 2: set()}
+    for d in diagrams:
+        full = enumerate_moves(d)
+        for kind in _KIND_ORDER:
+            assert enumerate_moves(d, kind) == [m for m in full if m.kind == kind]
+        assert _kinds_present(d) == {m.kind for m in full}
+        seen[d.genus].update(m.kind for m in full)
+    assert seen == {1: set(_KIND_ORDER), 2: set(_KIND_ORDER)}
+    with pytest.raises(ValueError, match="unknown move kind 'R4'"):
+        enumerate_moves(d, "R4")

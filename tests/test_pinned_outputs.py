@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fixtures import grid_weave
 from weavekit import cli, corpus
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, SurfaceDiagram, serialize
-from weavekit.moves import apply_move, enumerate_moves, fuzz
+from weavekit.moves import apply_move, enumerate_moves, fuzz, simplify
 from weavekit.states import split
 from weavekit.tessellation import (
     TransformSpec,
@@ -180,3 +180,70 @@ def test_canonicalize_outputs_are_pinned(tmp_path, monkeypatch):
     assert _canonicalize_digest(runs) == CANONICALIZE_DIAGRAMS
     runs = [["canonicalize", "--winding", w] for w in WINDING_SETS]
     assert _canonicalize_digest(runs) == CANONICALIZE_WINDINGS
+
+
+# -- fuzz, verify and simplify ------------------------------------------------------
+
+# sha256 of the --trace file and the -o file of every `fuzz` run from each
+# start of the benchmark's walk workload, at caps 10-12 and seeds 0-1, taken
+# while every fuzz step still listed every move before drawing a kind
+FUZZ_STEPS = 60
+FUZZ_TRACES = {
+    "square-cr-s2": "b74efc08096a7872c78bf369d007fbc3a8fdd1f69d806a9b687db4efee9a437d",
+    "kagome-cr-s2": "b329fb35ac9b503c928a8d8dd9cb3dd94b791860e06b0ac78c7f46d3d8918654",
+    "genus2-c3-a": "1ccc92b9eb0245c34e2ca4b7da2687ab5f49ea5472d184d2acee15efb7c450e1",
+    "genus2-c3-b": "d59a7c054ce798b03ddccdf6746f2be5b82a90432ac9b08713b5715430a0e8c4",
+    "genus2-c4": "9208420c2a41b07a9cb3763a41a7f3af1c148cba86182ef039058a1706c9850a",
+    "genus2-c6": "7e7a46fcd2f12888a38789b7fd5b70fdfc8db920ed05522494244208d5f65314",
+}
+# sha256 of exit code and stdout of `verify --suite invariance --steps 30` at
+# caps 10-12, taken at the same point
+VERIFY_INVARIANCE = "66bfa363023042d8d35c3fae2dfe5ecb8d99de3af6e9f1d941d074584be87b86"
+# sha256 of `simplify(d)` of every valid corpus diagram, taken at the same point
+SIMPLIFY_COUNT = 22
+SIMPLIFIED = "71f09e1eb729bd713ec2a70298b3c11bc46203768c9062e0f32974025ab0ffa7"
+
+
+def _walk_starts():
+    alternating = dict(corpus.alternating_corpus())
+    starts = {name: alternating[name] for name in ("square-cr-s2", "kagome-cr-s2")}
+    starts.update(corpus.genus2_corpus())
+    return starts
+
+
+def test_fuzz_traces_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, d in _walk_starts().items():
+        (tmp_path / f"{name}.weave").write_text(serialize(d))
+        h = hashlib.sha256()
+        for cap in (10, 11, 12):
+            for seed in (0, 1):
+                assert "exit=0" in _cli([
+                    "fuzz", f"{name}.weave", "--steps", str(FUZZ_STEPS), "--seed", str(seed),
+                    "--cap", str(cap), "--trace", "t.trace", "-o", "end.weave",
+                ])
+                h.update((tmp_path / "t.trace").read_bytes() + b"--\n")
+                h.update((tmp_path / "end.weave").read_bytes() + b"==\n")
+        digests[name] = h.hexdigest()
+    assert digests == FUZZ_TRACES
+
+
+def test_verify_invariance_output_is_pinned():
+    h = hashlib.sha256()
+    for cap in (10, 11, 12):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["verify", "--suite", "invariance", "--steps", "30", "--cap", str(cap)])
+        h.update(f"exit={code}\n{out.getvalue()}".encode())
+    assert h.hexdigest() == VERIFY_INVARIANCE
+
+
+def test_simplify_results_are_pinned():
+    results = [simplify(d) for d in _valid_corpus(99)]
+    assert len(results) == SIMPLIFY_COUNT
+    h = hashlib.sha256()
+    for s in results:
+        h.update(serialize(s).encode())
+        h.update(repr((s.crossings, s.edges, s.loops)).encode())
+    assert h.hexdigest() == SIMPLIFIED
