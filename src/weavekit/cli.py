@@ -9,7 +9,6 @@ sorted keys, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -81,7 +80,7 @@ def parse_move(line: str) -> Move:
 
 
 def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object]:
-    from . import canonical, invariants, tessellation
+    from . import canonical, invariants
 
     rep: dict[str, object] = {}
     validation = d.validate()
@@ -101,7 +100,7 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
     rep["thread_homology"] = {
         f"t{t.id}": list(t.homology) for t in threads
     }
-    rep["classification"] = tessellation.classify(d)
+    rep["classification"] = diagram.classify(d)
     try:
         sets = d.thread_sets()
         rep["thread_sets"] = [list(s) for s in sets]
@@ -148,6 +147,8 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
 def _emit_report(rep: dict[str, object], fmt: str, out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "json-report":
+        import json
+
         json.dump(rep, out, sort_keys=True, indent=2, default=str)
         out.write("\n")
         return
@@ -382,7 +383,9 @@ def cmd_canonicalize(args) -> int:
     print(f"q_after = {result.q_after}")
     print(f"certified = {result.certified}")
     print(f"matrix = {result.matrix}")
-    print(f"canonical = {[v for v, n in result.winding.items() for _ in range(n)]}")
+    # the expanded list runs to 2^C entries; repeat each class's repr instead
+    listed = ", ".join(", ".join([repr(v)] * n) for v, n in result.winding.items() if n)
+    print(f"canonical = [{listed}]")
     if args.certify_ball:
         bq, bset = canonical.brute_force_minimum(V, genus, args.certify_ball)
         match = bq == result.q_after and bset == result.winding

@@ -477,6 +477,20 @@ def primitive_direction(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(prim)
 
 
+def classify(d: SurfaceDiagram) -> str:
+    """'Weave', 'Polycatenane', or 'Mixed' by thread homology census."""
+    threads = d.threads()
+    if not threads:
+        return "Polycatenane"
+    nonzero = [t for t in threads if any(t.homology)]
+    if not nonzero:
+        return "Polycatenane"
+    if len(nonzero) < len(threads):
+        return "Mixed"
+    directions = {primitive_direction(t.homology) for t in threads}
+    return "Weave" if len(directions) >= 2 else "Mixed"
+
+
 def _component_count(d: SurfaceDiagram) -> int:
     n = len(d.crossings)
     parent = list(range(n))

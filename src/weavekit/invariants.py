@@ -23,14 +23,18 @@ winding key, the number of states by A-exponent i - j and trivial-loop
 count. From 6 crossings up the census comes from the frontier
 (transfer-matrix) evaluator ``_frontier``. It places one crossing at a
 time, next the one with the most edges to crossings already placed, and
-keeps a dict from frontier key (the open arcs with their partial Z^{2g}
-vectors, plus the winding classes of the loops already closed) to state
-counts, so its work follows the width of the frontier rather than 2^C.
-Below 6 crossings the Gray-code walk over all 2^C states is faster and
-supplies the census. Two independent paths serve as oracles, and tests and
-``verify --suite oracle`` hold all three to identical values:
-``bracket_by_state_sum`` (the Gray-code walk at every size) and
-``bracket_by_skein`` (recursive splitting by diagram surgery).
+keeps a dict from frontier key to state counts, so its work follows the
+width of the frontier rather than 2^C. Keys and values are flat ints: the
+open darts stand in one fixed order per step, so a key is each dart's
+partner position, each dart's partial Z^{2g} vector packed into one int,
+and the packed winding classes of the loops already closed; a value maps
+the A-exponent and trivial-loop count, packed into one int, to a count.
+Only the final keys are decoded. Below 6 crossings the Gray-code walk over
+all 2^C states supplies the census (see ``FRONTIER_MIN_CROSSINGS``). Two
+independent paths serve as oracles, and tests and ``verify --suite oracle``
+hold all three to identical values: ``bracket_by_state_sum`` (the Gray-code
+walk at every size) and ``bracket_by_skein`` (recursive splitting by diagram
+surgery).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 import itertools
 import os
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import laurent, words
 from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
@@ -181,11 +185,30 @@ class BracketValue:
 
 # -- bracket evaluation ------------------------------------------------------------
 
-# open arcs as (lower dart, higher dart, Z^{2g} vector from the lower to the
-# higher), sorted, and the sorted winding classes of the loops already closed
-FrontierKey = tuple[tuple[tuple[int, int, tuple[int, ...]], ...], WindingKey]
-# (A-exponent i - j, trivial-loop count) -> number of partial states
-FrontierValue = dict[tuple[int, int], int]
+# Per open dart, in the step's fixed order: the position of the other end of
+# its arc, and the packed vector from it to that end; then the sorted packed
+# classes of the loops already closed.
+FrontierKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# (i - j) * K + trivial-loop count -> partial states, K above every count
+FrontierValue = dict[int, int]
+# per winding multiset: (i - j, trivial-loop count) -> states
+Census = dict[WindingKey, dict[tuple[int, int], int]]
+
+
+def _pack(vec: Iterable[int], base: int) -> int:
+    """A Z^{2g} vector as one int, first coordinate most significant. While
+    each |coordinate| < base/4, + and - act per coordinate, and sign and
+    order are those of the vector read lexicographically."""
+    p = 0
+    for x in vec:
+        p = p * base + x
+    return p
+
+
+def _unpack(p: int, base: int, dim: int) -> tuple[int, ...]:
+    half = base // 2  # base is even; shifting every digit by half makes it positive
+    p += half * (base**dim - 1) // (base - 1)
+    return tuple(p // base**i % base - half for i in range(dim - 1, -1, -1))
 
 
 def _crossing_order(tracer: StateTracer) -> list[int]:
@@ -204,75 +227,88 @@ def _crossing_order(tracer: StateTracer) -> list[int]:
     return order
 
 
-def _frontier(d: SurfaceDiagram) -> dict[WindingKey, FrontierValue]:
+def _frontier(d: SurfaceDiagram) -> Census:
     """Transfer-matrix evaluation of the state sum, one crossing at a time.
 
     Placing a crossing adds its two split arcs, then glues every edge whose
     far end is already placed; an arc glued to itself closes into a loop,
     counted in the value when null-homologous and recorded in the key
-    otherwise. After k crossings the frontier holds at most 2^k entries.
-    Returns, per winding multiset of the full states (free loops included),
-    the state counts by A-exponent and trivial-loop count.
+    otherwise. After k crossings the frontier holds at most 2^k entries of
+    flat ints (``FrontierKey``, ``FrontierValue``), decoded at the end into,
+    per winding multiset of the full states (free loops included), the
+    state counts by A-exponent and trivial-loop count.
     """
     tracer = StateTracer(d)
-    alpha, wvec = tracer.alpha, tracer.wvec
-    zero = (0,) * (2 * tracer.genus)
-    placed = [False] * tracer.n_crossings
-    frontier: dict[FrontierKey, FrontierValue] = {((), ()): {(0, 0): 1}}
+    alpha = tracer.alpha
+    C = tracer.n_crossings
+    # a vector met on the way runs over distinct edges and free loops, so no
+    # coordinate exceeds their total word length
+    length = sum(len(e.word) for e in d.edges) + sum(len(w) for w in d.loops)
+    base = 4 * length + 4
+    wvec = [_pack(vec, base) for vec in tracer.wvec]
+    K = tracer.base_trivial + 2 * C + 1
+    closed = tuple(sorted(_pack(vec, base) for vec in tracer.base_winding))
+    frontier: dict[FrontierKey, FrontierValue] = {((), (), closed): {tracer.base_trivial: 1}}
+    placed = [False] * C
+    open_darts: list[int] = []
     for c in _crossing_order(tracer):
         placed[c] = True
         darts = range(4 * c, 4 * c + 4)
+        slots = open_darts + list(darts)
+        pos = {u: i for i, u in enumerate(slots)}
         glue = [
-            (u, alpha[u], wvec[u])
+            (pos[u], pos[alpha[u]], wvec[u])
             for u in darts
             if placed[alpha[u] >> 2] and (alpha[u] >> 2 != c or u < alpha[u])
         ]
+        keep = [i for i, u in enumerate(slots) if not placed[alpha[u] >> 2]]
+        renum = {i: j for j, i in enumerate(keep)}
+        open_darts = [slots[i] for i in keep]
+        splits = [
+            (shift * K, [pos[pair[u]] for u in darts])
+            for pair, shift in ((tracer.pair_a, 1), (tracer.pair_b, -1))
+        ]
         nxt: dict[FrontierKey, FrontierValue] = {}
-        for (arcs, closed), value in frontier.items():
-            for pair, shift in ((tracer.pair_a, 1), (tracer.pair_b, -1)):
-                # ends[x] = (other end of x's arc, vector from x to it)
-                ends: dict[int, tuple[int, tuple[int, ...]]] = {}
-                for lo, hi, vec in arcs:
-                    ends[lo] = (hi, vec)
-                    ends[hi] = (lo, tuple(-x for x in vec))
-                for u in darts:
-                    ends[u] = (pair[u], zero)
-                trivial = 0
-                winding = list(closed)
-                for u, v, e in glue:
-                    p, x = ends.pop(u)
-                    q, y = ends.pop(v)
-                    if p == v:
-                        cls = normalize_class([a - b for a, b in zip(x, e)])
-                        if cls is None:
-                            trivial += 1
-                        else:
-                            winding.append(cls)
+        for (mates, vecs, closed), value in frontier.items():
+            for delta, tail in splits:
+                m = [*mates, *tail]
+                v = [*vecs, 0, 0, 0, 0]
+                wound = []
+                for a, b, e in glue:
+                    p, q = m[a], m[b]
+                    if p != b:
+                        m[p], m[q] = q, p
+                        v[p] = e - v[a] + v[b]
+                        v[q] = -v[p]
+                    elif v[a] == e:
+                        delta += 1
                     else:
-                        path = tuple(ev + yv - xv for xv, ev, yv in zip(x, e, y))
-                        ends[p] = (q, path)
-                        ends[q] = (p, tuple(-a for a in path))
+                        wound.append(abs(v[a] - e))
                 key = (
-                    tuple(sorted((a, b, vec) for a, (b, vec) in ends.items() if a < b)),
-                    tuple(sorted(winding)),
+                    tuple([renum[m[i]] for i in keep]),
+                    tuple([v[i] for i in keep]),
+                    tuple(sorted(closed + tuple(wound))) if wound else closed,
                 )
-                bucket = nxt.setdefault(key, {})
-                for (aexp, t), n in value.items():
-                    k = (aexp + shift, t + trivial)
-                    bucket[k] = bucket.get(k, 0) + n
+                bucket = nxt.get(key)
+                if bucket is None:
+                    nxt[key] = {k + delta: n for k, n in value.items()}
+                else:
+                    for k, n in value.items():
+                        bucket[k + delta] = bucket.get(k + delta, 0) + n
         frontier = nxt
     # every arc is closed now, so the keys differ in their windings alone
+    dim = 2 * tracer.genus
     return {
-        tuple(sorted(closed + tracer.base_winding)): {
-            (aexp, t + tracer.base_trivial): n for (aexp, t), n in value.items()
+        tuple(_unpack(p, base, dim) for p in closed): {
+            divmod(k, K): n for k, n in value.items()
         }
-        for (_arcs, closed), value in frontier.items()
+        for (_mates, _vecs, closed), value in frontier.items()
     }
 
 
-# The Gray-code walk resolves whole states, the frontier pays dict work per
-# partial state; measured on corpus and fuzz-walk diagrams the walk is about
-# twice as fast below 6 crossings and the frontier wins from 6 up.
+# Per bracket on fuzz-walk diagrams, the Gray-code walk is 1.6x as fast as the
+# frontier at 3 crossings and even at 4; the frontier is 1.4x as fast at 5 and
+# 2.7x at 6. The walk keeps C < 6 as the benchmark's tracer counts only its states.
 FRONTIER_MIN_CROSSINGS = 6
 
 
@@ -290,10 +326,10 @@ def _walk_states(tracer: StateTracer) -> Iterator[tuple[int, int, WindingKey]]:
         yield gray, trivial, key
 
 
-def _walk_census(d: SurfaceDiagram) -> dict[WindingKey, FrontierValue]:
+def _walk_census(d: SurfaceDiagram) -> Census:
     """The frontier's result, counted state by state from the Gray-code walk."""
     C = len(d.crossings)
-    out: dict[WindingKey, FrontierValue] = {}
+    out: Census = {}
     for gray, trivial, key in _walk_states(StateTracer(d)):
         bucket = out.setdefault(key, {})
         k = (C - 2 * gray.bit_count(), trivial)
@@ -301,14 +337,14 @@ def _walk_census(d: SurfaceDiagram) -> dict[WindingKey, FrontierValue]:
     return out
 
 
-def _census(d: SurfaceDiagram, budget: Optional[int]) -> dict[WindingKey, FrontierValue]:
+def _census(d: SurfaceDiagram, budget: Optional[int]) -> Census:
     _check_budget(d, budget)
     if len(d.crossings) < FRONTIER_MIN_CROSSINGS:
         return _walk_census(d)
     return _frontier(d)
 
 
-def _fold(census: dict[WindingKey, FrontierValue]) -> BracketValue:
+def _fold(census: Census) -> BracketValue:
     """Sum count * A^(i-j) * d^trivial per key."""
     dpows = [dict(laurent.ONE)]
     parts: dict[WindingKey, LaurentPoly] = {}

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import words
-from .diagram import AXIS_13, Crossing, DiagramError, End, Node, SurfaceDiagram, splice
+from .diagram import AXIS_13, Crossing, DiagramError, End, Node, SurfaceDiagram, classify, splice
 from .words import Word
 
 
@@ -440,23 +440,7 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
     return SurfaceDiagram.build(tiling.genus, [AXIS_13] * n_crossings, edge_specs, loops)
 
 
-# -- classification and crossing sequences ------------------------------------------------
-
-
-def classify(d: SurfaceDiagram) -> str:
-    """'Weave', 'Polycatenane', or 'Mixed' by thread homology census."""
-    from .diagram import primitive_direction
-
-    threads = d.threads()
-    if not threads:
-        return "Polycatenane"
-    nonzero = [t for t in threads if any(t.homology)]
-    if not nonzero:
-        return "Polycatenane"
-    if len(nonzero) < len(threads):
-        return "Mixed"
-    directions = {primitive_direction(t.homology) for t in threads}
-    return "Weave" if len(directions) >= 2 else "Mixed"
+# -- crossing sequences ---------------------------------------------------------------------
 
 
 def read_sequence(d: SurfaceDiagram, set_i: int, set_j: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
-"""Each subcommand imports only the modules it runs, and every public name
-of the package resolves although importing the package loads no module.
+"""Each subcommand imports only the modules it runs (``json`` only for JSON
+output), and every public name of the package resolves although importing
+the package loads no module.
 
 Each check runs in a fresh interpreter, since this process has imported
 everything already.
@@ -27,7 +28,7 @@ LOADED = """
 import sys
 from weavekit import cli
 code = cli.main({argv!r})
-print(code, *sorted(m for m in sys.modules if m.startswith("weavekit.")))
+print(code, *sorted(m for m in sys.modules if m.startswith("weavekit.") or m == "json"))
 """
 
 
@@ -57,7 +58,15 @@ def test_build_loads_no_moves_or_state_sum(tmp_path):
     loaded = _loaded(["build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "2",
                       "--alternating", "-o", "w.weave"], tmp_path)
     assert "tessellation" in loaded
-    assert not loaded & {"moves", "invariants", "canonical", "states"}
+    assert not loaded & {"moves", "invariants", "canonical", "states", "json"}
+
+
+def test_analyze_loads_no_tessellation_or_moves(tmp_path):
+    (tmp_path / "w.weave").write_text(serialize(corpus.alternating_corpus()[0][1]))
+    loaded = _loaded(["analyze", "w.weave"], tmp_path)
+    assert {"invariants", "canonical"} <= loaded
+    assert not loaded & {"tessellation", "moves", "corpus", "json"}
+    assert "json" in _loaded(["--format", "json-report", "analyze", "w.weave"], tmp_path)
 
 
 def test_public_names_resolve_lazily(tmp_path):

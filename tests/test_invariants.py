@@ -6,7 +6,7 @@ import pytest
 
 from fixtures import grid_weave, plain_weave_2x2, relabelled, single_loop, torus_curl, twill_4x4
 from weavekit import laurent
-from weavekit.corpus import full_corpus
+from weavekit.corpus import full_corpus, genus2_corpus
 from weavekit.diagram import SurfaceDiagram
 from weavekit.invariants import (
     FRONTIER_MIN_CROSSINGS,
@@ -14,6 +14,8 @@ from weavekit.invariants import (
     NotCheckerboardColorable,
     TooManyCrossings,
     _crossing_order,
+    _frontier,
+    _walk_census,
     _walk_states,
     adequacy,
     bracket,
@@ -36,7 +38,7 @@ from weavekit.invariants import (
     writhe,
     writhe_per_component,
 )
-from weavekit.moves import Move, apply_move
+from weavekit.moves import Move, apply_move, fuzz
 from weavekit.states import StateTracer, split
 
 PLAIN_BRACKET = (
@@ -271,6 +273,36 @@ def test_frontier_equals_state_sum_up_to_sixteen_crossings():
     assert any(len(d.crossings) == 16 for _name, d in diagrams)
     for name, d in diagrams:
         assert bracket_by_frontier(d) == bracket_by_state_sum(d), name
+
+
+def _longest_word(d):
+    return max(len(e.word) for e in d.edges)
+
+
+# Whole censuses, state counts included, against the packed frontier keys: a
+# free loop beyond the edge words' digit bound, long genus-2 edge words, and a
+# crossing order scrambled by relabelling.
+def test_frontier_census_with_a_long_free_loop():
+    d = plain_weave_2x2()
+    # the loop winds (12, 1): longer than the 4 letters of all edge words together
+    word = (1,) * 12 + (2,)
+    assert len(word) > sum(len(e.word) for e in d.edges)
+    with_loop = SurfaceDiagram(d.genus, d.crossings, d.edges, d.loops + (word,))
+    census = _frontier(with_loop)
+    assert census == _walk_census(with_loop)
+    assert all((12, 1) in key for key in census)
+
+
+def test_frontier_census_after_a_long_genus_two_walk():
+    start = dict(genus2_corpus())["genus2-c6"]
+    d = max(fuzz(start, 200, 2, max_crossings=10).diagrams, key=_longest_word)
+    assert _longest_word(d) >= 100
+    assert _frontier(d) == _walk_census(d)
+
+
+def test_frontier_census_of_a_relabelled_twill():
+    d = relabelled(twill_4x4(), random.Random(11))
+    assert _frontier(d) == _walk_census(d)
 
 
 def test_full_winding_multiset_equals_state_walk_on_grid():
