@@ -23,13 +23,11 @@ does, so no quotient is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
 from . import words
-from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, map_walk
+from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, Frozen, init_field, map_walk
 from .states import normalize_class
 
 Vector = tuple[int, ...]
@@ -122,13 +120,17 @@ def apply_twist(M: Multiset, U: Matrix, genus: int) -> Multiset:
     return moved(M, U)
 
 
-@dataclass(frozen=True)
-class CanonicalResult:
-    winding: Multiset
-    matrix: Matrix
-    q_before: int
-    q_after: int
-    certified: bool
+class CanonicalResult(Frozen):
+    __slots__ = ("winding", "matrix", "q_before", "q_after", "certified")
+
+    def __init__(
+        self, winding: Multiset, matrix: Matrix, q_before: int, q_after: int, certified: bool
+    ) -> None:
+        init_field(self, "winding", winding)
+        init_field(self, "matrix", matrix)
+        init_field(self, "q_before", q_before)
+        init_field(self, "q_after", q_after)
+        init_field(self, "certified", certified)
 
 
 # -- exact minimization on the torus -------------------------------------------------
@@ -187,11 +189,8 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
             break
     q_star = q(u1) + q(u2)
 
-    # certified enumeration of every basis achieving q(u1)+q(u2) = minimum:
-    # q(u) >= (det G / trace G) |u|^2 bounds the search box exactly
-    trace_g = g00 + g11
-    bound_sq = Fraction(q_star * trace_g, det_g)
-    B = isqrt(int(bound_sq)) + 1
+    # certified enumeration of every basis achieving q(u1)+q(u2) = minimum
+    B = _box_radius(q_star, g00 + g11, det_g)
     shorts = [
         (ux, uy)
         for ux in range(-B, B + 1)
@@ -215,6 +214,13 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
     top_set = max((s for s, _ in candidates), key=_order)
     top_matrix = min(U for s, U in candidates if s == top_set)
     return CanonicalResult(top_set, top_matrix, q_before, best_q, True)
+
+
+def _box_radius(q_star: int, trace_g: int, det_g: int) -> int:
+    """A radius B such that every u with q(u) <= q_star lies in [-B, B]^2:
+    q(u) >= (det G / trace G) |u|^2 bounds the search box exactly. ``det_g``
+    is positive, so floor division gives the exact integer part."""
+    return isqrt(q_star * trace_g // det_g) + 1
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain, product
 from math import gcd
 from typing import Optional, Sequence
@@ -54,54 +53,123 @@ class TooManyCrossings(DiagramError):
     """State enumeration would exceed the configured crossing budget."""
 
 
-@dataclass(frozen=True)
-class Crossing:
-    id: CrossingId
-    over_axis: int  # AXIS_02 or AXIS_13
+class Record:
+    """A small value type whose fields are its ``__slots__``, listed in
+    constructor order. Equality and repr go field by field, and a record is
+    unhashable, as for a dataclass."""
 
-    def __post_init__(self) -> None:
-        if self.over_axis not in (AXIS_02, AXIS_13):
+    __slots__ = ()
+    __hash__ = None
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Frozen(Record):
+    """A record fixed at construction: assigning or deleting a field raises
+    AttributeError, and the hash is that of the field tuple. ``__init__``
+    writes each field once through ``init_field``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# bound once: looking up object.__setattr__ in every __init__ costs more
+# than the rest of a two-field construction
+init_field = object.__setattr__
+
+
+class Crossing(Frozen):
+    __slots__ = ("id", "over_axis")  # over_axis is AXIS_02 or AXIS_13
+
+    def __init__(self, id: CrossingId, over_axis: int) -> None:
+        if over_axis not in (AXIS_02, AXIS_13):
             raise DiagramError(f"over_axis must be {AXIS_02} or {AXIS_13}")
+        init_field(self, "id", id)
+        init_field(self, "over_axis", over_axis)
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: EdgeId
-    ends: tuple[End, End]
-    word: Word = ()
+class Edge(Frozen):
+    __slots__ = ("id", "ends", "word")
+
+    def __init__(self, id: EdgeId, ends: tuple[End, End], word: Word = ()) -> None:
+        init_field(self, "id", id)
+        init_field(self, "ends", ends)
+        init_field(self, "word", word)
 
     def directed_word(self, direction: int) -> Word:
         """Word picked up traversing the edge; direction 0 is ep0 -> ep1."""
         return self.word if direction == 0 else words.invert(self.word)
 
 
-@dataclass(frozen=True)
-class Face:
-    id: FaceId
-    steps: tuple[tuple[EdgeId, int], ...]   # directed edges around the boundary
-    corners: tuple[End, ...]                # (crossing, arrival slot) per step
-    holonomy: Word
+class Face(Frozen):
+    __slots__ = ("id", "steps", "corners", "holonomy")
+
+    def __init__(
+        self,
+        id: FaceId,
+        steps: tuple[tuple[EdgeId, int], ...],  # directed edges around the boundary
+        corners: tuple[End, ...],               # (crossing, arrival slot) per step
+        holonomy: Word,
+    ) -> None:
+        init_field(self, "id", id)
+        init_field(self, "steps", steps)
+        init_field(self, "corners", corners)
+        init_field(self, "holonomy", holonomy)
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class Thread:
-    id: ThreadId
-    route: tuple[End, ...]                  # (crossing, entry slot) per passage
-    edges: tuple[tuple[EdgeId, int], ...]   # directed edges, edges[i] arrives at route[i]
-    homology: tuple[int, ...]
-    loop_index: Optional[int] = None        # set for crossing-free components
+class Thread(Frozen):
+    __slots__ = ("id", "route", "edges", "homology", "loop_index")
+
+    def __init__(
+        self,
+        id: ThreadId,
+        route: tuple[End, ...],                 # (crossing, entry slot) per passage
+        edges: tuple[tuple[EdgeId, int], ...],  # directed edges, edges[i] arrives at route[i]
+        homology: tuple[int, ...],
+        loop_index: Optional[int] = None,       # set for crossing-free components
+    ) -> None:
+        init_field(self, "id", id)
+        init_field(self, "route", route)
+        init_field(self, "edges", edges)
+        init_field(self, "homology", homology)
+        init_field(self, "loop_index", loop_index)
 
     def __len__(self) -> int:
         return len(self.route)
 
 
-@dataclass
-class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    advisories: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("errors", "advisories")
+
+    def __init__(
+        self, errors: Optional[list[str]] = None, advisories: Optional[list[str]] = None
+    ) -> None:
+        self.errors = [] if errors is None else errors
+        self.advisories = [] if advisories is None else advisories
 
     @property
     def ok(self) -> bool:

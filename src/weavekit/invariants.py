@@ -39,15 +39,17 @@ surgery).
 
 from __future__ import annotations
 
-from fractions import Fraction
 import itertools
 import os
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import laurent, words
 from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
 from .laurent import LaurentPoly, LOOP_FACTOR
 from .states import A_PAIRING, B_PAIRING, StateTracer, WindingKey, normalize_class, split
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_BUDGET = 24
 BUDGET_ENV_VAR = "WEAVE_CROSSING_BUDGET"
@@ -478,7 +480,11 @@ def linking_number(
     if i not in ids or j not in ids:
         raise DiagramError("unknown thread id")
     total = linking_matrix(d)[min(i, j), max(i, j)]
-    return Fraction(total, 2) if halved else total
+    if not halved:
+        return total
+    from fractions import Fraction  # imported here: it loads decimal and numbers
+
+    return Fraction(total, 2)
 
 
 def linking_matrix(d: SurfaceDiagram) -> dict[tuple[ThreadId, ThreadId], int]:

@@ -33,8 +33,8 @@ only in the region of its first strand.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import words
@@ -45,7 +45,10 @@ from .diagram import (
     Edge,
     End,
     Face,
+    Frozen,
+    Record,
     SurfaceDiagram,
+    init_field,
 )
 from .states import PASS_PAIRING, smooth_crossings
 
@@ -54,10 +57,20 @@ class IllegalMove(DiagramError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Move:
-    kind: str
-    params: tuple
+@functools.total_ordering
+class Move(Frozen):
+    """Moves order as their ``(kind, params)`` tuples."""
+
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple) -> None:
+        init_field(self, "kind", kind)
+        init_field(self, "params", params)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.params) < (other.kind, other.params)
 
     def __str__(self) -> str:
         return f"{self.kind} {' '.join(str(p) for p in self.params)}"
@@ -369,12 +382,20 @@ def apply_move(d: SurfaceDiagram, m: Move) -> SurfaceDiagram:
 # -- fuzzing -----------------------------------------------------------------------
 
 
-@dataclass
-class MoveTrace:
-    seed: int
-    start: SurfaceDiagram
-    moves: list[Move] = field(default_factory=list)
-    diagrams: list[SurfaceDiagram] = field(default_factory=list)
+class MoveTrace(Record):
+    __slots__ = ("seed", "start", "moves", "diagrams")
+
+    def __init__(
+        self,
+        seed: int,
+        start: SurfaceDiagram,
+        moves: Optional[list[Move]] = None,
+        diagrams: Optional[list[SurfaceDiagram]] = None,
+    ) -> None:
+        self.seed = seed
+        self.start = start
+        self.moves = [] if moves is None else moves
+        self.diagrams = [] if diagrams is None else diagrams
 
     @property
     def end(self) -> SurfaceDiagram:

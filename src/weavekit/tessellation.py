@@ -25,12 +25,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import words
-from .diagram import AXIS_13, Crossing, DiagramError, End, Node, SurfaceDiagram, classify, splice
+from .diagram import (
+    AXIS_13,
+    Crossing,
+    DiagramError,
+    End,
+    Frozen,
+    Node,
+    SurfaceDiagram,
+    classify,
+    init_field,
+    splice,
+)
 from .words import Word
 
 
@@ -54,13 +63,13 @@ class InconsistentSequence(TessellationError):
     """The requested crossing sequences do not close up on this cell."""
 
 
-@dataclass(frozen=True)
-class VertexSymbol:
-    ks: tuple[int, ...]
+class VertexSymbol(Frozen):
+    __slots__ = ("ks",)
 
-    def __post_init__(self) -> None:
-        if len(self.ks) < 3 or any(k < 3 for k in self.ks):
+    def __init__(self, ks: tuple[int, ...]) -> None:
+        if len(ks) < 3 or any(k < 3 for k in ks):
             raise TessellationError("vertex symbol entries must be integers >= 3")
+        init_field(self, "ks", ks)
 
     @staticmethod
     def canonical(ks: Sequence[int]) -> "VertexSymbol":
@@ -76,7 +85,10 @@ class VertexSymbol:
 
     @property
     def euclidean(self) -> bool:
-        return sum(Fraction(k - 2, k) for k in self.ks) == 2
+        """The corner angles (k - 2) pi / k sum to 2 pi; scaled by the lcm
+        of the ks, the test is exact in integers."""
+        n = math.lcm(*self.ks)
+        return sum((k - 2) * (n // k) for k in self.ks) == 2 * n
 
     def __str__(self) -> str:
         return "(" + ",".join(str(k) for k in self.ks) + ")"
@@ -93,18 +105,18 @@ def parse_vertex_symbol(text: str) -> VertexSymbol:
     return VertexSymbol.canonical(ks)
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    method: str  # 'Cr', 'nCr', 'nBr'
-    m: int
+class TransformSpec(Frozen):
+    __slots__ = ("method", "m")
 
-    def __post_init__(self) -> None:
-        if self.method not in ("Cr", "nCr", "nBr"):
+    def __init__(self, method: str, m: int) -> None:
+        if method not in ("Cr", "nCr", "nBr"):
             raise TessellationError("method must be one of Cr, nCr, nBr")
-        if self.m < 0:
+        if m < 0:
             raise TessellationError("twist count must be >= 0")
-        if self.method == "Cr" and self.m != 1:
+        if method == "Cr" and m != 1:
             raise TessellationError("crossed curves use single-line covering, m = 1")
+        init_field(self, "method", method)
+        init_field(self, "m", m)
 
     @staticmethod
     def parse(method: str, m: int) -> "TransformSpec":
@@ -126,11 +138,18 @@ class TransformSpec:
 # not words, because scale-k replication divides them by k.
 
 
-@dataclass(frozen=True)
-class _CellTable:
-    edges: tuple[tuple[int, int, tuple[int, int]], ...]
-    darts: tuple[tuple[tuple[int, int], ...], ...]   # per vertex: (edge label, end)
-    angles: tuple[tuple[float, ...], ...]            # matching dart directions
+class _CellTable(Frozen):
+    __slots__ = ("edges", "darts", "angles")
+
+    def __init__(
+        self,
+        edges: tuple[tuple[int, int, tuple[int, int]], ...],
+        darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex: (edge label, end)
+        angles: tuple[tuple[float, ...], ...],           # matching dart directions
+    ) -> None:
+        init_field(self, "edges", edges)
+        init_field(self, "darts", darts)
+        init_field(self, "angles", angles)
 
 
 _SQUARE = _CellTable(
@@ -186,20 +205,31 @@ _CURATED: dict[tuple[int, ...], _CellTable] = {
 }
 
 
-@dataclass(frozen=True)
-class PeriodicTiling:
+class PeriodicTiling(Frozen):
     """A tiling of the closed genus-g surface, as a rotation system.
 
     Each edge carries the word of cell sides it crosses from tail to head.
     """
 
-    symbol: VertexSymbol
-    scale: int
-    genus: int
-    n_vertices: int
-    edges: tuple[tuple[int, int, Word], ...]              # (tail, head, word)
-    darts: tuple[tuple[tuple[int, int], ...], ...]        # per vertex
-    angles: tuple[tuple[float, ...], ...]
+    __slots__ = ("symbol", "scale", "genus", "n_vertices", "edges", "darts", "angles")
+
+    def __init__(
+        self,
+        symbol: VertexSymbol,
+        scale: int,
+        genus: int,
+        n_vertices: int,
+        edges: tuple[tuple[int, int, Word], ...],        # (tail, head, word)
+        darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex
+        angles: tuple[tuple[float, ...], ...],
+    ) -> None:
+        init_field(self, "symbol", symbol)
+        init_field(self, "scale", scale)
+        init_field(self, "genus", genus)
+        init_field(self, "n_vertices", n_vertices)
+        init_field(self, "edges", edges)
+        init_field(self, "darts", darts)
+        init_field(self, "angles", angles)
 
     def euler_check(self) -> bool:
         # rotation-system face count must close the surface: V - E + F = 2 - 2g
@@ -602,7 +632,9 @@ def assign_weaving_map(
                 phases[other] |= clash
         return False
 
-    if not extend(0):
+    solved = extend(0)
+    del extend  # it refers to itself through its closure cell; free the tables now
+    if not solved:
         raise InconsistentSequence(
             "the requested crossing sequences do not close up on this cell"
         )

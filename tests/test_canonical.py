@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,8 @@ from weavekit.canonical import (
     twist_matrix,
     vec_mul,
     _acts_freely,
+    _box_radius,
+    _gram,
     _order,
     _slot_preserving_automorphisms,
     _transvection,
@@ -124,6 +128,23 @@ def test_canonical_form_certified_against_bounded_search():
         assert result.q_after <= bq
         if result.q_after == bq:
             assert result.winding == bset
+
+
+def test_box_radius_matches_the_fraction_bound():
+    rng = random.Random(14)
+    checked = 0
+    while checked < 500:
+        M = Counter(
+            (rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 4))
+        )
+        g00, g01, g11 = _gram(M)
+        det_g = g00 * g11 - g01 * g01
+        if det_g <= 0:
+            continue
+        checked += 1
+        for q_star in {0, 1, rng.randint(0, g00 + g11), g00 + g11}:
+            old = isqrt(int(Fraction(q_star * (g00 + g11), det_g))) + 1
+            assert _box_radius(q_star, g00 + g11, det_g) == old
 
 
 def test_brute_force_matches_expanded_reference():

@@ -1,6 +1,7 @@
 """Each subcommand imports only the modules it runs (``json`` only for JSON
-output), and every public name of the package resolves although importing
-the package loads no module.
+output), no process loads ``dataclasses``, ``inspect``, ``fractions`` or
+``decimal`` (about 25 ms and 0.7 MiB of start-up), and every public name of
+the package resolves although importing the package loads no module.
 
 Each check runs in a fresh interpreter, since this process has imported
 everything already.
@@ -8,10 +9,16 @@ everything already.
 
 import subprocess
 import sys
+from pathlib import Path
 
 from fixtures import src_env
+import weavekit
 from weavekit import corpus
 from weavekit.diagram import serialize
+
+# stdlib modules no weavekit process loads (`linking_number(halved=True)`
+# imports `fractions` when called)
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
 
 # the names `weavekit/__init__.py` imported eagerly before they resolved lazily
 PUBLIC_NAMES = (
@@ -28,7 +35,7 @@ LOADED = """
 import sys
 from weavekit import cli
 code = cli.main({argv!r})
-print(code, *sorted(m for m in sys.modules if m.startswith("weavekit.") or m == "json"))
+print(code, *sorted(m for m in sys.modules if m.startswith("weavekit.") or m in {watched!r}))
 """
 
 
@@ -40,7 +47,7 @@ def _run(source: str, cwd) -> str:
 
 
 def _loaded(argv, cwd) -> set[str]:
-    code, *modules = _run(LOADED.format(argv=argv), cwd).split()
+    code, *modules = _run(LOADED.format(argv=argv, watched={"json", *HEAVY}), cwd).split()
     assert code == "0"
     return {m.removeprefix("weavekit.") for m in modules}
 
@@ -52,21 +59,41 @@ def test_fuzz_loads_no_tessellation_or_state_sum(tmp_path):
                           "--trace", "t.trace", "-o", "end.weave"], tmp_path)
         assert "moves" in loaded
         assert not loaded & {"tessellation", "canonical", "invariants", "laurent", "corpus"}
+        assert not loaded & HEAVY
 
 
 def test_build_loads_no_moves_or_state_sum(tmp_path):
     loaded = _loaded(["build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "2",
                       "--alternating", "-o", "w.weave"], tmp_path)
     assert "tessellation" in loaded
-    assert not loaded & {"moves", "invariants", "canonical", "states", "json"}
+    assert not loaded & {"moves", "invariants", "canonical", "states", "json", *HEAVY}
 
 
 def test_analyze_loads_no_tessellation_or_moves(tmp_path):
     (tmp_path / "w.weave").write_text(serialize(corpus.alternating_corpus()[0][1]))
     loaded = _loaded(["analyze", "w.weave"], tmp_path)
     assert {"invariants", "canonical"} <= loaded
-    assert not loaded & {"tessellation", "moves", "corpus", "json"}
+    assert not loaded & {"tessellation", "moves", "corpus", "json", *HEAVY}
     assert "json" in _loaded(["--format", "json-report", "analyze", "w.weave"], tmp_path)
+
+
+def test_canonicalize_and_verify_load_no_heavy_stdlib(tmp_path):
+    (tmp_path / "w.weave").write_text(serialize(corpus.alternating_corpus()[0][1]))
+    loaded = _loaded(["canonicalize", "w.weave"], tmp_path)
+    assert "canonical" in loaded
+    assert not loaded & HEAVY
+    loaded = _loaded(["verify", "--suite", "invariance", "--steps", "5"], tmp_path)
+    assert {"moves", "invariants"} <= loaded
+    assert not loaded & HEAVY
+
+
+def test_each_module_alone_loads_no_heavy_stdlib(tmp_path):
+    names = sorted(p.stem for p in Path(weavekit.__file__).parent.glob("*.py"))
+    assert {"cli", "diagram", "invariants", "tessellation"} <= set(names)
+    for name in names:
+        module = "weavekit" if name == "__init__" else f"weavekit.{name}"
+        source = f"import sys, {module}; print(*sorted({HEAVY!r} & set(sys.modules)))"
+        assert _run(source, tmp_path) == "", module
 
 
 def test_public_names_resolve_lazily(tmp_path):

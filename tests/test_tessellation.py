@@ -1,3 +1,7 @@
+import gc
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from fixtures import genus2_octagon
@@ -10,6 +14,7 @@ from weavekit.tessellation import (
     TessellationError,
     TransformSpec,
     UnsupportedTiling,
+    VertexSymbol,
     assign_alternating,
     assign_weaving_map,
     build_tiling,
@@ -34,6 +39,18 @@ def test_symbol_euclidean_feasibility():
     assert parse_vertex_symbol("(4,4,4,4)").euclidean
     assert parse_vertex_symbol("(3,6,3,6)").euclidean
     assert not parse_vertex_symbol("(5,5,5,5)").euclidean
+
+
+def test_euclidean_test_matches_the_fraction_sum():
+    # the sum depends only on the multiset of entries, so one sorted symbol
+    # per multiset covers every symbol of 3-6 entries in 3..12
+    count = 0
+    for n in range(3, 7):
+        for ks in itertools.combinations_with_replacement(range(3, 13), n):
+            expected = sum(Fraction(k - 2, k) for k in ks) == 2
+            assert VertexSymbol(ks).euclidean == expected, ks
+            count += expected
+    assert count == 12  # the 17 plane vertex multisets but the five with an entry > 12
 
 
 def test_symbol_errors():
@@ -229,3 +246,15 @@ def test_alternating_assignment_makes_weaving_map_alternating():
     # with exactly two direction sets the walk and pairwise readings agree
     d = transform(square(2), TransformSpec("Cr", 1))
     assert assign_alternating(d).is_alternating()
+
+
+def test_assign_weaving_map_leaves_no_garbage_cycles():
+    skeleton = transform(square(4), TransformSpec("Cr", 1))
+    gc.collect()
+    gc.disable()
+    try:
+        woven = assign_weaving_map(skeleton, {(1, 2): (1, 1)})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert classify(woven) == "Weave"
