@@ -327,9 +327,18 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    with open(args.file) as fh:
+def _read_diagram(path: str, must_be_valid: bool) -> SurfaceDiagram:
+    """Parse a diagram file, refusing one that must be valid and is not."""
+    with open(path) as fh:
         d = diagram.parse(fh.read())
+    errors = d.validate().errors if must_be_valid else ()
+    if errors:
+        raise DiagramError(errors[0])
+    return d
+
+
+def cmd_analyze(args) -> int:
+    d = _read_diagram(args.file, must_be_valid=False)
     rep = analyze_report(d, args.crossing_budget)
     _emit_report(rep, args.format)
     return EXIT_OK
@@ -338,8 +347,7 @@ def cmd_analyze(args) -> int:
 def cmd_fuzz(args) -> int:
     from . import moves
 
-    with open(args.file) as fh:
-        d = diagram.parse(fh.read())
+    d = _read_diagram(args.file, must_be_valid=True)
     trace = moves.fuzz(d, args.steps, args.seed, max_crossings=args.cap, keep_diagrams=False)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -374,8 +382,7 @@ def cmd_canonicalize(args) -> int:
     else:
         from . import invariants
 
-        with open(args.file) as fh:
-            d = diagram.parse(fh.read())
+        d = _read_diagram(args.file, must_be_valid=True)
         genus = d.genus
         V = invariants.full_winding_multiset(d, budget=args.crossing_budget)
     result = canonical.canonical_form(V, genus)

@@ -264,25 +264,33 @@ class SurfaceDiagram:
 
     @_memoized
     def end_map(self) -> dict[End, tuple[EdgeId, int]]:
-        """(crossing, slot) -> (edge id, endpoint index). Fails on double use."""
-        table: dict[End, tuple[EdgeId, int]] = {}
-        for e in self.edges:
-            for which, end in enumerate(e.ends):
-                if end in table:
-                    raise DiagramError(f"slot double-use at c{end[0]}.{end[1]}")
-                table[end] = (e.id, which)
-        return table
+        """(crossing, slot) -> (edge id, endpoint index). Fails on a bad slot."""
+        self._check_closed()
+        return {end: (e.id, which) for e in self.edges for which, end in enumerate(e.ends)}
 
-    def _check_closed(self) -> None:
-        table = self.end_map()
-        for c in self.crossings:
-            for s in range(4):
-                if (c.id, s) not in table:
-                    raise DiagramError(f"unattached slot c{c.id}.{s}")
+    @_memoized
+    def _slot_errors(self) -> list[str]:
+        """Missing, doubly used and unattached slots: the one slot pass."""
+        errors: list[str] = []
+        seen: set[End] = set()
         for e in self.edges:
             for cid, s in e.ends:
                 if not (0 <= cid < len(self.crossings)) or not (0 <= s < 4):
-                    raise DiagramError(f"edge e{e.id} references missing slot c{cid}.{s}")
+                    errors.append(f"edge e{e.id} references missing slot c{cid}.{s}")
+                elif (cid, s) in seen:
+                    errors.append(f"slot double-use at c{cid}.{s}")
+                else:
+                    seen.add((cid, s))
+        for c in self.crossings:
+            for s in range(4):
+                if (c.id, s) not in seen:
+                    errors.append(f"unattached slot c{c.id}.{s}")
+        return errors
+
+    def _check_closed(self) -> None:
+        errors = self._slot_errors()
+        if errors:
+            raise DiagramError(errors[0])
 
     # -- faces -------------------------------------------------------------------
 
@@ -489,20 +497,7 @@ class SurfaceDiagram:
         if not self.crossings and self.loops and not self.edges:
             report.advisories.append("no crossings: free loops only")
             return report
-        seen: dict[End, EdgeId] = {}
-        for e in self.edges:
-            for cid, s in e.ends:
-                if not (0 <= cid < len(self.crossings)) or not (0 <= s < 4):
-                    report.errors.append(f"edge e{e.id} references missing slot c{cid}.{s}")
-                    continue
-                if (cid, s) in seen:
-                    report.errors.append(f"slot double-use at c{cid}.{s}")
-                else:
-                    seen[(cid, s)] = e.id
-        for c in self.crossings:
-            for s in range(4):
-                if (c.id, s) not in seen:
-                    report.errors.append(f"unattached slot c{c.id}.{s}")
+        report.errors.extend(self._slot_errors())
         if report.errors:
             return report
         comp = _component_count(self)

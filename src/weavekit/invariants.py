@@ -605,11 +605,6 @@ def adequacy(d: SurfaceDiagram) -> dict[str, bool]:
     }
 
 
-def state_loop_count(d: SurfaceDiagram, kind: str) -> int:
-    """Trivial-loop count of the all-A or all-B state."""
-    return _extreme_state(StateTracer(d), kind)[0]
-
-
 def degree_bounds_check(
     d: SurfaceDiagram, budget: Optional[int] = None
 ) -> dict[str, object]:

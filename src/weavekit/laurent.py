@@ -49,14 +49,6 @@ def add_inplace(acc: LaurentPoly, q: LaurentPoly, scale: int = 1) -> None:
             del acc[e]
 
 
-def neg(p: LaurentPoly) -> LaurentPoly:
-    return {e: -c for e, c in p.items()}
-
-
-def sub(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return add(p, neg(q))
-
-
 def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if not p or not q:
         return {}
@@ -106,10 +98,6 @@ def min_degree(p: LaurentPoly) -> int:
     if not p:
         raise ValueError("zero polynomial has no degree")
     return min(p)
-
-
-def span(p: LaurentPoly) -> int:
-    return max_degree(p) - min_degree(p)
 
 
 def divmod_single(p: LaurentPoly, q: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

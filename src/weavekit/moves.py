@@ -1,22 +1,22 @@
 """Reidemeister moves on surface weave diagrams, a seeded fuzzer, and
 crossing-number bounds.
 
-Removal sites carry holonomy guards: a one-sided or two-sided region can
-only be undone when its boundary word is trivial in the surface group,
-because a curl or clasp that wraps the cell is not a planar configuration
-and removing it would change the weave. Nor is a two-sided region a site
-when the regions beyond its two crossings are one region: pulling the
-strands apart would leave an annulus, not a cell decomposition. The third
-move flips a triangle whose strands admit a top strand and whose holonomy
-is trivial. It first re-lifts the triangle's second and third corners P by
-the side words g_P that lead to them from the first corner: an edge P->Q
-with word w becomes g_P w g_Q^-1, which leaves the periodic lift as it
-was. Two sides then carry no word, and the third would read the
-triangle's holonomy, which is trivial in the surface group, so it carries
-none either. This works in the free group, so at every genus. The
-rewiring then shifts every triangle-side attachment by two slots and swaps
-the strand continuations into the old side slots, which keeps all
-boundary words and over-axes in place.
+One holonomy guard serves every removal and flip site: a region of one,
+two or three sides is a site only when its boundary word is trivial in
+the surface group, because a curl, clasp or triangle that wraps the cell
+is not a planar configuration and undoing or flipping it would change the
+weave. Nor is a two-sided region a site when the regions beyond its two
+crossings are one region: pulling the strands apart would leave an
+annulus, not a cell decomposition. The third move flips a triangle whose
+strands admit a top strand. It first re-lifts the triangle's second and
+third corners P by the side words g_P that lead to them from the first
+corner: an edge P->Q with word w becomes g_P w g_Q^-1, which leaves the
+periodic lift as it was. Two sides then carry no word, and the third
+would read the triangle's holonomy, which is trivial in the surface
+group, so it carries none either. This works in the free group, so at
+every genus. The rewiring then shifts every triangle-side attachment by
+two slots and swaps the strand continuations into the old side slots,
+which keeps all boundary words and over-axes in place.
 
 One routine, ``_site``, decides whether a region is a removal or flip
 site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
@@ -83,14 +83,10 @@ _KIND_ORDER = ("R1_add", "R1_remove", "R2_add", "R2_remove", "R3")
 
 
 def _monogon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
-    (eid, direction), = face.steps
-    e = d.edges[eid]
-    (c0, s0), (c1, s1) = e.ends
-    if c0 != c1:
-        return None
-    if not words.is_trivial(e.word, d.genus):
-        return None
-    return Move("R1_remove", (c0,))
+    # the one step leaves by the slot after the one it arrives at, so the
+    # edge is a loop at the corner's crossing
+    (c, _), = face.corners
+    return Move("R1_remove", (c,))
 
 
 def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
@@ -99,8 +95,6 @@ def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
         return None
     (x1, a1), (x2, a2) = face.corners
     if x1 == x2:
-        return None
-    if not words.is_trivial(face.holonomy, d.genus):
         return None
     # pulling the strands apart joins the regions beyond the two crossings
     # through the bigon; if they are one region the join is an annulus and
@@ -135,8 +129,6 @@ def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     ]
     if not any(o1 and o2 for o1, o2 in strand_pairs):
         return None
-    if not words.is_trivial(face.holonomy, d.genus):
-        return None
     return Move("R3", (corners,))
 
 
@@ -147,9 +139,12 @@ _LENGTH_SITE = {n: kind for kind, n in _SITE_LENGTH.items()}
 
 
 def _site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
-    """The removal or flip move this region supports, if any."""
+    """The removal or flip move this region supports, if any. Every site
+    needs a boundary word trivial in the surface group."""
     finder = _SITE_FINDERS.get(len(face))
-    return finder(d, face) if finder else None
+    if finder is None or not words.is_trivial(face.holonomy, d.genus):
+        return None
+    return finder(d, face)
 
 
 def enumerate_moves(d: SurfaceDiagram, kind: Optional[str] = None) -> list[Move]:

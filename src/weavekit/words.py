@@ -9,7 +9,9 @@ A word is a tuple of nonzero ints: letter k in 1..2g encodes a_k (k <= g)
 or b_{k-g} (k > g); -k encodes the inverse. The empty tuple is the trivial
 word. Abelianizations live in Z^{2g} and are what the winding machinery
 consumes; the full words are kept because region-coincidence tests on
-higher-genus cells need the nonabelian element.
+higher-genus cells need the nonabelian element. ``is_trivial`` decides
+that element at genus >= 2 with one greedy Dehn pass over the cyclic
+forms of the surface relator, built once per genus.
 """
 
 from __future__ import annotations
@@ -110,27 +112,28 @@ def free_reduce(word: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def _cyclic_reduce(word: Word) -> Word:
+def _cyclic_reduce(word: Sequence[int]) -> Word:
     w = free_reduce(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
 
 
-def _surface_relator(genus: int) -> Word:
-    # product of commutators [a_i, b_i] over handles
-    out: list[int] = []
-    for i in range(1, genus + 1):
-        out.extend((i, genus + i, -i, -(genus + i)))
-    return tuple(out)
+_RELATOR_FORMS: dict[int, dict[int, list[Word]]] = {}
 
 
-def _relator_cyclings(genus: int) -> list[Word]:
-    rel = _surface_relator(genus)
-    forms = []
-    for base in (rel, invert(rel)):
-        for k in range(len(base)):
-            forms.append(base[k:] + base[:k])
+def _relator_forms(genus: int) -> dict[int, list[Word]]:
+    """The cyclic forms of the surface relator, the product of the handle
+    commutators [a_i, b_i], and of its inverse, by first letter. The
+    relator uses each letter once, so every letter starts one of each."""
+    forms = _RELATOR_FORMS.get(genus)
+    if forms is None:
+        rel = [l for i in range(1, genus + 1) for l in (i, genus + i, -i, -(genus + i))]
+        forms = _RELATOR_FORMS[genus] = {}
+        for base in (rel, list(invert(rel))):
+            for k, letter in enumerate(base):
+                forms.setdefault(letter, []).append(tuple(base[k:] + base[:k]))
     return forms
 
 
@@ -138,34 +141,28 @@ def is_trivial(word: Sequence[int], genus: int) -> bool:
     """Decide triviality in the fundamental group of the closed surface.
 
     Genus 1 is abelian, so the net letter counts decide. For genus >= 2 the
-    group is one-relator hyperbolic and Dehn's algorithm applies: repeatedly
-    cyclically reduce and replace any subword that is more than half of a
-    cyclic form of the relator by the shorter complement.
+    relator satisfies C'(1/7), so Dehn's algorithm decides (Lyndon and
+    Schupp, ch. V): in the cyclically reduced word, find a position whose
+    longest common prefix with one of the two relator forms starting with
+    that letter is more than half the relator, replace that piece by the
+    inverse of the rest of the form, and go round again. The word is
+    trivial when it empties, nontrivial when no position has such a piece.
     """
-    w = free_reduce(word)
     if genus == 1:
-        return all(v == 0 for v in abelianize(w, 1))
-    forms = _relator_cyclings(genus)
-    rel_len = 4 * genus
-    half = rel_len // 2
-    w = _cyclic_reduce(w)
-    changed = True
-    while changed and w:
-        changed = False
+        return not any(abelianize(word, 1))
+    forms = _relator_forms(genus)
+    half = 2 * genus
+    w = _cyclic_reduce(word)
+    while w:
+        n = len(w)
         doubled = w + w
-        for form in forms:
-            # look for a piece of length > half occurring in the cyclic word
-            for piece_len in range(min(rel_len, len(w)), half, -1):
-                piece = form[:piece_len]
-                for start in range(len(w)):
-                    if start + piece_len <= len(doubled) and doubled[start:start + piece_len] == piece:
-                        repl = invert(form[piece_len:])
-                        rotated = doubled[start + piece_len:start + len(w)]
-                        w = _cyclic_reduce(rotated + repl)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
+        for start, form in ((s, f) for s in range(n) for f in forms[w[s]]):
+            k, limit = 1, min(n, len(form))
+            while k < limit and doubled[start + k] == form[k]:
+                k += 1
+            if k > half:
+                w = _cyclic_reduce(doubled[start + k:start + n] + invert(form[k:]))
                 break
-    return not w
+        else:
+            return False
+    return True

@@ -11,6 +11,8 @@ import os
 from pathlib import Path
 
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
+from weavekit.invariants import _extreme_state
+from weavekit.states import StateTracer
 from weavekit.tessellation import PeriodicTiling, VertexSymbol
 
 
@@ -21,6 +23,11 @@ def src_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def state_loop_count(d: SurfaceDiagram, kind: str) -> int:
+    """Trivial-loop count of the all-A or all-B state."""
+    return _extreme_state(StateTracer(d), kind)[0]
 
 
 def grid_weave(n: int, over_parity: int = 0) -> SurfaceDiagram:

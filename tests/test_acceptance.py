@@ -33,12 +33,12 @@ from weavekit.invariants import (
     kauffman_f,
     linking_matrix,
     r_parallel,
-    state_loop_count,
     writhe,
 )
 from weavekit.moves import crossing_number_bounds, fuzz, simplify
 from weavekit.states import split
 from determinism_probe import run_determinism_probe
+from fixtures import state_loop_count
 
 
 def _verdict(n, label, detail=""):
@@ -219,7 +219,7 @@ def test_criterion_08_jones_skein(corpus):
             for key in set(f_plus.parts) | set(f_minus.parts):
                 lhs_parts[key] = laurent.add(
                     laurent.shift(f_plus.part(key), 4),
-                    laurent.neg(laurent.shift(f_minus.part(key), -4)),
+                    laurent.scale(laurent.shift(f_minus.part(key), -4), -1),
                 )
             rhs = _scale_parts(f_zero, {-2: 1, 2: -1})
             lhs = {k: p for k, p in lhs_parts.items() if p}

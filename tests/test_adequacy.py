@@ -6,11 +6,18 @@ from collections import Counter
 
 import pytest
 
-from fixtures import genus2_octagon, plain_weave_2x2, relabelled, single_loop, torus_curl
+from fixtures import (
+    genus2_octagon,
+    plain_weave_2x2,
+    relabelled,
+    single_loop,
+    state_loop_count,
+    torus_curl,
+)
 from weavekit import cli
 from weavekit.corpus import full_corpus, genus2_corpus
 from weavekit.diagram import serialize
-from weavekit.invariants import adequacy, r_parallel, state_loop_count
+from weavekit.invariants import adequacy, r_parallel
 from weavekit.moves import fuzz
 from weavekit.states import StateTracer
 from weavekit.tessellation import (

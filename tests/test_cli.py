@@ -422,3 +422,34 @@ def test_genus_above_the_cap_is_input_error(tmp_path):
     assert err == f"error: genus must be at most {MAX_GENUS}\n"
     with pytest.raises(DiagramError, match="at most"):
         canonical_form([], MAX_GENUS + 1)
+
+
+@pytest.fixture
+def wrapped_file(tmp_path):
+    # one crossing at genus 2: the Euler count is wrong and its one region
+    # wraps the cell, although every slot is attached
+    path = tmp_path / "wrapped.weave"
+    path.write_text(
+        "genus 2\ncrossing c0 over=13\nedge c0.0 c0.2 word=a1\nedge c0.1 c0.3 word=b1\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--steps", "20", "--trace", "t.trace", "-o", "end.weave"],
+    ["canonicalize", "--certify-ball", "1"],
+])
+def test_invalid_diagram_is_refused_by_fuzz_and_canonicalize(wrapped_file, argv, monkeypatch):
+    monkeypatch.chdir(wrapped_file.parent)
+    code, out, err = run_cli(argv[0], wrapped_file.name, *argv[1:])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: Euler count: 1 faces, expected -1 for genus 2\n"
+    assert [p.name for p in wrapped_file.parent.iterdir()] == ["wrapped.weave"]
+
+
+def test_invalid_diagram_is_still_analyzed(wrapped_file):
+    code, out, _err = run_cli("analyze", str(wrapped_file))
+    assert code == EXIT_OK
+    assert "valid = False" in out
+    assert "region f0 wraps the cell: boundary word a1B1A1b1" in out

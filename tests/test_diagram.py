@@ -46,6 +46,23 @@ def test_unattached_slot_is_reported():
     assert any("unattached" in e for e in rep.errors)
 
 
+@pytest.mark.parametrize("specs", [
+    [((0, 0), (0, 1), ()), ((0, 0), (0, 2), ()), ((0, 3), (0, 3), ())],
+    [((0, 0), (0, 2), ())],
+    [((0, 1), (0, 1), ()), ((0, 0), (2, 1), ())],
+    [((0, 0), (0, 2), ()), ((0, 0), (0, 4), ())],
+    [((0, 0), (3, 0), ())],
+], ids=["double-use", "unattached", "double-use-missing", "double-use-missing-slot", "missing"])
+def test_check_closed_raises_the_first_validation_error(specs):
+    d = SurfaceDiagram.build(1, [AXIS_13], specs)
+    errors = d.validate().errors
+    assert len(errors) > 1
+    for check in (d._check_closed, d.end_map):
+        with pytest.raises(DiagramError) as exc:
+            check()
+        assert str(exc.value) == errors[0]
+
+
 def test_euler_count_mismatch_is_reported():
     # a 1-crossing planar-style curl is not cellular on the torus
     d = SurfaceDiagram.build(

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from fixtures import grid_weave, plain_weave_2x2, relabelled, single_loop, torus_curl, twill_4x4
+from fixtures import (
+    grid_weave,
+    plain_weave_2x2,
+    relabelled,
+    single_loop,
+    state_loop_count,
+    torus_curl,
+    twill_4x4,
+)
 from weavekit import laurent
 from weavekit.corpus import full_corpus, genus2_corpus
 from weavekit.diagram import SurfaceDiagram
@@ -35,7 +43,6 @@ from weavekit.invariants import (
     linking_matrix,
     linking_number,
     r_parallel,
-    state_loop_count,
     writhe,
     writhe_per_component,
 )

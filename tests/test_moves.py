@@ -319,6 +319,34 @@ def test_triangle_with_wrapping_holonomy_is_not_a_site():
         apply_move(wrapped, m)
 
 
+def test_commutator_bigon_is_not_a_site_at_genus_2():
+    # one side of a bigon gains the one-handle commutator a1 b1 A1 B1: the
+    # boundary word abelianizes to zero but wraps the cell at genus 2, so
+    # validation reports it and the bigon is no removal site
+    from weavekit.corpus import genus2_corpus
+    from weavekit.diagram import Edge
+    from weavekit.moves import _site_face
+
+    d = dict(genus2_corpus())["genus2-c4"]
+    up = apply_move(d, enumerate_moves(d, "R2_add")[0])
+    m = Move("R2_remove", (4, 5))
+    face = _site_face(up, m)
+    eid = face.steps[0][0]
+    wrapped = up.replace(
+        edges=[Edge(e.id, e.ends, e.word + (1, 3, -1, -3)) if e.id == eid else e for e in up.edges]
+    )
+    holonomy = wrapped.faces()[face.id].holonomy
+    assert words.abelianize(holonomy, 2) == (0, 0, 0, 0)
+    assert not words.is_trivial(holonomy, 2)
+    assert wrapped.validate().errors == [
+        "region f0 wraps the cell: boundary word a1b1A1B1",
+        "region f3 wraps the cell: boundary word b1a1B1A1",
+    ]
+    assert m in enumerate_moves(up) and m not in enumerate_moves(wrapped)
+    with pytest.raises(IllegalMove):
+        apply_move(wrapped, m)
+
+
 def test_removal_sites_replay_with_params_in_any_order():
     d = plain_weave_2x2()
     up = apply_move(d, next(m for m in enumerate_moves(d) if m.kind == "R2_add"))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,3 +101,103 @@ def test_substitute_maps_letters_and_inverses():
     assert words.substitute((1, 2, -2, -1), images) == (1, 2, 1, -1, -2, -1)
     assert words.substitute((), images) == ()
 
+
+
+# -- the Dehn pass against the earlier search ---------------------------------------
+
+
+def _reference_is_trivial(word, genus):
+    """The earlier triviality test, kept as an oracle: for every cyclic form
+    of the relator and its inverse, longest piece first, search the doubled
+    word and replace the first piece longer than half the relator."""
+
+    def cyclic_reduce(w):
+        w = words.free_reduce(w)
+        while len(w) >= 2 and w[0] == -w[-1]:
+            w = w[1:-1]
+        return w
+
+    w = words.free_reduce(word)
+    if genus == 1:
+        return all(v == 0 for v in words.abelianize(w, 1))
+    rel = []
+    for i in range(1, genus + 1):
+        rel.extend((i, genus + i, -i, -(genus + i)))
+    rel = tuple(rel)
+    forms = [base[k:] + base[:k] for base in (rel, words.invert(rel)) for k in range(len(rel))]
+    rel_len = 4 * genus
+    half = rel_len // 2
+    w = cyclic_reduce(w)
+    changed = True
+    while changed and w:
+        changed = False
+        doubled = w + w
+        for form in forms:
+            for piece_len in range(min(rel_len, len(w)), half, -1):
+                piece = form[:piece_len]
+                for start in range(len(w)):
+                    if start + piece_len <= len(doubled) and doubled[start:start + piece_len] == piece:
+                        repl = words.invert(form[piece_len:])
+                        rotated = doubled[start + piece_len:start + len(w)]
+                        w = cyclic_reduce(rotated + repl)
+                        changed = True
+                        break
+                if changed:
+                    break
+            if changed:
+                break
+    return not w
+
+
+def _seeded_words(seed, per_kind):
+    """Random words, products of conjugated relator forms, and such products
+    times a short word, at genus 2 to 4."""
+    rng = random.Random(seed)
+    for genus in (2, 3, 4):
+        alphabet = [k for k in range(1, 2 * genus + 1)]
+        alphabet += [-k for k in alphabet]
+        rel = [l for i in range(1, genus + 1) for l in (i, genus + i, -i, -(genus + i))]
+
+        def short(most):
+            return [rng.choice(alphabet) for _ in range(rng.randint(0, most))]
+
+        def relator_product():
+            out = []
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(rel))
+                form = rel[k:] + rel[:k]
+                if rng.random() < 0.5:
+                    form = list(words.invert(form))
+                conj = short(4)
+                out += conj + form + list(words.invert(conj))
+            return out
+
+        for _ in range(per_kind):
+            yield genus, tuple(short(20))
+            yield genus, tuple(relator_product())
+            yield genus, tuple(relator_product() + [rng.choice(alphabet)] + short(2))
+
+
+def test_dehn_pass_matches_the_reference_on_seeded_words():
+    checked = trivial = 0
+    for genus, w in _seeded_words(seed=15, per_kind=1120):
+        verdict = words.is_trivial(w, genus)
+        assert verdict == _reference_is_trivial(w, genus), (genus, w)
+        checked += 1
+        trivial += verdict
+    assert checked >= 10_000
+    # the set holds both verdicts in quantity
+    assert 3_000 < trivial < checked - 3_000
+
+
+def test_dehn_pass_matches_the_reference_on_walk_regions():
+    from weavekit.corpus import genus2_corpus
+    from weavekit.moves import fuzz
+
+    seen = set()
+    for name, d in genus2_corpus():
+        for cur in fuzz(d, 200, seed=2, max_crossings=10).diagrams:
+            seen.update(f.holonomy for f in cur.faces())
+    assert len(seen) > 100
+    for w in seen:
+        assert words.is_trivial(w, 2) == _reference_is_trivial(w, 2), w
