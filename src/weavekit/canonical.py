@@ -28,7 +28,6 @@ from typing import Iterator, Optional
 
 from . import words
 from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, Frozen, init_field, map_walk
-from .states import normalize_class
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -89,16 +88,12 @@ def vec_mul(v: Vector, U: Matrix) -> Vector:
 # -- winding sets ------------------------------------------------------------------
 
 
-def _sign_normalized(v: Vector) -> Vector:
-    nv = normalize_class(v)
-    return nv if nv is not None else v
-
-
 def moved(M: Multiset, U: Matrix) -> Multiset:
     """Every vector times U, sign-normalized, merged and sorted by vector."""
     counts: Multiset = {}
     for v, n in M.items():
-        key = _sign_normalized(vec_mul(v, U))
+        w = vec_mul(v, U)
+        key = words.normalize_class(w) or w
         counts[key] = counts.get(key, 0) + n
     return {v: counts[v] for v in sorted(counts)}
 
@@ -334,14 +329,19 @@ def canonical_form(M: Multiset, genus: int) -> CanonicalResult:
     return _canonical_descent(M, genus)
 
 
+def check_ball_genus(genus: int) -> None:
+    """Refuse ``brute_force_minimum`` off the torus, so callers can refuse first."""
+    if genus != 1:
+        raise UnsupportedGenus("brute-force search is defined for the torus only")
+
+
 def brute_force_minimum(M: Multiset, genus: int, entry_bound: int) -> tuple[int, Multiset]:
     """Reference minimization over all symplectic matrices with bounded entries.
 
     Exhaustive only for genus 1, where the group is SL2(Z). Each matrix
     costs one pass over the distinct vectors.
     """
-    if genus != 1:
-        raise UnsupportedGenus("brute-force search is defined for the torus only")
+    check_ball_genus(genus)
     best_q = q_functional(M)
     best_set = moved(M, identity(2))
     rng = range(-entry_bound, entry_bound + 1)

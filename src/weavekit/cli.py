@@ -144,20 +144,19 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
     return rep
 
 
-def _emit_report(rep: dict[str, object], fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit_report(rep: dict[str, object], fmt: str) -> None:
     if fmt == "json-report":
         import json
 
-        json.dump(rep, out, sort_keys=True, indent=2, default=str)
-        out.write("\n")
+        json.dump(rep, sys.stdout, sort_keys=True, indent=2, default=str)
+        sys.stdout.write("\n")
         return
     for key, value in rep.items():
         if isinstance(value, dict):
             body = " ".join(f"{k}={v}" for k, v in value.items())
-            out.write(f"{key} = {body}\n")
+            sys.stdout.write(f"{key} = {body}\n")
         else:
-            out.write(f"{key} = {value}\n")
+            sys.stdout.write(f"{key} = {value}\n")
 
 
 # -- verify suites ------------------------------------------------------------------
@@ -380,10 +379,14 @@ def cmd_canonicalize(args) -> int:
     elif args.file is None:
         raise ValueError("canonicalize needs a diagram FILE or --winding")
     else:
-        from . import invariants
-
         d = _read_diagram(args.file, must_be_valid=True)
         genus = d.genus
+    if args.certify_ball and genus > 1:
+        # refused before any work; canonical_form refuses genus < 1 itself
+        canonical.check_ball_genus(genus)
+    if not args.winding:
+        from . import invariants
+
         V = invariants.full_winding_multiset(d, budget=args.crossing_budget)
     result = canonical.canonical_form(V, genus)
     print(f"q_before = {result.q_before}")

@@ -362,17 +362,15 @@ class SurfaceDiagram:
             claimed.update(steps)
             claimed.update((eid, 1 - direction) for eid, direction in steps)
             hom = words.abelianize(word, self.genus)
-            if _lex_negative(hom):
-                # canonical orientation: homology lexicographically positive
+            cls = words.normalize_class(hom) or hom
+            if cls != hom:
+                # canonical orientation: the sign rule of words.normalize_class
                 eid, direction = steps[-1]
                 steps, route, _ = self._cycle((eid, 1 - direction), 2)
-                hom = tuple(-v for v in hom)
-            out.append(Thread(len(out), tuple(route), tuple(steps), hom))
+            out.append(Thread(len(out), tuple(route), tuple(steps), cls))
         for li, w in enumerate(self.loops):
             hom = words.abelianize(w, self.genus)
-            if _lex_negative(hom):
-                hom = tuple(-v for v in hom)
-            out.append(Thread(len(out), (), (), hom, loop_index=li))
+            out.append(Thread(len(out), (), (), words.normalize_class(hom) or hom, loop_index=li))
         return tuple(out)
 
     @_memoized
@@ -520,24 +518,12 @@ class SurfaceDiagram:
         return report
 
 
-def _lex_negative(vec: Sequence[int]) -> bool:
-    for v in vec:
-        if v:
-            return v < 0
-    return False
-
-
 def primitive_direction(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Homology direction divided by content, sign-normalized; None for zero."""
     g = 0
     for v in vec:
         g = gcd(g, abs(v))
-    if g == 0:
-        return None
-    prim = [v // g for v in vec]
-    if _lex_negative(prim):
-        prim = [-v for v in prim]
-    return tuple(prim)
+    return words.normalize_class([v // g for v in vec]) if g else None
 
 
 def classify(d: SurfaceDiagram) -> str:

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 from . import laurent, words
 from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
 from .laurent import LaurentPoly, LOOP_FACTOR
-from .states import A_PAIRING, B_PAIRING, StateTracer, WindingKey, normalize_class, split
+from .states import A_PAIRING, B_PAIRING, StateTracer, WindingKey, split
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -409,7 +409,7 @@ def bracket_by_skein(d: SurfaceDiagram, budget: Optional[int] = None) -> Bracket
         trivial = 0
         winding: list[tuple[int, ...]] = []
         for w in dd.loops:
-            cls = normalize_class(words.abelianize(w, dd.genus))
+            cls = words.normalize_class(words.abelianize(w, dd.genus))
             if cls is None:
                 trivial += 1
             else:

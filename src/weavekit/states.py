@@ -15,7 +15,7 @@ them to identical answers.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from . import words
 from .diagram import (
@@ -29,6 +29,7 @@ from .diagram import (
     SurfaceDiagram,
     splice,
 )
+from .words import normalize_class
 
 Pairing = tuple[tuple[int, int], tuple[int, int]]
 
@@ -111,14 +112,6 @@ def split(d: SurfaceDiagram, cid: int, kind: str) -> SurfaceDiagram:
     if not 0 <= cid < len(d.crossings):
         raise DiagramError(f"unknown crossing c{cid}")
     return smooth_crossings(d, {cid: split_pairing(d.crossings[cid], kind)})
-
-
-def normalize_class(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Winding class of a loop: sign-normalized, None when null-homologous."""
-    for v in vec:
-        if v:
-            return tuple(vec) if v > 0 else tuple(-x for x in vec)
-    return None
 
 
 # sorted winding classes of the non-trivial loops of a state

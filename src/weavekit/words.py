@@ -12,11 +12,16 @@ consumes; the full words are kept because region-coincidence tests on
 higher-genus cells need the nonabelian element. ``is_trivial`` decides
 that element at genus >= 2 with one greedy Dehn pass over the cyclic
 forms of the surface relator, built once per genus.
+
+This module also owns the one sign rule for homology classes:
+``normalize_class`` points a Z^{2g} class the way whose first nonzero
+coordinate is positive. Thread orientation, primitive directions, the
+bracket's winding keys and the canonical winding multisets all use it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -93,6 +98,15 @@ def abelianize(word: Iterable[int], genus: int) -> tuple[int, ...]:
     for l in word:
         vec[abs(l) - 1] += 1 if l > 0 else -1
     return tuple(vec)
+
+
+def normalize_class(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Winding class of a loop: sign-normalized so that the first nonzero
+    coordinate is positive, None when null-homologous."""
+    for v in vec:
+        if v:
+            return tuple(vec) if v > 0 else tuple(-x for x in vec)
+    return None
 
 
 def torus_word(vec: Sequence[int]) -> Word:

@@ -453,3 +453,34 @@ def test_invalid_diagram_is_still_analyzed(wrapped_file):
     assert code == EXIT_OK
     assert "valid = False" in out
     assert "region f0 wraps the cell: boundary word a1B1A1b1" in out
+
+
+@pytest.fixture
+def genus2_file(tmp_path):
+    from weavekit.diagram import serialize
+
+    path = tmp_path / "genus2-c4.weave"
+    path.write_text(serialize(dict(full_corpus())["genus2-c4"]))
+    return path
+
+
+@pytest.mark.parametrize("source", ["file", "winding"])
+def test_certify_ball_off_the_torus_is_refused_before_any_work(genus2_file, source, monkeypatch):
+    from weavekit import canonical
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the genus check")
+
+    monkeypatch.setattr(invariants, "full_winding_multiset", no_work)
+    monkeypatch.setattr(canonical, "canonical_form", no_work)
+    given = [str(genus2_file)] if source == "file" else ["--winding", "(1,0,0,0)"]
+    code, out, err = run_cli("canonicalize", *given, "--certify-ball", "1")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: brute-force search is defined for the torus only\n"
+
+
+def test_certify_ball_zero_still_canonicalizes_genus_2(genus2_file):
+    code, out, err = run_cli("canonicalize", str(genus2_file), "--certify-ball", "0")
+    assert code == EXIT_OK and err == ""
+    assert "certified = False" in out
+    assert "ball_check" not in out

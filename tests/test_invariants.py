@@ -14,7 +14,7 @@ from fixtures import (
     torus_curl,
     twill_4x4,
 )
-from weavekit import laurent
+from weavekit import laurent, words
 from weavekit.corpus import full_corpus, genus2_corpus
 from weavekit.diagram import SurfaceDiagram
 from weavekit.invariants import (
@@ -24,6 +24,7 @@ from weavekit.invariants import (
     TooManyCrossings,
     _crossing_order,
     _frontier,
+    _pack,
     _walk_census,
     _walk_states,
     adequacy,
@@ -342,3 +343,19 @@ def test_frontier_reaches_past_the_default_budget():
         bracket(d)
     rep = degree_bounds_check(d, budget=25)
     assert rep["max_ok"] and rep["min_ok"]
+
+
+def test_packed_abs_is_the_sign_rule():
+    # the frontier orients a closed loop's class by abs() on its packed int;
+    # that is words.normalize_class while every |coordinate| <= L < base/4
+    rng = random.Random(23)
+    flipped = 0
+    for i in range(10_000):
+        L = rng.choice((1, 2, 7, 40))
+        n = rng.choice((2, 4, 6, 8, 16))
+        lead = rng.randint(0, n)
+        v = tuple([0] * lead + [rng.randint(-L, L) for _ in range(n - lead)])
+        base = 4 * L + 4
+        assert abs(_pack(v, base)) == _pack(words.normalize_class(v) or v, base), (v, base)
+        flipped += _pack(v, base) < 0
+    assert 3_000 < flipped < 7_000

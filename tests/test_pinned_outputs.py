@@ -119,8 +119,8 @@ def test_r2_removals_along_fuzz_walks_are_pinned():
 # sha256 of exit code, stdout and stderr of every command below, taken while
 # canonical_form still expanded every winding multiset into one tuple entry
 # per loop
-CANONICALIZE_DIAGRAMS = "01dc94db7bc7400ee7e5c7700050e22f29c08355b9508489546a3f47b4d9144b"
-CANONICALIZE_WINDINGS = "a16cf72079c52a6ddf528c9a71b754cca149112962b51e5264ba218a62d013b8"
+CANONICALIZE_DIAGRAMS = "1a94a4516be294b70abfefb6292b533d755c1471f9bf4c0928e65493ccca24ef"
+CANONICALIZE_WINDINGS = "109f6d35e2b526f2cb26c69dd1a165a465e6d97201ef36ec1ee074a8517fd2a3"
 WINDING_SETS = (
     "(1,0)",
     "(0,2)",

@@ -201,3 +201,84 @@ def test_dehn_pass_matches_the_reference_on_walk_regions():
     assert len(seen) > 100
     for w in seen:
         assert words.is_trivial(w, 2) == _reference_is_trivial(w, 2), w
+
+
+# the sign rule as three modules each kept it before ``words.normalize_class``
+# became the one copy: the winding class of a state loop, the flip that
+# orients threads and primitive directions, and the canonical multiset key
+
+
+def _reference_states_normalize_class(vec):
+    for v in vec:
+        if v:
+            return tuple(vec) if v > 0 else tuple(-x for x in vec)
+    return None
+
+
+def _reference_lex_negative(vec):
+    for v in vec:
+        if v:
+            return v < 0
+    return False
+
+
+def _reference_thread_orientation(hom):
+    return tuple(-v for v in hom) if _reference_lex_negative(hom) else tuple(hom)
+
+
+def _reference_primitive_direction(vec):
+    from math import gcd
+
+    g = 0
+    for v in vec:
+        g = gcd(g, abs(v))
+    if g == 0:
+        return None
+    prim = [v // g for v in vec]
+    if _reference_lex_negative(prim):
+        prim = [-v for v in prim]
+    return tuple(prim)
+
+
+def _reference_sign_normalized(v):
+    nv = _reference_states_normalize_class(v)
+    return nv if nv is not None else v
+
+
+def _seeded_vectors(seed, count):
+    """Vectors of length 2-16: zero ones, ones whose first nonzero entry
+    lies deep, and dense ones with small and large entries."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 16)
+        if i % 10 == 0:
+            yield (0,) * n
+            continue
+        lead = rng.randint(0, n - 1)
+        span = rng.choice((1, 3, 50))
+        vec = [0] * lead + [rng.randint(-span, span) for _ in range(n - lead)]
+        yield tuple(vec)
+
+
+def test_normalize_class_matches_the_three_former_copies():
+    from weavekit.diagram import primitive_direction
+
+    signs = set()
+    zero = 0
+    for vec in _seeded_vectors(seed=17, count=12_000):
+        cls = words.normalize_class(vec)
+        assert cls == _reference_states_normalize_class(vec), vec
+        assert (cls or vec) == _reference_thread_orientation(vec), vec
+        assert (cls or vec) == _reference_sign_normalized(vec), vec
+        assert primitive_direction(vec) == _reference_primitive_direction(vec), vec
+        zero += cls is None
+        signs.add(next((v > 0 for v in vec if v), None))
+    # zero vectors and both signs of first nonzero coordinate all occur
+    assert zero > 1_000
+    assert signs == {None, True, False}
+
+
+def test_normalize_class_on_small_cases():
+    assert words.normalize_class((0, 0)) is None
+    assert words.normalize_class([0, -2, 1]) == (0, 2, -1)
+    assert words.normalize_class((0, 3, -1)) == (0, 3, -1)
