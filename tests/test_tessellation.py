@@ -1,11 +1,12 @@
 import gc
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from fixtures import genus2_octagon
-from weavekit import tessellation
+from weavekit import tessellation, words
 from weavekit.invariants import bracket, degree_stats
 from weavekit.tessellation import (
     InconsistentSequence,
@@ -19,6 +20,7 @@ from weavekit.tessellation import (
     assign_weaving_map,
     build_tiling,
     classify,
+    crossing_count,
     parse_vertex_symbol,
     read_sequence,
     transform,
@@ -98,6 +100,58 @@ def test_build_tiling_counts():
     assert (tri.n_vertices, len(tri.edges), tri.face_count()) == (1, 3, 2)
     sq3 = square(3)
     assert sq3.n_vertices == 9 and len(sq3.edges) == 18
+
+
+SYMBOLS = ("(4,4,4,4)", "(3,3,3,3,3,3)", "(6,6,6)", "(3,6,3,6)")
+
+# sha256 of (genus, n_vertices, edges, darts, angles) at scales 1-4, taken
+# while the cells were still stored as Z^2 offsets
+TILINGS = {
+    "(4,4,4,4)": "3483fb8bb21812435cf32d44e03a0eea66725e9db5291f8cd0fad3aaf25275de",
+    "(3,3,3,3,3,3)": "2f5a1b5d4e3b7e47a1d1d6c564b3822485748f7847ecd882623ab2e930c23d8c",
+    "(6,6,6)": "6ea5b7fb526edeec9af105f63129b918828220c4f32b44ac7d40b03d676a007f",
+    "(3,6,3,6)": "1346ce16a306a5a951786766a496139797ad1d12e00eea29be8fd6590df7c9b3",
+}
+
+
+@pytest.mark.parametrize("symbol", SYMBOLS)
+def test_replicated_tilings_are_pinned(symbol):
+    h = hashlib.sha256()
+    for scale in (1, 2, 3, 4):
+        t = build_tiling(parse_vertex_symbol(symbol), scale)
+        h.update(repr((t.genus, t.n_vertices, t.edges, t.darts, t.angles)).encode())
+    assert h.hexdigest() == TILINGS[symbol]
+
+
+@pytest.mark.parametrize("symbol", SYMBOLS)
+def test_curated_cell_is_its_own_scale_one_tiling(symbol):
+    vs = parse_vertex_symbol(symbol)
+    cell = tessellation._CURATED[vs.ks]
+    assert (cell.symbol, cell.scale, cell.genus) == (vs, 1, 1)
+    assert cell.euler_check()
+    darts = [dart for dlist in cell.darts for dart in dlist]
+    assert sorted(darts) == [(label, end) for label in range(len(cell.edges)) for end in (0, 1)]
+    for _tail, _head, word in cell.edges:
+        step = words.abelianize(word, 1)
+        assert word == words.torus_word(step)
+        assert all(x in (-1, 0, 1) for x in step)
+    assert build_tiling(vs, 1) == cell
+
+
+@pytest.mark.parametrize("symbol", SYMBOLS)
+def test_crossing_count_matches_the_transform(symbol):
+    vs = parse_vertex_symbol(symbol)
+    specs = [TransformSpec("Cr", 1)]
+    specs += [TransformSpec(method, m) for method in ("nCr", "nBr") for m in (0, 1, 2)]
+    for spec in specs:
+        for scale in (1, 2, 3):
+            try:
+                expected = len(transform(build_tiling(vs, scale), spec).crossings)
+            except OddValencyForCr:
+                with pytest.raises(OddValencyForCr):
+                    crossing_count(vs, spec, scale)
+                continue
+            assert crossing_count(vs, spec, scale) == expected, (spec, scale)
 
 
 def test_build_tiling_rejects_non_euclidean():
@@ -258,3 +312,11 @@ def test_assign_weaving_map_leaves_no_garbage_cycles():
     finally:
         gc.enable()
     assert classify(woven) == "Weave"
+
+
+def test_alternating_solver_follows_long_twist_chains():
+    # 1000 crossings per twist region chain union-find paths past the recursion limit
+    d = transform(build_tiling(parse_vertex_symbol("(6,6,6)"), 1), TransformSpec("nBr", 1000))
+    alt = assign_alternating(d)
+    assert len(alt.crossings) == 3000
+    assert alt.is_alternating()

@@ -10,7 +10,6 @@ import random
 import pytest
 
 from fixtures import plain_weave_2x2, single_loop
-from weavekit import tessellation
 from weavekit.canonical import CanonicalResult, canonical_form
 from weavekit.diagram import (
     AXIS_13,
@@ -42,7 +41,6 @@ FIELDS = {
     MoveTrace: ("seed", "start", "moves", "diagrams"),
     VertexSymbol: ("ks",),
     TransformSpec: ("method", "m"),
-    tessellation._CellTable: ("edges", "darts", "angles"),
     PeriodicTiling: ("symbol", "scale", "genus", "n_vertices", "edges", "darts", "angles"),
     CanonicalResult: ("winding", "matrix", "q_before", "q_after", "certified"),
 }
@@ -64,7 +62,6 @@ def _samples():
         fuzz(d, 3, seed=1),
         VertexSymbol((3, 6, 3, 6)),
         TransformSpec("nBr", 2),
-        tessellation._SQUARE,
         build_tiling(VertexSymbol((4, 4, 4, 4)), 2),
         canonical_form(full_winding_multiset(d), 1),
     ]
