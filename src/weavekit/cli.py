@@ -93,6 +93,8 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
     rep["validation_advisories"] = list(validation.advisories)
     if not validation.ok:
         return rep
+    # first, so that a diagram above the budget is refused before other work
+    b = invariants.bracket(d, budget=budget)
     if d.crossings or d.edges:
         rep["faces"] = len(d.faces())
     threads = d.threads()
@@ -123,7 +125,6 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
     rep["linking"] = {
         f"t{i}-t{j}": v for (i, j), v in sorted(invariants.linking_matrix(d).items())
     }
-    b = invariants.bracket(d, budget=budget)
     f = b.normalized(writhe)
     rep["bracket"] = b.format()
     rep["kauffman_f"] = f.format()
@@ -497,6 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # read once, before any subcommand runs; library calls take budget= only
+        env = os.environ.get("WEAVE_CROSSING_BUDGET")
+        if args.crossing_budget is None and env:
+            if not env.strip().isdecimal():
+                raise ValueError(
+                    f"WEAVE_CROSSING_BUDGET must be a non-negative integer, got {env!r}"
+                )
+            args.crossing_budget = int(env)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -29,18 +29,20 @@ open darts stand in one fixed order per step, so a key is each dart's
 partner position, each dart's partial Z^{2g} vector packed into one int,
 and the packed winding classes of the loops already closed; a value maps
 the A-exponent and trivial-loop count, packed into one int, to a count.
-Only the final keys are decoded. Below 6 crossings the Gray-code walk over
-all 2^C states supplies the census (see ``FRONTIER_MIN_CROSSINGS``). Two
+Only the final keys are decoded. Below 6 crossings a walk over all 2^C
+states supplies the census (see ``FRONTIER_MIN_CROSSINGS``). Two
 independent paths serve as oracles, and tests and ``verify --suite oracle``
-hold all three to identical values: ``bracket_by_state_sum`` (the Gray-code
+hold all three to identical values: ``bracket_by_state_sum`` (the state
 walk at every size) and ``bracket_by_skein`` (recursive splitting by diagram
 surgery).
+
+The crossing budget is an argument: ``budget=None`` means
+``DEFAULT_BUDGET``, and no call here reads the environment.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import laurent, words
@@ -52,28 +54,16 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 DEFAULT_BUDGET = 24
-BUDGET_ENV_VAR = "WEAVE_CROSSING_BUDGET"
 
 
 class NotCheckerboardColorable(DiagramError):
     """The face two-coloring by split labels is inconsistent."""
 
 
-def crossing_budget(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if not env:
-        return DEFAULT_BUDGET
-    if not env.strip().isdecimal():
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}")
-    return int(env)
-
-
 def _check_budget(d: SurfaceDiagram, budget: Optional[int] = None) -> None:
     """Raise TooManyCrossings when a state sum over d would exceed the budget."""
     C = len(d.crossings)
-    limit = crossing_budget(budget)
+    limit = DEFAULT_BUDGET if budget is None else budget
     if C > limit:
         raise TooManyCrossings(f"{C} crossings exceed the budget of {limit}")
 
@@ -308,33 +298,23 @@ def _frontier(d: SurfaceDiagram) -> Census:
     }
 
 
-# Per bracket on fuzz-walk diagrams, the Gray-code walk is 1.6x as fast as the
-# frontier at 3 crossings and even at 4; the frontier is 1.4x as fast at 5 and
-# 2.7x at 6. The walk keeps C < 6 as the benchmark's tracer counts only its states.
+# Per bracket on fuzz-walk diagrams (2-core Xeon VM, Python 3.11.7), the state
+# walk is 1.1-1.6x as fast as the frontier at 3 and 4 crossings; the frontier is
+# 1.2-1.5x as fast at 5 and about 2x at 6. The walk keeps C < 6 as the
+# benchmark's tracer counts only its states.
 FRONTIER_MIN_CROSSINGS = 6
 
 
-def _walk_states(tracer: StateTracer) -> Iterator[tuple[int, int, WindingKey]]:
-    """Yield (gray, trivial, key) for every state in Gray-code order;
-    crossing c is B-split in state ``gray`` iff bit c is set."""
-    gray = 0
-    pair = tracer.pairing_for_bits(gray)
-    for k in range(1 << tracer.n_crossings):
-        if k:
-            bit = (k & -k).bit_length() - 1
-            gray ^= 1 << bit
-            tracer.set_crossing(pair, bit, bool(gray >> bit & 1))
-        trivial, key = tracer.resolve_bits(gray, pair)
-        yield gray, trivial, key
-
-
 def _walk_census(d: SurfaceDiagram) -> Census:
-    """The frontier's result, counted state by state from the Gray-code walk."""
+    """The frontier's result, counted state by state over all 2^C states;
+    crossing c is B-split in state ``bits`` iff bit c is set."""
     C = len(d.crossings)
+    tracer = StateTracer(d)
     out: Census = {}
-    for gray, trivial, key in _walk_states(StateTracer(d)):
+    for bits in range(1 << C):
+        trivial, key = tracer.resolve_bits(bits)
         bucket = out.setdefault(key, {})
-        k = (C - 2 * gray.bit_count(), trivial)
+        k = (C - 2 * bits.bit_count(), trivial)
         bucket[k] = bucket.get(k, 0) + 1
     return out
 
@@ -361,7 +341,7 @@ def _fold(census: Census) -> BracketValue:
 
 
 def bracket(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
-    """Exact bracket: the Gray-code walk below FRONTIER_MIN_CROSSINGS, the
+    """Exact bracket: the state walk below FRONTIER_MIN_CROSSINGS, the
     frontier evaluator from there up."""
     return _fold(_census(d, budget))
 
@@ -395,7 +375,7 @@ def bracket_by_frontier(d: SurfaceDiagram, budget: Optional[int] = None) -> Brac
 
 
 def bracket_by_state_sum(d: SurfaceDiagram, budget: Optional[int] = None) -> BracketValue:
-    """The Gray-code walk over all 2^C states at every crossing count."""
+    """The walk over all 2^C states at every crossing count."""
     _check_budget(d, budget)
     return _fold(_walk_census(d))
 

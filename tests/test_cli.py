@@ -11,6 +11,7 @@ from fixtures import grid_weave, src_env
 from weavekit import cli, invariants, tessellation
 from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, format_move, main, parse_move
 from weavekit.corpus import full_corpus
+from weavekit.diagram import serialize
 from weavekit.moves import Move
 
 
@@ -190,6 +191,8 @@ def test_budget_env_var_fallback(plain_file, monkeypatch):
     monkeypatch.setenv("WEAVE_CROSSING_BUDGET", "3")
     code, _out, _err = run_cli("analyze", str(plain_file))
     assert code == EXIT_BUDGET
+    code, _out, _err = run_cli("--crossing-budget", "24", "analyze", str(plain_file))
+    assert code == EXIT_OK
     monkeypatch.setenv("WEAVE_CROSSING_BUDGET", "24")
     code, _out, _err = run_cli("analyze", str(plain_file))
     assert code == EXIT_OK
@@ -297,6 +300,38 @@ def test_bad_budget_env_var_is_input_error(plain_file, monkeypatch, value):
     assert code == EXIT_INPUT
     assert out == ""
     assert f"WEAVE_CROSSING_BUDGET must be a non-negative integer, got '{value}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--tiling", "(4,4,4,4)", "--method", "Cr"],
+        ["fuzz", "{f}", "--steps", "5"],
+        ["analyze", "{f}"],
+        ["canonicalize", "{f}"],
+        ["canonicalize", "--winding", "(1,0);(0,1)"],
+        ["verify", "--suite", "invariance", "--steps", "5"],
+    ],
+)
+def test_every_subcommand_refuses_a_malformed_budget_env_var(plain_file, monkeypatch, argv):
+    monkeypatch.setenv("WEAVE_CROSSING_BUDGET", "abc")
+    code, out, err = run_cli(*[a.format(f=plain_file) for a in argv])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "WEAVE_CROSSING_BUDGET must be a non-negative integer, got 'abc'" in err
+
+
+def test_analyze_refuses_a_diagram_over_budget_before_other_work(tmp_path, monkeypatch):
+    path = tmp_path / "grid2.weave"
+    path.write_text(serialize(grid_weave(2)))
+
+    def unreachable(d):
+        raise AssertionError("adequacy ran before the budget check")
+
+    monkeypatch.setattr(invariants, "adequacy", unreachable)
+    code, out, _err = run_cli("--crossing-budget", "3", "analyze", str(path))
+    assert code == EXIT_BUDGET
+    assert out == ""
 
 
 class _ClosedPipe(io.StringIO):

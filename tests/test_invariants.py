@@ -26,7 +26,6 @@ from weavekit.invariants import (
     _frontier,
     _pack,
     _walk_census,
-    _walk_states,
     adequacy,
     bracket,
     bracket_by_frontier,
@@ -96,6 +95,14 @@ def test_budget_guard():
         bracket(plain_weave_2x2(), budget=3)
     with pytest.raises(TooManyCrossings):
         bracket_by_skein(plain_weave_2x2(), budget=3)
+
+
+def test_bracket_ignores_the_environment(monkeypatch):
+    # only the command line reads WEAVE_CROSSING_BUDGET
+    monkeypatch.setenv("WEAVE_CROSSING_BUDGET", "3")
+    d = plain_weave_2x2()
+    assert len(d.crossings) == 4
+    assert not bracket(d).is_zero
 
 
 def test_writhe_of_alternating_plain_weave_vanishes():
@@ -318,7 +325,10 @@ def test_frontier_census_of_a_relabelled_twill():
 
 def test_full_winding_multiset_equals_state_walk_on_grid():
     d = grid_weave(4)
-    census = Counter(vec for _gray, _trivial, key in _walk_states(StateTracer(d)) for vec in key)
+    tracer = StateTracer(d)
+    census = Counter(
+        vec for bits in range(1 << len(d.crossings)) for vec in tracer.resolve_bits(bits)[1]
+    )
     assert len(d.crossings) >= FRONTIER_MIN_CROSSINGS
     assert list(full_winding_multiset(d).items()) == sorted(census.items())
 
