@@ -34,6 +34,6 @@ print()
 # alternating diagram itself; greedy simplification gets back down to it.
 bounds = crossing_number_bounds(plain)
 print("crossing number bounds:", {k: v for k, v in bounds.items() if k != "simplified"})
-blown = fuzz(plain, 40, seed=3, max_crossings=12, keep_diagrams=False).end
+blown = fuzz(plain, 40, seed=3, max_crossings=12).end
 print("after 40 random moves:", len(blown.crossings), "crossings;",
       "simplified back to", len(simplify(blown, seed=0).crossings))

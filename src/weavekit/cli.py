@@ -164,18 +164,16 @@ def _emit_report(rep: dict[str, object], fmt: str) -> None:
 
 
 def verify_invariance(steps: int, seed: int, cap: int, budget: Optional[int]):
-    """Bracket behavior move by move along one seeded walk."""
+    """Bracket behavior move by move along one seeded walk, checked as the
+    walk goes, so no diagram outlives the step after it."""
     from . import corpus, invariants, moves
 
-    lines: list[str] = []
     failures: list[str] = []
-    base = corpus.alternating_corpus()[0][1]
-    trace = moves.fuzz(base, steps, seed, max_crossings=cap)
-    cur = base
+    cur = corpus.alternating_corpus()[0][1]
     cur_b = invariants.bracket(cur, budget=budget)
     cur_f = cur_b.normalized(invariants.writhe(cur))
     checked = {"R1": 0, "R2": 0, "R3": 0}
-    for mv, nxt in zip(trace.moves, trace.diagrams):
+    for step, (mv, nxt) in enumerate(moves.walk(cur, steps, seed, max_crossings=cap), 1):
         nxt_b = invariants.bracket(nxt, budget=budget)
         nxt_f = nxt_b.normalized(invariants.writhe(nxt))
         if mv.kind in ("R1_add", "R1_remove"):
@@ -189,16 +187,17 @@ def verify_invariance(steps: int, seed: int, cap: int, budget: Optional[int]):
         else:
             ok = nxt_b == cur_b
             checked["R2" if mv.kind.startswith("R2") else "R3"] += 1
+        where = f"after step {step}: {format_move(mv)}"
         if not ok:
-            failures.append(f"bracket relation failed after {format_move(mv)}")
+            failures.append(f"bracket relation failed {where}")
         if nxt_f != cur_f:
-            failures.append(f"normalized polynomial changed after {format_move(mv)}")
+            failures.append(f"normalized polynomial changed {where}")
         cur, cur_b, cur_f = nxt, nxt_b, nxt_f
-    lines.append(
-        f"invariance: {len(trace.moves)} moves "
+    lines = [
+        f"invariance: {sum(checked.values())} moves "
         f"(R1 {checked['R1']}, R2 {checked['R2']}, R3 {checked['R3']}), "
         f"{len(failures)} violations"
-    )
+    ]
     return failures, lines
 
 
@@ -238,7 +237,7 @@ def verify_tait1(steps: int, seed: int, budget: Optional[int]):
                 f"{name}: span bound gives {bounds['lower']}, crossing count {C}"
             )
             continue
-        trace = moves.fuzz(d, steps, seed, max_crossings=C + 6, keep_diagrams=False)
+        trace = moves.fuzz(d, steps, seed, max_crossings=C + 6)
         reached = len(trace.end.crossings)
         low = moves.simplify(trace.end, seed=seed)
         if len(low.crossings) < C:
@@ -252,7 +251,9 @@ def verify_tait1(steps: int, seed: int, budget: Optional[int]):
     return failures, lines
 
 
-def verify_tait2(seed: int, budget: Optional[int]):
+def verify_tait2(seed: int):
+    """Writhe of each reduced alternating base against a Dehn-twisted,
+    walked and simplified copy; evaluates no bracket, so takes no budget."""
     from . import canonical, corpus, invariants, moves
 
     lines: list[str] = []
@@ -261,9 +262,7 @@ def verify_tait2(seed: int, budget: Optional[int]):
     for name, d in corpus.alternating_corpus()[:3]:
         twisted = canonical.dehn_twist_diagram(d, "a", 1)
         twisted = canonical.dehn_twist_diagram(twisted, "b", -1)
-        scrambled = moves.fuzz(
-            twisted, 10, seed, max_crossings=len(d.crossings) + 6, keep_diagrams=False
-        ).end
+        scrambled = moves.fuzz(twisted, 10, seed, max_crossings=len(d.crossings) + 6).end
         settled = moves.simplify(scrambled, seed=seed)
         base_pairs.append((name, d, settled))
     for name, d1, d2 in base_pairs:
@@ -354,7 +353,7 @@ def cmd_fuzz(args) -> int:
     from . import moves
 
     d = _read_diagram(args.file, must_be_valid=True)
-    trace = moves.fuzz(d, args.steps, args.seed, max_crossings=args.cap, keep_diagrams=False)
+    trace = moves.fuzz(d, args.steps, args.seed, max_crossings=args.cap)
     if args.trace:
         with open(args.trace, "w") as fh:
             for mv in trace.moves:
@@ -427,7 +426,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "tait1":
         failures, lines = verify_tait1(args.steps, args.seed, budget)
     elif args.suite == "tait2":
-        failures, lines = verify_tait2(args.seed, budget)
+        failures, lines = verify_tait2(args.seed)
     else:
         raise DiagramError(f"unknown suite {args.suite!r}")
     for line in lines:

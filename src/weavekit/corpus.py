@@ -104,7 +104,7 @@ def mutated_corpus() -> list[tuple[str, SurfaceDiagram]]:
     base = assign_weaving_map(_build("(4,4,4,4)", "Cr", 1, 2), {(1, 2): (1, 1)})
     out = []
     for seed in _MUTATION_SEEDS:
-        tr = fuzz(base, _MUTATION_STEPS, seed, max_crossings=10, keep_diagrams=False)
+        tr = fuzz(base, _MUTATION_STEPS, seed, max_crossings=10)
         out.append((f"plain-fuzz-{seed}", tr.end))
     return out
 

@@ -144,17 +144,6 @@ class BracketValue:
     def span(self) -> int:
         return self.max_degree() - self.min_degree()
 
-    def reduced_part(self, key: WindingKey) -> tuple[LaurentPoly, bool]:
-        """The key's value with the global 1/d applied; exact flag tells
-        whether the division came out polynomial."""
-        p = self.parts.get(key, {})
-        if not p:
-            return {}, True
-        quo, rem = laurent.divmod_single(p, LOOP_FACTOR)
-        if rem:
-            return dict(p), False
-        return quo, True
-
     def substitute_quarter_inverse(self, variable: str) -> "BracketValue":
         """Replace the variable by the inverse quarter power of a new one."""
         return BracketValue(
@@ -167,10 +156,13 @@ class BracketValue:
             return "0"
         sections = []
         for key in self.keys():
-            poly_red, exact = self.reduced_part(key)
-            body = laurent.format_poly(poly_red, self.variable)
-            if not exact:
-                body = f"({body}) * d^-1"
+            # the global 1/d, applied where the division comes out polynomial
+            p = self.parts[key]
+            quo = laurent.div_loop_factor(p)
+            if quo is None:
+                body = f"({laurent.format_poly(p, self.variable)}) * d^-1"
+            else:
+                body = laurent.format_poly(quo, self.variable)
             sections.append(f"{format_key(key)} : {body}")
         return "; ".join(sections)
 

@@ -7,7 +7,7 @@ exact over Z.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Optional
 
 LaurentPoly = dict[int, int]
 
@@ -15,18 +15,6 @@ ONE: LaurentPoly = {0: 1}
 
 # d = -A^2 - A^-2, the loop multiplier after the bracket specialization
 LOOP_FACTOR: LaurentPoly = {2: -1, -2: -1}
-
-
-def poly(pairs: Mapping[int, int] | Iterable[tuple[int, int]]) -> LaurentPoly:
-    """Build a polynomial, dropping zero coefficients."""
-    items = pairs.items() if isinstance(pairs, Mapping) else pairs
-    out: LaurentPoly = {}
-    for e, c in items:
-        if c:
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-    return out
 
 
 def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -100,43 +88,18 @@ def min_degree(p: LaurentPoly) -> int:
     return min(p)
 
 
-def divmod_single(p: LaurentPoly, q: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division with remainder in the Laurent ring.
+def div_loop_factor(p: LaurentPoly) -> Optional[LaurentPoly]:
+    """p / d for d = -A^2 - A^-2, or None when d does not divide p.
 
-    Both polynomials are shifted to ordinary polynomials (minimum exponent
-    zero), divided there, and the quotient shifted back; remainders are
-    canonical for that shift. Requires the leading coefficient of q to be
-    +-1 so everything stays over Z.
+    p = d q reads p[e] = -q[e - 2] - q[e + 2], which fixes q from the top
+    exponent down; the division is exact when q times d gives p back.
     """
-    if not q:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not p:
-        return {}, {}
-    p_off = min_degree(p)
-    q_off = min_degree(q)
-    qe = max_degree(q) - q_off
-    qc = q[qe + q_off]
-    if qc not in (1, -1):
-        raise ValueError("divisor leading coefficient must be a unit")
-    rem = {e - p_off: c for e, c in p.items()}
-    qq = {e - q_off: c for e, c in q.items()}
-    quo: LaurentPoly = {}
-    while rem and max(rem) >= qe:
-        re = max(rem)
-        factor = rem[re] * qc  # qc is +-1, so this is exact
-        e = re - qe
-        quo[e] = quo.get(e, 0) + factor
-        for qe2, qc2 in qq.items():
-            s = rem.get(qe2 + e, 0) - factor * qc2
-            if s:
-                rem[qe2 + e] = s
-            elif qe2 + e in rem:
-                del rem[qe2 + e]
-    shift_back = p_off - q_off
-    return (
-        poly({e + shift_back: c for e, c in quo.items()}),
-        poly({e + p_off: c for e, c in rem.items()}),
-    )
+    q: LaurentPoly = {}
+    for e in range(max(p, default=0), min(p, default=0) + 3, -1):
+        c = -p.get(e, 0) - q.get(e + 2, 0)
+        if c:
+            q[e - 2] = c
+    return q if mul(q, LOOP_FACTOR) == p else None
 
 
 def substitute_inverse(p: LaurentPoly) -> LaurentPoly:

@@ -22,20 +22,24 @@ One routine, ``_site``, decides whether a region is a removal or flip
 site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
 removal or flip only when ``_site`` finds it again, so every advertised
 move applies. ``enumerate_moves(d, kind)`` lists only the moves of one
-kind. ``fuzz`` draws a kind among the kinds that have a move, found
-without listing them, and then lists only that kind, so a seed gives the
-same walk as when every step listed every move. Regions are looked up
-through the corner index ``SurfaceDiagram.corner_face`` (a step lies in
-the region of its arrival corner), never found by scanning every region:
-a site is sought only among the regions at its first crossing, and a push
-only in the region of its first strand.
+kind. ``walk`` is the one seeded random walk: each step draws a kind
+among the kinds that have a move, found without listing them, and then
+lists only that kind, so a seed gives the same walk as when every step
+listed every move. It yields each move with the diagram it gives and keeps
+none of them; ``fuzz`` collects the moves and the last diagram.
+
+Regions are looked up through the corner index
+``SurfaceDiagram.corner_face`` (a step lies in the region of its arrival
+corner), never found by scanning every region: a site is sought only among
+the regions at its first crossing, and a push only in the region of its
+first strand.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import words
 from .diagram import (
@@ -378,23 +382,19 @@ def apply_move(d: SurfaceDiagram, m: Move) -> SurfaceDiagram:
 
 
 class MoveTrace(Record):
-    __slots__ = ("seed", "start", "moves", "diagrams")
+    __slots__ = ("seed", "start", "moves", "end")
 
     def __init__(
         self,
         seed: int,
         start: SurfaceDiagram,
         moves: Optional[list[Move]] = None,
-        diagrams: Optional[list[SurfaceDiagram]] = None,
+        end: Optional[SurfaceDiagram] = None,
     ) -> None:
         self.seed = seed
         self.start = start
         self.moves = [] if moves is None else moves
-        self.diagrams = [] if diagrams is None else diagrams
-
-    @property
-    def end(self) -> SurfaceDiagram:
-        return self.diagrams[-1] if self.diagrams else self.start
+        self.end = start if end is None else end
 
     def replay(self) -> SurfaceDiagram:
         cur = self.start
@@ -407,22 +407,24 @@ _REMOVE_KINDS = {"R1_remove", "R2_remove"}
 _DELTA = {"R1_add": 1, "R1_remove": -1, "R2_add": 2, "R2_remove": -2, "R3": 0}
 
 
-def fuzz(
+def walk(
     d: SurfaceDiagram,
     steps: int,
     seed: int,
     max_crossings: int = 12,
-    keep_diagrams: bool = True,
-) -> MoveTrace:
-    """Seeded random move walk, preferring removals near the crossing cap."""
+) -> Iterator[tuple[Move, SurfaceDiagram]]:
+    """Seeded random move walk, preferring removals near the crossing cap.
+
+    Yields each move with the diagram it gives, and holds only the current
+    diagram, so a consumer that keeps none of them walks in constant memory.
+    """
     rng = random.Random(seed)
-    trace = MoveTrace(seed, d)
     cur = d
     for _ in range(steps):
         n = len(cur.crossings)
         kinds = [k for k in _kinds_present(cur) if n + _DELTA[k] <= max_crossings]
         if not kinds:
-            break
+            return
         if n > 0.75 * max_crossings:
             removals = [k for k in kinds if k in _REMOVE_KINDS]
             if removals:
@@ -432,12 +434,15 @@ def fuzz(
         kind = rng.choice(sorted(kinds))
         pick = rng.choice(enumerate_moves(cur, kind))
         cur = apply_move(cur, pick)
-        trace.moves.append(pick)
-        if keep_diagrams:
-            trace.diagrams.append(cur)
-    if not keep_diagrams:
-        trace.diagrams.append(cur)
-    return trace
+        yield pick, cur
+
+
+def fuzz(d: SurfaceDiagram, steps: int, seed: int, max_crossings: int = 12) -> MoveTrace:
+    """The moves of ``walk`` and the diagram it ends at."""
+    moves, end = [], d
+    for move, end in walk(d, steps, seed, max_crossings):
+        moves.append(move)
+    return MoveTrace(seed, d, moves, end)
 
 
 _SIMPLIFY_ROUNDS = 200

@@ -35,7 +35,7 @@ from weavekit.invariants import (
     r_parallel,
     writhe,
 )
-from weavekit.moves import crossing_number_bounds, fuzz, simplify
+from weavekit.moves import crossing_number_bounds, fuzz, simplify, walk
 from weavekit.states import split
 from determinism_probe import run_determinism_probe
 from fixtures import state_loop_count
@@ -84,16 +84,16 @@ def test_criterion_02_bracket_well_defined(corpus):
 @pytest.fixture(scope="module")
 def invariance_walk(alternating):
     base = alternating[0][1]
-    trace = fuzz(base, 500, seed=2026, max_crossings=11)
-    assert len(trace.moves) == 500
-    return base, trace
+    walked = list(walk(base, 500, seed=2026, max_crossings=11))
+    assert len(walked) == 500
+    return base, walked
 
 
 def test_criterion_03_regular_isotopy(invariance_walk):
-    base, trace = invariance_walk
+    base, walked = invariance_walk
     cur, cur_b = base, bracket(base)
     counts = {"R1": 0, "R2": 0, "R3": 0}
-    for mv, nxt in zip(trace.moves, trace.diagrams):
+    for mv, nxt in walked:
         nxt_b = bracket(nxt)
         if mv.kind in ("R1_add", "R1_remove"):
             if mv.kind == "R1_add":
@@ -110,9 +110,9 @@ def test_criterion_03_regular_isotopy(invariance_walk):
 
 
 def test_criterion_04_ambient_isotopy(invariance_walk):
-    base, trace = invariance_walk
+    base, walked = invariance_walk
     f0 = kauffman_f(base)
-    for step_index, nxt in enumerate(trace.diagrams):
+    for step_index, (_, nxt) in enumerate(walked):
         assert kauffman_f(nxt) == f0, f"step {step_index}"
     _verdict(4, "normalized polynomial constant across the full 500-step trace")
 
@@ -156,10 +156,10 @@ def test_criterion_06_tait_one(alternating):
         C = len(d.crossings)
         rep = crossing_number_bounds(d, seed=5)
         assert rep["certified_lower"] and rep["lower"] == C, name
-        trace = fuzz(d, 1000, seed=97, max_crossings=C + 6, keep_diagrams=True)
-        low_water = min(len(step.crossings) for step in trace.diagrams)
+        walked = [step for _, step in walk(d, 1000, seed=97, max_crossings=C + 6)]
+        low_water = min(len(step.crossings) for step in walked)
         assert low_water >= C, f"{name} reached {low_water} crossings"
-        settled = simplify(trace.end, seed=5)
+        settled = simplify(walked[-1], seed=5)
         assert len(settled.crossings) == C, name
     _verdict(6, "span certifies minimality; 1000-step walks never beat it", f"{len(minimal)} diagrams")
 
@@ -170,9 +170,7 @@ def test_criterion_07_tait_two(alternating):
         if not is_minimal_size(d) or len(d.crossings) > 12:
             continue
         twisted = dehn_twist_diagram(dehn_twist_diagram(d, "a", 1), "b", -1)
-        scrambled = fuzz(
-            twisted, 12, seed=31, max_crossings=len(d.crossings) + 6, keep_diagrams=False
-        ).end
+        scrambled = fuzz(twisted, 12, seed=31, max_crossings=len(d.crossings) + 6).end
         settled = simplify(scrambled, seed=3)
         assert settled.validate().ok and settled.is_alternating(), name
         assert settled.is_reduced()[0], name
@@ -234,8 +232,7 @@ def test_criterion_09_writhe_chain(corpus, alternating):
     base = alternating[0][1]
     base_links = sorted(linking_matrix(base).values())
     for seed in (12, 13):
-        trace = fuzz(base, 30, seed, max_crossings=11)
-        for step in trace.diagrams:
+        for _, step in walk(base, 30, seed, max_crossings=11):
             wrap = sorted(
                 v
                 for (i, j), v in linking_matrix(step).items()
@@ -289,7 +286,7 @@ def test_criterion_09_writhe_chain(corpus, alternating):
         if not adeq["plus"]:
             continue
         for seed in (41, 42):
-            other = fuzz(d, 10, seed, max_crossings=len(d.crossings) + 6, keep_diagrams=False).end
+            other = fuzz(d, 10, seed, max_crossings=len(d.crossings) + 6).end
             c1, w1 = len(d.crossings), writhe(d)
             c2, w2 = len(other.crossings), writhe(other)
             assert c1 - w1 <= c2 - w2, (name, seed)

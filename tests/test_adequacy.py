@@ -18,7 +18,7 @@ from weavekit import cli
 from weavekit.corpus import full_corpus, genus2_corpus
 from weavekit.diagram import serialize
 from weavekit.invariants import adequacy, r_parallel
-from weavekit.moves import fuzz
+from weavekit.moves import walk
 from weavekit.states import StateTracer
 from weavekit.tessellation import (
     TransformSpec,
@@ -68,8 +68,7 @@ def _pool():
         yield name, d
         yield name + "/relabelled", relabelled(d, rng)
         for seed in (1, 2):
-            trace = fuzz(d, 25, seed)
-            for step, dd in enumerate(trace.diagrams):
+            for step, (_, dd) in enumerate(walk(d, 25, seed)):
                 yield f"{name}/fuzz{seed}.{step}", dd
         if len(d.crossings) <= 12:
             for r in (2, 3):

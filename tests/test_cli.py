@@ -9,7 +9,7 @@ import pytest
 
 from fixtures import grid_weave, src_env
 from weavekit import cli, invariants, tessellation
-from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, format_move, main, parse_move
+from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, format_move, main, parse_move
 from weavekit.corpus import full_corpus
 from weavekit.diagram import serialize
 from weavekit.moves import Move
@@ -164,6 +164,20 @@ def test_verify_suites_pass():
         assert "violations = 0" in out
 
 
+@pytest.mark.parametrize(
+    "suite, expected",
+    [("tait2", EXIT_OK), ("tait1", EXIT_BUDGET), ("invariance", EXIT_BUDGET), ("oracle", EXIT_BUDGET)],
+)
+def test_zero_budget_refuses_every_suite_that_evaluates_a_bracket(suite, expected):
+    # tait2 compares writhes and simplifies; it evaluates no bracket
+    code, out, err = run_cli("--crossing-budget", "0", "verify", "--suite", suite, "--steps", "5")
+    assert code == expected, (suite, out, err)
+    if expected == EXIT_OK:
+        assert out.splitlines()[-1] == "suite = tait2; violations = 0"
+    else:
+        assert out == "" and "exceed the budget of 0" in err
+
+
 def test_console_script_entry_point(plain_file):
     proc = subprocess.run(
         [sys.executable, "-m", "weavekit.cli", "analyze", str(plain_file)],
@@ -215,12 +229,59 @@ def test_verify_harness_detects_corruption():
     from weavekit.moves import apply_move, fuzz
 
     base = alternating_corpus()[0][1]
-    trace = fuzz(base, 5, seed=0, max_crossings=10)
-    good = trace.diagrams[-1]
+    good = fuzz(base, 5, seed=0, max_crossings=10).end
     crossings = list(good.crossings)
     crossings[0] = Crossing(0, 1 - crossings[0].over_axis)
     corrupted = SurfaceDiagram(good.genus, tuple(crossings), good.edges, good.loops)
     assert bracket(corrupted) != bracket(good)
+
+
+def test_invariance_suite_names_the_step_of_a_wrong_bracket(monkeypatch):
+    # one wrong value at step 3 breaks the relation on both sides of it
+    from weavekit.corpus import alternating_corpus
+    from weavekit.moves import fuzz
+
+    calls = []
+    state_sum = invariants.bracket
+
+    def wrong_at_step_3(d, *args, **kwargs):
+        calls.append(d)
+        value = state_sum(d, *args, **kwargs)
+        return value.scaled(1, 1) if len(calls) == 4 else value
+
+    monkeypatch.setattr(invariants, "bracket", wrong_at_step_3)
+    code, out, _err = run_cli(
+        "verify", "--suite", "invariance", "--steps", "10", "--seed", "1", "--cap", "10"
+    )
+    walked = fuzz(alternating_corpus()[0][1], 10, 1, max_crossings=10).moves
+    assert code == EXIT_VIOLATION
+    assert [line for line in out.splitlines() if line.startswith("FAIL: ")] == [
+        f"FAIL: bracket relation failed after step 3: {format_move(walked[2])}",
+        f"FAIL: normalized polynomial changed after step 3: {format_move(walked[2])}",
+        f"FAIL: bracket relation failed after step 4: {format_move(walked[3])}",
+        f"FAIL: normalized polynomial changed after step 4: {format_move(walked[3])}",
+    ]
+    assert out.splitlines()[-1] == "suite = invariance; violations = 4"
+
+
+def test_invariance_suite_keeps_no_walked_diagram(monkeypatch):
+    # each step needs only the diagram before it; the start stays in the corpus
+    import weakref
+
+    alive_at_call = []
+    seen = []
+    state_sum = invariants.bracket
+
+    def watched(d, *args, **kwargs):
+        seen.append(weakref.ref(d))
+        alive_at_call.append(sum(ref() is not None for ref in seen))
+        return state_sum(d, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "bracket", watched)
+    failures, lines = cli.verify_invariance(400, 0, 12, None)
+    assert not failures and lines[0].startswith("invariance: 400 moves")
+    assert len(seen) == 401
+    assert max(alive_at_call) <= 3
 
 
 def test_one_bracket_per_report_and_per_walk_step(monkeypatch):

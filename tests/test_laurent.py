@@ -1,8 +1,22 @@
+from typing import Iterable, Mapping
+
 import pytest
 from hypothesis import given, strategies as st
 
 from weavekit import laurent
 from weavekit.laurent import LOOP_FACTOR, LaurentPoly
+
+
+def poly(pairs: Mapping[int, int] | Iterable[tuple[int, int]]) -> LaurentPoly:
+    """Build a polynomial, dropping zero coefficients."""
+    items = pairs.items() if isinstance(pairs, Mapping) else pairs
+    out: LaurentPoly = {}
+    for e, c in items:
+        if c:
+            out[e] = out.get(e, 0) + c
+            if not out[e]:
+                del out[e]
+    return out
 
 
 def neg(p: LaurentPoly) -> LaurentPoly:
@@ -17,15 +31,44 @@ def span(p: LaurentPoly) -> int:
     return laurent.max_degree(p) - laurent.min_degree(p)
 
 
-def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    quo, rem = laurent.divmod_single(p, q)
-    if rem:
-        raise ValueError("division is not exact")
-    return quo
+def divmod_single(p: LaurentPoly, q: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Division with remainder in the Laurent ring, the reference for
+    ``laurent.div_loop_factor``.
 
-
-def divides(q: LaurentPoly, p: LaurentPoly) -> bool:
-    return not p or not laurent.divmod_single(p, q)[1]
+    Both polynomials are shifted to ordinary polynomials (minimum exponent
+    zero), divided there, and the quotient shifted back; remainders are
+    canonical for that shift. Requires the leading coefficient of q to be
+    +-1 so everything stays over Z.
+    """
+    if not q:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not p:
+        return {}, {}
+    p_off = laurent.min_degree(p)
+    q_off = laurent.min_degree(q)
+    qe = laurent.max_degree(q) - q_off
+    qc = q[qe + q_off]
+    if qc not in (1, -1):
+        raise ValueError("divisor leading coefficient must be a unit")
+    rem = {e - p_off: c for e, c in p.items()}
+    qq = {e - q_off: c for e, c in q.items()}
+    quo: LaurentPoly = {}
+    while rem and max(rem) >= qe:
+        re = max(rem)
+        factor = rem[re] * qc  # qc is +-1, so this is exact
+        e = re - qe
+        quo[e] = quo.get(e, 0) + factor
+        for qe2, qc2 in qq.items():
+            s = rem.get(qe2 + e, 0) - factor * qc2
+            if s:
+                rem[qe2 + e] = s
+            elif qe2 + e in rem:
+                del rem[qe2 + e]
+    shift_back = p_off - q_off
+    return (
+        poly({e + shift_back: c for e, c in quo.items()}),
+        poly({e + p_off: c for e, c in rem.items()}),
+    )
 
 
 def parse_poly(text: str, var: str = "A") -> LaurentPoly:
@@ -40,7 +83,7 @@ def parse_poly(text: str, var: str = "A") -> LaurentPoly:
         if not exp_s:
             raise ValueError(f"bad term {part!r}")
         out[int(exp_s)] = out.get(int(exp_s), 0) + int(coeff_s)
-    return laurent.poly(out)
+    return poly(out)
 
 
 def polys():
@@ -50,8 +93,8 @@ def polys():
 
 
 def test_basic_arithmetic():
-    p = laurent.poly({2: 1, 0: -1})
-    q = laurent.poly({-2: 3})
+    p = poly({2: 1, 0: -1})
+    q = poly({-2: 3})
     assert laurent.add(p, q) == {2: 1, 0: -1, -2: 3}
     assert laurent.mul(p, q) == {0: 3, -2: -3}
     assert sub(p, p) == {}
@@ -59,7 +102,7 @@ def test_basic_arithmetic():
 
 
 def test_zero_coefficients_are_dropped():
-    assert laurent.poly({3: 0}) == {}
+    assert poly({3: 0}) == {}
     assert laurent.add({1: 2}, {1: -2}) == {}
 
 
@@ -74,16 +117,30 @@ def test_degrees_and_span():
 
 def test_loop_factor_divides_its_powers():
     d3 = laurent.power(LOOP_FACTOR, 3)
-    quo, rem = laurent.divmod_single(d3, LOOP_FACTOR)
-    assert rem == {}
-    assert quo == laurent.power(LOOP_FACTOR, 2)
+    assert laurent.div_loop_factor(d3) == laurent.power(LOOP_FACTOR, 2)
+    assert laurent.div_loop_factor(LOOP_FACTOR) == {0: 1}
 
 
 def test_division_detects_non_multiples():
-    assert not divides(LOOP_FACTOR, {1: 1})
-    assert divides(LOOP_FACTOR, {})
-    with pytest.raises(ValueError):
-        exact_div({1: 1}, LOOP_FACTOR)
+    assert laurent.div_loop_factor({1: 1}) is None
+    assert laurent.div_loop_factor({2: -1}) is None
+    assert laurent.div_loop_factor({}) == {}
+
+
+def _agrees_with_reference(p: LaurentPoly) -> None:
+    quo, rem = divmod_single(p, LOOP_FACTOR)
+    assert laurent.div_loop_factor(p) == (None if rem else quo)
+
+
+@given(polys())
+def test_division_agrees_with_reference(p):
+    _agrees_with_reference(poly(p))
+
+
+@given(polys(), polys())
+def test_division_agrees_with_reference_on_multiples(p, q):
+    _agrees_with_reference(laurent.mul(poly(p), LOOP_FACTOR))
+    _agrees_with_reference(laurent.add(laurent.mul(poly(p), LOOP_FACTOR), poly(q)))
 
 
 @given(polys(), polys())
@@ -101,13 +158,13 @@ def test_mul_distributes(p, q, r):
 @given(polys())
 def test_exact_division_roundtrip(p):
     prod = laurent.mul(p, LOOP_FACTOR)
-    assert exact_div(prod, LOOP_FACTOR) == laurent.poly(p)
+    assert laurent.div_loop_factor(prod) == poly(p)
 
 
 @given(polys())
 def test_format_parse_roundtrip(p):
-    text = laurent.format_poly(laurent.poly(p))
-    assert parse_poly(text) == laurent.poly(p)
+    text = laurent.format_poly(poly(p))
+    assert parse_poly(text) == poly(p)
 
 
 def test_format_is_canonical():

@@ -12,6 +12,7 @@ from weavekit.moves import (
     enumerate_moves,
     fuzz,
     simplify,
+    walk,
 )
 
 DELTAS = {"R1_add": (1, 1), "R1_remove": (-1, -1), "R2_add": (2, 2), "R2_remove": (-2, -2), "R3": (0, 0)}
@@ -79,7 +80,7 @@ def test_r3_flip_properties():
     d0 = plain_weave_2x2()
     tested = 0
     for seed in range(40):
-        cur = fuzz(d0, 6, seed, max_crossings=10, keep_diagrams=False).end
+        cur = fuzz(d0, 6, seed, max_crossings=10).end
         sites = [m for m in enumerate_moves(cur) if m.kind == "R3"]
         if not sites:
             continue
@@ -106,8 +107,7 @@ def test_r3_flip_properties():
 def test_moves_keep_regions_null_homologous():
     d = plain_weave_2x2()
     for seed in (0, 1, 2):
-        trace = fuzz(d, 20, seed, max_crossings=11)
-        for step in trace.diagrams:
+        for _, step in walk(d, 20, seed, max_crossings=11):
             assert step.validate().ok
             for f in step.faces():
                 assert not any(words.abelianize(f.holonomy, 1))
@@ -115,9 +115,8 @@ def test_moves_keep_regions_null_homologous():
 
 def test_move_count_deltas():
     d = plain_weave_2x2()
-    trace = fuzz(d, 30, seed=4, max_crossings=11)
     cur = d
-    for mv, nxt in zip(trace.moves, trace.diagrams):
+    for mv, nxt in walk(d, 30, seed=4, max_crossings=11):
         dc, df = DELTAS[mv.kind]
         assert len(nxt.crossings) - len(cur.crossings) == dc
         assert len(nxt.faces()) - len(cur.faces()) == df
@@ -135,6 +134,22 @@ def test_fuzz_determinism_and_replay():
     assert t3.moves != t1.moves
 
 
+def test_fuzz_collects_the_walk():
+    d = plain_weave_2x2()
+    walked = list(walk(d, 40, seed=9, max_crossings=11))
+    t = fuzz(d, 40, seed=9, max_crossings=11)
+    assert t.moves == [m for m, _ in walked]
+    assert serialize(t.end) == serialize(walked[-1][1])
+    cur = d
+    for m, nxt in walked:
+        cur = apply_move(cur, m)
+        assert serialize(nxt) == serialize(cur)
+    # a cap below every move's result stops the walk before its first step
+    assert list(walk(d, 10, seed=0, max_crossings=0)) == []
+    t0 = fuzz(d, 10, seed=0, max_crossings=0)
+    assert t0.moves == [] and t0.end is d
+
+
 def test_fuzz_zero_steps():
     d = plain_weave_2x2()
     t = fuzz(d, 0, seed=0)
@@ -143,8 +158,7 @@ def test_fuzz_zero_steps():
 
 def test_fuzz_respects_cap():
     d = plain_weave_2x2()
-    t = fuzz(d, 60, seed=5, max_crossings=9)
-    for step in t.diagrams:
+    for _, step in walk(d, 60, seed=5, max_crossings=9):
         assert len(step.crossings) <= 9
 
 
@@ -152,8 +166,7 @@ def test_linking_invariance_along_walks():
     d = plain_weave_2x2()
     base = linking_matrix(d)
     for seed in (2, 6):
-        trace = fuzz(d, 25, seed, max_crossings=11)
-        for step in trace.diagrams:
+        for _, step in walk(d, 25, seed, max_crossings=11):
             m = linking_matrix(step)
             # restrict to the four original wrapping threads: identify by homology
             orig = sorted(v for k, v in base.items())
@@ -176,7 +189,7 @@ def test_kauffman_f_across_long_walk():
 
 def test_simplify_returns_to_base():
     d = plain_weave_2x2()
-    blown = fuzz(d, 30, seed=3, max_crossings=12, keep_diagrams=False).end
+    blown = fuzz(d, 30, seed=3, max_crossings=12).end
     settled = simplify(blown, seed=0)
     assert len(settled.crossings) == 4
 
@@ -186,7 +199,7 @@ def test_crossing_number_bounds():
     rep = crossing_number_bounds(d)
     assert rep["lower"] == rep["upper"] == 4
     assert rep["certified_lower"]
-    blown = fuzz(d, 12, seed=1, max_crossings=12, keep_diagrams=False).end
+    blown = fuzz(d, 12, seed=1, max_crossings=12).end
     rep2 = crossing_number_bounds(blown, seed=0)
     assert rep2["lower"] == 4
     assert rep2["upper"] == 4
@@ -234,8 +247,8 @@ def test_every_listed_removal_and_flip_applies_at_both_genera():
     for name, d in full_corpus():
         assert d.validate().ok, name
         for seed in range(3):
-            trace = fuzz(d, 6, seed, max_crossings=len(d.crossings) + 4)
-            for cur in [d, *trace.diagrams]:
+            walked = walk(d, 6, seed, max_crossings=len(d.crossings) + 4)
+            for cur in [d, *(dd for _, dd in walked)]:
                 for m in enumerate_moves(cur):
                     if m.kind not in ("R1_remove", "R2_remove", "R3"):
                         continue
@@ -258,7 +271,7 @@ def test_worded_triangle_is_a_site_at_genus_2():
 
     worded = 0
     for name, d in genus2_corpus():
-        for cur in fuzz(d, 30, seed=1, max_crossings=10).diagrams:
+        for _, cur in walk(d, 30, seed=1, max_crossings=10):
             listed = set(enumerate_moves(cur))
             for f in cur.faces():
                 corners = tuple(sorted(f.corners))
@@ -286,7 +299,7 @@ def test_listed_flips_keep_the_bracket_on_polycatenane_walks():
     for name in ("hex-3cr0-s1", "square-4br2-s1"):
         d = skeletons[name]
         for seed in range(4):
-            for cur in fuzz(d, 60, seed, max_crossings=len(d.crossings) + 6).diagrams:
+            for _, cur in walk(d, 60, seed, max_crossings=len(d.crossings) + 6):
                 f0 = None
                 for m in enumerate_moves(cur):
                     if m.kind == "R3":
@@ -352,7 +365,7 @@ def test_removal_sites_replay_with_params_in_any_order():
     up = apply_move(d, next(m for m in enumerate_moves(d) if m.kind == "R2_add"))
     assert apply_move(up, Move("R2_remove", (5, 4))) == apply_move(up, Move("R2_remove", (4, 5)))
     for seed in range(40):
-        cur = fuzz(d, 6, seed, max_crossings=10, keep_diagrams=False).end
+        cur = fuzz(d, 6, seed, max_crossings=10).end
         flips = [m for m in enumerate_moves(cur) if m.kind == "R3"]
         if flips:
             break
@@ -409,7 +422,7 @@ def test_listing_one_kind_matches_the_filtered_full_list():
     starts += [d for _, d in genus2_corpus()]
     diagrams = [d for _, d in full_corpus()]
     for seed, d in enumerate(starts):
-        diagrams += fuzz(d, 30, seed, max_crossings=12).diagrams
+        diagrams += [dd for _, dd in walk(d, 30, seed, max_crossings=12)]
     seen = {1: set(), 2: set()}
     for d in diagrams:
         full = enumerate_moves(d)

@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fixtures import grid_weave
 from weavekit import cli, corpus
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, SurfaceDiagram, serialize
-from weavekit.moves import apply_move, enumerate_moves, fuzz, simplify
+from weavekit.moves import apply_move, enumerate_moves, fuzz, simplify, walk
 from weavekit.states import split
 from weavekit.tessellation import (
     TransformSpec,
@@ -105,8 +105,7 @@ def test_r2_removals_along_fuzz_walks_are_pinned():
     starts = [d for d in _valid_corpus(12) if d.crossings]
     results = []
     for i, start in enumerate(starts):
-        trace = fuzz(start, 20, 100 + i, max_crossings=len(start.crossings) + 4)
-        for d in trace.diagrams:
+        for _, d in walk(start, 20, 100 + i, max_crossings=len(start.crossings) + 4):
             results.extend(
                 apply_move(d, m) for m in enumerate_moves(d) if m.kind == "R2_remove"
             )

@@ -17,7 +17,7 @@ from weavekit import moves, words
 from weavekit.canonical import _acts_freely, _slot_preserving_automorphisms, is_minimal_size
 from weavekit.corpus import full_corpus, skeleton_corpus
 from weavekit.diagram import SurfaceDiagram
-from weavekit.moves import IllegalMove, Move, apply_move, enumerate_moves, fuzz
+from weavekit.moves import IllegalMove, Move, apply_move, enumerate_moves, walk
 
 
 # -- the scans, as they were --------------------------------------------------------
@@ -104,11 +104,11 @@ def diagrams() -> list[tuple[str, SurfaceDiagram]]:
     for name, d in full_corpus():
         out.append((name, d))
         for seed in range(4):
-            trace = fuzz(d, 40, seed, max_crossings=len(d.crossings) + 6)
+            walked = walk(d, 40, seed, max_crossings=len(d.crossings) + 6)
             out.extend(
-                (f"{name}/seed{seed}/step{k + 1}", cur)
-                for k, cur in enumerate(trace.diagrams)
-                if k % 5 == 4
+                (f"{name}/seed{seed}/step{k}", cur)
+                for k, (_, cur) in enumerate(walked, 1)
+                if k % 5 == 0
             )
     return out
 

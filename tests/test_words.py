@@ -192,11 +192,11 @@ def test_dehn_pass_matches_the_reference_on_seeded_words():
 
 def test_dehn_pass_matches_the_reference_on_walk_regions():
     from weavekit.corpus import genus2_corpus
-    from weavekit.moves import fuzz
+    from weavekit.moves import walk
 
     seen = set()
     for name, d in genus2_corpus():
-        for cur in fuzz(d, 200, seed=2, max_crossings=10).diagrams:
+        for _, cur in walk(d, 200, seed=2, max_crossings=10):
             seen.update(f.holonomy for f in cur.faces())
     assert len(seen) > 100
     for w in seen:
