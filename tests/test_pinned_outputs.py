@@ -14,6 +14,8 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from fixtures import grid_weave
 from weavekit import cli, corpus
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, SurfaceDiagram, serialize
@@ -200,6 +202,17 @@ FUZZ_TRACES = {
 # sha256 of exit code and stdout of `verify --suite invariance --steps 30` at
 # caps 10-12, taken at the same point
 VERIFY_INVARIANCE = "66bfa363023042d8d35c3fae2dfe5ecb8d99de3af6e9f1d941d074584be87b86"
+# sha256 of exit code and stdout of each `verify` run below, taken while
+# every suite was its own function in cli.py
+VERIFY_SUITES = {
+    "--suite oracle": "e6eeefa0162b09da1a6be0b86715be1a3d7d39085931105189ae97d5c6c9f51a",
+    "--suite tait1": "c0dfbb058c6f61ad7c0823cca462baa6cadc29dcf91f0fff72cc6436cecda320",
+    "--suite tait2": "1163fe0e2438ce2ac4226fe64f047cc53f2ce4df5be513b811d2372e3de071ff",
+    "--suite tait1 --steps 120 --seed 1":
+        "04124e830de0496be519476ad98a000bf9dec154d75c945a835874e91f73e2af",
+    # the writhes, and so the bytes, are those of seed 0
+    "--suite tait2 --seed 1": "1163fe0e2438ce2ac4226fe64f047cc53f2ce4df5be513b811d2372e3de071ff",
+}
 # sha256 of `simplify(d)` of every valid corpus diagram, taken at the same point
 SIMPLIFY_COUNT = 22
 SIMPLIFIED = "71f09e1eb729bd713ec2a70298b3c11bc46203768c9062e0f32974025ab0ffa7"
@@ -238,6 +251,15 @@ def test_verify_invariance_output_is_pinned():
             code = cli.main(["verify", "--suite", "invariance", "--steps", "30", "--cap", str(cap)])
         h.update(f"exit={code}\n{out.getvalue()}".encode())
     assert h.hexdigest() == VERIFY_INVARIANCE
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_SUITES))
+def test_verify_suite_output_is_pinned(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", *args.split()])
+    digest = hashlib.sha256(f"exit={code}\n{out.getvalue()}".encode()).hexdigest()
+    assert digest == VERIFY_SUITES[args]
 
 
 def test_simplify_results_are_pinned():
