@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import diagram
 from .diagram import DiagramError, SurfaceDiagram, TooManyCrossings
@@ -163,123 +163,118 @@ def _emit_report(rep: dict[str, object], fmt: str) -> None:
 # -- verify suites ------------------------------------------------------------------
 
 
-def verify_invariance(steps: int, seed: int, cap: int, budget: Optional[int]):
+def _walk_and_simplify(d: SurfaceDiagram, steps: int, seed: int, cap: int):
+    """The diagram a seeded walk from ``d`` ends at, and that end simplified."""
+    from . import moves
+
+    end = d
+    for _, end in moves.walk(d, steps, seed, max_crossings=cap):
+        pass
+    return end, moves.simplify(end, seed=seed)
+
+
+def _check_invariance(name, cur, steps, seed, cap, budget):
     """Bracket behavior move by move along one seeded walk, checked as the
     walk goes, so no diagram outlives the step after it."""
-    from . import corpus, invariants, moves
+    from . import invariants, moves
 
     failures: list[str] = []
-    cur = corpus.alternating_corpus()[0][1]
     cur_b = invariants.bracket(cur, budget=budget)
     cur_f = cur_b.normalized(invariants.writhe(cur))
     checked = {"R1": 0, "R2": 0, "R3": 0}
     for step, (mv, nxt) in enumerate(moves.walk(cur, steps, seed, max_crossings=cap), 1):
         nxt_b = invariants.bracket(nxt, budget=budget)
         nxt_f = nxt_b.normalized(invariants.writhe(nxt))
-        if mv.kind in ("R1_add", "R1_remove"):
-            if mv.kind == "R1_add":
-                chir = mv.params[1]
-            else:
-                chir = -invariants.crossing_signs(cur)[mv.params[0]]
-            expected = cur_b.scaled(3 * chir, -1)
-            ok = nxt_b == expected
-            checked["R1"] += 1
+        if mv.kind == "R1_add":
+            ok = nxt_b == cur_b.scaled(3 * mv.params[1], -1)
+        elif mv.kind == "R1_remove":
+            ok = nxt_b == cur_b.scaled(-3 * invariants.crossing_signs(cur)[mv.params[0]], -1)
         else:
             ok = nxt_b == cur_b
-            checked["R2" if mv.kind.startswith("R2") else "R3"] += 1
+        checked[mv.kind[:2]] += 1
         where = f"after step {step}: {format_move(mv)}"
         if not ok:
             failures.append(f"bracket relation failed {where}")
         if nxt_f != cur_f:
             failures.append(f"normalized polynomial changed {where}")
         cur, cur_b, cur_f = nxt, nxt_b, nxt_f
-    lines = [
-        f"invariance: {sum(checked.values())} moves "
-        f"(R1 {checked['R1']}, R2 {checked['R2']}, R3 {checked['R3']}), "
-        f"{len(failures)} violations"
-    ]
-    return failures, lines
+    counts = ", ".join(f"{kind} {n}" for kind, n in checked.items())
+    line = f"invariance: {sum(checked.values())} moves ({counts}), {len(failures)} violations"
+    return [line], failures
 
 
-def verify_oracle(budget: Optional[int]):
-    from . import corpus, invariants
+def _check_oracle(name, d, steps, seed, cap, budget):
+    from . import invariants
 
-    lines: list[str] = []
-    failures: list[str] = []
-    tested = 0
-    for name, d in corpus.full_corpus():
-        if len(d.crossings) > 10:
-            continue
-        if not d.validate().ok:
-            continue
-        tested += 1
-        frontier = invariants.bracket_by_frontier(d, budget=budget)
-        if frontier != invariants.bracket_by_state_sum(d, budget=budget):
-            failures.append(f"frontier and state sum disagree on {name}")
-        if frontier != invariants.bracket_by_skein(d, budget=budget):
-            failures.append(f"frontier and skein recursion disagree on {name}")
-    lines.append(f"oracle: {tested} diagrams compared, {len(failures)} violations")
-    return failures, lines
+    failures = []
+    frontier = invariants.bracket_by_frontier(d, budget=budget)
+    if frontier != invariants.bracket_by_state_sum(d, budget=budget):
+        failures.append(f"frontier and state sum disagree on {name}")
+    if frontier != invariants.bracket_by_skein(d, budget=budget):
+        failures.append(f"frontier and skein recursion disagree on {name}")
+    return [], failures
 
 
-def verify_tait1(steps: int, seed: int, budget: Optional[int]):
-    from . import corpus, moves
+def _check_tait1(name, d, steps, seed, cap, budget):
+    from . import moves
 
-    lines: list[str] = []
-    failures: list[str] = []
-    for name, d in corpus.alternating_corpus():
-        if len(d.crossings) > 12:
-            continue
-        bounds = moves.crossing_number_bounds(d, seed=seed, budget=budget)
-        C = len(d.crossings)
-        if not bounds["certified_lower"] or bounds["lower"] != C:
-            failures.append(
-                f"{name}: span bound gives {bounds['lower']}, crossing count {C}"
-            )
-            continue
-        trace = moves.fuzz(d, steps, seed, max_crossings=C + 6)
-        reached = len(trace.end.crossings)
-        low = moves.simplify(trace.end, seed=seed)
-        if len(low.crossings) < C:
-            failures.append(
-                f"{name}: a move sequence reached {len(low.crossings)} crossings"
-            )
-        lines.append(
-            f"tait1 {name}: C={C} span_lower={bounds['lower']} "
-            f"fuzz_end={reached} simplified={len(low.crossings)}"
-        )
-    return failures, lines
+    bounds = moves.crossing_number_bounds(d, seed=seed, budget=budget)
+    C, lower = len(d.crossings), bounds["lower"]
+    if not bounds["certified_lower"] or lower != C:
+        return [], [f"{name}: span bound gives {lower}, crossing count {C}"]
+    end, low = _walk_and_simplify(d, steps, seed, cap)
+    reached, low = len(end.crossings), len(low.crossings)
+    line = f"tait1 {name}: C={C} span_lower={lower} fuzz_end={reached} simplified={low}"
+    return [line], ([f"{name}: a move sequence reached {low} crossings"] if low < C else [])
 
 
-def verify_tait2(seed: int):
-    """Writhe of each reduced alternating base against a Dehn-twisted,
-    walked and simplified copy; evaluates no bracket, so takes no budget."""
-    from . import canonical, corpus, invariants, moves
+def _check_tait2(name, d, steps, seed, cap, budget):
+    """Writhe of a reduced alternating base against a Dehn-twisted, walked
+    and simplified copy; evaluates no bracket, so takes no budget."""
+    from . import canonical, invariants
 
-    lines: list[str] = []
-    failures: list[str] = []
-    base_pairs = []
-    for name, d in corpus.alternating_corpus()[:3]:
-        twisted = canonical.dehn_twist_diagram(d, "a", 1)
-        twisted = canonical.dehn_twist_diagram(twisted, "b", -1)
-        scrambled = moves.fuzz(twisted, 10, seed, max_crossings=len(d.crossings) + 6).end
-        settled = moves.simplify(scrambled, seed=seed)
-        base_pairs.append((name, d, settled))
-    for name, d1, d2 in base_pairs:
-        ok_class = (
-            d2.validate().ok
-            and d2.is_alternating()
-            and d2.is_reduced()[0]
-            and len(d2.crossings) == len(d1.crossings)
-        )
-        w1, w2 = invariants.writhe(d1), invariants.writhe(d2)
-        lines.append(
-            f"tait2 {name}: writhe {w1} vs twisted+moved {w2}"
-            + ("" if ok_class else " (pair left the reduced alternating class)")
-        )
-        if w1 != w2:
-            failures.append(f"{name}: writhes differ, {w1} vs {w2}")
-    return failures, lines
+    twisted = canonical.dehn_twist_diagram(canonical.dehn_twist_diagram(d, "a", 1), "b", -1)
+    _, settled = _walk_and_simplify(twisted, steps, seed, cap)
+    w1, w2 = invariants.writhe(d), invariants.writhe(settled)
+    line = f"tait2 {name}: writhe {w1} vs twisted+moved {w2}"
+    if not (
+        settled.validate().ok and settled.is_alternating() and settled.is_reduced()[0]
+        and len(settled.crossings) == len(d.crossings)
+    ):
+        line += " (pair left the reduced alternating class)"
+    return [line], ([f"{name}: writhes differ, {w1} vs {w2}"] if w1 != w2 else [])
+
+
+class Suite(NamedTuple):
+    """A `verify` suite: its starts, a check of one start, and its walk defaults."""
+
+    starts: Callable[..., list[tuple[str, SurfaceDiagram]]]  # called with the corpus module
+    check: Callable[..., tuple[list[str], list[str]]]  # one start's (lines, failures)
+    steps: Optional[int] = None  # None: the suite walks nothing and refuses walk flags
+    cap: Callable[[int], Optional[int]] = lambda c: None  # of the start's crossing count
+    tally: str = ""
+
+
+SUITES = {
+    "tait1": Suite(
+        lambda corpus: [(n, d) for n, d in corpus.alternating_corpus() if len(d.crossings) <= 12],
+        _check_tait1, steps=500, cap=lambda c: c + 6,
+    ),
+    "tait2": Suite(
+        lambda corpus: corpus.alternating_corpus()[:3], _check_tait2,
+        steps=10, cap=lambda c: c + 6,
+    ),
+    "invariance": Suite(
+        lambda corpus: corpus.alternating_corpus()[:1], _check_invariance,
+        steps=500, cap=lambda c: 12,
+    ),
+    "oracle": Suite(
+        lambda corpus: [
+            (n, d) for n, d in corpus.full_corpus() if len(d.crossings) <= 10 and d.validate().ok
+        ],
+        _check_oracle, tally="oracle: {starts} diagrams compared, {violations} violations",
+    ),
+}
 
 
 # -- command implementations -----------------------------------------------------------
@@ -418,22 +413,25 @@ def cmd_canonicalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = args.crossing_budget
-    if args.suite == "invariance":
-        failures, lines = verify_invariance(args.steps, args.seed, args.cap, budget)
-    elif args.suite == "oracle":
-        failures, lines = verify_oracle(budget)
-    elif args.suite == "tait1":
-        failures, lines = verify_tait1(args.steps, args.seed, budget)
-    elif args.suite == "tait2":
-        failures, lines = verify_tait2(args.seed)
-    else:
-        raise DiagramError(f"unknown suite {args.suite!r}")
-    for line in lines:
-        print(line)
-    for f in failures:
-        print(f"FAIL: {f}")
-    print(f"suite = {args.suite}; violations = {len(failures)}")
+    suite = SUITES[args.suite]
+    given = [flag for flag in ("steps", "seed", "cap") if getattr(args, flag) is not None]
+    if suite.steps is None and given:
+        raise ValueError(f"--suite {args.suite} walks nothing; --{given[0]} does not apply")
+    from . import corpus
+
+    steps = suite.steps if args.steps is None else args.steps
+    seed = 0 if args.seed is None else args.seed
+    starts = suite.starts(corpus)
+    lines, failures = [], []
+    for name, d in starts:
+        cap = suite.cap(len(d.crossings)) if args.cap is None else args.cap
+        new_lines, new_failures = suite.check(name, d, steps, seed, cap, args.crossing_budget)
+        lines += new_lines
+        failures += new_failures
+    if suite.tally:
+        lines.append(suite.tally.format(starts=len(starts), violations=len(failures)))
+    lines += [f"FAIL: {f}" for f in failures]
+    print(*lines, f"suite = {args.suite}; violations = {len(failures)}", sep="\n")
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
@@ -486,10 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_canonicalize)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, choices=["tait1", "tait2", "invariance", "oracle"])
-    v.add_argument("--steps", type=_int_at_least(0), default=500)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--cap", type=_int_at_least(0), default=12)
+    v.add_argument("--suite", required=True, choices=list(SUITES))
+    by_suite = "; the default depends on the suite"
+    v.add_argument("--steps", type=_int_at_least(0), help="walk length" + by_suite)
+    v.add_argument("--seed", type=int, help="walk seed (default 0)")
+    v.add_argument("--cap", type=_int_at_least(0), help="crossing cap of the walk" + by_suite)
     v.set_defaults(func=cmd_verify)
     return top
 

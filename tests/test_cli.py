@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from fixtures import grid_weave, src_env
-from weavekit import cli, invariants, tessellation
+from weavekit import cli, corpus, invariants, moves, tessellation
 from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, format_move, main, parse_move
 from weavekit.corpus import full_corpus
 from weavekit.diagram import serialize
@@ -155,11 +155,11 @@ def test_canonicalize_winding_input():
 def test_verify_suites_pass():
     for suite, extra in (
         ("oracle", []),
-        ("invariance", ["--steps", "40", "--cap", "10"]),
-        ("tait1", ["--steps", "120"]),
-        ("tait2", []),
+        ("invariance", ["--seed", "1", "--steps", "40", "--cap", "10"]),
+        ("tait1", ["--seed", "1", "--steps", "120"]),
+        ("tait2", ["--seed", "1"]),
     ):
-        code, out, _err = run_cli("verify", "--suite", suite, "--seed", "1", *extra)
+        code, out, _err = run_cli("verify", "--suite", suite, *extra)
         assert code == EXIT_OK, (suite, out)
         assert "violations = 0" in out
 
@@ -169,13 +169,65 @@ def test_verify_suites_pass():
     [("tait2", EXIT_OK), ("tait1", EXIT_BUDGET), ("invariance", EXIT_BUDGET), ("oracle", EXIT_BUDGET)],
 )
 def test_zero_budget_refuses_every_suite_that_evaluates_a_bracket(suite, expected):
-    # tait2 compares writhes and simplifies; it evaluates no bracket
-    code, out, err = run_cli("--crossing-budget", "0", "verify", "--suite", suite, "--steps", "5")
+    # tait2 compares writhes and simplifies; it evaluates no bracket. oracle walks nothing
+    walk = [] if suite == "oracle" else ["--steps", "5"]
+    code, out, err = run_cli("--crossing-budget", "0", "verify", "--suite", suite, *walk)
     assert code == expected, (suite, out, err)
     if expected == EXIT_OK:
         assert out.splitlines()[-1] == "suite = tait2; violations = 0"
     else:
         assert out == "" and "exceed the budget of 0" in err
+
+
+def test_tait1_honours_cap():
+    def fuzz_ends(*extra):
+        code, out, _err = run_cli("verify", "--suite", "tait1", "--steps", "50", *extra)
+        assert code == EXIT_OK, out
+        return [int(line.split("fuzz_end=")[1].split()[0]) for line in out.splitlines()[:-1]]
+
+    # at the default cap of C + 6, hex-3br1-s2 (C = 12) walks to 14 crossings
+    default, capped = fuzz_ends(), fuzz_ends("--cap", "12")
+    assert max(default) > 12 >= max(capped)
+    assert len(default) == len(capped) == 6
+
+
+def test_tait2_honours_steps_and_cap(monkeypatch):
+    walked = []
+    real_walk = moves.walk
+
+    def recorded(d, steps, seed, max_crossings=12):
+        walked.append((steps, seed, max_crossings))
+        return real_walk(d, steps, seed, max_crossings)
+
+    monkeypatch.setattr(moves, "walk", recorded)
+    code, out, _err = run_cli("verify", "--suite", "tait2", "--steps", "50", "--cap", "4")
+    assert code == EXIT_OK, out
+    assert walked == [(50, 0, 4)] * 3
+    walked.clear()
+    run_cli("verify", "--suite", "tait2", "--seed", "2")
+    assert walked == [(10, 2, len(d.crossings) + 6) for _, d in corpus.alternating_corpus()[:3]]
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--seed", "--cap"])
+def test_oracle_refuses_walk_flags_before_any_work(monkeypatch, flag):
+    def unreachable():
+        raise AssertionError("the oracle read its corpus")
+
+    monkeypatch.setattr(corpus, "full_corpus", unreachable)
+    code, out, err = run_cli("verify", "--suite", "oracle", flag, "0")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"{flag} does not apply" in err
+
+
+def test_fuzz_makes_no_move_from_a_start_above_the_cap(tmp_path):
+    # the cap is absolute and filters removals too: from C = 16 at cap 2,
+    # every kind would leave more than 2 crossings
+    path = tmp_path / "grid4.weave"
+    path.write_text(serialize(grid_weave(4)))
+    code, out, _err = run_cli("fuzz", str(path), "--cap", "2", "--steps", "50")
+    assert code == EXIT_OK
+    assert out == "moves = 0\nfinal_crossings = 16\n"
 
 
 def test_console_script_entry_point(plain_file):
@@ -264,6 +316,13 @@ def test_invariance_suite_names_the_step_of_a_wrong_bracket(monkeypatch):
     assert out.splitlines()[-1] == "suite = invariance; violations = 4"
 
 
+def _invariance_row(steps, seed, cap):
+    """The invariance suite's check of its one start, as ``verify`` runs it."""
+    row = cli.SUITES["invariance"]
+    [(name, start)] = row.starts(corpus)
+    return row.check(name, start, steps, seed, cap, None)
+
+
 def test_invariance_suite_keeps_no_walked_diagram(monkeypatch):
     # each step needs only the diagram before it; the start stays in the corpus
     import weakref
@@ -278,7 +337,7 @@ def test_invariance_suite_keeps_no_walked_diagram(monkeypatch):
         return state_sum(d, *args, **kwargs)
 
     monkeypatch.setattr(invariants, "bracket", watched)
-    failures, lines = cli.verify_invariance(400, 0, 12, None)
+    lines, failures = _invariance_row(400, 0, 12)
     assert not failures and lines[0].startswith("invariance: 400 moves")
     assert len(seen) == 401
     assert max(alive_at_call) <= 3
@@ -296,7 +355,7 @@ def test_one_bracket_per_report_and_per_walk_step(monkeypatch):
     cli.analyze_report(grid_weave(3), None)
     assert len(calls) == 1
     calls.clear()
-    failures, lines = cli.verify_invariance(20, 1, 10, None)
+    lines, failures = _invariance_row(20, 1, 10)
     walked = int(lines[0].split()[1])
     assert not failures and walked > 0
     assert len(calls) == walked + 1
