@@ -395,11 +395,11 @@ def dehn_twist_diagram(
 
 
 def size(d: SurfaceDiagram) -> int:
-    """Number of distinct regions incident to at least one crossing."""
-    if not d.crossings:
-        return 0
-    incident = {f.id for f in d.faces() if f.corners}
-    return len(incident)
+    """Number of distinct regions incident to at least one crossing.
+
+    Every region of a diagram with crossings has a corner, so that is every
+    region."""
+    return len(d.faces()) if d.crossings else 0
 
 
 def _slot_preserving_automorphisms(d: SurfaceDiagram) -> Iterator[dict[int, int]]:

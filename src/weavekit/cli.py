@@ -422,6 +422,14 @@ def cmd_verify(args) -> int:
     steps = suite.steps if args.steps is None else args.steps
     seed = 0 if args.seed is None else args.seed
     starts = suite.starts(corpus)
+    # every walking start is reduced and alternating, so it has no removal
+    # site, and below its crossing count the walk could make no move
+    for name, d in starts:
+        if args.cap is not None and args.cap < len(d.crossings):
+            raise ValueError(
+                f"--cap {args.cap} lies below start {name} with C = {len(d.crossings)}; "
+                "the walk from it could make no move"
+            )
     lines, failures = [], []
     for name, d in starts:
         cap = suite.cap(len(d.crossings)) if args.cap is None else args.cap

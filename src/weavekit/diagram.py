@@ -452,20 +452,22 @@ class SurfaceDiagram:
             return False
         face = self.faces()[table[corner_a]]
         pa, pb = face.corners.index(corner_a), face.corners.index(corner_b)
-        n = len(face.steps)
-
-        def segment_word(src: int, dst: int) -> Word:
-            seg: list[int] = []
-            pos = src
-            while pos != dst:
-                pos = (pos + 1) % n
-                eid, direction = face.steps[pos]
-                seg.extend(self.edges[eid].directed_word(direction))
-            return tuple(seg)
-
-        return words.is_trivial(segment_word(pa, pb), self.genus) or words.is_trivial(
-            segment_word(pb, pa), self.genus
+        return any(
+            words.is_trivial(self.boundary_word(face, a, b), self.genus)
+            for a, b in ((pa, pb), (pb, pa))
         )
+
+    def boundary_word(self, face: Face, start: int, stop: int) -> Word:
+        """The word read along ``face``'s boundary from its corner ``start``
+        to its corner ``stop``: the words of steps start+1 .. stop, cyclically."""
+        n = len(face.steps)
+        seg: list[int] = []
+        pos = start
+        while pos != stop:
+            pos = (pos + 1) % n
+            eid, direction = face.steps[pos]
+            seg.extend(self.edges[eid].directed_word(direction))
+        return tuple(seg)
 
     # -- canonical crossing frames -------------------------------------------------
 

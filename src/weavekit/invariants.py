@@ -408,9 +408,10 @@ def crossing_signs(d: SurfaceDiagram) -> dict[int, int]:
     """Signs under the canonical thread orientations.
 
     Threads are oriented so their homology vector is lexicographically
-    positive, which is stable under moves and relabeling; a crossing is
-    positive when the under-strand exits one counterclockwise step after
-    the over-strand exit.
+    positive, and a ring by the stored direction of its lowest-numbered
+    edge, which moves and relabeling can change; a crossing is positive
+    when the under-strand exits one counterclockwise step after the
+    over-strand exit.
     """
     return {
         cid: 1 if under[0] == (over[0] + 1) % 4 else -1
@@ -422,17 +423,11 @@ def writhe(d: SurfaceDiagram) -> int:
     return sum(crossing_signs(d).values())
 
 
-def crossing_threads(d: SurfaceDiagram) -> dict[int, tuple[ThreadId, ThreadId]]:
-    """Per crossing: (over thread, under thread)."""
-    return {cid: (over[2], under[2]) for cid, (over, under) in d.crossing_passages().items()}
-
-
 def writhe_per_component(d: SurfaceDiagram) -> dict[ThreadId, int]:
     """Self-crossing sign sums; crossings between distinct threads excluded."""
     signs = crossing_signs(d)
-    threads = crossing_threads(d)
     out: dict[ThreadId, int] = {t.id: 0 for t in d.threads()}
-    for cid, (t_over, t_under) in threads.items():
+    for cid, ((_, _, t_over), (_, _, t_under)) in d.crossing_passages().items():
         if t_over == t_under:
             out[t_over] += signs[cid]
     return out
@@ -463,7 +458,7 @@ def linking_matrix(d: SurfaceDiagram) -> dict[tuple[ThreadId, ThreadId], int]:
     """Linking numbers of all thread pairs (i, j), i < j, from one pass over the crossings."""
     signs = crossing_signs(d)
     out = dict.fromkeys(itertools.combinations([t.id for t in d.threads()], 2), 0)
-    for cid, (t_over, t_under) in crossing_threads(d).items():
+    for cid, ((_, _, t_over), (_, _, t_under)) in d.crossing_passages().items():
         if t_over != t_under:
             out[min(t_over, t_under), max(t_over, t_under)] += signs[cid]
     return out

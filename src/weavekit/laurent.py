@@ -19,12 +19,7 @@ LOOP_FACTOR: LaurentPoly = {2: -1, -2: -1}
 
 def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     r = dict(p)
-    for e, c in q.items():
-        s = r.get(e, 0) + c
-        if s:
-            r[e] = s
-        elif e in r:
-            del r[e]
+    add_inplace(r, q)
     return r
 
 

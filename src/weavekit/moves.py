@@ -277,14 +277,7 @@ def _apply_r2_add(
     # boundary between those corners records
     i = face.steps.index((eid_a, dir_a))
     j = face.steps.index((eid_b, dir_b))
-    n = len(face.steps)
-    between: list[int] = []
-    pos = (i + 1) % n
-    while pos != j:
-        eid_x, dir_x = face.steps[pos]
-        between.extend(d.edges[eid_x].directed_word(dir_x))
-        pos = (pos + 1) % n
-    path = words.free_reduce(tuple(between))
+    path = words.free_reduce(d.boundary_word(face, i, (j - 1) % len(face.steps)))
     e, fe = d.edges[eid_a], d.edges[eid_b]
     tail_e, head_e, word_e = e.ends[dir_a], e.ends[1 - dir_a], e.directed_word(dir_a)
     tail_f, head_f, word_f = fe.ends[dir_b], fe.ends[1 - dir_b], fe.directed_word(dir_b)

@@ -138,29 +138,25 @@ class PeriodicTiling(Frozen):
     Each edge carries the word of cell sides it crosses from tail to head.
     """
 
-    __slots__ = ("symbol", "scale", "genus", "n_vertices", "edges", "darts", "angles")
+    __slots__ = ("symbol", "genus", "edges", "darts", "angles")
 
     def __init__(
         self,
         symbol: VertexSymbol,
-        scale: int,
         genus: int,
-        n_vertices: int,
         edges: tuple[tuple[int, int, Word], ...],        # (tail, head, word)
         darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex: (edge label, end)
         angles: tuple[tuple[float, ...], ...],           # matching dart directions
     ) -> None:
         init_field(self, "symbol", symbol)
-        init_field(self, "scale", scale)
         init_field(self, "genus", genus)
-        init_field(self, "n_vertices", n_vertices)
         init_field(self, "edges", edges)
         init_field(self, "darts", darts)
         init_field(self, "angles", angles)
 
     def euler_check(self) -> bool:
         # rotation-system face count must close the surface: V - E + F = 2 - 2g
-        return self.n_vertices - len(self.edges) + self.face_count() == 2 - 2 * self.genus
+        return len(self.darts) - len(self.edges) + self.face_count() == 2 - 2 * self.genus
 
     def face_count(self) -> int:
         # a face boundary leaves along a dart, then turns one step
@@ -191,7 +187,7 @@ class PeriodicTiling(Frozen):
 
 
 def _cell(ks: tuple[int, ...], edges, darts, angles) -> PeriodicTiling:
-    return PeriodicTiling(VertexSymbol(ks), 1, 1, len(darts), edges, darts, angles)
+    return PeriodicTiling(VertexSymbol(ks), 1, edges, darts, angles)
 
 
 _CURATED: dict[tuple[int, ...], PeriodicTiling] = {
@@ -267,7 +263,7 @@ def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
     """
     cell = _curated_cell(symbol, scale)
     k = scale
-    n_v, n_e = cell.n_vertices, len(cell.edges)
+    n_v, n_e = len(cell.darts), len(cell.edges)
     steps = [words.abelianize(word, 1) for _tail, _head, word in cell.edges]
 
     def at(i: int, j: int) -> int:
@@ -292,9 +288,7 @@ def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
                 )
                 for dlist in cell.darts
             )
-    tiling = PeriodicTiling(
-        symbol, scale, 1, n_v * k * k, tuple(edges), tuple(darts), cell.angles * (k * k)
-    )
+    tiling = PeriodicTiling(symbol, 1, tuple(edges), tuple(darts), cell.angles * (k * k))
     if not tiling.euler_check():
         raise AssertionError("curated cell failed its Euler check")
     return tiling
@@ -416,12 +410,9 @@ MAX_BUILD_CROSSINGS = 20_000
 
 def crossing_count(symbol: VertexSymbol, spec: TransformSpec, scale: int) -> int:
     """The crossings of ``transform(build_tiling(symbol, scale), spec)``,
-    counted on the cell: each vertex block, and m per edge when doubled."""
+    read off the transformed cell: every copy of the cell transforms alike."""
     cell = _curated_cell(symbol, scale)
-    per_cell = sum(_block(spec.method, angles)[0] for angles in cell.angles)
-    if spec.method != "Cr":
-        per_cell += spec.m * len(cell.edges)
-    return per_cell * scale * scale
+    return len(transform(cell, spec).crossings) * scale * scale
 
 
 def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:

@@ -114,9 +114,7 @@ def genus2_octagon() -> PeriodicTiling:
     a1, a2, b1, b2 = 1, 2, 3, 4
     return PeriodicTiling(
         symbol=VertexSymbol((8,) * 8),
-        scale=1,
         genus=2,
-        n_vertices=1,
         edges=((0, 0, (a1,)), (0, 0, (b1,)), (0, 0, (a2,)), (0, 0, (b2,))),
         darts=(((0, 0), (1, 1), (0, 1), (1, 0), (2, 0), (3, 1), (2, 1), (3, 0)),),
         angles=(tuple(45.0 * i for i in range(8)),),

@@ -220,6 +220,49 @@ def test_oracle_refuses_walk_flags_before_any_work(monkeypatch, flag):
     assert f"{flag} does not apply" in err
 
 
+@pytest.mark.parametrize("suite, cap", [("tait1", 0), ("tait2", 2), ("invariance", 3)])
+def test_verify_refuses_a_cap_below_a_start_before_any_check(monkeypatch, suite, cap):
+    # a reduced alternating start has no removal site, so below its crossing
+    # count the walk could make no move and the suite would pass vacuously
+    def unreachable(*args):
+        raise AssertionError(f"--suite {suite} ran a check")
+
+    row = cli.SUITES[suite]
+    monkeypatch.setitem(cli.SUITES, suite, row._replace(check=unreachable))
+    name, d = next((n, d) for n, d in row.starts(corpus) if len(d.crossings) > cap)
+    code, out, err = run_cli("verify", "--suite", suite, "--cap", str(cap), "--steps", "5")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"--cap {cap} lies below start {name} with C = {len(d.crossings)}" in err
+
+
+def test_tait1_runs_at_a_cap_equal_to_its_largest_start():
+    code, out, _err = run_cli("verify", "--suite", "tait1", "--cap", "12", "--steps", "5")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("tait1 ") for line in lines[:-1])
+    assert lines[-1] == "suite = tait1; violations = 0"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13(a): a ring is oriented by its lowest-numbered edge, "
+    "so writhe and linking depend on the numbering",
+)
+def test_analyze_report_of_a_two_ring_build_ignores_numbering():
+    import random
+
+    from fixtures import relabelled
+
+    tiling = tessellation.build_tiling(tessellation.parse_vertex_symbol("(3,3,3,3,3,3)"), 1)
+    d = tessellation.assign_alternating(
+        tessellation.transform(tiling, tessellation.TransformSpec("nBr", 2))
+    )
+    report = cli.analyze_report(d, None)
+    for seed in range(12):
+        assert cli.analyze_report(relabelled(d, random.Random(seed)), None) == report, seed
+
+
 def test_fuzz_makes_no_move_from_a_start_above_the_cap(tmp_path):
     # the cap is absolute and filters removals too: from C = 16 at cap 2,
     # every kind would leave more than 2 crossings

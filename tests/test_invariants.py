@@ -33,7 +33,6 @@ from weavekit.invariants import (
     bracket_by_state_sum,
     checkerboard_coloring,
     crossing_signs,
-    crossing_threads,
     degree_bounds_check,
     degree_stats,
     format_key,
@@ -267,7 +266,7 @@ def test_linking_matrix_equals_pairwise_reference():
     ]
     for name, d in diagrams:
         signs = crossing_signs(d)
-        threads = crossing_threads(d)
+        threads = {cid: (over[2], under[2]) for cid, (over, under) in d.crossing_passages().items()}
         ids = [t.id for t in d.threads()]
         m = linking_matrix(d)
         assert list(m) == list(itertools.combinations(ids, 2)), name

@@ -91,20 +91,20 @@ def test_transform_spec_parse_names(method, m, spec):
 
 def test_build_tiling_counts():
     t = square(1)
-    assert (t.n_vertices, len(t.edges), t.face_count()) == (1, 2, 1)
+    assert (len(t.darts), len(t.edges), t.face_count()) == (1, 2, 1)
     kag = build_tiling(parse_vertex_symbol("(3,6,3,6)"), 1)
-    assert (kag.n_vertices, len(kag.edges), kag.face_count()) == (3, 6, 3)
+    assert (len(kag.darts), len(kag.edges), kag.face_count()) == (3, 6, 3)
     hc = build_tiling(parse_vertex_symbol("(6,6,6)"), 1)
-    assert (hc.n_vertices, len(hc.edges), hc.face_count()) == (2, 3, 1)
+    assert (len(hc.darts), len(hc.edges), hc.face_count()) == (2, 3, 1)
     tri = build_tiling(parse_vertex_symbol("(3,3,3,3,3,3)"), 1)
-    assert (tri.n_vertices, len(tri.edges), tri.face_count()) == (1, 3, 2)
+    assert (len(tri.darts), len(tri.edges), tri.face_count()) == (1, 3, 2)
     sq3 = square(3)
-    assert sq3.n_vertices == 9 and len(sq3.edges) == 18
+    assert len(sq3.darts) == 9 and len(sq3.edges) == 18
 
 
 SYMBOLS = ("(4,4,4,4)", "(3,3,3,3,3,3)", "(6,6,6)", "(3,6,3,6)")
 
-# sha256 of (genus, n_vertices, edges, darts, angles) at scales 1-4, taken
+# sha256 of (genus, vertex count, edges, darts, angles) at scales 1-4, taken
 # while the cells were still stored as Z^2 offsets
 TILINGS = {
     "(4,4,4,4)": "3483fb8bb21812435cf32d44e03a0eea66725e9db5291f8cd0fad3aaf25275de",
@@ -119,7 +119,7 @@ def test_replicated_tilings_are_pinned(symbol):
     h = hashlib.sha256()
     for scale in (1, 2, 3, 4):
         t = build_tiling(parse_vertex_symbol(symbol), scale)
-        h.update(repr((t.genus, t.n_vertices, t.edges, t.darts, t.angles)).encode())
+        h.update(repr((t.genus, len(t.darts), t.edges, t.darts, t.angles)).encode())
     assert h.hexdigest() == TILINGS[symbol]
 
 
@@ -127,7 +127,7 @@ def test_replicated_tilings_are_pinned(symbol):
 def test_curated_cell_is_its_own_scale_one_tiling(symbol):
     vs = parse_vertex_symbol(symbol)
     cell = tessellation._CURATED[vs.ks]
-    assert (cell.symbol, cell.scale, cell.genus) == (vs, 1, 1)
+    assert (cell.symbol, cell.genus) == (vs, 1)
     assert cell.euler_check()
     darts = [dart for dlist in cell.darts for dart in dlist]
     assert sorted(darts) == [(label, end) for label in range(len(cell.edges)) for end in (0, 1)]
