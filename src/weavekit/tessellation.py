@@ -410,9 +410,14 @@ MAX_BUILD_CROSSINGS = 20_000
 
 def crossing_count(symbol: VertexSymbol, spec: TransformSpec, scale: int) -> int:
     """The crossings of ``transform(build_tiling(symbol, scale), spec)``,
-    read off the transformed cell: every copy of the cell transforms alike."""
+    read off the cell transformed without twists (every copy of the cell
+    transforms alike), plus m twists per edge when doubled. The count stays
+    arithmetic in m and scale: a huge m is counted, never built."""
     cell = _curated_cell(symbol, scale)
-    return len(transform(cell, spec).crossings) * scale * scale
+    if spec.method == "Cr":
+        return len(transform(cell, spec).crossings) * scale * scale
+    untwisted = len(transform(cell, TransformSpec(spec.method, 0)).crossings)
+    return (untwisted + spec.m * len(cell.edges)) * scale * scale
 
 
 def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:

@@ -567,6 +567,28 @@ def test_oversized_build_is_refused_before_any_output(tmp_path):
     assert not path.exists()
 
 
+def test_huge_twist_count_is_refused_without_building(monkeypatch, tmp_path):
+    # a count that built the 2e8 twists would fail here, not exhaust memory
+    real = tessellation.transform
+
+    def small_only(tiling, spec):
+        assert spec.m <= 1, spec.m
+        return real(tiling, spec)
+
+    monkeypatch.setattr(tessellation, "transform", small_only)
+    path = tmp_path / "big.weave"
+    code, out, err = run_cli(
+        "build", "--tiling", "(4,4,4,4)", "--method", "nBr", "--m", "100000000",
+        "-o", str(path),
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == (
+        "error: --scale 1 with --m 100000000 gives 200000000 crossings, "
+        f"above the build limit of {tessellation.MAX_BUILD_CROSSINGS}\n"
+    )
+    assert not path.exists()
+
+
 def test_malformed_seq_names_the_flag():
     code, out, err = run_cli(
         "build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "2", "--seq", "1,2:1"

@@ -138,6 +138,42 @@ def test_curated_cell_is_its_own_scale_one_tiling(symbol):
     assert build_tiling(vs, 1) == cell
 
 
+def test_crossing_count_closed_form_on_the_cells():
+    # per vertex of valency n: Cr crosses each pair of its n/2 straight strands
+    # once, nCr doubles them (4 crossings a pair) or on odd n turns n strands
+    # that cross their neighbours, nBr crosses nothing; doubled methods add m
+    # twists per edge
+    cells = {"(4,4,4,4)": (1, 2), "(3,3,3,3,3,3)": (1, 3), "(6,6,6)": (2, 3), "(3,6,3,6)": (3, 6)}
+    for symbol, (n_v, n_e) in cells.items():
+        vs = parse_vertex_symbol(symbol)
+        n = 2 * n_e // n_v
+        pairs = (n // 2) * (n // 2 - 1) // 2
+        ncr_block = 4 * pairs if n % 2 == 0 else n
+        for m in (0, 1, 5):
+            assert crossing_count(vs, TransformSpec("nBr", m), 1) == m * n_e
+            assert crossing_count(vs, TransformSpec("nCr", m), 1) == n_v * ncr_block + m * n_e
+        if n % 2 == 0:
+            assert crossing_count(vs, TransformSpec("Cr", 1), 1) == n_v * pairs, symbol
+
+
+def test_crossing_count_is_arithmetic_in_m(monkeypatch):
+    # a huge --m must be counted, not built: only the untwisted cell is
+    # transformed, and a count that built the twists fails here at once
+    real = tessellation.transform
+    seen = []
+
+    def untwisted_only(tiling, spec):
+        assert spec.m == 0, spec.m
+        seen.append(spec)
+        return real(tiling, spec)
+
+    monkeypatch.setattr(tessellation, "transform", untwisted_only)
+    vs = parse_vertex_symbol("(4,4,4,4)")
+    for scale in (1, 3):
+        assert crossing_count(vs, TransformSpec("nBr", 10**8), scale) == 2 * 10**8 * scale * scale
+    assert len(seen) == 2
+
+
 @pytest.mark.parametrize("symbol", SYMBOLS)
 def test_crossing_count_matches_the_transform(symbol):
     vs = parse_vertex_symbol(symbol)
