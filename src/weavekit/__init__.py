@@ -34,7 +34,6 @@ _EXPORTS = {
         "degree_stats",
         "jones",
         "kauffman_f",
-        "linking_number",
         "r_parallel",
         "writhe",
         "writhe_per_component",

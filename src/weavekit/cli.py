@@ -25,55 +25,17 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# the ball scan visits (2N+1)^4 matrices, so its time grows as N^4
+MAX_CERTIFY_BALL = 20
+
 
 # -- move trace format ------------------------------------------------------------
 
 
-def format_move(m: Move) -> str:
-    if m.kind == "R1_add":
-        eid, chir = m.params
-        return f"R1_add e{eid} chirality={'+1' if chir > 0 else '-1'}"
-    if m.kind == "R1_remove":
-        return f"R1_remove c{m.params[0]}"
-    if m.kind == "R2_add":
-        (ea, da), (eb, db), over_first = m.params
-        which = "first" if over_first else "second"
-        return f"R2_add e{ea}.{da} e{eb}.{db} over={which}"
-    if m.kind == "R2_remove":
-        x1, x2 = m.params
-        return f"R2_remove c{x1} c{x2}"
-    if m.kind == "R3":
-        corners = m.params[0]
-        return "R3 " + " ".join(f"c{c}.{s}" for c, s in corners)
-    raise ValueError(f"unknown move kind {m.kind!r}")
-
-
 def parse_move(line: str) -> Move:
-    from .moves import Move
+    from .moves import parse_move  # loaded on call: `build` loads no move engine
 
-    parts = line.split()
-    kind = parts[0]
-    if kind == "R1_add":
-        eid = int(parts[1][1:])
-        chir = 1 if parts[2].endswith("+1") else -1
-        return Move("R1_add", (eid, chir))
-    if kind == "R1_remove":
-        return Move("R1_remove", (int(parts[1][1:]),))
-    if kind == "R2_add":
-        def step(tok: str) -> tuple[int, int]:
-            e, _, d = tok.partition(".")
-            return (int(e[1:]), int(d))
-        over_first = parts[3].endswith("first")
-        return Move("R2_add", (step(parts[1]), step(parts[2]), over_first))
-    if kind == "R2_remove":
-        return Move("R2_remove", (int(parts[1][1:]), int(parts[2][1:])))
-    if kind == "R3":
-        corners = []
-        for tok in parts[1:]:
-            c, _, s = tok.partition(".")
-            corners.append((int(c[1:]), int(s)))
-        return Move("R3", (tuple(corners),))
-    raise ValueError(f"unknown move line {line!r}")
+    return parse_move(line)
 
 
 # -- analyze -----------------------------------------------------------------------
@@ -192,7 +154,7 @@ def _check_invariance(name, cur, steps, seed, cap, budget):
         else:
             ok = nxt_b == cur_b
         checked[mv.kind[:2]] += 1
-        where = f"after step {step}: {format_move(mv)}"
+        where = f"after step {step}: {mv}"
         if not ok:
             failures.append(f"bracket relation failed {where}")
         if nxt_f != cur_f:
@@ -352,7 +314,7 @@ def cmd_fuzz(args) -> int:
     if args.trace:
         with open(args.trace, "w") as fh:
             for mv in trace.moves:
-                fh.write(format_move(mv) + "\n")
+                fh.write(f"{mv}\n")
     print(f"moves = {len(trace.moves)}")
     print(f"final_crossings = {len(trace.end.crossings)}")
     if args.output:
@@ -443,10 +405,12 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
-def _int_at_least(low: int):
+def _int_within(low: int, high: Optional[int] = None):
     def integer(text: str) -> int:
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return int(text)
 
     return integer
@@ -455,10 +419,10 @@ def _int_at_least(low: int):
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="weavekit")
     top.add_argument(
-        "--parallel", type=_int_at_least(1), default=1,
+        "--parallel", type=_int_within(1), default=1,
         help="accepted for compatibility; the bracket is serial and output is the same",
     )
-    top.add_argument("--crossing-budget", type=_int_at_least(0), default=None)
+    top.add_argument("--crossing-budget", type=_int_within(0), default=None)
     top.add_argument("--format", choices=["text", "json-report"], default="text")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -478,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fuzz", help="seeded random move walk")
     f.add_argument("file")
-    f.add_argument("--steps", type=_int_at_least(0), default=100)
+    f.add_argument("--steps", type=_int_within(0), default=100)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--cap", type=_int_at_least(0), default=12)
+    f.add_argument("--cap", type=_int_within(0), default=12)
     f.add_argument("--trace", default=None)
     f.add_argument("-o", "--output", default=None)
     f.set_defaults(func=cmd_fuzz)
@@ -488,15 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("canonicalize", help="canonical winding form of a diagram")
     c.add_argument("file", nargs="?")
     c.add_argument("--winding", default=None, help='vectors like "(1,0);(2,1)"')
-    c.add_argument("--certify-ball", type=_int_at_least(0), default=0)
+    c.add_argument("--certify-ball", type=_int_within(0, MAX_CERTIFY_BALL), default=0)
     c.set_defaults(func=cmd_canonicalize)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=list(SUITES))
     by_suite = "; the default depends on the suite"
-    v.add_argument("--steps", type=_int_at_least(0), help="walk length" + by_suite)
+    v.add_argument("--steps", type=_int_within(0), help="walk length" + by_suite)
     v.add_argument("--seed", type=int, help="walk seed (default 0)")
-    v.add_argument("--cap", type=_int_at_least(0), help="crossing cap of the walk" + by_suite)
+    v.add_argument("--cap", type=_int_within(0), help="crossing cap of the walk" + by_suite)
     v.set_defaults(func=cmd_verify)
     return top
 
@@ -504,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format != "text" and args.command != "analyze":
+            raise ValueError(f"--format {args.format} applies to analyze only, not {args.command}")
         # read once, before any subcommand runs; library calls take budget= only
         env = os.environ.get("WEAVE_CROSSING_BUDGET")
         if args.crossing_budget is None and env:

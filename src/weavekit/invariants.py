@@ -43,15 +43,12 @@ The crossing budget is an argument: ``budget=None`` means
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import laurent, words
 from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
 from .laurent import LaurentPoly, LOOP_FACTOR
 from .states import A_PAIRING, B_PAIRING, StateTracer, WindingKey, split
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 DEFAULT_BUDGET = 24
 
@@ -431,27 +428,6 @@ def writhe_per_component(d: SurfaceDiagram) -> dict[ThreadId, int]:
         if t_over == t_under:
             out[t_over] += signs[cid]
     return out
-
-
-def linking_number(
-    d: SurfaceDiagram, i: ThreadId, j: ThreadId, halved: bool = False
-) -> int | Fraction:
-    """Signed count of crossings between two distinct threads.
-
-    The plain value is the literal sum over shared crossings; pass
-    ``halved=True`` for the classical half-sum normalization.
-    """
-    if i == j:
-        raise DiagramError("linking number requires two distinct threads")
-    ids = {t.id for t in d.threads()}
-    if i not in ids or j not in ids:
-        raise DiagramError("unknown thread id")
-    total = linking_matrix(d)[min(i, j), max(i, j)]
-    if not halved:
-        return total
-    from fractions import Fraction  # imported here: it loads decimal and numbers
-
-    return Fraction(total, 2)
 
 
 def linking_matrix(d: SurfaceDiagram) -> dict[tuple[ThreadId, ThreadId], int]:

@@ -21,12 +21,14 @@ which keeps all boundary words and over-axes in place.
 One routine, ``_site``, decides whether a region is a removal or flip
 site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
 removal or flip only when ``_site`` finds it again, so every advertised
-move applies. ``enumerate_moves(d, kind)`` lists only the moves of one
-kind. ``walk`` is the one seeded random walk: each step draws a kind
-among the kinds that have a move, found without listing them, and then
-lists only that kind, so a seed gives the same walk as when every step
-listed every move. It yields each move with the diagram it gives and keeps
-none of them; ``fuzz`` collects the moves and the last diagram.
+move applies. A move kind is one row of ``_KINDS``, and ``str(move)`` is
+the trace line that ``parse_move`` reads back. ``enumerate_moves(d,
+kind)`` lists only the moves of one kind. ``walk`` is the one seeded
+random walk: each step draws a kind among the kinds that have a move,
+found without listing them, and then lists only that kind, so a seed gives
+the same walk as when every step listed every move. It yields each move
+with the diagram it gives and keeps none of them; ``fuzz`` collects the
+moves and the last diagram.
 
 Regions are looked up through the corner index
 ``SurfaceDiagram.corner_face`` (a step lies in the region of its arrival
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import words
 from .diagram import (
@@ -63,7 +65,8 @@ class IllegalMove(DiagramError):
 
 @functools.total_ordering
 class Move(Frozen):
-    """Moves order as their ``(kind, params)`` tuples."""
+    """Moves order as their ``(kind, params)`` tuples. ``str(move)`` is its
+    trace line, which ``parse_move`` reads back."""
 
     __slots__ = ("kind", "params")
 
@@ -77,10 +80,7 @@ class Move(Frozen):
         return (self.kind, self.params) < (other.kind, other.params)
 
     def __str__(self) -> str:
-        return f"{self.kind} {' '.join(str(p) for p in self.params)}"
-
-
-_KIND_ORDER = ("R1_add", "R1_remove", "R2_add", "R2_remove", "R3")
+        return f"{self.kind} {_KINDS[self.kind].text(self.params)}"
 
 
 # -- site discovery --------------------------------------------------------------
@@ -136,32 +136,26 @@ def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     return Move("R3", (corners,))
 
 
-_SITE_FINDERS = {1: _monogon_site, 2: _bigon_site, 3: _triangle_site}
-# region length of each removal or flip kind
-_SITE_LENGTH = {"R1_remove": 1, "R2_remove": 2, "R3": 3}
-_LENGTH_SITE = {n: kind for kind, n in _SITE_LENGTH.items()}
-
-
 def _site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     """The removal or flip move this region supports, if any. Every site
     needs a boundary word trivial in the surface group."""
-    finder = _SITE_FINDERS.get(len(face))
-    if finder is None or not words.is_trivial(face.holonomy, d.genus):
+    kind = _LENGTH_KIND.get(len(face))
+    if kind is None or not words.is_trivial(face.holonomy, d.genus):
         return None
-    return finder(d, face)
+    return _KINDS[kind].find(d, face)
 
 
 def enumerate_moves(d: SurfaceDiagram, kind: Optional[str] = None) -> list[Move]:
     """All applicable moves, ordered by kind and then by parameters; with
     ``kind``, only the moves of that kind, in the same order."""
-    if kind is not None and kind not in _KIND_ORDER:
+    if kind is not None and kind not in _KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
-    kinds = _KIND_ORDER if kind is None else (kind,)
+    kinds = tuple(_KINDS) if kind is None else (kind,)
     found: dict[str, set[tuple]] = {k: set() for k in kinds}
     if "R1_add" in found:
         for e in d.edges:
             found["R1_add"].update(((e.id, 1), (e.id, -1)))
-    site_lengths = {_SITE_LENGTH[k] for k in kinds if k in _SITE_LENGTH}
+    site_lengths = {_KINDS[k].length for k in kinds} - {0}
     for f in d.faces() if d.crossings or d.edges else ():
         if len(f) in site_lengths:
             site = _site(d, f)
@@ -186,7 +180,7 @@ def _kinds_present(d: SurfaceDiagram) -> set[str]:
     for f in d.faces() if d.crossings or d.edges else ():
         if "R2_add" not in present and len({eid for eid, _ in f.steps}) > 1:
             present.add("R2_add")
-        kind = _LENGTH_SITE.get(len(f))
+        kind = _LENGTH_KIND.get(len(f))
         if kind and kind not in present and _site(d, f):
             present.add(kind)
     return present
@@ -339,7 +333,63 @@ def _apply_r3(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
     return SurfaceDiagram.build(d.genus, [c.over_axis for c in d.crossings], specs, d.loops)
 
 
-_SITE_SURGERY = {"R1_remove": _apply_r1_remove, "R2_remove": _apply_r2_remove, "R3": _apply_r3}
+# -- the move kinds ----------------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """Everything the engine knows about one move kind."""
+
+    delta: int  # change in the crossing count
+    length: int  # region length of a site; 0 for a kind that adds crossings
+    find: Optional[Callable[[SurfaceDiagram, Face], Optional[Move]]]  # site finder
+    surgery: Callable[..., SurfaceDiagram]  # (d, site region), or (d, *params) at length 0
+    text: Callable[[tuple], str]  # params -> the trace line after the kind
+    read: Callable[[list[str]], tuple]  # trace tokens after the kind -> params
+
+
+def _step(token: str) -> tuple[int, int]:
+    # "e3.1" or "c3.1": an edge and direction, or a crossing and slot
+    number, slot = token[1:].split(".")
+    return int(number), int(slot)
+
+
+# in the order moves list in
+_KINDS = {
+    "R1_add": _Kind(1, 0, None, _apply_r1_add,
+                    lambda p: f"e{p[0]} chirality={'+1' if p[1] > 0 else '-1'}",
+                    lambda t: (int(t[0][1:]), 1 if t[1] == "chirality=+1" else -1)),
+    "R1_remove": _Kind(-1, 1, _monogon_site, _apply_r1_remove,
+                       lambda p: f"c{p[0]}",
+                       lambda t: (int(t[0][1:]),)),
+    "R2_add": _Kind(2, 0, None, _apply_r2_add,
+                    lambda p: f"e{p[0][0]}.{p[0][1]} e{p[1][0]}.{p[1][1]} "
+                              f"over={'first' if p[2] else 'second'}",
+                    lambda t: (_step(t[0]), _step(t[1]), t[2] == "over=first")),
+    "R2_remove": _Kind(-2, 2, _bigon_site, _apply_r2_remove,
+                       lambda p: f"c{p[0]} c{p[1]}",
+                       lambda t: (int(t[0][1:]), int(t[1][1:]))),
+    "R3": _Kind(0, 3, _triangle_site, _apply_r3,
+                lambda p: " ".join(f"c{c}.{s}" for c, s in p[0]),
+                lambda t: ((_step(t[0]), _step(t[1]), _step(t[2])),)),
+}
+_LENGTH_KIND = {row.length: kind for kind, row in _KINDS.items() if row.length}
+
+
+def parse_move(line: str) -> Move:
+    """The move whose trace line is ``line``, up to the spacing of its tokens.
+
+    A line is read only when writing the move back gives it again, so a
+    wrong token, a missing or extra one, or an unknown kind raises
+    ``ValueError`` naming the line.
+    """
+    kind, *tokens = line.split() or [""]
+    try:
+        move = Move(kind, _KINDS[kind].read(tokens))
+        if str(move) == " ".join(line.split()):
+            return move
+    except (KeyError, IndexError, ValueError):
+        pass
+    raise ValueError(f"malformed move line {line!r}")
 
 
 def _site_face(d: SurfaceDiagram, m: Move) -> Face:
@@ -356,19 +406,18 @@ def _site_face(d: SurfaceDiagram, m: Move) -> Face:
     where, faces = d.corner_face(), d.faces()
     at_first = {where.get((c, s)) for c in crossings[:1] for s in range(4)} - {None}
     for f in (faces[fid] for fid in sorted(at_first)):
-        if len(f) == _SITE_LENGTH[m.kind] and _site(d, f) == m:
+        if len(f) == _KINDS[m.kind].length and _site(d, f) == m:
             return f
     raise IllegalMove(f"{m} is not a site of this diagram")
 
 
 def apply_move(d: SurfaceDiagram, m: Move) -> SurfaceDiagram:
-    if m.kind == "R1_add":
-        return _apply_r1_add(d, *m.params)
-    if m.kind == "R2_add":
-        return _apply_r2_add(d, *m.params)
-    if m.kind in _SITE_SURGERY:
-        return _SITE_SURGERY[m.kind](d, _site_face(d, m))
-    raise IllegalMove(f"unknown move kind {m.kind!r}")
+    row = _KINDS.get(m.kind)
+    if row is None:
+        raise IllegalMove(f"unknown move kind {m.kind!r}")
+    if row.length:
+        return row.surgery(d, _site_face(d, m))
+    return row.surgery(d, *m.params)
 
 
 # -- fuzzing -----------------------------------------------------------------------
@@ -396,10 +445,6 @@ class MoveTrace(Record):
         return cur
 
 
-_REMOVE_KINDS = {"R1_remove", "R2_remove"}
-_DELTA = {"R1_add": 1, "R1_remove": -1, "R2_add": 2, "R2_remove": -2, "R3": 0}
-
-
 def walk(
     d: SurfaceDiagram,
     steps: int,
@@ -415,11 +460,11 @@ def walk(
     cur = d
     for _ in range(steps):
         n = len(cur.crossings)
-        kinds = [k for k in _kinds_present(cur) if n + _DELTA[k] <= max_crossings]
+        kinds = [k for k in _kinds_present(cur) if n + _KINDS[k].delta <= max_crossings]
         if not kinds:
             return
         if n > 0.75 * max_crossings:
-            removals = [k for k in kinds if k in _REMOVE_KINDS]
+            removals = [k for k in kinds if _KINDS[k].delta < 0]
             if removals:
                 kinds = removals
         # choose the kind first so rare sites still get exercised, and list

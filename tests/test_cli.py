@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,10 +11,10 @@ import pytest
 
 from fixtures import grid_weave, src_env
 from weavekit import cli, corpus, invariants, moves, tessellation
-from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, format_move, main, parse_move
+from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from weavekit.corpus import full_corpus
 from weavekit.diagram import serialize
-from weavekit.moves import Move
+from weavekit.moves import Move, enumerate_moves, parse_move
 
 
 def run_cli(*argv):
@@ -98,7 +100,7 @@ def test_fuzz_trace_roundtrip(plain_file, tmp_path):
     lines = trace_path.read_text().splitlines()
     assert lines
     moves = [parse_move(line) for line in lines]
-    assert [format_move(m) for m in moves] == lines
+    assert [str(m) for m in moves] == lines
     # replay the trace and reproduce the final diagram byte for byte
     from weavekit import diagram as D
     from weavekit.moves import apply_move
@@ -292,8 +294,30 @@ def test_move_format_roundtrip():
         Move("R2_remove", (0, 5)),
         Move("R3", (((0, 1), (2, 3), (4, 0)),)),
     ]
+    assert str(samples[2]) == "R2_add e1.0 e4.1 over=first"
+    genera = set()
+    for _name, d in full_corpus():
+        if d.validate().ok:
+            samples += enumerate_moves(d)
+            genera.add(d.genus)
+    assert genera == {1, 2}
+    assert {m.kind for m in samples} == {"R1_add", "R1_remove", "R2_add", "R2_remove", "R3"}
     for m in samples:
-        assert parse_move(format_move(m)) == m
+        assert parse_move(str(m)) == m
+    # a malformed line is refused, naming the line, never read as another move
+    for line in [
+        "R1_add",
+        "R2_remove c1",
+        "R1_add e3 chirality=+7",
+        "R2_add e1.0 e2.1 over=sideways",
+        "R1_remove x3",
+        "R3 c0.1",
+        "",
+        "R4 c1",
+        "R1_remove c3 c4",
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"malformed move line {line!r}")):
+            parse_move(line)
 
 
 def test_budget_env_var_fallback(plain_file, monkeypatch):
@@ -351,10 +375,10 @@ def test_invariance_suite_names_the_step_of_a_wrong_bracket(monkeypatch):
     walked = fuzz(alternating_corpus()[0][1], 10, 1, max_crossings=10).moves
     assert code == EXIT_VIOLATION
     assert [line for line in out.splitlines() if line.startswith("FAIL: ")] == [
-        f"FAIL: bracket relation failed after step 3: {format_move(walked[2])}",
-        f"FAIL: normalized polynomial changed after step 3: {format_move(walked[2])}",
-        f"FAIL: bracket relation failed after step 4: {format_move(walked[3])}",
-        f"FAIL: normalized polynomial changed after step 4: {format_move(walked[3])}",
+        f"FAIL: bracket relation failed after step 3: {walked[2]}",
+        f"FAIL: normalized polynomial changed after step 3: {walked[2]}",
+        f"FAIL: bracket relation failed after step 4: {walked[3]}",
+        f"FAIL: normalized polynomial changed after step 4: {walked[3]}",
     ]
     assert out.splitlines()[-1] == "suite = invariance; violations = 4"
 
@@ -438,15 +462,55 @@ def test_negative_crossing_budget_is_input_error(plain_file):
         (["fuzz", "{f}", "--steps", "5", "--cap", "-3"], "--cap", "-3"),
         (["verify", "--suite", "tait1", "--steps", "-1"], "--steps", "-1"),
         (["verify", "--suite", "invariance", "--cap", "-2"], "--cap", "-2"),
+        # the ball scan visits (2N+1)^4 matrices, so N is bounded before any work
+        (["canonicalize", "{f}", "--certify-ball", "21"], "--certify-ball", "21"),
+        (
+            ["canonicalize", "--winding", "(1,0);(0,1)", "--certify-ball", "1000"],
+            "--certify-ball", "1000",
+        ),
     ],
 )
-def test_negative_counts_are_input_errors(plain_file, argv, flag, value):
+def test_counts_out_of_range_are_input_errors(plain_file, argv, flag, value):
     out = io.StringIO()
     with redirect_stdout(out):
         code, err = _rejected([a.format(f=plain_file) for a in argv])
     assert code == EXIT_INPUT
     assert out.getvalue() == ""
-    assert f"argument {flag}: must be at least 0, got {value}" in err
+    rule = "at least 0" if int(value) < 0 else "at most 20"
+    assert f"argument {flag}: must be {rule}, got {value}" in err
+
+
+def test_certify_ball_at_its_bound_runs():
+    code, out, _err = run_cli("canonicalize", "--winding", "(1,0);(0,1)", "--certify-ball", "20")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1].startswith("ball_check = bound 20 ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--tiling", "(4,4,4,4)", "--method", "Cr"],
+        ["fuzz", "{f}", "--steps", "3"],
+        ["canonicalize", "{f}"],
+        ["verify", "--suite", "oracle"],
+    ],
+)
+def test_format_applies_to_analyze_only(plain_file, argv):
+    code, out, err = run_cli("--format", "json-report", *[a.format(f=plain_file) for a in argv])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"--format json-report applies to analyze only, not {argv[0]}" in err
+    code, out, _err = run_cli("--format", "text", *[a.format(f=plain_file) for a in argv])
+    assert code == EXIT_OK and out
+
+
+def test_analyze_json_report_is_unchanged(plain_file):
+    code, out, _err = run_cli("--format", "json-report", "analyze", str(plain_file))
+    assert code == EXIT_OK
+    # taken before --format was refused outside analyze
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ddd936bf5f9e92234bde5daf6a3d7a4d5a1ea6f737540d6016194d075c98606d"
+    )
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

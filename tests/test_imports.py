@@ -16,8 +16,7 @@ import weavekit
 from weavekit import corpus
 from weavekit.diagram import serialize
 
-# stdlib modules no weavekit process loads (`linking_number(halved=True)`
-# imports `fractions` when called)
+# stdlib modules no weavekit process loads
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
 
 # the names `weavekit/__init__.py` imported eagerly before they resolved lazily
@@ -26,7 +25,7 @@ PUBLIC_NAMES = (
     "Thread", "ValidationReport", "ZeroHomologyThread", "parse", "serialize",
     "BracketValue", "NotCheckerboardColorable", "TooManyCrossings", "adequacy", "bracket",
     "bracket_by_skein", "degree_bounds_check", "degree_stats", "jones", "kauffman_f",
-    "linking_number", "r_parallel", "writhe", "writhe_per_component", "split",
+    "r_parallel", "writhe", "writhe_per_component", "split",
     "CanonicalResult", "NonSymplectic", "UnsupportedGenus", "apply_twist", "canonical_form",
     "dehn_twist_diagram", "is_minimal_size", "q_functional", "size", "__version__",
 )

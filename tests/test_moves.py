@@ -415,7 +415,7 @@ def test_listing_one_kind_matches_the_filtered_full_list():
     # a fuzz step draws a kind among the kinds present and lists only that
     # kind, so both must agree with the full listing, at both genera
     from weavekit.corpus import alternating_corpus, full_corpus, genus2_corpus
-    from weavekit.moves import _KIND_ORDER, _kinds_present
+    from weavekit.moves import _KINDS, _kinds_present
 
     alternating = dict(alternating_corpus())
     starts = [alternating["square-cr-s2"], alternating["kagome-cr-s2"]]
@@ -426,10 +426,10 @@ def test_listing_one_kind_matches_the_filtered_full_list():
     seen = {1: set(), 2: set()}
     for d in diagrams:
         full = enumerate_moves(d)
-        for kind in _KIND_ORDER:
+        for kind in _KINDS:
             assert enumerate_moves(d, kind) == [m for m in full if m.kind == kind]
         assert _kinds_present(d) == {m.kind for m in full}
         seen[d.genus].update(m.kind for m in full)
-    assert seen == {1: set(_KIND_ORDER), 2: set(_KIND_ORDER)}
+    assert seen == {1: set(_KINDS), 2: set(_KINDS)}
     with pytest.raises(ValueError, match="unknown move kind 'R4'"):
         enumerate_moves(d, "R4")

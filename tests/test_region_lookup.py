@@ -28,7 +28,7 @@ def scan_site_face(d: SurfaceDiagram, m: Move):
         m = Move(m.kind, tuple(sorted(m.params)))
     elif m.kind == "R3":
         m = Move(m.kind, (tuple(sorted(m.params[0])),))
-    n = moves._SITE_LENGTH[m.kind]
+    n = moves._KINDS[m.kind].length
     for f in d.faces():
         if len(f) == n and moves._site(d, f) == m:
             return f
@@ -139,7 +139,7 @@ def test_site_lookup_matches_the_scan(diagrams):
                 proposed.add(Move("R2_remove", (cids[1], cids[0])))
             elif len(f) == 3:
                 proposed.add(Move("R3", (tuple(reversed(f.corners)),)))
-        proposed.update(m for m in enumerate_moves(d) if m.kind in moves._SITE_LENGTH)
+        proposed.update(m for m in enumerate_moves(d) if moves._KINDS[m.kind].length)
         for m in sorted(proposed):
             expected = _outcome(scan_site_face, d, m)
             assert _outcome(moves._site_face, d, m) == expected, (name, m)
