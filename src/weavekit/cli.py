@@ -143,16 +143,11 @@ def _check_invariance(name, cur, steps, seed, cap, budget):
     failures: list[str] = []
     cur_b = invariants.bracket(cur, budget=budget)
     cur_f = cur_b.normalized(invariants.writhe(cur))
-    checked = {"R1": 0, "R2": 0, "R3": 0}
+    checked = dict.fromkeys((kind[:2] for kind in moves._KINDS), 0)
     for step, (mv, nxt) in enumerate(moves.walk(cur, steps, seed, max_crossings=cap), 1):
         nxt_b = invariants.bracket(nxt, budget=budget)
         nxt_f = nxt_b.normalized(invariants.writhe(nxt))
-        if mv.kind == "R1_add":
-            ok = nxt_b == cur_b.scaled(3 * mv.params[1], -1)
-        elif mv.kind == "R1_remove":
-            ok = nxt_b == cur_b.scaled(-3 * invariants.crossing_signs(cur)[mv.params[0]], -1)
-        else:
-            ok = nxt_b == cur_b
+        ok = nxt_b == cur_b.scaled(*moves._KINDS[mv.kind].bracket(cur, mv.params))
         checked[mv.kind[:2]] += 1
         where = f"after step {step}: {mv}"
         if not ok:
@@ -245,10 +240,22 @@ SUITES = {
 def cmd_build(args) -> int:
     from . import tessellation
 
-    if args.seq and args.alternating:
+    if args.seq is not None and args.alternating:
         raise ValueError("--seq and --alternating cannot be combined")
     symbol = tessellation.parse_vertex_symbol(args.tiling)
     spec = tessellation.TransformSpec.parse(args.method, args.m)
+    # read before any tiling work, so a bad entry costs no build
+    seq: dict[tuple[int, int], tuple[int, int]] = {}
+    for chunk in [] if args.seq is None else args.seq.split(";"):
+        pair, _, pq = chunk.partition(":")
+        try:
+            i, j = (int(x) for x in pair.split(","))
+            p, q = (int(x) for x in pq.split(","))
+        except ValueError:
+            raise ValueError(f'--seq: expected entries like "1,2:1,1", got {chunk!r}') from None
+        if (i, j) in seq:
+            raise ValueError(f"--seq: set pair {i},{j} is given twice")
+        seq[(i, j)] = (p, q)
     count = tessellation.crossing_count(symbol, spec, args.scale)
     if count > tessellation.MAX_BUILD_CROSSINGS:
         raise ValueError(
@@ -257,18 +264,7 @@ def cmd_build(args) -> int:
         )
     # the tiling is freed once transformed: it is not held at the build's peak
     d = tessellation.transform(tessellation.build_tiling(symbol, args.scale), spec)
-    if args.seq:
-        seq: dict[tuple[int, int], tuple[int, int]] = {}
-        for chunk in args.seq.split(";"):
-            pair, _, pq = chunk.partition(":")
-            try:
-                i, j = (int(x) for x in pair.split(","))
-                p, q = (int(x) for x in pq.split(","))
-            except ValueError:
-                raise ValueError(
-                    f'--seq: expected entries like "1,2:1,1", got {chunk!r}'
-                ) from None
-            seq[(i, j)] = (p, q)
+    if seq:
         d = tessellation.assign_weaving_map(d, seq)
     elif args.alternating:
         d = tessellation.assign_alternating(d)

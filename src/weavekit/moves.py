@@ -18,30 +18,30 @@ every genus. The rewiring then shifts every triangle-side attachment by
 two slots and swaps the strand continuations into the old side slots,
 which keeps all boundary words and over-axes in place.
 
-One routine, ``_site``, decides whether a region is a removal or flip
-site. ``enumerate_moves`` lists what it finds and ``apply_move`` accepts a
-removal or flip only when ``_site`` finds it again, so every advertised
-move applies. A move kind is one row of ``_KINDS``, and ``str(move)`` is
-the trace line that ``parse_move`` reads back. ``enumerate_moves(d,
-kind)`` lists only the moves of one kind. ``walk`` is the one seeded
-random walk: each step draws a kind among the kinds that have a move,
-found without listing them, and then lists only that kind, so a seed gives
-the same walk as when every step listed every move. It yields each move
-with the diagram it gives and keeps none of them; ``fuzz`` collects the
-moves and the last diagram.
+A move kind is one row of ``_KINDS``, the only place that knows it: its
+crossing change, its listing of the moves sited in one region, the regions
+its parameters name, the parameter form it lists, its surgery, its bracket
+relation and its trace text, which ``parse_move`` reads back.
+``enumerate_moves`` runs the rows' listings over the regions, and
+``apply_move`` accepts exactly the moves that a region named by their
+parameters lists; any other raises ``IllegalMove``. ``walk`` is the one
+seeded random walk: each step draws a kind among the kinds that have a
+move, each found at its first listed move, and then lists only that kind,
+so a seed gives the same walk as when every step listed every move. It
+yields each move with the diagram it gives and keeps none of them;
+``fuzz`` collects the moves and the last diagram.
 
-Regions are looked up through the corner index
-``SurfaceDiagram.corner_face`` (a step lies in the region of its arrival
-corner), never found by scanning every region: a site is sought only among
-the regions at its first crossing, and a push only in the region of its
-first strand.
+Regions are looked up through the corner index ``SurfaceDiagram.corner_face``
+(a step lies in the region of its arrival corner), never by scanning every
+region: a curl or push names the region of its first step, a removal or
+flip the regions at its first crossing.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import words
 from .diagram import (
@@ -83,17 +83,29 @@ class Move(Frozen):
         return f"{self.kind} {_KINDS[self.kind].text(self.params)}"
 
 
-# -- site discovery --------------------------------------------------------------
+# -- listings ---------------------------------------------------------------------
 
 
-def _monogon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
+def _curls(d: SurfaceDiagram, face: Face) -> Iterator[tuple]:
+    # a curl on edge e sits in the region of the step (e, 0)
+    return ((eid, chirality) for eid, direction in face.steps if direction == 0
+            for chirality in (1, -1))
+
+
+def _pushes(d: SurfaceDiagram, face: Face) -> Iterator[tuple]:
+    # a push sits in the region of its first step, which its second borders too
+    return ((a, b, over_first) for a in face.steps for b in face.steps if a[0] != b[0]
+            for over_first in (True, False))
+
+
+def _monogon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
     # the one step leaves by the slot after the one it arrives at, so the
     # edge is a loop at the corner's crossing
     (c, _), = face.corners
-    return Move("R1_remove", (c,))
+    return (c,)
 
 
-def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
+def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
     (e1, d1), (e2, d2) = face.steps
     if e1 == e2:
         return None
@@ -112,10 +124,10 @@ def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     slot_at_x2 = g1.ends[0][1] if g1.ends[0][0] == x2 else g1.ends[1][1]
     if d.passage_is_over(x1, slot_at_x1) != d.passage_is_over(x2, slot_at_x2):
         return None
-    return Move("R2_remove", (min(x1, x2), max(x1, x2)))
+    return (min(x1, x2), max(x1, x2))
 
 
-def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
+def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
     cids = [c for c, _ in face.corners]
     if len(set(cids)) != 3:
         return None
@@ -133,16 +145,33 @@ def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
     ]
     if not any(o1 and o2 for o1, o2 in strand_pairs):
         return None
-    return Move("R3", (corners,))
+    return (corners,)
 
 
-def _site(d: SurfaceDiagram, face: Face) -> Optional[Move]:
-    """The removal or flip move this region supports, if any. Every site
-    needs a boundary word trivial in the surface group."""
-    kind = _LENGTH_KIND.get(len(face))
-    if kind is None or not words.is_trivial(face.holonomy, d.genus):
-        return None
-    return _KINDS[kind].find(d, face)
+def _guarded(length: int, find: Callable[[SurfaceDiagram, Face], Optional[tuple]]):
+    """The listing of a removal or flip kind: a region of ``length`` sides
+    whose boundary word is trivial in the surface group lists the move that
+    ``find`` finds there, if any."""
+
+    def listing(d: SurfaceDiagram, face: Face) -> tuple[tuple, ...]:
+        if len(face) != length or not words.is_trivial(face.holonomy, d.genus):
+            return ()
+        params = find(d, face)
+        return (params,) if params else ()
+
+    return listing
+
+
+def _step_region(d: SurfaceDiagram, step: tuple[int, int]) -> tuple[int]:
+    """The region of a directed step: that of its arrival corner."""
+    eid, direction = step
+    return (d.corner_face()[d.edges[eid].ends[1 - direction]],)
+
+
+def _crossing_regions(d: SurfaceDiagram, cid: int) -> list[int]:
+    """The at most four regions at a crossing's corners, in ascending id."""
+    where = d.corner_face()
+    return sorted({where[(cid, s)] for s in range(4)})
 
 
 def enumerate_moves(d: SurfaceDiagram, kind: Optional[str] = None) -> list[Move]:
@@ -150,48 +179,29 @@ def enumerate_moves(d: SurfaceDiagram, kind: Optional[str] = None) -> list[Move]
     ``kind``, only the moves of that kind, in the same order."""
     if kind is not None and kind not in _KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
-    kinds = tuple(_KINDS) if kind is None else (kind,)
-    found: dict[str, set[tuple]] = {k: set() for k in kinds}
-    if "R1_add" in found:
-        for e in d.edges:
-            found["R1_add"].update(((e.id, 1), (e.id, -1)))
-    site_lengths = {_KINDS[k].length for k in kinds} - {0}
-    for f in d.faces() if d.crossings or d.edges else ():
-        if len(f) in site_lengths:
-            site = _site(d, f)
-            if site:
-                found[site.kind].add(site.params)
-        if "R2_add" in found:
-            found["R2_add"].update(
-                (a, b, over_first)
-                for a in f.steps
-                for b in f.steps
-                if a[0] != b[0]
-                for over_first in (True, False)
-            )
-    return [Move(k, params) for k in kinds for params in sorted(found[k])]
+    found = {k: set() for k in (_KINDS if kind is None else (kind,))}
+    for f in d.faces():
+        for k, listed in found.items():
+            listed.update(_KINDS[k].listing(d, f))
+    return [Move(k, params) for k, listed in found.items() for params in sorted(listed)]
 
 
 def _kinds_present(d: SurfaceDiagram) -> set[str]:
     """The kinds ``enumerate_moves`` would list a move of, found without
-    listing them: a push needs a region with two distinct edges, and a
-    removal or flip kind is present once ``_site`` finds one site of it."""
-    present = {"R1_add"} if d.edges else set()
-    for f in d.faces() if d.crossings or d.edges else ():
-        if "R2_add" not in present and len({eid for eid, _ in f.steps}) > 1:
-            present.add("R2_add")
-        kind = _LENGTH_KIND.get(len(f))
-        if kind and kind not in present and _site(d, f):
-            present.add(kind)
+    listing them: a kind is present once one region lists a first move."""
+    present = set()
+    for f in d.faces():
+        for kind, row in _KINDS.items():
+            if kind not in present and next(iter(row.listing(d, f)), None):
+                present.add(kind)
     return present
 
 
 # -- surgery ----------------------------------------------------------------------
 
 
-def _apply_r1_add(d: SurfaceDiagram, eid: int, chirality: int) -> SurfaceDiagram:
-    if not 0 <= eid < len(d.edges):
-        raise IllegalMove(f"unknown edge e{eid}")
+def _apply_r1_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
+    eid, chirality = params
     x = len(d.crossings)
     over_axes = [c.over_axis for c in d.crossings]
     over_axes.append(AXIS_13 if chirality > 0 else AXIS_02)
@@ -201,7 +211,7 @@ def _apply_r1_add(d: SurfaceDiagram, eid: int, chirality: int) -> SurfaceDiagram
     return SurfaceDiagram.build(d.genus, over_axes, specs, d.loops)
 
 
-def _apply_r1_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
+def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
     # the one-sided region at corner (cid, s) is bounded by the loop edge
     # on slots s and s+1; the face step arrives at slot s
     (loop_eid, loop_dir), = face.steps
@@ -243,29 +253,8 @@ def _apply_r1_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
     return SurfaceDiagram.build(d.genus, over_axes, specs, loops)
 
 
-def _push_face(d: SurfaceDiagram, step_a: tuple[int, int], step_b: tuple[int, int]) -> Face:
-    """The region both strands of a push border: strand a lies in the region
-    of its arrival corner, and strand b must be on that region too."""
-    where = d.corner_face()
-    eid, direction = step_a
-    if 0 <= eid < len(d.edges) and direction in (0, 1):
-        face = d.faces()[where[d.edges[eid].ends[1 - direction]]]
-        if step_b in face.steps:
-            return face
-    raise IllegalMove("strands do not border a common region")
-
-
-def _apply_r2_add(
-    d: SurfaceDiagram,
-    step_a: tuple[int, int],
-    step_b: tuple[int, int],
-    over_first: bool,
-) -> SurfaceDiagram:
-    eid_a, dir_a = step_a
-    eid_b, dir_b = step_b
-    if eid_a == eid_b:
-        raise IllegalMove("the two strands of a push must be distinct edges")
-    face = _push_face(d, (eid_a, dir_a), (eid_b, dir_b))
+def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
+    (eid_a, dir_a), (eid_b, dir_b), over_first = params
     # the finger travels from the head end of the pushed strand to the tail
     # end of the crossed one; it crosses whichever cell-side arcs the region
     # boundary between those corners records
@@ -293,11 +282,11 @@ def _apply_r2_add(
     return SurfaceDiagram.build(d.genus, over_axes, specs, d.loops)
 
 
-def _apply_r2_remove(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
+def _apply_r2_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
     return smooth_crossings(d, {cid: PASS_PAIRING for cid, _ in face.corners})
 
 
-def _apply_r3(d: SurfaceDiagram, face: Face) -> SurfaceDiagram:
+def _apply_r3(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
     cs = face.corners
     # an edge neither of whose ends moves keeps its word letter for letter;
     # the third side would read the triangle's holonomy, which the site
@@ -340,11 +329,13 @@ class _Kind(NamedTuple):
     """Everything the engine knows about one move kind."""
 
     delta: int  # change in the crossing count
-    length: int  # region length of a site; 0 for a kind that adds crossings
-    find: Optional[Callable[[SurfaceDiagram, Face], Optional[Move]]]  # site finder
-    surgery: Callable[..., SurfaceDiagram]  # (d, site region), or (d, *params) at length 0
+    listing: Callable[[SurfaceDiagram, Face], Iterable[tuple]]  # params of moves sited in a region
+    regions: Callable[[SurfaceDiagram, tuple], Iterable[int]]  # listed params -> regions they name
+    surgery: Callable[[SurfaceDiagram, Face, tuple], SurfaceDiagram]  # (d, site region, params)
+    bracket: Callable[[SurfaceDiagram, tuple], tuple[int, int]]  # (exponent, coefficient) on <D>
     text: Callable[[tuple], str]  # params -> the trace line after the kind
     read: Callable[[list[str]], tuple]  # trace tokens after the kind -> params
+    form: Callable[[tuple], tuple] = lambda p: p  # params -> the form the listing gives
 
 
 def _step(token: str) -> tuple[int, int]:
@@ -353,26 +344,41 @@ def _step(token: str) -> tuple[int, int]:
     return int(number), int(slot)
 
 
+def _kept(d: SurfaceDiagram, params: tuple) -> tuple[int, int]:
+    return 0, 1
+
+
+def _curl_removed(d: SurfaceDiagram, params: tuple) -> tuple[int, int]:
+    from .invariants import crossing_signs  # loaded on call: a walk evaluates no invariant
+
+    return -3 * crossing_signs(d)[params[0]], -1
+
+
 # in the order moves list in
 _KINDS = {
-    "R1_add": _Kind(1, 0, None, _apply_r1_add,
+    "R1_add": _Kind(1, _curls, lambda d, p: _step_region(d, (p[0], 0)), _apply_r1_add,
+                    lambda d, p: (3 * p[1], -1),
                     lambda p: f"e{p[0]} chirality={'+1' if p[1] > 0 else '-1'}",
                     lambda t: (int(t[0][1:]), 1 if t[1] == "chirality=+1" else -1)),
-    "R1_remove": _Kind(-1, 1, _monogon_site, _apply_r1_remove,
+    "R1_remove": _Kind(-1, _guarded(1, _monogon_site), lambda d, p: _crossing_regions(d, p[0]),
+                       _apply_r1_remove, _curl_removed,
                        lambda p: f"c{p[0]}",
                        lambda t: (int(t[0][1:]),)),
-    "R2_add": _Kind(2, 0, None, _apply_r2_add,
+    "R2_add": _Kind(2, _pushes, lambda d, p: _step_region(d, p[0]), _apply_r2_add, _kept,
                     lambda p: f"e{p[0][0]}.{p[0][1]} e{p[1][0]}.{p[1][1]} "
                               f"over={'first' if p[2] else 'second'}",
                     lambda t: (_step(t[0]), _step(t[1]), t[2] == "over=first")),
-    "R2_remove": _Kind(-2, 2, _bigon_site, _apply_r2_remove,
+    "R2_remove": _Kind(-2, _guarded(2, _bigon_site), lambda d, p: _crossing_regions(d, p[0]),
+                       _apply_r2_remove, _kept,
                        lambda p: f"c{p[0]} c{p[1]}",
-                       lambda t: (int(t[0][1:]), int(t[1][1:]))),
-    "R3": _Kind(0, 3, _triangle_site, _apply_r3,
+                       lambda t: (int(t[0][1:]), int(t[1][1:])),
+                       form=lambda p: tuple(sorted(p))),
+    "R3": _Kind(0, _guarded(3, _triangle_site), lambda d, p: _crossing_regions(d, p[0][0][0]),
+                _apply_r3, _kept,
                 lambda p: " ".join(f"c{c}.{s}" for c, s in p[0]),
-                lambda t: ((_step(t[0]), _step(t[1]), _step(t[2])),)),
+                lambda t: ((_step(t[0]), _step(t[1]), _step(t[2])),),
+                form=lambda p: (tuple(sorted(p[0])), *p[1:])),
 }
-_LENGTH_KIND = {row.length: kind for kind, row in _KINDS.items() if row.length}
 
 
 def parse_move(line: str) -> Move:
@@ -392,32 +398,26 @@ def parse_move(line: str) -> Move:
     raise ValueError(f"malformed move line {line!r}")
 
 
-def _site_face(d: SurfaceDiagram, m: Move) -> Face:
-    """The region whose site is ``m``, found by the check enumeration uses.
-
-    Every site region has a corner at the move's first crossing, so only
-    the regions there are checked, in ascending id.
-    """
-    if m.kind == "R2_remove":
-        m = Move(m.kind, tuple(sorted(m.params)))
-    elif m.kind == "R3":
-        m = Move(m.kind, (tuple(sorted(m.params[0])),))
-    crossings = [c for c, _ in m.params[0]] if m.kind == "R3" else m.params
-    where, faces = d.corner_face(), d.faces()
-    at_first = {where.get((c, s)) for c in crossings[:1] for s in range(4)} - {None}
-    for f in (faces[fid] for fid in sorted(at_first)):
-        if len(f) == _KINDS[m.kind].length and _site(d, f) == m:
-            return f
-    raise IllegalMove(f"{m} is not a site of this diagram")
+def _region(d: SurfaceDiagram, m: Move) -> Face:
+    """The region that lists ``m``, sought only among the regions its
+    parameters name, in ascending id; ``IllegalMove`` when none does."""
+    try:
+        row = _KINDS[m.kind]
+        params = row.form(m.params)
+        named = row.regions(d, params)
+    except (IndexError, KeyError, TypeError, ValueError):
+        named = ()
+    for fid in named:
+        face = d.faces()[fid]
+        if params in row.listing(d, face):
+            return face
+    raise IllegalMove(f"{m.kind} {m.params!r} is not a move of this diagram")
 
 
 def apply_move(d: SurfaceDiagram, m: Move) -> SurfaceDiagram:
-    row = _KINDS.get(m.kind)
-    if row is None:
-        raise IllegalMove(f"unknown move kind {m.kind!r}")
-    if row.length:
-        return row.surgery(d, _site_face(d, m))
-    return row.surgery(d, *m.params)
+    """The diagram ``m`` gives, for exactly the moves ``enumerate_moves(d,
+    m.kind)`` lists, up to the parameter order its row's ``form`` sorts."""
+    return _KINDS[m.kind].surgery(d, _region(d, m), m.params)
 
 
 # -- fuzzing -----------------------------------------------------------------------

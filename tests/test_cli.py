@@ -661,6 +661,24 @@ def test_malformed_seq_names_the_flag():
     assert err == "error: --seq: expected entries like \"1,2:1,1\", got '1,2:1'\n"
 
 
+@pytest.mark.parametrize("seq, message", [
+    ("1,2:x", "expected entries like \"1,2:1,1\", got '1,2:x'"),
+    ("", "expected entries like \"1,2:1,1\", got ''"),
+    ("1,2:1,1;1,2:2,2", "set pair 1,2 is given twice"),
+], ids=["malformed", "empty", "repeated"])
+def test_seq_is_refused_before_any_tiling_work(monkeypatch, seq, message):
+    def no_work(*args):
+        raise AssertionError("tiling work started before --seq was read")
+
+    monkeypatch.setattr(tessellation, "crossing_count", no_work)
+    monkeypatch.setattr(tessellation, "build_tiling", no_work)
+    code, out, err = run_cli(
+        "build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "141", "--seq", seq
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: --seq: {message}\n"
+
+
 def test_seq_with_alternating_is_input_error(tmp_path):
     path = tmp_path / "w.weave"
     for tiling in ("(4,4,4,4)", "(7,7)"):

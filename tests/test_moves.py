@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from fixtures import plain_weave_2x2, torus_curl
@@ -338,12 +340,12 @@ def test_commutator_bigon_is_not_a_site_at_genus_2():
     # validation reports it and the bigon is no removal site
     from weavekit.corpus import genus2_corpus
     from weavekit.diagram import Edge
-    from weavekit.moves import _site_face
+    from weavekit.moves import _region
 
     d = dict(genus2_corpus())["genus2-c4"]
     up = apply_move(d, enumerate_moves(d, "R2_add")[0])
     m = Move("R2_remove", (4, 5))
-    face = _site_face(up, m)
+    face = _region(up, m)
     eid = face.steps[0][0]
     wrapped = up.replace(
         edges=[Edge(e.id, e.ends, e.word + (1, 3, -1, -3)) if e.id == eid else e for e in up.edges]
@@ -433,3 +435,91 @@ def test_listing_one_kind_matches_the_filtered_full_list():
     assert seen == {1: set(_KINDS), 2: set(_KINDS)}
     with pytest.raises(ValueError, match="unknown move kind 'R4'"):
         enumerate_moves(d, "R4")
+
+
+def _corpus_and_walks():
+    # the diagrams of the listing test above: the corpus, and 30-step walks
+    # from two genus-1 starts and every genus-2 start
+    from weavekit.corpus import alternating_corpus, full_corpus, genus2_corpus
+
+    alternating = dict(alternating_corpus())
+    starts = [alternating["square-cr-s2"], alternating["kagome-cr-s2"]]
+    starts += [d for _, d in genus2_corpus()]
+    diagrams = [d for _, d in full_corpus()]
+    for seed, d in enumerate(starts):
+        diagrams += [dd for _, dd in walk(d, 30, seed, max_crossings=12)]
+    return diagrams
+
+
+def _near_misses(d, listed):
+    """Moves one token away from a listed one, or named on a region that may
+    not be a site; the listing decides which of them are moves."""
+    C, E = len(d.crossings), len(d.edges)
+    out = [Move("R1_add", p) for p in ((0, 0), (0, 5), (E, 1), (0,), (0, 1, 1))]
+    out += [Move("R1_remove", p) for p in ((C,), (), (0, 0))]
+    out += [Move("R2_remove", p) for p in ((0, C), (0,), (0, 1, 2))]
+    out += [Move("R3", p) for p in ((((C, 0), (C + 1, 0), (C + 2, 0)),), ())]
+    for push in [m for m in listed if m.kind == "R2_add"][:1]:
+        a, b, _ = push.params
+        out += [Move("R2_add", p) for p in (
+            (a, b, 2), (a, b, None), (a, a, False), (a, (a[0], 1 - a[1]), True),
+            ((E, 0), b, True), (a, b), (a, b, True, 0),
+        )]
+        # a second step from another region
+        where = d.corner_face()
+        region = where[d.edges[a[0]].ends[1 - a[1]]]
+        out += [Move("R2_add", (a, (e.id, k), True)) for e in d.edges for k in (0, 1)
+                if where[e.ends[1 - k]] != region][:1]
+    for m in listed:
+        if m.kind in ("R1_remove", "R2_remove", "R3"):
+            out += [Move(m.kind, m.params + (0,)), Move(m.kind, m.params[:-1])]
+    # every region names the removal or flip its first corners would be
+    for f in d.faces():
+        cids = [c for c, _ in f.corners]
+        out.append(Move("R1_remove", (cids[0],)))
+        if len(f) > 1:
+            out.append(Move("R2_remove", tuple(sorted(cids[:2]))))
+        if len(f) > 2:
+            out.append(Move("R3", (tuple(sorted(f.corners[:3])),)))
+    return out
+
+
+def test_apply_move_accepts_exactly_the_listed_moves():
+    diagrams = _corpus_and_walks()
+    refused = Counter()
+    for d in diagrams:
+        listed = enumerate_moves(d)
+        listed_set = set(listed)
+        for m in listed:
+            apply_move(d, m)
+        for m in _near_misses(d, listed):
+            if m in listed_set:
+                apply_move(d, m)
+                continue
+            with pytest.raises(IllegalMove, match=r"is not a move of this diagram$"):
+                apply_move(d, m)
+            refused[m.kind] += 1
+    assert {d.genus for d in diagrams} == {1, 2}
+    assert min(refused.values()) > 100 and len(refused) == 5, refused
+
+
+def test_every_kind_keeps_its_bracket_relation():
+    # <D'> = coefficient * A^exponent * <D> for every listed move of every
+    # valid corpus diagram up to eight crossings, and for the removals and
+    # flips of the walked diagrams up to eight crossings, which bring the
+    # genus-2 removal and flip sites the reduced corpus lacks
+    from weavekit.corpus import full_corpus
+    from weavekit.moves import _KINDS
+
+    in_corpus = len(full_corpus())
+    seen = Counter()
+    for i, d in enumerate(_corpus_and_walks()):
+        if len(d.crossings) > 8 or not d.validate().ok:
+            continue
+        before = bracket(d)
+        for m in enumerate_moves(d):
+            if i < in_corpus or _KINDS[m.kind].delta <= 0:
+                after = bracket(apply_move(d, m))
+                assert after == before.scaled(*_KINDS[m.kind].bracket(d, m.params)), str(m)
+                seen[m.kind, d.genus] += 1
+    assert set(seen) == {(kind, g) for kind in _KINDS for g in (1, 2)}, seen

@@ -1,8 +1,8 @@
 """Region lookups through the corner index agree with the scans they replaced.
 
 Each reference below is the region search a routine made before it read
-``SurfaceDiagram.corner_face``: the move-site scan over every region of the
-move's length, the push-region search over every region's steps, the
+``SurfaceDiagram.corner_face``: the move scan over every region's listing,
+the push-region search over every region's steps, the
 automorphism check comparing whole corner sets, and the isthmus test with
 its own corner-position table. They are held equal to the lookups on the
 full corpus and along seeded fuzz walks at genus 1 and 2, where both
@@ -24,23 +24,20 @@ from weavekit.moves import IllegalMove, Move, apply_move, enumerate_moves, walk
 
 
 def scan_site_face(d: SurfaceDiagram, m: Move):
-    if m.kind == "R2_remove":
-        m = Move(m.kind, tuple(sorted(m.params)))
-    elif m.kind == "R3":
-        m = Move(m.kind, (tuple(sorted(m.params[0])),))
-    n = moves._KINDS[m.kind].length
+    row = moves._KINDS[m.kind]
     for f in d.faces():
-        if len(f) == n and moves._site(d, f) == m:
+        if row.form(m.params) in row.listing(d, f):
             return f
-    raise IllegalMove(f"{m} is not a site of this diagram")
+    raise IllegalMove(f"{m.kind} {m.params!r} is not a move of this diagram")
 
 
-def scan_push_face(d: SurfaceDiagram, step_a, step_b):
+def scan_push_face(d: SurfaceDiagram, m: Move):
+    step_a, step_b, _ = m.params
     for f in d.faces():
         steps = set(f.steps)
         if step_a in steps and step_b in steps:
             return f
-    raise IllegalMove("strands do not border a common region")
+    raise IllegalMove(f"{m.kind} {m.params!r} is not a move of this diagram")
 
 
 def scan_acts_freely(d: SurfaceDiagram, phi: dict[int, int]) -> bool:
@@ -139,10 +136,10 @@ def test_site_lookup_matches_the_scan(diagrams):
                 proposed.add(Move("R2_remove", (cids[1], cids[0])))
             elif len(f) == 3:
                 proposed.add(Move("R3", (tuple(reversed(f.corners)),)))
-        proposed.update(m for m in enumerate_moves(d) if moves._KINDS[m.kind].length)
+        proposed.update(m for m in enumerate_moves(d) if m.kind in ("R1_remove", "R2_remove", "R3"))
         for m in sorted(proposed):
             expected = _outcome(scan_site_face, d, m)
-            assert _outcome(moves._site_face, d, m) == expected, (name, m)
+            assert _outcome(moves._region, d, m) == expected, (name, m)
             if isinstance(expected, int):
                 found += 1
             else:
@@ -160,8 +157,9 @@ def test_push_lookup_matches_the_scan(diagrams):
             for b in partners:
                 if a[0] == b[0]:
                     continue
-                expected = _outcome(scan_push_face, d, a, b)
-                assert _outcome(moves._push_face, d, a, b) == expected, (name, a, b)
+                m = Move("R2_add", (a, b, True))
+                expected = _outcome(scan_push_face, d, m)
+                assert _outcome(moves._region, d, m) == expected, (name, a, b)
                 if isinstance(expected, int):
                     common += 1
                 else:
@@ -172,9 +170,9 @@ def test_push_lookup_matches_the_scan(diagrams):
 def test_push_lookup_refuses_steps_that_do_not_exist():
     d = full_corpus()[0][1]
     for bad in ((len(d.edges), 0), (-1, 0), (0, 2), (0, -1)):
-        with pytest.raises(IllegalMove, match="strands do not border a common region"):
+        with pytest.raises(IllegalMove, match="is not a move of this diagram"):
             apply_move(d, Move("R2_add", (bad, (1, 0), True)))
-        with pytest.raises(IllegalMove, match="strands do not border a common region"):
+        with pytest.raises(IllegalMove, match="is not a move of this diagram"):
             apply_move(d, Move("R2_add", ((1, 0), bad, True)))
 
 
@@ -205,13 +203,13 @@ def test_flip_checks_only_the_regions_at_its_first_crossing(monkeypatch):
     assert len(d.faces()) == 12
     flip = [m for m in enumerate_moves(d) if m.kind == "R3"][-1]
     checks = []
-    site = moves._site
+    row = moves._KINDS["R3"]
 
     def counted(d, face):
         checks.append(face.id)
-        return site(d, face)
+        return row.listing(d, face)
 
-    monkeypatch.setattr(moves, "_site", counted)
+    monkeypatch.setitem(moves._KINDS, "R3", row._replace(listing=counted))
     flipped = apply_move(d, flip)
     assert flipped.validate().ok
     # one check at most per corner of the flip's first crossing
