@@ -92,10 +92,28 @@ def _curls(d: SurfaceDiagram, face: Face) -> Iterator[tuple]:
             for chirality in (1, -1))
 
 
-def _pushes(d: SurfaceDiagram, face: Face) -> Iterator[tuple]:
-    # a push sits in the region of its first step, which its second borders too
-    return ((a, b, over_first) for a in face.steps for b in face.steps if a[0] != b[0]
-            for over_first in (True, False))
+class _Pushes:
+    """The pushes sited in a region: those of its first step, which its
+    second borders too. Listed lazily, since a region of s steps lists about
+    2s^2 of them; membership reads the steps instead of the listing."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, d: SurfaceDiagram, face: Face) -> None:
+        self.steps = face.steps
+
+    def __iter__(self) -> Iterator[tuple]:
+        steps = self.steps
+        return ((a, b, over_first) for a in steps for b in steps if a[0] != b[0]
+                for over_first in (True, False))
+
+    def __contains__(self, params: object) -> bool:
+        # the answer `params in list(self)` gives, without the listing
+        if not isinstance(params, tuple) or len(params) != 3:
+            return False
+        a, b, over_first = params
+        return (a in self.steps and b in self.steps and a[0] != b[0]
+                and over_first in (True, False))
 
 
 def _monogon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
@@ -364,7 +382,7 @@ _KINDS = {
                        _apply_r1_remove, _curl_removed,
                        lambda p: f"c{p[0]}",
                        lambda t: (int(t[0][1:]),)),
-    "R2_add": _Kind(2, _pushes, lambda d, p: _step_region(d, p[0]), _apply_r2_add, _kept,
+    "R2_add": _Kind(2, _Pushes, lambda d, p: _step_region(d, p[0]), _apply_r2_add, _kept,
                     lambda p: f"e{p[0][0]}.{p[0][1]} e{p[1][0]}.{p[1][1]} "
                               f"over={'first' if p[2] else 'second'}",
                     lambda t: (_step(t[0]), _step(t[1]), t[2] == "over=first")),

@@ -1,5 +1,6 @@
 """Each subcommand imports only the modules it runs (``json`` only for JSON
-output), no process loads ``dataclasses``, ``inspect``, ``fractions`` or
+output), loading the corpus imports neither the tessellation builder nor
+the move engine, no process loads ``dataclasses``, ``inspect``, ``fractions`` or
 ``decimal`` (about 25 ms and 0.7 MiB of start-up), and every public name of
 the package resolves although importing the package loads no module.
 
@@ -83,7 +84,19 @@ def test_canonicalize_and_verify_load_no_heavy_stdlib(tmp_path):
     assert not loaded & HEAVY
     loaded = _loaded(["verify", "--suite", "invariance", "--steps", "5"], tmp_path)
     assert {"moves", "invariants"} <= loaded
-    assert not loaded & HEAVY
+    assert not loaded & {"tessellation", *HEAVY}
+
+
+def test_full_corpus_loads_neither_builder_nor_move_engine(tmp_path):
+    # the corpus is stored text: parsing it needs only the diagram module
+    source = """
+import sys
+from weavekit import corpus
+corpus.full_corpus()
+print(*sorted(m for m in sys.modules if m.startswith("weavekit.")))
+"""
+    assert _run(source, tmp_path).split() == ["weavekit.corpus", "weavekit.diagram",
+                                              "weavekit.words"]
 
 
 def test_each_module_alone_loads_no_heavy_stdlib(tmp_path):
