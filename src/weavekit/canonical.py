@@ -15,10 +15,10 @@ vectors; a state census of 2^16 states has tens of thousands of loops but
 only a handful of classes. Nothing expands it except the printed form.
 
 Minimal size is decided from the automorphisms alone, which come from the
-rigid ``map_walk``: (i) a nontrivial one fixes no crossing, (ii) one whose
-powers fix no edge or region acts freely, so the diagram covers a
-well-formed quotient, and (iii) a cover alternates exactly when its base
-does, so no quotient is built.
+rigid dart walk ``map_walk``: (i) a nontrivial one fixes no dart, (ii)
+one whose powers fix no crossing, edge or region acts freely, so the
+diagram covers a well-formed quotient, and (iii) a cover alternates
+exactly when its base does, so no quotient is built.
 """
 
 from __future__ import annotations
@@ -402,49 +402,43 @@ def size(d: SurfaceDiagram) -> int:
     return len(d.faces()) if d.crossings else 0
 
 
-def _slot_preserving_automorphisms(d: SurfaceDiagram) -> Iterator[dict[int, int]]:
-    """Nontrivial graph automorphisms fixing slot labels and over-axes, walked
-    one root at a time so that a caller can stop at the first it needs."""
-    maps = (map_walk(d, d, 0, t) for t in range(1, len(d.crossings)))
+def _automorphisms(d: SurfaceDiagram) -> Iterator[list[int]]:
+    """Nontrivial over-preserving automorphisms as dart maps, walked one root
+    at a time so that a caller can stop at the first it needs."""
+    maps = (map_walk(d, d, 0, t) for t in range(1, 4 * len(d.crossings)))
     return (phi for phi in maps if phi is not None)
 
 
-def _acts_freely(d: SurfaceDiagram, phi: dict[int, int]) -> bool:
-    """No nontrivial power of phi fixes an edge or a region. By rigidity the
-    first power that fixes crossing 0 is the identity. A slot-preserving
-    map fixes a region exactly when it sends one corner of the region back
-    into it, so each region costs one corner-index lookup."""
-    table = d.end_map()
+def _acts_freely(d: SurfaceDiagram, phi: list[int]) -> bool:
+    """No nontrivial power of phi fixes a crossing, an edge or a region. By
+    rigidity the first power that fixes dart 0 is the identity. A power
+    keeps the turn, so it fixes a region exactly when it sends one corner
+    of the region (the one after a dart) into it: one pass over darts."""
+    flip = d.flips()
     where = d.corner_face()
+    region = [where[divmod(x, 4)] for x in range(len(flip))]
     power = phi
     while power[0] != 0:
-        for e in d.edges:
-            c0, s0 = e.ends[0]
-            if table[(power[c0], s0)][0] == e.id:
+        for x, y in enumerate(power):
+            if y // 4 == x // 4 or y == flip[x] or region[y] == region[x]:
                 return False
-        for f in d.faces():
-            c, s = f.corners[0]
-            if where[(power[c], s)] == f.id:
-                return False
-        power = {c: phi[power[c]] for c in power}
+        power = [phi[y] for y in power]
     return True
 
 
 def is_minimal_size(d: SurfaceDiagram) -> bool:
     """True when no free translation-like symmetry lets the cell shrink.
 
-    The diagram is reducible exactly when some nontrivial slot- and
-    over-preserving automorphism phi generates a group that fixes no edge
-    and no region. No quotient is built; three facts make that enough:
+    The diagram is reducible exactly when some nontrivial rotation- and
+    over-preserving automorphism phi generates a group that fixes no
+    crossing, edge or region. No quotient is built; three facts suffice:
 
-    (i) a nontrivial automorphism of a rigid connected map fixes no
-        crossing, so every orbit of <phi> has length ord phi;
+    (i) a nontrivial automorphism of a rigid connected map fixes no dart,
+        so every orbit of <phi> on darts has length ord phi;
     (ii) a cyclic group of order n fixing no crossing, edge or region acts
         freely on the surface, so the diagram covers its quotient, a
         well-formed diagram of genus 1 + (g - 1)/n;
     (iii) a cover is alternating exactly when its base is, so the quotient
         of an alternating diagram alternates.
     """
-    if d.crossings:
-        d._check_closed()  # map_walk needs every slot attached
-    return not any(_acts_freely(d, phi) for phi in _slot_preserving_automorphisms(d))
+    return not any(_acts_freely(d, phi) for phi in _automorphisms(d))

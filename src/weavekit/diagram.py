@@ -18,7 +18,6 @@ consistent across modules.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from itertools import chain, product
 from math import gcd
 from typing import Optional, Sequence
@@ -291,6 +290,17 @@ class SurfaceDiagram:
         errors = self._slot_errors()
         if errors:
             raise DiagramError(errors[0])
+
+    @_memoized
+    def flips(self) -> tuple[int, ...]:
+        """Dart 4*crossing + slot -> the dart at the other end of its edge:
+        the flip of the map, shared by every dart walk. Fails on a bad slot."""
+        self._check_closed()
+        flip = [0] * (4 * len(self.crossings))
+        for e in self.edges:
+            (c0, s0), (c1, s1) = e.ends
+            flip[4 * c0 + s0], flip[4 * c1 + s1] = 4 * c1 + s1, 4 * c0 + s0
+        return tuple(flip)
 
     # -- faces -------------------------------------------------------------------
 
@@ -728,53 +738,51 @@ def parse(text: str) -> SurfaceDiagram:
 
 
 def map_walk(
-    a: SurfaceDiagram, b: SurfaceDiagram, root_a: CrossingId, root_b: CrossingId
-) -> Optional[dict[CrossingId, CrossingId]]:
-    """The crossing bijection sending ``root_a`` to ``root_b`` that keeps slot
-    labels and over-axes, or None when there is none.
+    a: SurfaceDiagram, b: SurfaceDiagram, root_a: int, root_b: int
+) -> Optional[list[int]]:
+    """The dart map sending dart ``root_a`` to ``root_b`` that keeps the turn
+    at each crossing, the flips and over passages, or None when there is
+    none. Dart 4c + s is slot s of crossing c; slot labels are not read.
 
-    A connected map with a fixed slot rotation is rigid: once the root's
-    image is chosen, the neighbour across each slot fixes the next image, so
-    one breadth-first walk settles the question in O(C) (Weinberg, 1966).
-    Every slot of both diagrams must be attached.
+    A map is its turn and flip permutations (Jones and Singerman, 1978). It
+    is rigid when connected: one dart's image fixes its crossing's other
+    three, turned alike, and the flips carry the walk on, so one walk
+    settles the question in O(C) (Weinberg, 1966). Every slot of both
+    diagrams must be attached.
     """
-    n = len(a.crossings)
-    if n != len(b.crossings):
+    fa, fb = a.flips(), b.flips()
+    n = len(fa)
+    if n != len(fb):
         return None
-    ta, tb = a.end_map(), b.end_map()
-    phi = {root_a: root_b}
-    queue = deque([root_a])
-    while queue:
-        c = queue.popleft()
-        t = phi[c]
-        if a.crossings[c].over_axis != b.crossings[t].over_axis:
+    phi = [-1] * n
+    todo = [(root_a, root_b)]
+    while todo:
+        x, y = todo.pop()
+        if phi[x] >= 0:
+            if phi[x] != y:
+                return None
+            continue
+        if a.passage_is_over(x // 4, x % 4) != b.passage_is_over(y // 4, y % 4):
             return None
-        for s in range(4):
-            eid, which = ta[(c, s)]
-            c2, s2 = a.edges[eid].ends[1 - which]
-            eid, which = tb[(t, s)]
-            t2, s2b = b.edges[eid].ends[1 - which]
-            if s2 != s2b:
-                return None
-            if c2 not in phi:
-                phi[c2] = t2
-                queue.append(c2)
-            elif phi[c2] != t2:
-                return None
-    if len(phi) != n or len(set(phi.values())) != n:
+        for k in range(4):
+            u, v = x - x % 4 + (x + k) % 4, y - y % 4 + (y + k) % 4
+            phi[u] = v
+            todo.append((fa[u], fb[v]))
+    if -1 in phi or len(set(phi)) != n:
         return None
     return phi
 
 
 def isomorphic(a: SurfaceDiagram, b: SurfaceDiagram, exact_words: bool = True) -> bool:
-    """Isomorphism test: relabel crossings/edges preserving slots, axes,
-    and loops. With ``exact_words`` the boundary words must match letter for
-    letter; without it the projections must match and corresponding threads
-    must carry the same homology, which identifies diagrams that differ by
-    sliding cell-side crossings along the strands. Tries each crossing of
-    ``b`` as the image of crossing 0 with ``map_walk``, so O(C^2); raises
-    ``DiagramError`` when the crossings of either diagram do not form one
-    connected map (free loops are matched as a multiset)."""
+    """Isomorphism test: relabel crossings/edges preserving the slot
+    rotation, over passages and loops. With ``exact_words`` the boundary
+    words must match letter for letter; without it the projections must
+    match and corresponding threads must carry the same homology, which
+    identifies diagrams that differ by sliding cell-side crossings along the
+    strands. Tries each dart of ``b`` as the image of dart 0 with
+    ``map_walk``, so O(C^2); raises ``DiagramError`` when the crossings of
+    either diagram do not form one connected map (free loops are matched
+    as a multiset)."""
     for d in (a, b):
         d._check_closed()
         parts = _component_count(d) - len(d.loops)
@@ -791,22 +799,24 @@ def isomorphic(a: SurfaceDiagram, b: SurfaceDiagram, exact_words: bool = True) -
     if n == 0:
         return True
 
-    def decorations_match(phi: dict[CrossingId, CrossingId]) -> bool:
+    def decorations_match(phi: list[int]) -> bool:
+        def image(end: End) -> End:
+            return divmod(phi[4 * end[0] + end[1]], 4)
+
         if exact_words:
             tb = b.end_map()
             for e in a.edges:
-                c, s = e.ends[0]
-                eid, which = tb[(phi[c], s)]
+                eid, which = tb[image(e.ends[0])]
                 if b.edges[eid].directed_word(which) != e.word:
                     return False
             return True
         hom_b = b.threads()
         passage_b = b.thread_of_passage()
         return all(
-            t.homology == hom_b[passage_b[(phi[t.route[0][0]], t.route[0][1])]].homology
+            t.homology == hom_b[passage_b[image(t.route[0])]].homology
             for t in a.threads()
             if t.route
         )
 
-    walks = (map_walk(a, b, 0, t) for t in range(n))
+    walks = (map_walk(a, b, 0, t) for t in range(4 * n))
     return any(phi is not None and decorations_match(phi) for phi in walks)

@@ -137,10 +137,8 @@ def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
     if where[(x1, (a1 + 2) % 4)] == where[(x2, (a2 + 2) % 4)]:
         return None
     # the strand through one bigon edge must be on top at both crossings
-    g1 = d.edges[e1]
-    slot_at_x1 = g1.ends[0][1] if g1.ends[0][0] == x1 else g1.ends[1][1]
-    slot_at_x2 = g1.ends[0][1] if g1.ends[0][0] == x2 else g1.ends[1][1]
-    if d.passage_is_over(x1, slot_at_x1) != d.passage_is_over(x2, slot_at_x2):
+    # (edge e1 joins slot a1 of x1 to slot a2 + 1 of x2)
+    if d.passage_is_over(x1, a1) != d.passage_is_over(x2, (a2 + 1) % 4):
         return None
     return (min(x1, x2), max(x1, x2))
 

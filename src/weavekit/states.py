@@ -128,19 +128,16 @@ class StateTracer:
     """
 
     def __init__(self, d: SurfaceDiagram):
-        d._check_closed()
+        self.alpha = d.flips()
         self.diagram = d
         self.genus = d.genus
         C = len(d.crossings)
         self.n_crossings = C
         self.n_darts = 4 * C
-        self.alpha = [0] * self.n_darts
         self.wvec: list[tuple[int, ...]] = [()] * self.n_darts
         for e in d.edges:
             (c0, s0), (c1, s1) = e.ends
             d0, d1 = 4 * c0 + s0, 4 * c1 + s1
-            self.alpha[d0] = d1
-            self.alpha[d1] = d0
             vec = words.abelianize(e.word, d.genus)
             self.wvec[d0] = vec
             self.wvec[d1] = tuple(-v for v in vec)

@@ -69,6 +69,22 @@ def relabelled(d: SurfaceDiagram, rng) -> SurfaceDiagram:
     return SurfaceDiagram(d.genus, crossings, edges, d.loops)
 
 
+def turned(d: SurfaceDiagram, turns: dict[int, int]) -> SurfaceDiagram:
+    """The same diagram with crossing c's slots turned by ``turns[c]``: slot
+    s becomes s + k, and the over axis toggles when k is odd."""
+    crossings = [Crossing(c.id, c.over_axis ^ turns.get(c.id, 0) % 2) for c in d.crossings]
+    edges = [
+        Edge(e.id, tuple((c, (s + turns.get(c, 0)) % 4) for c, s in e.ends), e.word)
+        for e in d.edges
+    ]
+    return SurfaceDiagram(d.genus, crossings, edges, d.loops)
+
+
+def reframed(d: SurfaceDiagram, rng) -> SurfaceDiagram:
+    """The same diagram with each crossing's slots turned by a random k."""
+    return turned(d, {c.id: rng.randrange(4) for c in d.crossings})
+
+
 def torus_curl() -> SurfaceDiagram:
     """One crossing, both strands wrapping the cell: regions stay distinct
     only thanks to periodicity."""

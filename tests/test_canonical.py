@@ -24,10 +24,10 @@ from weavekit.canonical import (
     twist_matrix,
     vec_mul,
     _acts_freely,
+    _automorphisms,
     _box_radius,
     _gram,
     _order,
-    _slot_preserving_automorphisms,
     _transvection,
     _transvection_vectors,
 )
@@ -316,14 +316,14 @@ def test_free_automorphisms_have_covering_orders():
     free = 0
     for name, d in _minimal_size_family():
         counts = (len(d.crossings), len(d.edges), len(d.faces()))
-        for phi in _slot_preserving_automorphisms(d):
+        for phi in _automorphisms(d):
             if not _acts_freely(d, phi):
                 continue
             free += 1
-            # by rigidity the orbit of crossing 0 has length ord phi
-            order, c = 1, phi[0]
-            while c != 0:
-                order, c = order + 1, phi[c]
+            # by rigidity the orbit of dart 0 has length ord phi
+            order, x = 1, phi[0]
+            while x != 0:
+                order, x = order + 1, phi[x]
             assert all(k % order == 0 for k in counts), (name, order, counts)
     assert free > 100
 

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fixtures import grid_weave, src_env
+from fixtures import grid_weave, src_env, turned
 from weavekit import cli, corpus, invariants, moves, tessellation
 from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from weavekit.corpus import full_corpus
@@ -338,6 +338,15 @@ def test_analyze_crossing_free_diagram(tmp_path):
     assert code == EXIT_OK
     assert "bracket = <(1,0)^1> : (1A^0) * d^-1" in out
     assert "classification = Mixed" in out or "threads = 1" in out
+
+
+def test_analyze_minimal_size_ignores_slot_labels(tmp_path):
+    # square-cr-s2 shrinks, and turning c0's slots by two names it again
+    path = tmp_path / "turned.weave"
+    path.write_text(serialize(turned(dict(full_corpus())["square-cr-s2"], {0: 2})))
+    code, out, _err = run_cli("analyze", str(path))
+    assert code == EXIT_OK
+    assert "minimal_size = False" in out.splitlines()
 
 
 def test_verify_harness_detects_corruption():
