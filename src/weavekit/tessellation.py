@@ -9,15 +9,15 @@ scaled cell as the copy's word. Everything after it reads a
 ``PeriodicTiling`` of any genus, whose edges carry words, so a cell of the
 hyperbolic plane is data of the same kind.
 
-Transforms replace every vertex by a strand block (crossed curves,
-n-crossed curves, or n-branched curves) and, for the doubled methods,
-every tiling edge by an m-twisted double line. Vertex blocks are realized
-as straight chords in a small disk, slightly perturbed so all
-intersections are transverse; their combinatorics, not the coordinates,
-end up in the diagram. A block depends only on the method and the
-vertex's dart angles, so it is built once per vertex type. Blocks and
-lines meet at ports, one per tiling dart and side, and ``diagram.splice``
-joins the pieces through them into edges and free loops.
+Tilings carry no geometry. Transforms replace every vertex by a strand
+block (crossed curves, n-crossed curves, or n-branched curves) and, for
+the doubled methods, every tiling edge by an m-twisted double line. A
+block depends only on the method and the vertex's valency: it is realized
+as straight chords in a small disk with evenly spaced darts, slightly
+perturbed so all intersections are transverse, and its combinatorics end
+up in the diagram. So it is built once per valency. Blocks and lines meet
+at ports, one per tiling dart and side, and ``diagram.splice`` joins the
+pieces through them into edges and free loops.
 
 Over/under data on the produced skeleton is arbitrary until a crossing
 sequence assignment fixes it.
@@ -136,9 +136,11 @@ class PeriodicTiling(Frozen):
     """A tiling of the closed genus-g surface, as a rotation system.
 
     Each edge carries the word of cell sides it crosses from tail to head.
+    There is no geometry: the counterclockwise dart order at each vertex
+    and the edge pairing are all that reaches a transform.
     """
 
-    __slots__ = ("symbol", "genus", "edges", "darts", "angles")
+    __slots__ = ("symbol", "genus", "edges", "darts")
 
     def __init__(
         self,
@@ -146,13 +148,11 @@ class PeriodicTiling(Frozen):
         genus: int,
         edges: tuple[tuple[int, int, Word], ...],        # (tail, head, word)
         darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex: (edge label, end)
-        angles: tuple[tuple[float, ...], ...],           # matching dart directions
     ) -> None:
         init_field(self, "symbol", symbol)
         init_field(self, "genus", genus)
         init_field(self, "edges", edges)
         init_field(self, "darts", darts)
-        init_field(self, "angles", angles)
 
     def euler_check(self) -> bool:
         # rotation-system face count must close the surface: V - E + F = 2 - 2g
@@ -186,8 +186,8 @@ class PeriodicTiling(Frozen):
 # letters 1 and 2 are the sides a and b, negatives their inverses.
 
 
-def _cell(ks: tuple[int, ...], edges, darts, angles) -> PeriodicTiling:
-    return PeriodicTiling(VertexSymbol(ks), 1, edges, darts, angles)
+def _cell(ks: tuple[int, ...], edges, darts) -> PeriodicTiling:
+    return PeriodicTiling(VertexSymbol(ks), 1, edges, darts)
 
 
 _CURATED: dict[tuple[int, ...], PeriodicTiling] = {
@@ -197,13 +197,11 @@ _CURATED: dict[tuple[int, ...], PeriodicTiling] = {
             (4, 4, 4, 4),
             edges=((0, 0, (1,)), (0, 0, (2,))),
             darts=(((0, 0), (1, 0), (0, 1), (1, 1)),),
-            angles=((0.0, 90.0, 180.0, 270.0),),
         ),
         _cell(
             (3, 3, 3, 3, 3, 3),
             edges=((0, 0, (1,)), (0, 0, (2,)), (0, 0, (-1, 2))),
             darts=(((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)),),
-            angles=((0.0, 60.0, 120.0, 180.0, 240.0, 300.0),),
         ),
         _cell(
             (6, 6, 6),
@@ -211,10 +209,6 @@ _CURATED: dict[tuple[int, ...], PeriodicTiling] = {
             darts=(
                 ((0, 0), (1, 0), (2, 0)),
                 ((2, 1), (0, 1), (1, 1)),
-            ),
-            angles=(
-                (30.0, 150.0, 270.0),
-                (90.0, 210.0, 330.0),
             ),
         ),
         _cell(
@@ -231,11 +225,6 @@ _CURATED: dict[tuple[int, ...], PeriodicTiling] = {
                 ((1, 0), (0, 0), (4, 1), (5, 1)),
                 ((2, 0), (5, 0), (3, 1), (0, 1)),
                 ((3, 0), (4, 0), (2, 1), (1, 1)),
-            ),
-            angles=(
-                (60.0, 120.0, 240.0, 300.0),
-                (0.0, 120.0, 180.0, 300.0),
-                (0.0, 60.0, 180.0, 240.0),
             ),
         ),
     )
@@ -288,7 +277,7 @@ def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
                 )
                 for dlist in cell.darts
             )
-    tiling = PeriodicTiling(symbol, 1, tuple(edges), tuple(darts), cell.angles * (k * k))
+    tiling = PeriodicTiling(symbol, 1, tuple(edges), tuple(darts))
     if not tiling.euler_check():
         raise AssertionError("curated cell failed its Euler check")
     return tiling
@@ -358,13 +347,18 @@ _Port = tuple[int, int]
 _Chord = tuple[_Port, _Port, list[End]]
 
 
-def _block(method: str, angles: tuple[float, ...]) -> tuple[int, list[_Chord]]:
-    """The strand block of a vertex whose darts point along ``angles``.
+def _block(method: str, n: int) -> tuple[int, list[_Chord]]:
+    """The strand block of a valency-n vertex under ``method``.
 
-    Returns the crossing count, crossings numbered from 0, and the chords.
+    Only the method and the valency reach the block: its n darts are drawn
+    evenly spaced, the first half a sector past 0 degrees (an odd ``nCr``
+    block's slot labels depend on where the darts start). Returns the
+    crossing count, crossings numbered from 0, and the chords.
     """
-    n = len(angles)
-    eta = 9.0  # half-spread of the doubled lines, in degrees
+    angles = [(360.0 * i + 180.0) / n for i in range(n)]
+    # half-spread of the doubled lines, in degrees: under half a sector, so
+    # a dart's two lines never reach past its neighbours' at high valency
+    eta = min(9.0, 90.0 / n)
     chords: list[tuple[tuple[float, float], tuple[float, float]]] = []
     ports: list[tuple[_Port, _Port]] = []
 
@@ -409,15 +403,16 @@ MAX_BUILD_CROSSINGS = 20_000
 
 
 def crossing_count(symbol: VertexSymbol, spec: TransformSpec, scale: int) -> int:
-    """The crossings of ``transform(build_tiling(symbol, scale), spec)``,
-    read off the cell transformed without twists (every copy of the cell
-    transforms alike), plus m twists per edge when doubled. The count stays
-    arithmetic in m and scale: a huge m is counted, never built."""
+    """The crossings of ``transform(build_tiling(symbol, scale), spec)``:
+    the cell's blocks, which depend only on the method and each vertex's
+    valency, plus m twists per edge when doubled, times the scale² copies
+    of the cell. Nothing is transformed, so the count stays arithmetic in
+    m and scale: a huge m is counted, never built."""
     cell = _curated_cell(symbol, scale)
-    if spec.method == "Cr":
-        return len(transform(cell, spec).crossings) * scale * scale
-    untwisted = len(transform(cell, TransformSpec(spec.method, 0)).crossings)
-    return (untwisted + spec.m * len(cell.edges)) * scale * scale
+    count = sum(_block(spec.method, len(darts))[0] for darts in cell.darts)
+    if spec.method != "Cr":
+        count += spec.m * len(cell.edges)
+    return count * scale * scale
 
 
 def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
@@ -428,16 +423,17 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
     """
     n_crossings = 0
     segments: list[tuple[Node, Node, Word]] = []
-    blocks: dict[tuple[float, ...], tuple[int, list[_Chord]]] = {}
+    blocks: dict[int, tuple[int, list[_Chord]]] = {}  # by valency
 
     # one junction per tiling dart and side
     def port(dart: tuple[int, int], side: int) -> Node:
         return ("j", dart, side)
 
-    for darts, angles in zip(tiling.darts, tiling.angles):
-        if angles not in blocks:
-            blocks[angles] = _block(spec.method, angles)
-        count, chords = blocks[angles]
+    for darts in tiling.darts:
+        n = len(darts)
+        if n not in blocks:
+            blocks[n] = _block(spec.method, n)
+        count, chords = blocks[n]
         for (pos_a, side_a), (pos_b, side_b), stops in chords:
             nodes = [
                 port(darts[pos_a], side_a),

@@ -121,17 +121,19 @@ def genus2_c3(which: str = "A"):
     return parse(GENUS2_C3_A if which == "A" else GENUS2_C3_B)
 
 
-def genus2_octagon() -> PeriodicTiling:
-    """{8,8} on the genus-2 surface: one vertex, loop edges a1, b1, a2, b2.
+def polygon_cell(g: int) -> PeriodicTiling:
+    """{4g,4g} on the genus-g surface: one vertex, loop edges a_i and b_i.
 
-    Per handle the rotation is (a_i out, b_i in, a_i in, b_i out), and the
-    darts are evenly spaced.
+    Per handle the rotation is (a_i out, b_i in, a_i in, b_i out).
     """
-    a1, a2, b1, b2 = 1, 2, 3, 4
-    return PeriodicTiling(
-        symbol=VertexSymbol((8,) * 8),
-        genus=2,
-        edges=((0, 0, (a1,)), (0, 0, (b1,)), (0, 0, (a2,)), (0, 0, (b2,))),
-        darts=(((0, 0), (1, 1), (0, 1), (1, 0), (2, 0), (3, 1), (2, 1), (3, 0)),),
-        angles=(tuple(45.0 * i for i in range(8)),),
-    )
+    edges, darts = [], []
+    for i in range(g):
+        a, b = 2 * i, 2 * i + 1  # edge labels; their letters are a_{i+1}, b_{i+1}
+        edges += [(0, 0, (i + 1,)), (0, 0, (g + i + 1,))]
+        darts += [(a, 0), (b, 1), (a, 1), (b, 0)]
+    return PeriodicTiling(VertexSymbol((4 * g,) * (4 * g)), g, tuple(edges), (tuple(darts),))
+
+
+def genus2_octagon() -> PeriodicTiling:
+    """{8,8} on the genus-2 surface: loop edges a1, b1, a2, b2."""
+    return polygon_cell(2)

@@ -1,11 +1,12 @@
 import gc
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from fixtures import genus2_octagon
+from fixtures import genus2_octagon, polygon_cell
 from weavekit import tessellation, words
 from weavekit.invariants import bracket, degree_stats
 from weavekit.tessellation import (
@@ -104,13 +105,15 @@ def test_build_tiling_counts():
 
 SYMBOLS = ("(4,4,4,4)", "(3,3,3,3,3,3)", "(6,6,6)", "(3,6,3,6)")
 
-# sha256 of (genus, vertex count, edges, darts, angles) at scales 1-4, taken
-# while the cells were still stored as Z^2 offsets
+# sha256 of (genus, vertex count, edges, darts) at scales 1-4. First pinned
+# with the dart angles while the cells were stored as Z^2 offsets; when
+# tilings dropped their angles, re-taken without them on the code just
+# before that change, which still stored them
 TILINGS = {
-    "(4,4,4,4)": "3483fb8bb21812435cf32d44e03a0eea66725e9db5291f8cd0fad3aaf25275de",
-    "(3,3,3,3,3,3)": "2f5a1b5d4e3b7e47a1d1d6c564b3822485748f7847ecd882623ab2e930c23d8c",
-    "(6,6,6)": "6ea5b7fb526edeec9af105f63129b918828220c4f32b44ac7d40b03d676a007f",
-    "(3,6,3,6)": "1346ce16a306a5a951786766a496139797ad1d12e00eea29be8fd6590df7c9b3",
+    "(4,4,4,4)": "0894c0c54234e36a5e2c83a9271f54466ff5968070712fcfb8e59f3e4e648819",
+    "(3,3,3,3,3,3)": "6e63a01c6464c2431f687648ef56c26446fbbc9fbda3db9fbb9ba6262d5968c1",
+    "(6,6,6)": "ef239cce391f6be5c908d61fb7fd598d2a84af82f8c334efc40acf554d19854e",
+    "(3,6,3,6)": "5990e3b808e316d751cba43b6aa2b72b9c8607907eea03d4a321aa1e69b87a6b",
 }
 
 
@@ -119,7 +122,7 @@ def test_replicated_tilings_are_pinned(symbol):
     h = hashlib.sha256()
     for scale in (1, 2, 3, 4):
         t = build_tiling(parse_vertex_symbol(symbol), scale)
-        h.update(repr((t.genus, len(t.darts), t.edges, t.darts, t.angles)).encode())
+        h.update(repr((t.genus, len(t.darts), t.edges, t.darts)).encode())
     assert h.hexdigest() == TILINGS[symbol]
 
 
@@ -157,21 +160,15 @@ def test_crossing_count_closed_form_on_the_cells():
 
 
 def test_crossing_count_is_arithmetic_in_m(monkeypatch):
-    # a huge --m must be counted, not built: only the untwisted cell is
-    # transformed, and a count that built the twists fails here at once
-    real = tessellation.transform
-    seen = []
+    # a huge --m must be counted, not built: the count reads the blocks and
+    # never transforms, and a count that built anything fails here at once
+    def no_transform(tiling, spec):
+        raise AssertionError(f"crossing_count transformed with {spec}")
 
-    def untwisted_only(tiling, spec):
-        assert spec.m == 0, spec.m
-        seen.append(spec)
-        return real(tiling, spec)
-
-    monkeypatch.setattr(tessellation, "transform", untwisted_only)
+    monkeypatch.setattr(tessellation, "transform", no_transform)
     vs = parse_vertex_symbol("(4,4,4,4)")
     for scale in (1, 3):
         assert crossing_count(vs, TransformSpec("nBr", 10**8), scale) == 2 * 10**8 * scale * scale
-    assert len(seen) == 2
 
 
 @pytest.mark.parametrize("symbol", SYMBOLS)
@@ -219,6 +216,33 @@ def test_block_geometry_runs_once_per_vertex_type(monkeypatch):
     d = transform(square(4), TransformSpec("Cr", 1))
     assert len(d.crossings) == 16
     assert calls == [2]
+    # a block depends on the valency alone: the kagome cell's three vertex
+    # types and the honeycomb's two share one block each
+    calls.clear()
+    transform(build_tiling(parse_vertex_symbol("(3,6,3,6)"), 2), TransformSpec("nCr", 0))
+    assert calls == [4]
+    calls.clear()
+    transform(build_tiling(parse_vertex_symbol("(6,6,6)"), 2), TransformSpec("nCr", 1))
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_polygon_cells_transform_through_every_method(g):
+    # {4g,4g}: the one vertex has 2g straight strands through it
+    tiling = polygon_cell(g)
+    assert tiling.euler_check() and tiling.face_count() == 1
+    pairs = math.comb(2 * g, 2)
+    for spec, crossings in (
+        (TransformSpec("Cr", 1), pairs),
+        (TransformSpec("nCr", 0), 4 * pairs),
+        (TransformSpec("nBr", 1), 2 * g),
+    ):
+        d = transform(tiling, spec)
+        assert (d.genus, len(d.crossings)) == (g, crossings), spec
+        assert d.validate().ok, spec
+    alt = assign_alternating(d)  # the nBr build
+    assert alt.is_reduced()[0]
+    assert bracket(alt).span() == 4 * len(d.crossings) - 4 * g
 
 
 @pytest.mark.parametrize("m, crossings", [(1, 4), (2, 8)])

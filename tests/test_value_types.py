@@ -41,7 +41,7 @@ FIELDS = {
     MoveTrace: ("seed", "start", "moves", "end"),
     VertexSymbol: ("ks",),
     TransformSpec: ("method", "m"),
-    PeriodicTiling: ("symbol", "genus", "edges", "darts", "angles"),
+    PeriodicTiling: ("symbol", "genus", "edges", "darts"),
     CanonicalResult: ("winding", "matrix", "q_before", "q_after", "certified"),
 }
 MUTABLE = (ValidationReport, MoveTrace)
