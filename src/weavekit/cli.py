@@ -322,7 +322,7 @@ def cmd_fuzz(args) -> int:
 def cmd_canonicalize(args) -> int:
     from . import canonical
 
-    if args.winding:
+    if args.winding is not None:
         vectors = []
         for chunk in args.winding.split(";"):
             try:
@@ -337,6 +337,8 @@ def cmd_canonicalize(args) -> int:
                 "--winding: every vector needs the same even length 2*genus, "
                 f"got lengths {', '.join(map(str, lengths))}"
             )
+        if args.file is not None:
+            raise ValueError("canonicalize takes a diagram FILE or --winding, not both")
         genus = len(vectors[0]) // 2
         # counted in first-occurrence order: a collinear set takes its sign
         # from its first nonzero vector
@@ -349,7 +351,7 @@ def cmd_canonicalize(args) -> int:
     if args.certify_ball and genus > 1:
         # refused before any work; canonical_form refuses genus < 1 itself
         canonical.check_ball_genus(genus)
-    if not args.winding:
+    if args.winding is None:
         from . import invariants
 
         V = invariants.full_winding_multiset(d, budget=args.crossing_budget)

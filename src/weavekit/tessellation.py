@@ -12,12 +12,13 @@ hyperbolic plane is data of the same kind.
 Tilings carry no geometry. Transforms replace every vertex by a strand
 block (crossed curves, n-crossed curves, or n-branched curves) and, for
 the doubled methods, every tiling edge by an m-twisted double line. A
-block depends only on the method and the vertex's valency: it is realized
-as straight chords in a small disk with evenly spaced darts, slightly
-perturbed so all intersections are transverse, and its combinatorics end
-up in the diagram. So it is built once per valency. Blocks and lines meet
-at ports, one per tiling dart and side, and ``diagram.splice`` joins the
-pieces through them into edges and free loops.
+block depends only on the method and the vertex's valency, and each
+method fixes it by a combinatorial rule: which dart positions a chord
+joins, which chords it meets and in what order. Slot labels come from
+the chords' directions in integer units, so no block is drawn. A block
+is built once per valency. Blocks and lines meet at ports, one per tiling
+dart and side, and ``diagram.splice`` joins the pieces through them into
+edges and free loops.
 
 Over/under data on the produced skeleton is arbitrary until a crossing
 sequence assignment fixes it.
@@ -286,61 +287,6 @@ def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
 # -- vertex blocks ------------------------------------------------------------------------
 
 
-def _seg_intersection(p1, p2, p3, p4) -> Optional[tuple[float, float]]:
-    """Parameters (t, u) of the crossing of segments p1p2 and p3p4, if any."""
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (p4[0] - p3[0], p4[1] - p3[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(den) < 1e-12:
-        return None
-    dx, dy = p3[0] - p1[0], p3[1] - p1[1]
-    t = (dx * d2[1] - dy * d2[0]) / den
-    u = (dx * d1[1] - dy * d1[0]) / den
-    if 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9:
-        return (t, u)
-    return None
-
-
-def _disk_arrangement(
-    chords: list[tuple[tuple[float, float], tuple[float, float]]],
-) -> tuple[int, list[list[End]]]:
-    """Combinatorics of straight chords in a disk, all crossings transverse.
-
-    Returns the crossing count and, per chord, the (crossing, slot) stops
-    it makes from its first point to its second, entry slot before exit.
-    """
-    hits: list[list[tuple[float, int, int, int]]] = [[] for _ in chords]
-    n_cross = 0
-    for a, b in itertools.combinations(range(len(chords)), 2):
-        got = _seg_intersection(*chords[a], *chords[b])
-        if got is None:
-            continue
-        # slot layout: the four rays sorted counterclockwise
-        rays = []
-        for chord in (a, b):
-            p1, p2 = chords[chord]
-            ang = math.atan2(p2[1] - p1[1], p2[0] - p1[0])
-            rays.append((ang % (2 * math.pi), chord, +1.0))
-            rays.append(((ang + math.pi) % (2 * math.pi), chord, -1.0))
-        ordered = sorted(set(rays))
-        if len(ordered) != 4:
-            raise AssertionError("degenerate chord arrangement")
-        slot_of = {(chord, sign): s for s, (_ang, chord, sign) in enumerate(ordered)}
-        for chord, t in zip((a, b), got):
-            hits[chord].append((t, n_cross, slot_of[(chord, -1.0)], slot_of[(chord, +1.0)]))
-        n_cross += 1
-    stops = [
-        [(cid, slot) for _t, cid, *slots in sorted(chord_hits) for slot in slots]
-        for chord_hits in hits
-    ]
-    return n_cross, stops
-
-
-def _circle_point(angle_deg: float) -> tuple[float, float]:
-    a = math.radians(angle_deg)
-    return (math.cos(a), math.sin(a))
-
-
 # a block port: (dart position at the vertex, side); side 0 is clockwise of the dart
 _Port = tuple[int, int]
 # a block chord: its two ports and the (crossing, slot) stops between them
@@ -350,47 +296,66 @@ _Chord = tuple[_Port, _Port, list[End]]
 def _block(method: str, n: int) -> tuple[int, list[_Chord]]:
     """The strand block of a valency-n vertex under ``method``.
 
-    Only the method and the valency reach the block: its n darts are drawn
-    evenly spaced, the first half a sector past 0 degrees (an odd ``nCr``
-    block's slot labels depend on where the darts start). Returns the
-    crossing count, crossings numbered from 0, and the chords.
+    Only the method and the valency reach the block. Each chord joins two
+    dart positions and meets other chords in an order fixed by the method:
+
+    - ``Cr``: strand i joins positions i and i + n/2 and meets the other
+      strands 0..n/2 - 1 in increasing order.
+    - ``nCr``, even n: strand i's two lines are chords 2i + side. The side-0
+      line meets the other strands going down cyclically from i - 1, the
+      side-1 line going up from i + 1. Each line meets line 2j + (j < i)
+      of every such strand j first, then line 2j + (j >= i) of each.
+    - ``nCr``, odd n: turn i joins positions i and i + 1 and meets turn
+      i - 1, then turn i + 1.
+    - ``nBr``: turns that touch and never cross.
+
+    Crossings are numbered by chord pair in sorted order. A crossing's slots
+    rank its four rays by angle, counterclockwise from half a sector before
+    dart 0; a chord enters at the rank of its backward ray and leaves at
+    the rank of its forward ray, two slots on. Returns the crossing count
+    and the chords, each with its (crossing, slot) stops in order.
     """
-    angles = [(360.0 * i + 180.0) / n for i in range(n)]
-    # half-spread of the doubled lines, in degrees: under half a sector, so
-    # a dart's two lines never reach past its neighbours' at high valency
-    eta = min(9.0, 90.0 / n)
-    chords: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    ports: list[tuple[_Port, _Port]] = []
-
-    def chord(start: float, stop: float, port_start: _Port, port_stop: _Port) -> None:
-        chords.append((_circle_point(start), _circle_point(stop)))
-        ports.append((port_start, port_stop))
-
+    half = n // 2
     if method == "Cr":
         if n % 2:
             raise OddValencyForCr(
                 f"vertex valency {n} is odd; straight strands cannot pair up"
             )
-        half = n // 2
-        for i in range(half):
-            skew = 4.5 * (i + 1) / half
-            chord(angles[i] + skew, angles[i + half] - skew, (i, 0), (i + half, 0))
+        ports = [((i, 0), (i + half, 0)) for i in range(half)]
+        meets = [[j for j in range(half) if j != i] for i in range(half)]
     elif method == "nCr" and n % 2 == 0:
-        half = n // 2
+        ports, meets = [], []
         for i in range(half):
-            tilt = 1.5 * (i + 1) / half
-            chord(angles[i] - eta + tilt, angles[i + half] + eta + tilt, (i, 0), (i + half, 1))
-            chord(angles[i] + eta + tilt, angles[i + half] - eta + tilt, (i, 1), (i + half, 0))
+            ports += [((i, 0), (i + half, 1)), ((i, 1), (i + half, 0))]
+            for step in (-1, 1):
+                strands = [(i + step * k) % half for k in range(1, half)]
+                firsts = [2 * j + (j < i) for j in strands]
+                meets.append(firsts + [2 * j + (j >= i) for j in strands])
     elif method == "nCr":
-        for i in range(n):
-            nxt = (i + 1) % n
-            chord(angles[i] - eta, angles[nxt] + eta, (i, 0), (nxt, 1))
-    else:  # nBr: touching turns, no crossings in the block
-        for i in range(n):
-            nxt = (i + 1) % n
-            chord(angles[i] + eta, angles[nxt] - eta, (i, 1), (nxt, 0))
-    n_crossings, stops = _disk_arrangement(chords)
-    return n_crossings, [(a, b, chain) for (a, b), chain in zip(ports, stops)]
+        ports = [((i, 0), ((i + 1) % n, 1)) for i in range(n)]
+        meets = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    else:  # nBr
+        ports = [((i, 1), ((i + 1) % n, 0)) for i in range(n)]
+        meets = [[] for _ in range(n)]
+
+    # Directions count units of 90/n degrees, with dart p at 4p + 2: a chord
+    # from position p to q points forward at fwd and backward at fwd + 2n.
+    # Of two crossing chords' four rays, ranks 0 and 1 are their two rays
+    # below 2n, in order, and ranks 2 and 3 the reverses of those. So a
+    # chord enters at 2 when its forward ray is below 2n, else at 0, plus 1
+    # when the other chord's ray below 2n is the smaller; it leaves 2 on.
+    fwd = [(4 * p + 2 * ((q - p) % n) + 2 + n) % (4 * n) for (p, _), (q, _) in ports]
+    pairs = sorted({(min(a, b), max(a, b)) for a, row in enumerate(meets) for b in row})
+    cid = {pair: k for k, pair in enumerate(pairs)}
+    chords: list[_Chord] = []
+    for a, row in enumerate(meets):
+        stops: list[End] = []
+        for b in row:
+            c = cid[min(a, b), max(a, b)]
+            entry = 2 * (fwd[a] < 2 * n) + (fwd[a] % (2 * n) > fwd[b] % (2 * n))
+            stops += [(c, entry), (c, (entry + 2) % 4)]
+        chords.append((*ports[a], stops))
+    return len(pairs), chords
 
 
 # -- transform assembly -----------------------------------------------------------------

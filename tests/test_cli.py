@@ -707,6 +707,32 @@ def test_canonicalize_without_input_is_input_error():
     assert err == "error: canonicalize needs a diagram FILE or --winding\n"
 
 
+@pytest.mark.parametrize(
+    "with_file, winding, message",
+    [
+        (True, "(1,0)", "canonicalize takes a diagram FILE or --winding, not both"),
+        (True, "", "--winding: expected vectors like \"(1,0);(2,1)\", got ''"),
+        (False, "", "--winding: expected vectors like \"(1,0);(2,1)\", got ''"),
+    ],
+    ids=["file-and-winding", "file-and-empty-winding", "empty-winding"],
+)
+def test_canonicalize_refuses_a_file_with_a_winding_before_any_work(
+    plain_file, with_file, winding, message, monkeypatch
+):
+    # a FILE beside --winding, or an empty --winding, was silently ignored
+    from weavekit import canonical
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(invariants, "full_winding_multiset", no_work)
+    monkeypatch.setattr(canonical, "canonical_form", no_work)
+    given = [str(plain_file)] if with_file else []
+    code, out, err = run_cli("canonicalize", *given, "--winding", winding)
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_parallel_flag_starts_no_pool(tmp_path):
     from weavekit.diagram import serialize
 

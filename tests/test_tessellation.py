@@ -205,25 +205,70 @@ def test_cr_transform_counts_and_validity():
 
 
 def test_block_geometry_runs_once_per_vertex_type(monkeypatch):
-    calls = []
-    arrange = tessellation._disk_arrangement
+    valencies = []
+    block = tessellation._block
 
-    def counted(chords):
-        calls.append(len(chords))
-        return arrange(chords)
+    def counted(method, n):
+        valencies.append(n)
+        return block(method, n)
 
-    monkeypatch.setattr(tessellation, "_disk_arrangement", counted)
+    monkeypatch.setattr(tessellation, "_block", counted)
     d = transform(square(4), TransformSpec("Cr", 1))
     assert len(d.crossings) == 16
-    assert calls == [2]
+    assert valencies == [4]
     # a block depends on the valency alone: the kagome cell's three vertex
     # types and the honeycomb's two share one block each
-    calls.clear()
+    valencies.clear()
     transform(build_tiling(parse_vertex_symbol("(3,6,3,6)"), 2), TransformSpec("nCr", 0))
-    assert calls == [4]
-    calls.clear()
+    assert valencies == [4]
+    valencies.clear()
     transform(build_tiling(parse_vertex_symbol("(6,6,6)"), 2), TransformSpec("nCr", 1))
-    assert calls == [3]
+    assert valencies == [3]
+
+
+# sha256 over repr(_block(method, n)) for each n in turn, taken from the
+# straight-chord drawing that the combinatorial rules replaced
+BLOCK_DIGESTS = [
+    ("Cr", range(4, 33, 2), "e1b86a8e84635df487b69e6341be76b1598e9bc88e4aef2d889f6cfb64240503"),
+    ("nCr", range(3, 33), "75f7f558b943f588e95186634dec0e39e1cda7a4e91b5ac0e3dcf6abbb7c0d6d"),
+    ("nBr", range(3, 33), "9ab4af433cd37ee48c727066831caa6e1d30640efc4d82c85dfe762dae276713"),
+]
+
+
+@pytest.mark.parametrize("method, valencies, digest", BLOCK_DIGESTS)
+def test_blocks_are_pinned(method, valencies, digest):
+    h = hashlib.sha256()
+    for n in valencies:
+        h.update(repr(tessellation._block(method, n)).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("method", ["Cr", "nCr", "nBr"])
+def test_blocks_are_well_formed(method):
+    for n in range(3, 41):
+        if method == "Cr" and n % 2:
+            with pytest.raises(OddValencyForCr):
+                tessellation._block(method, n)
+            continue
+        count, chords = tessellation._block(method, n)
+        pairs = math.comb(n // 2, 2)
+        expected = {"Cr": pairs, "nCr": n if n % 2 else 4 * pairs, "nBr": 0}[method]
+        assert count == expected, n
+        # every port is used once, and every dart position is reached
+        ports = [port for start, stop, _stops in chords for port in (start, stop)]
+        assert len(set(ports)) == len(ports)
+        assert {pos for pos, _side in ports} == set(range(n))
+        # each passage enters at slot s and leaves at s + 2, on the same crossing
+        passages: dict[int, list[tuple[int, int]]] = {}
+        for idx, (_start, _stop, stops) in enumerate(chords):
+            assert len(stops) % 2 == 0
+            for (c_in, s_in), (c_out, s_out) in zip(stops[0::2], stops[1::2]):
+                assert c_in == c_out and s_out == (s_in + 2) % 4, (n, idx)
+                passages.setdefault(c_in, []).append((idx, s_in))
+        assert sorted(passages) == list(range(count))
+        # each crossing lies on two chords with four distinct slots
+        for cid, ((a, s_a), (b, s_b)) in passages.items():
+            assert a != b and {s_a % 2, s_b % 2} == {0, 1}, (n, cid)
 
 
 @pytest.mark.parametrize("g", range(2, 9))
