@@ -415,8 +415,7 @@ def _acts_freely(d: SurfaceDiagram, phi: list[int]) -> bool:
     keeps the turn, so it fixes a region exactly when it sends one corner
     of the region (the one after a dart) into it: one pass over darts."""
     flip = d.flips()
-    where = d.corner_face()
-    region = [where[divmod(x, 4)] for x in range(len(flip))]
+    region = d.corner_face()
     power = phi
     while power[0] != 0:
         for x, y in enumerate(power):

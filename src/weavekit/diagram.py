@@ -8,17 +8,18 @@ edge remembers the identified cell sides it crosses as a boundary word,
 read while traversing from endpoint 0 to endpoint 1. Closed curves that
 meet no crossing are kept separately as free loops.
 
-Faces and threads come from one walk over directed edges: arrive at a
-slot, leave by the next slot counterclockwise for a face, by the opposite
-slot for a thread. Every derived quantity (regions, checkerboard colors,
-isthmus detection) uses that same corner rule so region identity is
-consistent across modules.
+Slot s of crossing c is dart 4c + s, and every slot table a diagram
+derives is indexed by dart. Faces and threads come from one walk over
+darts: cross an edge, then leave the arrival slot by the next slot
+counterclockwise for a face, by the opposite slot for a thread. Every
+derived quantity (regions, checkerboard colors, isthmus detection) uses
+that same corner rule so region identity is consistent across modules.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain, product
+from itertools import chain
 from math import gcd
 from typing import Optional, Sequence
 
@@ -262,39 +263,42 @@ class SurfaceDiagram:
     # -- dart tables -----------------------------------------------------------
 
     @_memoized
-    def end_map(self) -> dict[End, tuple[EdgeId, int]]:
-        """(crossing, slot) -> (edge id, endpoint index). Fails on a bad slot."""
-        self._check_closed()
-        return {end: (e.id, which) for e in self.edges for which, end in enumerate(e.ends)}
-
-    @_memoized
-    def _slot_errors(self) -> list[str]:
-        """Missing, doubly used and unattached slots: the one slot pass."""
+    def _slot_pass(self) -> tuple[list[str], tuple[Optional[tuple[EdgeId, int]], ...]]:
+        """The one pass over the edge ends: the missing, doubly used and
+        unattached slots, in validation order, and the (edge id, endpoint
+        index) at each dart."""
         errors: list[str] = []
-        seen: set[End] = set()
+        n = len(self.crossings)
+        at: list[Optional[tuple[EdgeId, int]]] = [None] * (4 * n)
         for e in self.edges:
-            for cid, s in e.ends:
-                if not (0 <= cid < len(self.crossings)) or not (0 <= s < 4):
+            for which, (cid, s) in enumerate(e.ends):
+                if not (0 <= cid < n) or not (0 <= s < 4):
                     errors.append(f"edge e{e.id} references missing slot c{cid}.{s}")
-                elif (cid, s) in seen:
+                elif at[4 * cid + s] is not None:
                     errors.append(f"slot double-use at c{cid}.{s}")
                 else:
-                    seen.add((cid, s))
-        for c in self.crossings:
-            for s in range(4):
-                if (c.id, s) not in seen:
-                    errors.append(f"unattached slot c{c.id}.{s}")
-        return errors
+                    at[4 * cid + s] = (e.id, which)
+        errors.extend(
+            f"unattached slot c{x >> 2}.{x & 3}" for x, end in enumerate(at) if end is None
+        )
+        return errors, tuple(at)
 
     def _check_closed(self) -> None:
-        errors = self._slot_errors()
+        errors = self._slot_pass()[0]
         if errors:
             raise DiagramError(errors[0])
 
     @_memoized
+    def dart_edges(self) -> tuple[tuple[EdgeId, int], ...]:
+        """Dart -> (edge id, endpoint index) of the edge end there. Fails on
+        a bad slot."""
+        self._check_closed()
+        return self._slot_pass()[1]
+
+    @_memoized
     def flips(self) -> tuple[int, ...]:
-        """Dart 4*crossing + slot -> the dart at the other end of its edge:
-        the flip of the map, shared by every dart walk. Fails on a bad slot."""
+        """Dart -> the dart at the other end of its edge: the flip of the
+        map, shared by every dart walk. Fails on a bad slot."""
         self._check_closed()
         flip = [0] * (4 * len(self.crossings))
         for e in self.edges:
@@ -302,113 +306,101 @@ class SurfaceDiagram:
             flip[4 * c0 + s0], flip[4 * c1 + s1] = 4 * c1 + s1, 4 * c0 + s0
         return tuple(flip)
 
-    # -- faces -------------------------------------------------------------------
-
     def _cycle(
-        self, start: tuple[EdgeId, int], turn: int
-    ) -> tuple[list[tuple[EdgeId, int]], list[End], list[int]]:
-        """Walk directed edges from ``start`` until it recurs, leaving each
-        arrival slot by the slot ``turn`` steps counterclockwise from it.
+        self, start: int, turn: int
+    ) -> tuple[list[int], tuple[tuple[EdgeId, int], ...], tuple[End, ...], Word]:
+        """Walk darts from ``start`` until it recurs: cross an edge by the
+        flip, then leave the arrival slot by the slot ``turn`` steps
+        counterclockwise from it. Turn 1 walks a face, turn 2 a thread. On
+        a closed diagram the step map is a permutation of the darts, so
+        every walk returns to its start.
 
-        Returns the directed edges, the (crossing, arrival slot) of each and
-        the word read along the way. Turn 1 walks a face, turn 2 a thread.
-        On a closed diagram the step map is a permutation of the directed
-        edges, so every walk returns to its start.
+        Returns the darts left from, the directed edge each leaves by, the
+        (crossing, slot) each arrives at and the word read along the way.
         """
-        table = self.end_map()
-        edges = self.edges
-        steps: list[tuple[EdgeId, int]] = []
-        arrivals: list[End] = []
-        word: list[int] = []
-        step = start
+        at, flip, edges = self.dart_edges(), self.flips(), self.edges
+        darts: list[int] = []
+        x = start
         while True:
-            steps.append(step)
-            e = edges[step[0]]
-            word.extend(e.directed_word(step[1]))
-            # direction 0 arrives at ends[1], direction 1 at ends[0]
-            cid, slot = e.ends[1 - step[1]]
-            arrivals.append((cid, slot))
-            step = table[(cid, (slot + turn) % 4)]
-            if step == start:
-                return steps, arrivals, word
+            darts.append(x)
+            y = flip[x]
+            x = y - (y & 3) + ((y + turn) & 3)
+            if x == start:
+                break
+        steps = tuple([at[x] for x in darts])
+        arrivals = tuple([(flip[x] >> 2, flip[x] & 3) for x in darts])
+        word = tuple(chain.from_iterable(edges[e].directed_word(w) for e, w in steps))
+        return darts, steps, arrivals, word
+
+    # -- faces -------------------------------------------------------------------
 
     @_memoized
     def faces(self) -> tuple[Face, ...]:
         self._check_closed()
-        visited: set[tuple[EdgeId, int]] = set()
+        visited = bytearray(4 * len(self.crossings))
         out: list[Face] = []
-        for start in product(range(len(self.edges)), (0, 1)):
-            if start in visited:
-                continue
-            steps, corners, holonomy = self._cycle(start, 1)
-            visited.update(steps)
-            out.append(Face(len(out), tuple(steps), tuple(corners), tuple(holonomy)))
+        # a directed edge (eid, direction) leaves from the dart of ends[direction]
+        for e in self.edges:
+            for cid, s in e.ends:
+                if visited[4 * cid + s]:
+                    continue
+                darts, *face = self._cycle(4 * cid + s, 1)
+                for x in darts:
+                    visited[x] = 1
+                out.append(Face(len(out), *face))
         return tuple(out)
 
     @_memoized
-    def corner_face(self) -> dict[End, FaceId]:
-        """Map each corner (crossing, slot s meaning the region between s and
-        s+1) to its region: the one region index.
+    def corner_face(self) -> tuple[FaceId, ...]:
+        """Dart 4*crossing + s -> the region at corner s of that crossing,
+        between slots s and s+1: the one region index.
 
-        A directed step ``(eid, direction)`` lies in the region of its
-        arrival corner ``edges[eid].ends[1 - direction]``, so the region of
-        a corner, a step or a move site is looked up here, never found by
-        scanning ``faces()``.
+        A directed step lies in the region of its arrival corner, so the
+        region of a corner, a step or a move site is looked up here, never
+        found by scanning ``faces()``.
         """
-        return {corner: f.id for f in self.faces() for corner in f.corners}
+        table = [0] * (4 * len(self.crossings))
+        for f in self.faces():
+            for cid, s in f.corners:
+                table[4 * cid + s] = f.id
+        return tuple(table)
 
     # -- threads ---------------------------------------------------------------
 
     @_memoized
     def threads(self) -> tuple[Thread, ...]:
         self._check_closed()
-        claimed: set[tuple[EdgeId, int]] = set()
+        flip = self.flips()
+        claimed = bytearray(len(flip))
         out: list[Thread] = []
-        for start in product(range(len(self.edges)), (0, 1)):
-            if start in claimed:
-                continue
-            steps, route, word = self._cycle(start, 2)
-            # the reverse traversal is the same physical thread
-            claimed.update(steps)
-            claimed.update((eid, 1 - direction) for eid, direction in steps)
-            hom = words.abelianize(word, self.genus)
-            cls = words.normalize_class(hom) or hom
-            if cls != hom:
-                # canonical orientation: the sign rule of words.normalize_class
-                eid, direction = steps[-1]
-                steps, route, _ = self._cycle((eid, 1 - direction), 2)
-            out.append(Thread(len(out), tuple(route), tuple(steps), cls))
+        for e in self.edges:
+            for cid, s in e.ends:
+                if claimed[4 * cid + s]:
+                    continue
+                darts, steps, route, word = self._cycle(4 * cid + s, 2)
+                # the reverse traversal is the same physical thread
+                for x in darts:
+                    claimed[x] = claimed[flip[x]] = 1
+                hom = words.abelianize(word, self.genus)
+                cls = words.normalize_class(hom) or hom
+                if cls != hom:
+                    # canonical orientation: the sign rule of words.normalize_class
+                    _, steps, route, _ = self._cycle(flip[darts[-1]], 2)
+                out.append(Thread(len(out), route, steps, cls))
         for li, w in enumerate(self.loops):
             hom = words.abelianize(w, self.genus)
             out.append(Thread(len(out), (), (), words.normalize_class(hom) or hom, loop_index=li))
         return tuple(out)
 
     @_memoized
-    def thread_of_passage(self) -> dict[End, ThreadId]:
-        """Map each passage entry (crossing, entry slot) to its thread."""
-        table: dict[End, ThreadId] = {}
-        for t in self.threads():
-            for cid, slot in t.route:
-                table[(cid, slot)] = t.id
-                table[(cid, (slot + 2) % 4)] = t.id
-        return table
-
-    @_memoized
-    def crossing_passages(self) -> dict[CrossingId, list[tuple[int, bool, ThreadId]]]:
-        """Per crossing: (exit slot, is_over, thread) for both oriented passages, over first."""
-        table: dict[CrossingId, list[tuple[int, bool, ThreadId]]] = {
-            c.id: [] for c in self.crossings
-        }
+    def passages(self) -> tuple[tuple[ThreadId, int], ...]:
+        """Dart -> (thread, leaving slot) of the oriented passage through
+        that slot; the two darts of a passage share it."""
+        table: list[tuple[ThreadId, int]] = [(0, 0)] * (4 * len(self.crossings))
         for t in self.threads():
             for cid, entry in t.route:
-                table[cid].append(((entry + 2) % 4, self.passage_is_over(cid, entry), t.id))
-        for cid, passages in table.items():
-            if len(passages) != 2:
-                raise DiagramError(f"crossing c{cid} is not traversed by two strands")
-            if passages[0][1] == passages[1][1]:
-                raise DiagramError(f"crossing c{cid} has inconsistent over/under passages")
-            passages.sort(key=lambda p: not p[1])
-        return table
+                table[4 * cid + entry] = table[4 * cid + (entry ^ 2)] = (t.id, entry ^ 2)
+        return tuple(table)
 
     def thread_sets(self) -> tuple[tuple[ThreadId, ...], ...]:
         """Group threads by primitive homology direction."""
@@ -439,11 +431,7 @@ class SurfaceDiagram:
 
     def is_proper(self) -> tuple[bool, list[CrossingId]]:
         table = self.corner_face()
-        bad = [
-            c.id
-            for c in self.crossings
-            if len({table[(c.id, s)] for s in range(4)}) < 4
-        ]
+        bad = [c.id for c in self.crossings if len(set(table[4 * c.id:4 * c.id + 4])) < 4]
         return (not bad, bad)
 
     def is_reduced(self) -> tuple[bool, list[CrossingId]]:
@@ -458,9 +446,10 @@ class SurfaceDiagram:
 
     def _corners_merge(self, corner_a: End, corner_b: End) -> bool:
         table = self.corner_face()
-        if table[corner_a] != table[corner_b]:
+        region = table[4 * corner_a[0] + corner_a[1]]
+        if region != table[4 * corner_b[0] + corner_b[1]]:
             return False
-        face = self.faces()[table[corner_a]]
+        face = self.faces()[region]
         pa, pb = face.corners.index(corner_a), face.corners.index(corner_b)
         return any(
             words.is_trivial(self.boundary_word(face, a, b), self.genus)
@@ -507,7 +496,7 @@ class SurfaceDiagram:
         if not self.crossings and self.loops and not self.edges:
             report.advisories.append("no crossings: free loops only")
             return report
-        report.errors.extend(self._slot_errors())
+        report.errors.extend(self._slot_pass()[0])
         if report.errors:
             return report
         comp = _component_count(self)
@@ -800,20 +789,20 @@ def isomorphic(a: SurfaceDiagram, b: SurfaceDiagram, exact_words: bool = True) -
         return True
 
     def decorations_match(phi: list[int]) -> bool:
-        def image(end: End) -> End:
-            return divmod(phi[4 * end[0] + end[1]], 4)
+        def image(end: End) -> int:
+            return phi[4 * end[0] + end[1]]
 
         if exact_words:
-            tb = b.end_map()
+            tb = b.dart_edges()
             for e in a.edges:
                 eid, which = tb[image(e.ends[0])]
                 if b.edges[eid].directed_word(which) != e.word:
                     return False
             return True
         hom_b = b.threads()
-        passage_b = b.thread_of_passage()
+        passage_b = b.passages()
         return all(
-            t.homology == hom_b[passage_b[image(t.route[0])]].homology
+            t.homology == hom_b[passage_b[image(t.route[0])][0]].homology
             for t in a.threads()
             if t.route
         )

@@ -46,7 +46,7 @@ import itertools
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import laurent, words
-from .diagram import AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
+from .diagram import AXIS_02, AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
 from .laurent import LaurentPoly, LOOP_FACTOR
 from .states import A_PAIRING, B_PAIRING, StateTracer, WindingKey, split
 
@@ -410,10 +410,19 @@ def crossing_signs(d: SurfaceDiagram) -> dict[int, int]:
     when the under-strand exits one counterclockwise step after the
     over-strand exit.
     """
+    p = d.passages()
     return {
-        cid: 1 if under[0] == (over[0] + 1) % 4 else -1
-        for cid, (over, under) in d.crossing_passages().items()
+        c.id: _sign(c.over_axis, s02, s13)
+        for c, (_, s02), (_, s13) in zip(d.crossings, p[0::4], p[1::4])
     }
+
+
+def _sign(over_axis: int, s02: int, s13: int) -> int:
+    """The sign of a crossing whose passages on the slot 0-2 and slot 1-3
+    axes leave by slots ``s02`` and ``s13``: darts 4c and 4c + 1 of
+    crossing c lie on those two passages."""
+    under_after_over = (s13 - s02) % 4 == (1 if over_axis == AXIS_02 else 3)
+    return 1 if under_after_over else -1
 
 
 def writhe(d: SurfaceDiagram) -> int:
@@ -422,21 +431,21 @@ def writhe(d: SurfaceDiagram) -> int:
 
 def writhe_per_component(d: SurfaceDiagram) -> dict[ThreadId, int]:
     """Self-crossing sign sums; crossings between distinct threads excluded."""
-    signs = crossing_signs(d)
+    p = d.passages()
     out: dict[ThreadId, int] = {t.id: 0 for t in d.threads()}
-    for cid, ((_, _, t_over), (_, _, t_under)) in d.crossing_passages().items():
-        if t_over == t_under:
-            out[t_over] += signs[cid]
+    for c, (t, s02), (u, s13) in zip(d.crossings, p[0::4], p[1::4]):
+        if t == u:
+            out[t] += _sign(c.over_axis, s02, s13)
     return out
 
 
 def linking_matrix(d: SurfaceDiagram) -> dict[tuple[ThreadId, ThreadId], int]:
     """Linking numbers of all thread pairs (i, j), i < j, from one pass over the crossings."""
-    signs = crossing_signs(d)
+    p = d.passages()
     out = dict.fromkeys(itertools.combinations([t.id for t in d.threads()], 2), 0)
-    for cid, ((_, _, t_over), (_, _, t_under)) in d.crossing_passages().items():
-        if t_over != t_under:
-            out[min(t_over, t_under), max(t_over, t_under)] += signs[cid]
+    for c, (t, s02), (u, s13) in zip(d.crossings, p[0::4], p[1::4]):
+        if t != u:
+            out[min(t, u), max(t, u)] += _sign(c.over_axis, s02, s13)
     return out
 
 
@@ -471,9 +480,9 @@ def checkerboard_coloring(d: SurfaceDiagram) -> tuple[set[int], set[int]]:
     black: set[int] = set()
     for c in d.crossings:
         for s, _ in A_PAIRING[c.over_axis]:
-            white.add(table[(c.id, s)])
+            white.add(table[4 * c.id + s])
         for s, _ in B_PAIRING[c.over_axis]:
-            black.add(table[(c.id, s)])
+            black.add(table[4 * c.id + s])
     if white & black:
         raise NotCheckerboardColorable(
             f"faces {sorted(white & black)} carry both split labels"

@@ -134,7 +134,7 @@ def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
     # through the bigon; if they are one region the join is an annulus and
     # the result no longer cuts the surface into discs
     where = d.corner_face()
-    if where[(x1, (a1 + 2) % 4)] == where[(x2, (a2 + 2) % 4)]:
+    if where[4 * x1 + (a1 ^ 2)] == where[4 * x2 + (a2 ^ 2)]:
         return None
     # the strand through one bigon edge must be on top at both crossings
     # (edge e1 joins slot a1 of x1 to slot a2 + 1 of x2)
@@ -181,13 +181,13 @@ def _guarded(length: int, find: Callable[[SurfaceDiagram, Face], Optional[tuple]
 def _step_region(d: SurfaceDiagram, step: tuple[int, int]) -> tuple[int]:
     """The region of a directed step: that of its arrival corner."""
     eid, direction = step
-    return (d.corner_face()[d.edges[eid].ends[1 - direction]],)
+    cid, s = d.edges[eid].ends[1 - direction]
+    return (d.corner_face()[4 * cid + s],)
 
 
 def _crossing_regions(d: SurfaceDiagram, cid: int) -> list[int]:
     """The at most four regions at a crossing's corners, in ascending id."""
-    where = d.corner_face()
-    return sorted({where[(cid, s)] for s in range(4)})
+    return sorted(set(d.corner_face()[4 * cid:4 * cid + 4]))
 
 
 def enumerate_moves(d: SurfaceDiagram, kind: Optional[str] = None) -> list[Move]:
@@ -232,9 +232,9 @@ def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDia
     # on slots s and s+1; the face step arrives at slot s
     (loop_eid, loop_dir), = face.steps
     (cid, s), = face.corners
-    table = d.end_map()
-    in_eid, in_which = table[(cid, (s + 2) % 4)]
-    out_eid, out_which = table[(cid, (s + 3) % 4)]
+    at = d.dart_edges()
+    in_eid, in_which = at[4 * cid + (s + 2) % 4]
+    out_eid, out_which = at[4 * cid + (s + 3) % 4]
     # the strand arrives at slot s+2, runs round the loop from slot s to
     # slot s+1 and leaves by slot s+3
     word_in = d.edges[in_eid].directed_word(1 - in_which)

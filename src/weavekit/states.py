@@ -72,7 +72,7 @@ def smooth_crossings(
     for cid in pairings:
         if not 0 <= cid < len(d.crossings):
             raise DiagramError(f"unknown crossing c{cid}")
-    end_map = d.end_map()
+    at = d.dart_edges()
     survivors = [c for c in d.crossings if c.id not in pairings]
     junction: dict[End, Node] = {}
     for cid, pairing in pairings.items():
@@ -83,7 +83,7 @@ def smooth_crossings(
     taken = bytearray(len(d.edges))
     for c in survivors:
         for s in range(4):
-            eid, which = end_map[(c.id, s)]
+            eid, which = at[4 * c.id + s]
             if not taken[eid]:
                 taken[eid] = 1
                 e = d.edges[eid]

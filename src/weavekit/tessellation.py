@@ -2,7 +2,8 @@
 
 Each curated Euclidean cell is itself a scale-1 ``PeriodicTiling`` of the
 torus: vertices with counterclockwise dart lists, and edges that carry the
-word a^x b^y of their step to the neighbouring cell. ``build_tiling``
+word a^x b^y of their step to the neighbouring cell. An edge is only its
+word; which vertices it joins is read from the dart lists. ``build_tiling``
 replicates a cell and is the only step that knows the torus: it reads each
 edge's step back from its word and writes the step's wrap across the
 scaled cell as the copy's word. Everything after it reads a
@@ -136,9 +137,10 @@ class TransformSpec(Frozen):
 class PeriodicTiling(Frozen):
     """A tiling of the closed genus-g surface, as a rotation system.
 
-    Each edge carries the word of cell sides it crosses from tail to head.
-    There is no geometry: the counterclockwise dart order at each vertex
-    and the edge pairing are all that reaches a transform.
+    Each edge is the word of cell sides it crosses from tail to head; its
+    tail and head are the vertices whose dart lists hold its end 0 and its
+    end 1. There is no geometry: the counterclockwise dart order at each
+    vertex and the edge pairing are all that reaches a transform.
     """
 
     __slots__ = ("symbol", "genus", "edges", "darts")
@@ -147,7 +149,7 @@ class PeriodicTiling(Frozen):
         self,
         symbol: VertexSymbol,
         genus: int,
-        edges: tuple[tuple[int, int, Word], ...],        # (tail, head, word)
+        edges: tuple[Word, ...],                         # per edge label
         darts: tuple[tuple[tuple[int, int], ...], ...],  # per vertex: (edge label, end)
     ) -> None:
         init_field(self, "symbol", symbol)
@@ -196,17 +198,17 @@ _CURATED: dict[tuple[int, ...], PeriodicTiling] = {
     for cell in (
         _cell(
             (4, 4, 4, 4),
-            edges=((0, 0, (1,)), (0, 0, (2,))),
+            edges=((1,), (2,)),
             darts=(((0, 0), (1, 0), (0, 1), (1, 1)),),
         ),
         _cell(
             (3, 3, 3, 3, 3, 3),
-            edges=((0, 0, (1,)), (0, 0, (2,)), (0, 0, (-1, 2))),
+            edges=((1,), (2,), (-1, 2)),
             darts=(((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)),),
         ),
         _cell(
             (6, 6, 6),
-            edges=((0, 1, ()), (0, 1, (-1,)), (0, 1, (-2,))),
+            edges=((), (-1,), (-2,)),  # each from P0 to P1
             darts=(
                 ((0, 0), (1, 0), (2, 0)),
                 ((2, 1), (0, 1), (1, 1)),
@@ -215,12 +217,12 @@ _CURATED: dict[tuple[int, ...], PeriodicTiling] = {
         _cell(
             (3, 6, 3, 6),
             edges=(
-                (0, 1, ()),       # e0: P0 - P1
-                (0, 2, ()),       # e1: P0 - P2
-                (1, 2, ()),       # e2: P1 - P2
-                (2, 1, (1,)),     # e3: P2 - P1 shifted
-                (2, 0, (2,)),     # e4: P2 - P0 shifted
-                (1, 0, (-1, 2)),  # e5: P1 - P0 shifted
+                (),       # e0: P0 - P1
+                (),       # e1: P0 - P2
+                (),       # e2: P1 - P2
+                (1,),     # e3: P2 - P1 shifted
+                (2,),     # e4: P2 - P0 shifted
+                (-1, 2),  # e5: P1 - P0 shifted
             ),
             darts=(
                 ((1, 0), (0, 0), (4, 1), (5, 1)),
@@ -253,21 +255,20 @@ def build_tiling(symbol: VertexSymbol, scale: int) -> PeriodicTiling:
     """
     cell = _curated_cell(symbol, scale)
     k = scale
-    n_v, n_e = len(cell.darts), len(cell.edges)
-    steps = [words.abelianize(word, 1) for _tail, _head, word in cell.edges]
+    n_e = len(cell.edges)
+    steps = [words.abelianize(word, 1) for word in cell.edges]
 
     def at(i: int, j: int) -> int:
         return (j % k) * k + i % k
 
-    edges: list[tuple[int, int, Word]] = []
+    edges: list[Word] = []
     darts: list[tuple[tuple[int, int], ...]] = []
     for j in range(k):
         for i in range(k):
             here = at(i, j)
-            for (tail, head, _word), (dx, dy) in zip(cell.edges, steps):
-                ii, jj = i + dx, j + dy
-                wrap = words.torus_word((ii // k, jj // k))
-                edges.append((here * n_v + tail, at(ii, jj) * n_v + head, wrap))
+            edges.extend(
+                words.torus_word(((i + dx) // k, (j + dy) // k)) for dx, dy in steps
+            )
             # an edge's head end belongs to the copy drawn from the cell
             # that steps to (i, j)
             darts.extend(
@@ -409,7 +410,7 @@ def transform(tiling: PeriodicTiling, spec: TransformSpec) -> SurfaceDiagram:
                 segments.append((nodes[k], nodes[k + 1], ()))
         n_crossings += count
 
-    for eid, (_tail, _head, word) in enumerate(tiling.edges):
+    for eid, word in enumerate(tiling.edges):
         if spec.method == "Cr":
             segments.append((port((eid, 0), 0), port((eid, 1), 0), word))
             continue
@@ -448,13 +449,13 @@ def read_sequence(d: SurfaceDiagram, set_i: int, set_j: int) -> tuple[int, int]:
     if not (1 <= set_i <= len(sets) and 1 <= set_j <= len(sets)) or set_i == set_j:
         raise TessellationError("bad thread-set indices")
     members_j = set(sets[set_j - 1])
-    passage_thread = d.thread_of_passage()
+    passages = d.passages()
     result: Optional[tuple[int, int]] = None
     for tid in sets[set_i - 1]:
         t = d.threads()[tid]
         pattern: list[bool] = []
         for cid, slot in t.route:
-            other = passage_thread[(cid, (slot + 1) % 4)]
+            other = passages[4 * cid + (slot + 1) % 4][0]
             if other in members_j:
                 pattern.append(d.passage_is_over(cid, slot))
         if not pattern:
@@ -515,7 +516,7 @@ def assign_weaving_map(
         if p < 1 or q < 1:
             raise TessellationError("crossing sequence entries must be >= 1")
 
-    passage_thread = d.thread_of_passage()
+    passages = d.passages()
 
     # var key: (thread id, opposing set); phase in Z_{p+q}. Each crossing
     # records (var, position k along the var, entry slot) per passage.
@@ -523,7 +524,7 @@ def assign_weaving_map(
     crossing_info: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
     for t in d.threads():
         for cid, slot in t.route:
-            other = passage_thread[(cid, (slot + 1) % 4)]
+            other = passages[4 * cid + (slot + 1) % 4][0]
             if other == t.id:
                 raise MixedSetCrossing(f"crossing c{cid} is a self-crossing")
             si, sj = set_of_thread[t.id], set_of_thread[other]
@@ -606,10 +607,7 @@ def assign_weaving_map(
     # fixes its over_axis through that passage's entry slot
     new_axes: list[int] = []
     for c in d.crossings:
-        info = crossing_info.get(c.id)
-        if not info:
-            raise MixedSetCrossing(f"crossing c{c.id} saw no thread passage")
-        var, k, slot = info[0]
+        var, k, slot = crossing_info[c.id][0]
         over_first = is_over(var, k, phase_of[var])
         new_axes.append(slot % 2 if over_first else (slot + 1) % 2)
     crossings = [Crossing(i, ax) for i, ax in enumerate(new_axes)]

@@ -129,7 +129,7 @@ def polygon_cell(g: int) -> PeriodicTiling:
     edges, darts = [], []
     for i in range(g):
         a, b = 2 * i, 2 * i + 1  # edge labels; their letters are a_{i+1}, b_{i+1}
-        edges += [(0, 0, (i + 1,)), (0, 0, (g + i + 1,))]
+        edges += [(i + 1,), (g + i + 1,)]
         darts += [(a, 0), (b, 1), (a, 1), (b, 0)]
     return PeriodicTiling(VertexSymbol((4 * g,) * (4 * g)), g, tuple(edges), (tuple(darts),))
 

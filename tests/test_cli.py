@@ -756,25 +756,33 @@ def test_parallel_flag_starts_no_pool(tmp_path):
 
 def test_passage_table_built_once_per_report(monkeypatch):
     # writhe, writhe_per_component and linking_matrix all read the one
-    # cached table of oriented passages
+    # cached table of oriented passages; region lookups read the one
+    # corner table and dart walks the one flip table
     from weavekit.diagram import SurfaceDiagram
 
-    built = []
-    table = SurfaceDiagram.crossing_passages
+    built = {}
 
-    def counted(self):
-        if "crossing_passages" not in self._cache:
-            built.append(self)
-        return table(self)
+    def count(table):
+        method = getattr(SurfaceDiagram, table)
 
-    monkeypatch.setattr(SurfaceDiagram, "crossing_passages", counted)
+        def counted(self):
+            if table not in self._cache:
+                built[table].append(self)
+            return method(self)
+
+        monkeypatch.setattr(SurfaceDiagram, table, counted)
+
+    tables = ("passages", "corner_face", "flips")
+    for table in tables:
+        count(table)
     for name, d in full_corpus():
         if len(d.crossings) > 10:
             continue
-        built.clear()
+        built.update((table, []) for table in tables)
         rep = cli.analyze_report(d, None)
         assert rep["valid"] and "linking" in rep, name
-        assert len(built) == 1 and built[0] is d, name
+        for table in tables:
+            assert len(built[table]) == 1 and built[table][0] is d, (name, table)
 
 
 def test_genus_above_the_cap_is_input_error(tmp_path):

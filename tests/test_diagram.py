@@ -57,7 +57,7 @@ def test_check_closed_raises_the_first_validation_error(specs):
     d = SurfaceDiagram.build(1, [AXIS_13], specs)
     errors = d.validate().errors
     assert len(errors) > 1
-    for check in (d._check_closed, d.end_map):
+    for check in (d._check_closed, d.dart_edges, d.flips):
         with pytest.raises(DiagramError) as exc:
             check()
         assert str(exc.value) == errors[0]
@@ -251,6 +251,48 @@ def test_relabelled_corpus_diagrams_are_isomorphic():
             ])
             assert isomorphic(d, copy), name
             assert isomorphic(copy, d, exact_words=False), name
+
+
+def _dart_table(pairs):
+    """A table by dart from (dart, value) pairs that name every dart once."""
+    table = dict(pairs)
+    assert len(table) == len(pairs) and sorted(table) == list(range(len(table)))
+    return tuple(table[x] for x in range(len(table)))
+
+
+def test_dart_tables_match_end_references():
+    # every slot table is indexed by dart 4c + s; each is held to a
+    # reference rebuilt from the records that name (crossing, slot) pairs
+    import random
+
+    from fixtures import reframed, relabelled
+    from weavekit.moves import walk
+
+    rng = random.Random(5)
+    diagrams = []
+    for name, d in _valid_corpus():
+        diagrams.append((name, d))
+        diagrams += [(f"{name}/{k}", cur) for k, (_, cur) in enumerate(walk(d, 60, 0), 1)]
+    diagrams += [(name + "/reframed", reframed(d, rng)) for name, d in diagrams[::7]]
+    diagrams += [(name + "/relabelled", relabelled(d, rng)) for name, d in diagrams[::7]]
+    assert {d.genus for _, d in diagrams} == {1, 2} and len(diagrams) > 1000
+    for name, d in diagrams:
+        ends = [(4 * c + s, (e.id, which)) for e in d.edges for which, (c, s) in enumerate(e.ends)]
+        assert d.dart_edges() == _dart_table(ends), name
+        flips = []
+        for e in d.edges:
+            a, b = (4 * c + s for c, s in e.ends)
+            flips += [(a, b), (b, a)]
+        assert d.flips() == _dart_table(flips), name
+        corners = [(4 * c + s, f.id) for f in d.faces() for c, s in f.corners]
+        assert d.corner_face() == _dart_table(corners), name
+        passages = [
+            (4 * c + slot, (t.id, (entry + 2) % 4))
+            for t in d.threads()
+            for c, entry in t.route
+            for slot in (entry, (entry + 2) % 4)
+        ]
+        assert d.passages() == _dart_table(passages), name
 
 
 def test_distinct_corpus_diagrams_are_not_isomorphic():

@@ -259,7 +259,8 @@ def test_linking_matrix_equals_pairwise_reference():
     ]
     for name, d in diagrams:
         signs = crossing_signs(d)
-        threads = {cid: (over[2], under[2]) for cid, (over, under) in d.crossing_passages().items()}
+        passages = d.passages()
+        threads = {c.id: (passages[4 * c.id][0], passages[4 * c.id + 1][0]) for c in d.crossings}
         ids = [t.id for t in d.threads()]
         m = linking_matrix(d)
         assert list(m) == list(itertools.combinations(ids, 2)), name

@@ -320,7 +320,8 @@ def test_triangle_with_wrapping_holonomy_is_not_a_site():
 
     d = dict(skeleton_corpus())["tri-cr-s2"]
     m = next(m for m in enumerate_moves(d) if m.kind == "R3")
-    face = d.faces()[d.corner_face()[m.params[0][0]]]
+    cid, s = m.params[0][0]
+    face = d.faces()[d.corner_face()[4 * cid + s]]
     eid = face.steps[0][0]
     wrapped = d.replace(
         edges=[Edge(e.id, e.ends, e.word + (1,)) if e.id == eid else e for e in d.edges]
@@ -467,9 +468,13 @@ def _near_misses(d, listed):
         )]
         # a second step from another region
         where = d.corner_face()
-        region = where[d.edges[a[0]].ends[1 - a[1]]]
+
+        def region(eid, direction):
+            cid, s = d.edges[eid].ends[1 - direction]
+            return where[4 * cid + s]
+
         out += [Move("R2_add", (a, (e.id, k), True)) for e in d.edges for k in (0, 1)
-                if where[e.ends[1 - k]] != region][:1]
+                if region(e.id, k) != region(*a)][:1]
     for m in listed:
         if m.kind in ("R1_remove", "R2_remove", "R3"):
             out += [Move(m.kind, m.params + (0,)), Move(m.kind, m.params[:-1])]

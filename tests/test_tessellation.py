@@ -105,10 +105,11 @@ def test_build_tiling_counts():
 
 SYMBOLS = ("(4,4,4,4)", "(3,3,3,3,3,3)", "(6,6,6)", "(3,6,3,6)")
 
-# sha256 of (genus, vertex count, edges, darts) at scales 1-4. First pinned
-# with the dart angles while the cells were stored as Z^2 offsets; when
-# tilings dropped their angles, re-taken without them on the code just
-# before that change, which still stored them
+# sha256 of (genus, vertex count, edges, darts) at scales 1-4, each edge
+# as (tail, head, word). First pinned with the dart angles while the cells
+# were stored as Z^2 offsets; when tilings dropped their angles, re-taken
+# without them on the code just before that change, which still stored
+# them. Tails and heads are read from the dart lists.
 TILINGS = {
     "(4,4,4,4)": "0894c0c54234e36a5e2c83a9271f54466ff5968070712fcfb8e59f3e4e648819",
     "(3,3,3,3,3,3)": "6e63a01c6464c2431f687648ef56c26446fbbc9fbda3db9fbb9ba6262d5968c1",
@@ -122,7 +123,9 @@ def test_replicated_tilings_are_pinned(symbol):
     h = hashlib.sha256()
     for scale in (1, 2, 3, 4):
         t = build_tiling(parse_vertex_symbol(symbol), scale)
-        h.update(repr((t.genus, len(t.darts), t.edges, t.darts)).encode())
+        ends = {dart: v for v, dlist in enumerate(t.darts) for dart in dlist}
+        edges = tuple((ends[label, 0], ends[label, 1], w) for label, w in enumerate(t.edges))
+        h.update(repr((t.genus, len(t.darts), edges, t.darts)).encode())
     assert h.hexdigest() == TILINGS[symbol]
 
 
@@ -134,7 +137,7 @@ def test_curated_cell_is_its_own_scale_one_tiling(symbol):
     assert cell.euler_check()
     darts = [dart for dlist in cell.darts for dart in dlist]
     assert sorted(darts) == [(label, end) for label in range(len(cell.edges)) for end in (0, 1)]
-    for _tail, _head, word in cell.edges:
+    for word in cell.edges:
         step = words.abelianize(word, 1)
         assert word == words.torus_word(step)
         assert all(x in (-1, 0, 1) for x in step)
