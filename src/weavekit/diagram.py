@@ -11,9 +11,13 @@ meet no crossing are kept separately as free loops.
 Slot s of crossing c is dart 4c + s, and every slot table a diagram
 derives is indexed by dart. Faces and threads come from one walk over
 darts: cross an edge, then leave the arrival slot by the next slot
-counterclockwise for a face, by the opposite slot for a thread. Every
-derived quantity (regions, checkerboard colors, isthmus detection) uses
-that same corner rule so region identity is consistent across modules.
+counterclockwise for a face, by the opposite slot for a thread. A ``Face``
+holds the darts that walk arrives at, which are its corners in walk order,
+and a ``Thread`` the darts at which it enters its crossings; a position in
+a region is an index into ``Face.darts``. The step that arrives at a dart
+is read from ``dart_edges()``. Every derived quantity (regions,
+checkerboard colors, isthmus detection) uses that same corner rule so
+region identity is consistent across modules.
 """
 
 from __future__ import annotations
@@ -123,43 +127,34 @@ class Edge(Frozen):
 
 
 class Face(Frozen):
-    __slots__ = ("id", "steps", "corners", "holonomy")
+    # darts: the corners in walk order, the dart each step arrives at
+    __slots__ = ("id", "darts", "holonomy")
 
-    def __init__(
-        self,
-        id: FaceId,
-        steps: tuple[tuple[EdgeId, int], ...],  # directed edges around the boundary
-        corners: tuple[End, ...],               # (crossing, arrival slot) per step
-        holonomy: Word,
-    ) -> None:
+    def __init__(self, id: FaceId, darts: tuple[int, ...], holonomy: Word) -> None:
         init_field(self, "id", id)
-        init_field(self, "steps", steps)
-        init_field(self, "corners", corners)
+        init_field(self, "darts", darts)
         init_field(self, "holonomy", holonomy)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.darts)
 
 
 class Thread(Frozen):
-    __slots__ = ("id", "route", "edges", "homology", "loop_index")
+    # darts: the entry dart of each passage in walk order; loop_index is set
+    # for a crossing-free component, whose darts are empty
+    __slots__ = ("id", "darts", "homology", "loop_index")
 
     def __init__(
-        self,
-        id: ThreadId,
-        route: tuple[End, ...],                 # (crossing, entry slot) per passage
-        edges: tuple[tuple[EdgeId, int], ...],  # directed edges, edges[i] arrives at route[i]
-        homology: tuple[int, ...],
-        loop_index: Optional[int] = None,       # set for crossing-free components
+        self, id: ThreadId, darts: tuple[int, ...], homology: tuple[int, ...],
+        loop_index: Optional[int] = None,
     ) -> None:
         init_field(self, "id", id)
-        init_field(self, "route", route)
-        init_field(self, "edges", edges)
+        init_field(self, "darts", darts)
         init_field(self, "homology", homology)
         init_field(self, "loop_index", loop_index)
 
     def __len__(self) -> int:
-        return len(self.route)
+        return len(self.darts)
 
 
 class ValidationReport(Record):
@@ -306,48 +301,46 @@ class SurfaceDiagram:
             flip[4 * c0 + s0], flip[4 * c1 + s1] = 4 * c1 + s1, 4 * c0 + s0
         return tuple(flip)
 
-    def _cycle(
-        self, start: int, turn: int
-    ) -> tuple[list[int], tuple[tuple[EdgeId, int], ...], tuple[End, ...], Word]:
+    def _cycle(self, start: int, turn: int) -> tuple[tuple[int, ...], Word]:
         """Walk darts from ``start`` until it recurs: cross an edge by the
         flip, then leave the arrival slot by the slot ``turn`` steps
         counterclockwise from it. Turn 1 walks a face, turn 2 a thread. On
         a closed diagram the step map is a permutation of the darts, so
         every walk returns to its start.
 
-        Returns the darts left from, the directed edge each leaves by, the
-        (crossing, slot) each arrives at and the word read along the way.
+        Returns the darts arrived at and the word read along the way.
         """
         at, flip, edges = self.dart_edges(), self.flips(), self.edges
         darts: list[int] = []
+        word: list[int] = []
         x = start
         while True:
-            darts.append(x)
+            eid, which = at[x]
+            word.extend(edges[eid].directed_word(which))
             y = flip[x]
+            darts.append(y)
             x = y - (y & 3) + ((y + turn) & 3)
             if x == start:
                 break
-        steps = tuple([at[x] for x in darts])
-        arrivals = tuple([(flip[x] >> 2, flip[x] & 3) for x in darts])
-        word = tuple(chain.from_iterable(edges[e].directed_word(w) for e, w in steps))
-        return darts, steps, arrivals, word
+        return tuple(darts), tuple(word)
 
     # -- faces -------------------------------------------------------------------
 
     @_memoized
     def faces(self) -> tuple[Face, ...]:
         self._check_closed()
-        visited = bytearray(4 * len(self.crossings))
+        flip = self.flips()
+        arrived = bytearray(len(flip))
         out: list[Face] = []
-        # a directed edge (eid, direction) leaves from the dart of ends[direction]
+        # a face walked from dart x arrives at flip[x] first
         for e in self.edges:
             for cid, s in e.ends:
-                if visited[4 * cid + s]:
+                if arrived[flip[4 * cid + s]]:
                     continue
-                darts, *face = self._cycle(4 * cid + s, 1)
+                darts, holonomy = self._cycle(4 * cid + s, 1)
                 for x in darts:
-                    visited[x] = 1
-                out.append(Face(len(out), *face))
+                    arrived[x] = 1
+                out.append(Face(len(out), darts, holonomy))
         return tuple(out)
 
     @_memoized
@@ -361,8 +354,8 @@ class SurfaceDiagram:
         """
         table = [0] * (4 * len(self.crossings))
         for f in self.faces():
-            for cid, s in f.corners:
-                table[4 * cid + s] = f.id
+            for x in f.darts:
+                table[x] = f.id
         return tuple(table)
 
     # -- threads ---------------------------------------------------------------
@@ -377,7 +370,7 @@ class SurfaceDiagram:
             for cid, s in e.ends:
                 if claimed[4 * cid + s]:
                     continue
-                darts, steps, route, word = self._cycle(4 * cid + s, 2)
+                darts, word = self._cycle(4 * cid + s, 2)
                 # the reverse traversal is the same physical thread
                 for x in darts:
                     claimed[x] = claimed[flip[x]] = 1
@@ -385,11 +378,11 @@ class SurfaceDiagram:
                 cls = words.normalize_class(hom) or hom
                 if cls != hom:
                     # canonical orientation: the sign rule of words.normalize_class
-                    _, steps, route, _ = self._cycle(flip[darts[-1]], 2)
-                out.append(Thread(len(out), route, steps, cls))
+                    darts, _ = self._cycle(darts[-1], 2)
+                out.append(Thread(len(out), darts, cls))
         for li, w in enumerate(self.loops):
             hom = words.abelianize(w, self.genus)
-            out.append(Thread(len(out), (), (), words.normalize_class(hom) or hom, loop_index=li))
+            out.append(Thread(len(out), (), words.normalize_class(hom) or hom, loop_index=li))
         return tuple(out)
 
     @_memoized
@@ -398,8 +391,8 @@ class SurfaceDiagram:
         that slot; the two darts of a passage share it."""
         table: list[tuple[ThreadId, int]] = [(0, 0)] * (4 * len(self.crossings))
         for t in self.threads():
-            for cid, entry in t.route:
-                table[4 * cid + entry] = table[4 * cid + (entry ^ 2)] = (t.id, entry ^ 2)
+            for x in t.darts:  # x ^ 2 is the opposite slot
+                table[x] = table[x ^ 2] = (t.id, (x & 3) ^ 2)
         return tuple(table)
 
     def thread_sets(self) -> tuple[tuple[ThreadId, ...], ...]:
@@ -418,16 +411,14 @@ class SurfaceDiagram:
 
     def is_alternating(self) -> bool:
         for t in self.threads():
-            if not t.route:
-                continue
-            pattern = [self.passage_is_over(c, s) for c, s in t.route]
-            n = len(pattern)
-            if any(pattern[i] == pattern[(i + 1) % n] for i in range(n)):
+            pattern = [self.passage_is_over(x) for x in t.darts]
+            if any(pattern[i - 1] == pattern[i] for i in range(len(pattern))):
                 return False
         return True
 
-    def passage_is_over(self, cid: CrossingId, slot: int) -> bool:
-        return (slot % 2) == self.crossings[cid].over_axis
+    def passage_is_over(self, dart: int) -> bool:
+        """Whether the strand through dart 4*crossing + s is on top there."""
+        return (dart & 1) == self.crossings[dart >> 2].over_axis
 
     def is_proper(self) -> tuple[bool, list[CrossingId]]:
         table = self.corner_face()
@@ -439,18 +430,18 @@ class SurfaceDiagram:
         bad = [
             c.id
             for c in self.crossings
-            if self._corners_merge((c.id, 0), (c.id, 2))
-            or self._corners_merge((c.id, 1), (c.id, 3))
+            if self._corners_merge(4 * c.id, 4 * c.id + 2)
+            or self._corners_merge(4 * c.id + 1, 4 * c.id + 3)
         ]
         return (not bad, bad)
 
-    def _corners_merge(self, corner_a: End, corner_b: End) -> bool:
+    def _corners_merge(self, corner_a: int, corner_b: int) -> bool:
         table = self.corner_face()
-        region = table[4 * corner_a[0] + corner_a[1]]
-        if region != table[4 * corner_b[0] + corner_b[1]]:
+        region = table[corner_a]
+        if region != table[corner_b]:
             return False
         face = self.faces()[region]
-        pa, pb = face.corners.index(corner_a), face.corners.index(corner_b)
+        pa, pb = face.darts.index(corner_a), face.darts.index(corner_b)
         return any(
             words.is_trivial(self.boundary_word(face, a, b), self.genus)
             for a, b in ((pa, pb), (pb, pa))
@@ -458,14 +449,16 @@ class SurfaceDiagram:
 
     def boundary_word(self, face: Face, start: int, stop: int) -> Word:
         """The word read along ``face``'s boundary from its corner ``start``
-        to its corner ``stop``: the words of steps start+1 .. stop, cyclically."""
-        n = len(face.steps)
+        to its corner ``stop``: the words of the steps arriving at corners
+        start+1 .. stop, cyclically."""
+        at = self.dart_edges()
+        n = len(face.darts)
         seg: list[int] = []
         pos = start
         while pos != stop:
             pos = (pos + 1) % n
-            eid, direction = face.steps[pos]
-            seg.extend(self.edges[eid].directed_word(direction))
+            eid, which = at[face.darts[pos]]
+            seg.extend(self.edges[eid].directed_word(1 - which))
         return tuple(seg)
 
     # -- canonical crossing frames -------------------------------------------------
@@ -751,7 +744,7 @@ def map_walk(
             if phi[x] != y:
                 return None
             continue
-        if a.passage_is_over(x // 4, x % 4) != b.passage_is_over(y // 4, y % 4):
+        if a.passage_is_over(x) != b.passage_is_over(y):
             return None
         for k in range(4):
             u, v = x - x % 4 + (x + k) % 4, y - y % 4 + (y + k) % 4
@@ -789,22 +782,20 @@ def isomorphic(a: SurfaceDiagram, b: SurfaceDiagram, exact_words: bool = True) -
         return True
 
     def decorations_match(phi: list[int]) -> bool:
-        def image(end: End) -> int:
-            return phi[4 * end[0] + end[1]]
-
         if exact_words:
             tb = b.dart_edges()
             for e in a.edges:
-                eid, which = tb[image(e.ends[0])]
+                c, s = e.ends[0]
+                eid, which = tb[phi[4 * c + s]]
                 if b.edges[eid].directed_word(which) != e.word:
                     return False
             return True
         hom_b = b.threads()
         passage_b = b.passages()
         return all(
-            t.homology == hom_b[passage_b[image(t.route[0])][0]].homology
+            t.homology == hom_b[passage_b[phi[t.darts[0]]][0]].homology
             for t in a.threads()
-            if t.route
+            if t.darts
         )
 
     walks = (map_walk(a, b, 0, t) for t in range(4 * n))

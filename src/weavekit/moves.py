@@ -87,23 +87,38 @@ class Move(Frozen):
 
 
 def _curls(d: SurfaceDiagram, face: Face) -> Iterator[tuple]:
-    # a curl on edge e sits in the region of the step (e, 0)
-    return ((eid, chirality) for eid, direction in face.steps if direction == 0
+    # a curl on edge e sits in the region of the step (e, 0), arriving at end 1
+    at = d.dart_edges()
+    return ((eid, chirality) for eid, which in map(at.__getitem__, face.darts) if which == 1
             for chirality in (1, -1))
+
+
+def _step_dart(d: SurfaceDiagram, step: object) -> Optional[int]:
+    """The dart a directed step (edge, direction) arrives at; None unless
+    that dart reads back as the step, as a direction past 0 and 1 does not."""
+    try:
+        eid, direction = step
+        cid, s = d.edges[eid].ends[1 - direction]
+    except (IndexError, TypeError, ValueError):
+        return None
+    x = 4 * cid + s
+    eid_back, which = d.dart_edges()[x]
+    return x if (eid_back, 1 - which) == step else None
 
 
 class _Pushes:
     """The pushes sited in a region: those of its first step, which its
     second borders too. Listed lazily, since a region of s steps lists about
-    2s^2 of them; membership reads the steps instead of the listing."""
+    2s^2 of them; membership reads the steps' arrival darts, not the listing."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("d", "face")
 
     def __init__(self, d: SurfaceDiagram, face: Face) -> None:
-        self.steps = face.steps
+        self.d, self.face = d, face
 
     def __iter__(self) -> Iterator[tuple]:
-        steps = self.steps
+        at = self.d.dart_edges()
+        steps = [(eid, 1 - which) for eid, which in map(at.__getitem__, self.face.darts)]
         return ((a, b, over_first) for a in steps for b in steps if a[0] != b[0]
                 for over_first in (True, False))
 
@@ -112,56 +127,49 @@ class _Pushes:
         if not isinstance(params, tuple) or len(params) != 3:
             return False
         a, b, over_first = params
-        return (a in self.steps and b in self.steps and a[0] != b[0]
-                and over_first in (True, False))
+        darts = self.face.darts
+        return (_step_dart(self.d, a) in darts and _step_dart(self.d, b) in darts
+                and a[0] != b[0] and over_first in (True, False))
 
 
 def _monogon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
     # the one step leaves by the slot after the one it arrives at, so the
     # edge is a loop at the corner's crossing
-    (c, _), = face.corners
-    return (c,)
+    x, = face.darts
+    return (x >> 2,)
 
 
 def _bigon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
-    (e1, d1), (e2, d2) = face.steps
-    if e1 == e2:
-        return None
-    (x1, a1), (x2, a2) = face.corners
-    if x1 == x2:
+    x1, x2 = face.darts
+    at = d.dart_edges()
+    if at[x1][0] == at[x2][0] or x1 >> 2 == x2 >> 2:
         return None
     # pulling the strands apart joins the regions beyond the two crossings
-    # through the bigon; if they are one region the join is an annulus and
-    # the result no longer cuts the surface into discs
+    # through the bigon (at the corners x ^ 2 opposite its own); if they are
+    # one region the join is an annulus and the result no longer cuts the
+    # surface into discs
     where = d.corner_face()
-    if where[4 * x1 + (a1 ^ 2)] == where[4 * x2 + (a2 ^ 2)]:
+    if where[x1 ^ 2] == where[x2 ^ 2]:
         return None
     # the strand through one bigon edge must be on top at both crossings
-    # (edge e1 joins slot a1 of x1 to slot a2 + 1 of x2)
-    if d.passage_is_over(x1, a1) != d.passage_is_over(x2, (a2 + 1) % 4):
+    # (the edge arriving at x1 leaves the other crossing by the slot after
+    # x2, on the axis of x2 ^ 1)
+    if d.passage_is_over(x1) != d.passage_is_over(x2 ^ 1):
         return None
-    return (min(x1, x2), max(x1, x2))
+    return (min(x1, x2) >> 2, max(x1, x2) >> 2)
 
 
 def _triangle_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
-    cids = [c for c, _ in face.corners]
-    if len(set(cids)) != 3:
+    darts, at = face.darts, d.dart_edges()
+    if len({x >> 2 for x in darts}) != 3 or len({at[x][0] for x in darts}) != 3:
         return None
-    if len({eid for eid, _ in face.steps}) != 3:
+    # the side from corner i - 1 to corner i arrives at corner i and leaves
+    # corner i - 1 by the slot after it, on the other axis: its strand is
+    # on top at both ends when it is at corner i but not at corner i - 1
+    over = [d.passage_is_over(x) for x in darts]
+    if not any(over[i] and not over[i - 1] for i in range(3)):
         return None
-    corners = tuple(sorted(face.corners))
-    (A, a), (B, b), (C, c) = face.corners
-    over_at = d.passage_is_over
-    # sides: arriving edge at each corner slot; the strand through the
-    # departing side at each crossing occupies slot+1
-    strand_pairs = [
-        (over_at(A, (a + 1) % 4), over_at(B, b)),   # side A->B
-        (over_at(B, (b + 1) % 4), over_at(C, c)),   # side B->C
-        (over_at(C, (c + 1) % 4), over_at(A, a)),   # side C->A
-    ]
-    if not any(o1 and o2 for o1, o2 in strand_pairs):
-        return None
-    return (corners,)
+    return (tuple(divmod(x, 4) for x in sorted(darts)),)
 
 
 def _guarded(length: int, find: Callable[[SurfaceDiagram, Face], Optional[tuple]]):
@@ -228,17 +236,18 @@ def _apply_r1_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
 
 
 def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
-    # the one-sided region at corner (cid, s) is bounded by the loop edge
-    # on slots s and s+1; the face step arrives at slot s
-    (loop_eid, loop_dir), = face.steps
-    (cid, s), = face.corners
+    # the one-sided region at corner x = 4 * cid + s is bounded by the loop
+    # edge on slots s and s+1; the face step arrives at slot s
+    x, = face.darts
+    cid = x >> 2
     at = d.dart_edges()
-    in_eid, in_which = at[4 * cid + (s + 2) % 4]
-    out_eid, out_which = at[4 * cid + (s + 3) % 4]
+    loop_eid, loop_which = at[x]
+    in_eid, in_which = at[4 * cid + (x + 2) % 4]
+    out_eid, out_which = at[4 * cid + (x + 3) % 4]
     # the strand arrives at slot s+2, runs round the loop from slot s to
     # slot s+1 and leaves by slot s+3
     word_in = d.edges[in_eid].directed_word(1 - in_which)
-    loop_word = d.edges[loop_eid].directed_word(1 - loop_dir)
+    loop_word = d.edges[loop_eid].directed_word(loop_which)
 
     over_axes = [c.over_axis for c in d.crossings if c.id != cid]
 
@@ -274,12 +283,13 @@ def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
     # the finger travels from the head end of the pushed strand to the tail
     # end of the crossed one; it crosses whichever cell-side arcs the region
     # boundary between those corners records
-    i = face.steps.index((eid_a, dir_a))
-    j = face.steps.index((eid_b, dir_b))
-    path = words.free_reduce(d.boundary_word(face, i, (j - 1) % len(face.steps)))
     e, fe = d.edges[eid_a], d.edges[eid_b]
     tail_e, head_e, word_e = e.ends[dir_a], e.ends[1 - dir_a], e.directed_word(dir_a)
     tail_f, head_f, word_f = fe.ends[dir_b], fe.ends[1 - dir_b], fe.directed_word(dir_b)
+    # each step arrives at the dart of its head end
+    i = face.darts.index(4 * head_e[0] + head_e[1])
+    j = face.darts.index(4 * head_f[0] + head_f[1])
+    path = words.free_reduce(d.boundary_word(face, i, (j - 1) % len(face)))
     x1 = len(d.crossings)
     x2 = x1 + 1
     axis = AXIS_13 if over_first else AXIS_02
@@ -299,19 +309,17 @@ def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
 
 
 def _apply_r2_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
-    return smooth_crossings(d, {cid: PASS_PAIRING for cid, _ in face.corners})
+    return smooth_crossings(d, {x >> 2: PASS_PAIRING for x in face.darts})
 
 
 def _apply_r3(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
-    cs = face.corners
+    cs = [divmod(x, 4) for x in face.darts]
     # an edge neither of whose ends moves keeps its word letter for letter;
     # the third side would read the triangle's holonomy, which the site
     # check found trivial in the surface group
     _, (B, _), (C, _) = cs
-    to_b = d.edges[face.steps[1][0]].directed_word(face.steps[1][1])
-    to_c = d.edges[face.steps[2][0]].directed_word(face.steps[2][1])
-    lift = {B: to_b, C: words.concat(to_b, to_c)}
-    third_side = face.steps[0][0]
+    lift = {B: d.boundary_word(face, 0, 1), C: d.boundary_word(face, 0, 2)}
+    third_side = d.dart_edges()[face.darts[0]][0]
 
     def relift(e: Edge) -> words.Word:
         if e.id == third_side:

@@ -454,10 +454,10 @@ def read_sequence(d: SurfaceDiagram, set_i: int, set_j: int) -> tuple[int, int]:
     for tid in sets[set_i - 1]:
         t = d.threads()[tid]
         pattern: list[bool] = []
-        for cid, slot in t.route:
-            other = passages[4 * cid + (slot + 1) % 4][0]
-            if other in members_j:
-                pattern.append(d.passage_is_over(cid, slot))
+        for x in t.darts:
+            # the other strand's passage holds the slots of the other axis
+            if passages[x ^ 1][0] in members_j:
+                pattern.append(d.passage_is_over(x))
         if not pattern:
             continue
         pq = _decompose_cycle(pattern)
@@ -519,12 +519,13 @@ def assign_weaving_map(
     passages = d.passages()
 
     # var key: (thread id, opposing set); phase in Z_{p+q}. Each crossing
-    # records (var, position k along the var, entry slot) per passage.
+    # records (var, position k along the var, entry dart) per passage.
     crossings_of: dict[tuple[int, int], list[int]] = {}
     crossing_info: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
     for t in d.threads():
-        for cid, slot in t.route:
-            other = passages[4 * cid + (slot + 1) % 4][0]
+        for dart in t.darts:
+            cid = dart >> 2
+            other = passages[dart ^ 1][0]
             if other == t.id:
                 raise MixedSetCrossing(f"crossing c{cid} is a self-crossing")
             si, sj = set_of_thread[t.id], set_of_thread[other]
@@ -533,7 +534,7 @@ def assign_weaving_map(
                     f"crossing c{cid} joins two threads of direction set {si}"
                 )
             cids = crossings_of.setdefault((t.id, sj), [])
-            crossing_info.setdefault(cid, []).append(((t.id, sj), len(cids), slot))
+            crossing_info.setdefault(cid, []).append(((t.id, sj), len(cids), dart))
             cids.append(cid)
 
     def pair_pq(si: int, sj: int) -> tuple[int, int]:
@@ -604,12 +605,12 @@ def assign_weaving_map(
         )
 
     # the over/under verdict of each crossing's first recorded passage
-    # fixes its over_axis through that passage's entry slot
+    # fixes its over_axis through the axis of that passage's entry dart
     new_axes: list[int] = []
     for c in d.crossings:
-        var, k, slot = crossing_info[c.id][0]
+        var, k, dart = crossing_info[c.id][0]
         over_first = is_over(var, k, phase_of[var])
-        new_axes.append(slot % 2 if over_first else (slot + 1) % 2)
+        new_axes.append(dart % 2 if over_first else (dart + 1) % 2)
     crossings = [Crossing(i, ax) for i, ax in enumerate(new_axes)]
     return SurfaceDiagram(d.genus, tuple(crossings), d.edges, d.loops)
 
@@ -649,12 +650,9 @@ def assign_alternating(d: SurfaceDiagram) -> SurfaceDiagram:
         return True
 
     for t in d.threads():
-        n = len(t.route)
-        for idx in range(n):
-            c1, s1 = t.route[idx]
-            c2, s2 = t.route[(idx + 1) % n]
-            rel = (s1 % 2) ^ (s2 % 2) ^ 1
-            if not union(c1, c2, rel):
+        for x1, x2 in zip(t.darts, t.darts[1:] + t.darts[:1]):
+            rel = (x1 ^ x2 ^ 1) & 1
+            if not union(x1 >> 2, x2 >> 2, rel):
                 raise InconsistentSequence(
                     "no alternating assignment closes up on this cell"
                 )

@@ -90,7 +90,7 @@ def test_faces_of_torus_curl():
 
 def test_corner_partition():
     d = plain_weave_2x2()
-    corners = [c for f in d.faces() for c in f.corners]
+    corners = [x for f in d.faces() for x in f.darts]
     assert len(corners) == 4 * len(d.crossings)
     assert len(set(corners)) == len(corners)
 
@@ -101,14 +101,14 @@ def test_threads_of_plain_weave():
     assert len(threads) == 4
     homs = sorted(t.homology for t in threads)
     assert homs == [(0, 1), (0, 1), (1, 0), (1, 0)]
-    assert sum(len(t.route) for t in threads) == 2 * len(d.crossings)
+    assert sum(len(t.darts) for t in threads) == 2 * len(d.crossings)
     assert d.thread_sets() == ((1, 2), (0, 3))
 
 
 def test_single_loop_thread():
     d = single_loop((1,))
     t, = d.threads()
-    assert t.route == () and t.homology == (1, 0)
+    assert t.darts == () and t.homology == (1, 0)
 
 
 def test_two_parallel_loops_share_a_set():
@@ -260,9 +260,41 @@ def _dart_table(pairs):
     return tuple(table[x] for x in range(len(table)))
 
 
+def _end_walks(d, turn):
+    """Every walk over ``Edge.ends`` that crosses an edge, then leaves the
+    slot it arrives at by the slot ``turn`` steps counterclockwise from it,
+    started from the ends in edge order: the (crossing, slot) ends each walk
+    arrives at and the word it reads. A face walk (turn 1) starts at every
+    end no earlier walk left from; a thread walk (turn 2) at every end no
+    earlier walk passed in either direction."""
+    across = {}
+    for e in d.edges:
+        a, b = e.ends
+        across[a], across[b] = (b, e.word), (a, words.invert(e.word))
+    seen, walks = set(), []
+    for e in d.edges:
+        for start in e.ends:
+            if start in seen:
+                continue
+            left, arrived, word = [], [], []
+            end = start
+            while True:
+                left.append(end)
+                (c, s), w = across[end]
+                arrived.append((c, s))
+                word.extend(w)
+                end = (c, (s + turn) % 4)
+                if end == start:
+                    break
+            seen.update(left if turn == 1 else left + arrived)
+            walks.append((arrived, tuple(word)))
+    return walks
+
+
 def test_dart_tables_match_end_references():
     # every slot table is indexed by dart 4c + s; each is held to a
-    # reference rebuilt from the records that name (crossing, slot) pairs
+    # reference rebuilt from Edge.ends alone, the corner and passage tables
+    # by walking faces and threads over the ends
     import random
 
     from fixtures import reframed, relabelled
@@ -284,14 +316,21 @@ def test_dart_tables_match_end_references():
             a, b = (4 * c + s for c, s in e.ends)
             flips += [(a, b), (b, a)]
         assert d.flips() == _dart_table(flips), name
-        corners = [(4 * c + s, f.id) for f in d.faces() for c, s in f.corners]
+        faces = _end_walks(d, 1)
+        assert len(d.faces()) == len(faces), name
+        corners = []
+        for fid, (arrived, word) in enumerate(faces):
+            assert d.faces()[fid].holonomy == word, name
+            corners += [(4 * c + s, fid) for c, s in arrived]
         assert d.corner_face() == _dart_table(corners), name
-        passages = [
-            (4 * c + slot, (t.id, (entry + 2) % 4))
-            for t in d.threads()
-            for c, entry in t.route
-            for slot in (entry, (entry + 2) % 4)
-        ]
+        passages = []
+        for tid, (arrived, word) in enumerate(_end_walks(d, 2)):
+            hom = words.abelianize(word, d.genus)
+            # a thread is read the way words.normalize_class signs its homology
+            forward = (words.normalize_class(hom) or hom) == hom
+            for c, s in arrived:
+                leave = (s + 2) % 4 if forward else s
+                passages += [(4 * c + s, (tid, leave)), (4 * c + (s + 2) % 4, (tid, leave))]
         assert d.passages() == _dart_table(passages), name
 
 
@@ -328,17 +367,34 @@ def test_is_minimal_size_on_the_corpus():
     }
 
 
+def _thread_lines(d):
+    """Thread homology by id, the thread sets (or the message refusing
+    them), the writhe and the linking matrix."""
+    from weavekit.invariants import linking_matrix, writhe
+
+    try:
+        sets = d.thread_sets()
+    except ZeroHomologyThread as exc:
+        sets = str(exc)
+    return [t.homology for t in d.threads()], sets, writhe(d), linking_matrix(d)
+
+
 def test_minimal_size_ignores_slot_labels():
     from fixtures import turned
     from weavekit.canonical import is_minimal_size
 
     # which slot is called 0 is an encoding choice: turning one crossing's
-    # slots names the same diagram
+    # slots names the same diagram, with the same minimality and the same
+    # threads under the same ids
+    turns = 0
     for name, d in _valid_corpus():
-        stored = is_minimal_size(d)
+        stored = is_minimal_size(d), _thread_lines(d)
         for c in range(len(d.crossings)):
             for k in (1, 2, 3):
-                assert is_minimal_size(turned(d, {c: k})) == stored, (name, c, k)
+                copy = turned(d, {c: k})
+                assert (is_minimal_size(copy), _thread_lines(copy)) == stored, (name, c, k)
+                turns += 1
+    assert turns == 432
 
 
 def test_reframed_corpus_diagrams_are_isomorphic():
@@ -420,14 +476,18 @@ def test_threads_are_straight_walks_with_positive_homology():
         for t in d.threads():
             if t.loop_index is not None:
                 continue
-            n = len(t.edges)
-            for i, (eid, direction) in enumerate(t.edges):
-                assert d.edges[eid].ends[1 - direction] == t.route[i]
-                cid, entry = t.route[i]
-                leave_eid, leave_dir = t.edges[(i + 1) % n]
-                assert d.edges[leave_eid].ends[leave_dir] == (cid, (entry + 2) % 4)
-            hom = words.abelianize(
-                [l for eid, dd in t.edges for l in d.edges[eid].directed_word(dd)], d.genus
-            )
+            # leave each entry dart by the opposite slot; that edge's other
+            # end is the next entry dart
+            n = len(t.darts)
+            read = []
+            for i, x in enumerate(t.darts):
+                cid, entry = divmod(x, 4)
+                e, leave = next(
+                    (e, which) for e in d.edges for which in (0, 1)
+                    if e.ends[which] == (cid, (entry + 2) % 4)
+                )
+                assert e.ends[1 - leave] == divmod(t.darts[(i + 1) % n], 4)
+                read.extend(e.directed_word(leave))
+            hom = words.abelianize(read, d.genus)
             assert hom == t.homology
             assert next((v for v in hom if v), 0) >= 0

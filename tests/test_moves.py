@@ -276,9 +276,10 @@ def test_worded_triangle_is_a_site_at_genus_2():
         for _, cur in walk(d, 30, seed=1, max_crossings=10):
             listed = set(enumerate_moves(cur))
             for f in cur.faces():
-                corners = tuple(sorted(f.corners))
+                corners = tuple(sorted(divmod(x, 4) for x in f.darts))
                 m = Move("R3", (corners,))
-                if m not in listed or not any(cur.edges[eid].word for eid, _ in f.steps):
+                at = cur.dart_edges()
+                if m not in listed or not any(cur.edges[at[x][0]].word for x in f.darts):
                     continue
                 worded += 1
                 nxt = apply_move(cur, m)
@@ -322,7 +323,7 @@ def test_triangle_with_wrapping_holonomy_is_not_a_site():
     m = next(m for m in enumerate_moves(d) if m.kind == "R3")
     cid, s = m.params[0][0]
     face = d.faces()[d.corner_face()[4 * cid + s]]
-    eid = face.steps[0][0]
+    eid = d.dart_edges()[face.darts[0]][0]
     wrapped = d.replace(
         edges=[Edge(e.id, e.ends, e.word + (1,)) if e.id == eid else e for e in d.edges]
     )
@@ -347,7 +348,7 @@ def test_commutator_bigon_is_not_a_site_at_genus_2():
     up = apply_move(d, enumerate_moves(d, "R2_add")[0])
     m = Move("R2_remove", (4, 5))
     face = _region(up, m)
-    eid = face.steps[0][0]
+    eid = up.dart_edges()[face.darts[0]][0]
     wrapped = up.replace(
         edges=[Edge(e.id, e.ends, e.word + (1, 3, -1, -3)) if e.id == eid else e for e in up.edges]
     )
@@ -466,6 +467,10 @@ def _near_misses(d, listed):
             (a, b, 2), (a, b, None), (a, a, False), (a, (a[0], 1 - a[1]), True),
             ((E, 0), b, True), (a, b), (a, b, True, 0),
         )]
+        # steps no edge has: a direction past 0 and 1 would index an
+        # edge's ends from the back, an edge id of -1 the edges
+        for bad in [(a[0], k) for k in (2, 3, -1)] + [(-1, a[1]), (E, a[1])]:
+            out += [Move("R2_add", (bad, b, True)), Move("R2_add", (a, bad, True))]
         # a second step from another region
         where = d.corner_face()
 
@@ -480,12 +485,12 @@ def _near_misses(d, listed):
             out += [Move(m.kind, m.params + (0,)), Move(m.kind, m.params[:-1])]
     # every region names the removal or flip its first corners would be
     for f in d.faces():
-        cids = [c for c, _ in f.corners]
+        cids = [x >> 2 for x in f.darts]
         out.append(Move("R1_remove", (cids[0],)))
         if len(f) > 1:
             out.append(Move("R2_remove", tuple(sorted(cids[:2]))))
         if len(f) > 2:
-            out.append(Move("R3", (tuple(sorted(f.corners[:3])),)))
+            out.append(Move("R3", (tuple(divmod(x, 4) for x in sorted(f.darts[:3])),)))
     return out
 
 

@@ -33,8 +33,9 @@ def scan_site_face(d: SurfaceDiagram, m: Move):
 
 def scan_push_face(d: SurfaceDiagram, m: Move):
     step_a, step_b, _ = m.params
+    at = d.dart_edges()
     for f in d.faces():
-        steps = set(f.steps)
+        steps = {(eid, 1 - which) for eid, which in map(at.__getitem__, f.darts)}
         if step_a in steps and step_b in steps:
             return f
     raise IllegalMove(f"{m.kind} {m.params!r} is not a move of this diagram")
@@ -51,16 +52,17 @@ def scan_acts_freely(d: SurfaceDiagram, phi: list[int]) -> bool:
             if {power[x] for x in darts} == darts:
                 return False
         for f in d.faces():
-            if {divmod(power[4 * c + s], 4) for c, s in f.corners} == set(f.corners):
+            if {power[x] for x in f.darts} == set(f.darts):
                 return False
         power = [phi[y] for y in power]
     return True
 
 
 def table_is_reduced(d: SurfaceDiagram):
+    at = d.dart_edges()
     where = {}
     for f in d.faces():
-        for pos, corner in enumerate(f.corners):
+        for pos, corner in enumerate(f.darts):
             where[corner] = (f.id, pos)
 
     def merge(corner_a, corner_b) -> bool:
@@ -69,15 +71,15 @@ def table_is_reduced(d: SurfaceDiagram):
         if fa != fb:
             return False
         face = d.faces()[fa]
-        n = len(face.steps)
+        n = len(face.darts)
 
         def segment_word(src: int, dst: int):
             seg: list[int] = []
             pos = src
             while pos != dst:
                 pos = (pos + 1) % n
-                eid, direction = face.steps[pos]
-                seg.extend(d.edges[eid].directed_word(direction))
+                eid, which = at[face.darts[pos]]
+                seg.extend(d.edges[eid].directed_word(1 - which))
             return tuple(seg)
 
         return words.is_trivial(segment_word(pa, pb), d.genus) or words.is_trivial(
@@ -87,7 +89,7 @@ def table_is_reduced(d: SurfaceDiagram):
     bad = [
         c.id
         for c in d.crossings
-        if any(merge((c.id, s), (c.id, s + 2)) for s in (0, 1))
+        if any(merge(4 * c.id + s, 4 * c.id + s + 2) for s in (0, 1))
     ]
     return (not bad, bad)
 
@@ -131,13 +133,13 @@ def test_site_lookup_matches_the_scan(diagrams):
         # whether or not it is a site
         proposed = set()
         for f in d.faces():
-            cids = [c for c, _ in f.corners]
+            cids = [x >> 2 for x in f.darts]
             if len(f) == 1:
                 proposed.add(Move("R1_remove", (cids[0],)))
             elif len(f) == 2:
                 proposed.add(Move("R2_remove", (cids[1], cids[0])))
             elif len(f) == 3:
-                proposed.add(Move("R3", (tuple(reversed(f.corners)),)))
+                proposed.add(Move("R3", (tuple(divmod(x, 4) for x in reversed(f.darts)),)))
         proposed.update(m for m in enumerate_moves(d) if m.kind in ("R1_remove", "R2_remove", "R3"))
         for m in sorted(proposed):
             expected = _outcome(scan_site_face, d, m)

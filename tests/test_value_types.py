@@ -34,8 +34,8 @@ from weavekit.tessellation import (
 FIELDS = {
     Crossing: ("id", "over_axis"),
     Edge: ("id", "ends", "word"),
-    Face: ("id", "steps", "corners", "holonomy"),
-    Thread: ("id", "route", "edges", "homology", "loop_index"),
+    Face: ("id", "darts", "holonomy"),
+    Thread: ("id", "darts", "homology", "loop_index"),
     ValidationReport: ("errors", "advisories"),
     Move: ("kind", "params"),
     MoveTrace: ("seed", "start", "moves", "end"),
@@ -109,7 +109,7 @@ def test_field_wise_equality_sees_each_field():
     assert Crossing(0, 0) != Crossing(0, AXIS_13)
     assert Edge(0, ((0, 0), (0, 2))) == Edge(0, ((0, 0), (0, 2)), ())
     assert Edge(0, ((0, 0), (0, 2))) != Edge(0, ((0, 0), (0, 2)), (1,))
-    assert Thread(0, (), (), (1, 0)).loop_index is None
+    assert Thread(0, (), (1, 0)).loop_index is None
     assert repr(Crossing(3, AXIS_13)) == "Crossing(id=3, over_axis=1)"
     assert repr(ValidationReport()) == "ValidationReport(errors=[], advisories=[])"
 
