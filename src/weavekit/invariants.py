@@ -20,21 +20,21 @@ trivial loop.
 
 Both ``bracket`` and ``full_winding_multiset`` read one census: per
 winding key, the number of states by A-exponent i - j and trivial-loop
-count. From 6 crossings up the census comes from the frontier
+count. From 5 crossings up the census comes from the frontier
 (transfer-matrix) evaluator ``_frontier``. It places one crossing at a
 time, next the one with the most edges to crossings already placed, and
 keeps a dict from frontier key to state counts, so its work follows the
 width of the frontier rather than 2^C. Keys and values are flat ints: the
 open darts stand in one fixed order per step, so a key is each dart's
-partner position, each dart's partial Z^{2g} vector packed into one int,
-and the packed winding classes of the loops already closed; a value maps
-the A-exponent and trivial-loop count, packed into one int, to a count.
-Only the final keys are decoded. Below 6 crossings a walk over all 2^C
-states supplies the census (see ``FRONTIER_MIN_CROSSINGS``). Two
-independent paths serve as oracles, and tests and ``verify --suite oracle``
-hold all three to identical values: ``bracket_by_state_sum`` (the state
-walk at every size) and ``bracket_by_skein`` (recursive splitting by diagram
-surgery).
+partner position, each dart's partial Z^{2g} vector and the winding
+classes of the loops already closed, all packed by ``StateTracer``; a
+value maps the A-exponent and trivial-loop count, packed into one int, to
+a count. Only the final keys are decoded, by ``StateTracer.key``. Below 5
+crossings a walk over all 2^C states supplies the census (see
+``FRONTIER_MIN_CROSSINGS``). Two independent paths serve as oracles, and
+tests and ``verify --suite oracle`` hold all three to identical values:
+``bracket_by_state_sum`` (the state walk at every size) and
+``bracket_by_skein`` (recursive splitting by diagram surgery).
 
 The crossing budget is an argument: ``budget=None`` means
 ``DEFAULT_BUDGET``, and no call here reads the environment.
@@ -43,7 +43,7 @@ The crossing budget is an argument: ``budget=None`` means
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import laurent, words
 from .diagram import AXIS_02, AXIS_13, DiagramError, SurfaceDiagram, ThreadId, TooManyCrossings
@@ -176,22 +176,6 @@ FrontierValue = dict[int, int]
 Census = dict[WindingKey, dict[tuple[int, int], int]]
 
 
-def _pack(vec: Iterable[int], base: int) -> int:
-    """A Z^{2g} vector as one int, first coordinate most significant. While
-    each |coordinate| < base/4, + and - act per coordinate, and sign and
-    order are those of the vector read lexicographically."""
-    p = 0
-    for x in vec:
-        p = p * base + x
-    return p
-
-
-def _unpack(p: int, base: int, dim: int) -> tuple[int, ...]:
-    half = base // 2  # base is even; shifting every digit by half makes it positive
-    p += half * (base**dim - 1) // (base - 1)
-    return tuple(p // base**i % base - half for i in range(dim - 1, -1, -1))
-
-
 def _crossing_order(tracer: StateTracer) -> list[int]:
     """Next the crossing with the most edges to crossings already placed,
     ties by lowest id; this keeps the open-arc frontier narrow."""
@@ -220,16 +204,12 @@ def _frontier(d: SurfaceDiagram) -> Census:
     state counts by A-exponent and trivial-loop count.
     """
     tracer = StateTracer(d)
-    alpha = tracer.alpha
+    alpha, wvec = tracer.alpha, tracer.wvec
     C = tracer.n_crossings
-    # a vector met on the way runs over distinct edges and free loops, so no
-    # coordinate exceeds their total word length
-    length = sum(len(e.word) for e in d.edges) + sum(len(w) for w in d.loops)
-    base = 4 * length + 4
-    wvec = [_pack(vec, base) for vec in tracer.wvec]
     K = tracer.base_trivial + 2 * C + 1
-    closed = tuple(sorted(_pack(vec, base) for vec in tracer.base_winding))
-    frontier: dict[FrontierKey, FrontierValue] = {((), (), closed): {tracer.base_trivial: 1}}
+    frontier: dict[FrontierKey, FrontierValue] = {
+        ((), (), tracer.base_winding): {tracer.base_trivial: 1}
+    }
     placed = [False] * C
     open_darts: list[int] = []
     for c in _crossing_order(tracer):
@@ -278,20 +258,18 @@ def _frontier(d: SurfaceDiagram) -> Census:
                         bucket[k + delta] = bucket.get(k + delta, 0) + n
         frontier = nxt
     # every arc is closed now, so the keys differ in their windings alone
-    dim = 2 * tracer.genus
     return {
-        tuple(_unpack(p, base, dim) for p in closed): {
-            divmod(k, K): n for k, n in value.items()
-        }
+        tracer.key(closed): {divmod(k, K): n for k, n in value.items()}
         for (_mates, _vecs, closed), value in frontier.items()
     }
 
 
-# Per bracket on fuzz-walk diagrams (2-core Xeon VM, Python 3.11.7), the state
-# walk is 1.1-1.6x as fast as the frontier at 3 and 4 crossings; the frontier is
-# 1.2-1.5x as fast at 5 and about 2x at 6. The walk keeps C < 6 as the
-# benchmark's tracer counts only its states.
-FRONTIER_MIN_CROSSINGS = 6
+# Census time of the state walk over the frontier's, on 150 fuzz-walk diagrams
+# per size (process time, 2-core Xeon VM, Python 3.11.7): 0.58-0.61 at 3
+# crossings, 0.76-0.79 at 4, 1.17-1.29 at 5 and 1.79-2.16 at 6. The walk keeps
+# C < 5 as the benchmark's tracer counts only its states; the invariance start
+# of its walk workload has 4 crossings.
+FRONTIER_MIN_CROSSINGS = 5
 
 
 def _walk_census(d: SurfaceDiagram) -> Census:

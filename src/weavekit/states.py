@@ -9,8 +9,12 @@ tables rotate accordingly.
 Two independent code paths produce resolved states: a surgery that hands
 the diagram's edges to the splice that also assembles tessellation builds
 (used by the recursive bracket oracle and by the R2 removal move), and a
-flat dart tracer used by the state-sum bracket and by adequacy. Tests hold
-them to identical answers.
+flat dart tracer used by the state walk, the frontier evaluator and
+adequacy. Tests hold them to identical answers.
+
+The tracer packs each Z^{2g} class into one int, so a loop's class is a sum
+and ``abs()`` applies the sign rule of ``words.normalize_class``;
+``StateTracer.key`` decodes sorted packed classes into a winding key.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .diagram import (
     SurfaceDiagram,
     splice,
 )
-from .words import normalize_class
 
 Pairing = tuple[tuple[int, int], tuple[int, int]]
 
@@ -118,6 +121,22 @@ def split(d: SurfaceDiagram, cid: int, kind: str) -> SurfaceDiagram:
 WindingKey = tuple[tuple[int, ...], ...]
 
 
+def _pack(vec: Iterable[int], base: int) -> int:
+    """A Z^{2g} vector as one int, first coordinate most significant. While
+    each |coordinate| < base/4, + and - act per coordinate, and sign and
+    order are those of the vector read lexicographically."""
+    p = 0
+    for x in vec:
+        p = p * base + x
+    return p
+
+
+def _unpack(p: int, base: int, dim: int) -> tuple[int, ...]:
+    half = base // 2  # base is even; shifting every digit by half makes it positive
+    p += half * (base**dim - 1) // (base - 1)
+    return tuple(p // base**i % base - half for i in range(dim - 1, -1, -1))
+
+
 class StateTracer:
     """Flat-array loop tracer over the 2^C split assignments of a diagram.
 
@@ -125,22 +144,25 @@ class StateTracer:
     a per-state pairing jumps across a smoothed crossing, and cycles of
     their composition are the directed state loops; ``trace_loops`` labels
     both darts of every step, so each loop is walked in one direction only.
+
     """
 
     def __init__(self, d: SurfaceDiagram):
         self.alpha = d.flips()
-        self.diagram = d
         self.genus = d.genus
         C = len(d.crossings)
         self.n_crossings = C
         self.n_darts = 4 * C
-        self.wvec: list[tuple[int, ...]] = [()] * self.n_darts
+        # a class met on the way (a loop, or an open frontier arc) runs over distinct
+        # edges and free loops, so every coordinate is at most their total length
+        length = sum(len(e.word) for e in d.edges) + sum(len(w) for w in d.loops)
+        self.base = 4 * length + 4
+        self.wvec = [0] * self.n_darts  # packed class of the edge word leaving each dart
         for e in d.edges:
             (c0, s0), (c1, s1) = e.ends
-            d0, d1 = 4 * c0 + s0, 4 * c1 + s1
-            vec = words.abelianize(e.word, d.genus)
-            self.wvec[d0] = vec
-            self.wvec[d1] = tuple(-v for v in vec)
+            p = _pack(words.abelianize(e.word, d.genus), self.base)
+            self.wvec[4 * c0 + s0] = p
+            self.wvec[4 * c1 + s1] = -p
         self.pair_a = [0] * self.n_darts
         self.pair_b = [0] * self.n_darts
         for c in d.crossings:
@@ -150,24 +172,22 @@ class StateTracer:
             for x, y in B_PAIRING[c.over_axis]:
                 self.pair_b[4 * c.id + x] = 4 * c.id + y
                 self.pair_b[4 * c.id + y] = 4 * c.id + x
-        self.base_trivial = 0
-        base_winding: list[tuple[int, ...]] = []
-        for w in d.loops:
-            cls = normalize_class(words.abelianize(w, d.genus))
-            if cls is None:
-                self.base_trivial += 1
-            else:
-                base_winding.append(cls)
-        self.base_winding = tuple(base_winding)
+        loops = [abs(_pack(words.abelianize(w, d.genus), self.base)) for w in d.loops]
+        self.base_trivial = loops.count(0)
+        self.base_winding = tuple(sorted(p for p in loops if p))
+
+    def key(self, packed: Iterable[int]) -> WindingKey:
+        """The winding key of packed classes given in sorted order."""
+        return tuple([_unpack(p, self.base, 2 * self.genus) for p in packed])
 
     def resolve_bits(self, bits: int, pair: Optional[list[int]] = None) -> tuple[int, WindingKey]:
         """Loop census for the state whose crossing c is B-split iff bit c set."""
         if pair is None:
             pair = self.pairing_for_bits(bits)
         classes = self.trace_loops(pair, range(self.n_darts))[1]
-        winding = [cls for cls in classes if cls is not None]
+        winding = [p for p in classes if p is not None]
         trivial = self.base_trivial + len(classes) - len(winding)
-        return trivial, tuple(sorted(self.base_winding + tuple(winding)))
+        return trivial, self.key(sorted(self.base_winding + tuple(winding)))
 
     def pairing_for_bits(self, bits: int) -> list[int]:
         pair = list(self.pair_a)
@@ -189,32 +209,29 @@ class StateTracer:
 
     def trace_loops(
         self, pair: list[int], starts: Iterable[int]
-    ) -> tuple[dict[int, int], list[Optional[tuple[int, ...]]]]:
+    ) -> tuple[dict[int, int], list[Optional[int]]]:
         """Walk the loops of state ``pair`` that pass the darts ``starts``.
 
         Returns the loop index of every dart walked and, per loop, its
-        winding class, None when null-homologous; free loops are not
+        packed winding class, None when null-homologous; free loops are not
         included. The cost is the length of the loops walked, so starting
         from one crossing's darts touches only the at most two loops
         through it.
         """
         alpha = self.alpha
         wvec = self.wvec
-        dim = 2 * self.genus
         loop_of: dict[int, int] = {}
-        classes: list[Optional[tuple[int, ...]]] = []
+        classes: list[Optional[int]] = []
         for start in starts:
             if start in loop_of:
                 continue
             loop = len(classes)
-            acc = [0] * dim
+            acc = 0
             dart = start
             while dart not in loop_of:
                 mate = pair[dart]
                 loop_of[dart] = loop_of[mate] = loop
-                vec = wvec[mate]
-                for i in range(dim):
-                    acc[i] += vec[i]
+                acc += wvec[mate]
                 dart = alpha[mate]
-            classes.append(normalize_class(acc))
+            classes.append(abs(acc) or None)
         return loop_of, classes

@@ -33,7 +33,7 @@ from weavekit.canonical import (
 )
 from weavekit.diagram import DiagramError, Edge, SurfaceDiagram
 from weavekit.invariants import bracket, full_winding_multiset, kauffman_f, r_parallel, writhe
-from weavekit.states import normalize_class
+from weavekit.words import normalize_class
 from weavekit import words
 
 

@@ -1,17 +1,21 @@
 import itertools
+import random
 
 import pytest
 
 from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl
 from weavekit import words
-from weavekit.diagram import DiagramError
+from weavekit.corpus import genus2_corpus
+from weavekit.diagram import DiagramError, SurfaceDiagram
 from weavekit.states import (
     StateTracer,
-    normalize_class,
+    _pack,
+    _unpack,
     smooth_crossings,
     split,
     split_pairing,
 )
+from weavekit.words import normalize_class
 
 
 def resolve_to_diagram(d, kinds):
@@ -44,23 +48,22 @@ def test_splits_commute_for_distinct_crossings():
 
 
 def test_resolve_state_matches_diagram_resolution():
-    d = plain_weave_2x2()
-    tracer = StateTracer(d)
-    for kinds in itertools.product("AB", repeat=4):
-        bits = sum(1 << cid for cid, k in enumerate(kinds) if k == "B")
-        trivial_loops, key = tracer.resolve_bits(bits)
-        dd = resolve_to_diagram(d, kinds)
-        assert not dd.crossings
-        trivial = sum(
-            1 for w in dd.loops if not any(words.abelianize(w, 1))
-        )
-        winding = sorted(
-            normalize_class(words.abelianize(w, 1))
-            for w in dd.loops
-            if any(words.abelianize(w, 1))
-        )
-        assert trivial_loops == trivial
-        assert list(key) == winding
+    grid = plain_weave_2x2()
+    with_loops = SurfaceDiagram(grid.genus, grid.crossings, grid.edges, ((), (1,), (2, 1, 2, 2)))
+    diagrams = [d for _name, d in genus2_corpus()] + [torus_curl(), with_loops]
+    states = 0
+    for d in diagrams:
+        tracer = StateTracer(d)
+        for kinds in itertools.product("AB", repeat=len(d.crossings)):
+            bits = sum(1 << cid for cid, k in enumerate(kinds) if k == "B")
+            trivial_loops, key = tracer.resolve_bits(bits)
+            dd = resolve_to_diagram(d, kinds)
+            assert not dd.crossings
+            classes = [normalize_class(words.abelianize(w, d.genus)) for w in dd.loops]
+            assert trivial_loops == classes.count(None)
+            assert list(key) == sorted(cls for cls in classes if cls is not None)
+            states += 1
+    assert states == 114
 
 
 def test_all_a_state_counts_white_regions():
@@ -97,3 +100,20 @@ def test_pairing_for_bits_takes_the_b_pairing_at_set_bits():
             for dart in range(tracer.n_darts)
         ]
         assert tracer.pairing_for_bits(bits) == expected
+
+
+def test_packed_abs_is_the_sign_rule():
+    # a loop's class is oriented by abs() on its packed int; that is
+    # words.normalize_class while every |coordinate| <= L < base/4
+    rng = random.Random(23)
+    flipped = 0
+    for i in range(10_000):
+        L = rng.choice((1, 2, 7, 40))
+        n = rng.choice((2, 4, 6, 8, 16))
+        lead = rng.randint(0, n)
+        v = tuple([0] * lead + [rng.randint(-L, L) for _ in range(n - lead)])
+        base = 4 * L + 4
+        assert abs(_pack(v, base)) == _pack(normalize_class(v) or v, base), (v, base)
+        assert _unpack(_pack(v, base), base, len(v)) == v, (v, base)
+        flipped += _pack(v, base) < 0
+    assert 3_000 < flipped < 7_000
