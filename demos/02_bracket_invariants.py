@@ -9,7 +9,7 @@ from weavekit.invariants import (
     bracket,
     bracket_by_skein,
     degree_bounds_check,
-    degree_stats,
+    extreme_degrees,
     jones,
     kauffman_f,
     linking_matrix,
@@ -28,16 +28,20 @@ print("jones (q = t^1/4):", jones(plain).format())
 print()
 
 # Degree formulas for connected reduced alternating diagrams: the extreme
-# states pin the degrees, and the span only sees the crossing count.
+# states pin the degrees, and the span only sees the crossing count. These
+# diagrams are adequate on both sides, so the trivial-loop counts c_A and c_B
+# of the all-A and all-B states give the span without the state sum.
 for name, d in alternating_corpus():
     if len(d.crossings) > 12:
         continue
-    st = degree_stats(d)
+    b = bracket(d)
+    ext = extreme_degrees(d)
     C = len(d.crossings)
+    span = 2 * C + 2 * (ext["c_a"] + ext["c_b"]) - 4
     print(
-        f"{name:14s} C={C:2d} maxdeg={st['maxdeg']:3d} mindeg={st['mindeg']:4d} "
-        f"span={st['span']:3d} (= 4C-4g: {st['span'] == 4 * C - 4}) "
-        f"W={st['W']} B={st['B']}"
+        f"{name:14s} C={C:2d} maxdeg={b.max_degree():3d} mindeg={b.min_degree():4d} "
+        f"span={b.span():3d} (= 4C-4g: {b.span() == 4 * C - 4 * d.genus}) "
+        f"c_A={ext['c_a']} c_B={ext['c_b']} (= 2C+2(c_A+c_B)-4: {b.span() == span})"
     )
 print()
 

@@ -31,7 +31,7 @@ _EXPORTS = {
         "bracket",
         "bracket_by_skein",
         "degree_bounds_check",
-        "degree_stats",
+        "extreme_degrees",
         "jones",
         "kauffman_f",
         "r_parallel",

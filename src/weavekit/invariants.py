@@ -36,6 +36,10 @@ tests and ``verify --suite oracle`` hold all three to identical values:
 ``bracket_by_state_sum`` (the state walk at every size) and
 ``bracket_by_skein`` (recursive splitting by diagram surgery).
 
+``extreme_degrees`` walks only the all-A and all-B states and the single
+switches away from them: no state sum, yet on an adequate side they give
+the bracket's extreme degree.
+
 The crossing budget is an argument: ``budget=None`` means
 ``DEFAULT_BUDGET``, and no call here reads the environment.
 """
@@ -274,16 +278,17 @@ FRONTIER_MIN_CROSSINGS = 5
 
 def _walk_census(d: SurfaceDiagram) -> Census:
     """The frontier's result, counted state by state over all 2^C states;
-    crossing c is B-split in state ``bits`` iff bit c is set."""
+    crossing c is B-split in state ``bits`` iff bit c is set. States merge
+    by packed classes, and each distinct key is decoded once."""
     C = len(d.crossings)
     tracer = StateTracer(d)
-    out: Census = {}
+    out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for bits in range(1 << C):
-        trivial, key = tracer.resolve_bits(bits)
-        bucket = out.setdefault(key, {})
+        trivial, packed = tracer.resolve_bits(bits)
+        bucket = out.setdefault(packed, {})
         k = (C - 2 * bits.bit_count(), trivial)
         bucket[k] = bucket.get(k, 0) + 1
-    return out
+    return {tracer.key(packed): value for packed, value in out.items()}
 
 
 def _census(d: SurfaceDiagram, budget: Optional[int]) -> Census:
@@ -468,18 +473,6 @@ def checkerboard_coloring(d: SurfaceDiagram) -> tuple[set[int], set[int]]:
     return white, black
 
 
-def degree_stats(d: SurfaceDiagram, budget: Optional[int] = None) -> dict[str, int]:
-    white, black = checkerboard_coloring(d)
-    b = bracket(d, budget=budget)
-    return {
-        "maxdeg": b.max_degree(),
-        "mindeg": b.min_degree(),
-        "span": b.span(),
-        "W": len(white),
-        "B": len(black),
-    }
-
-
 # -- adequacy --------------------------------------------------------------------------
 
 
@@ -511,8 +504,10 @@ def _extreme_state(tracer: StateTracer, kind: str) -> tuple[int, Iterator[bool]]
     return tracer.base_trivial + classes.count(None), losses()
 
 
-def adequacy(d: SurfaceDiagram) -> dict[str, bool]:
-    """Loop-count adequacy of the extreme states.
+def extreme_degrees(d: SurfaceDiagram) -> dict[str, int]:
+    """The all-A and all-B states: ``c_a`` and ``c_b``, their numbers of
+    null-homologous loops (free loops included), and the adequacy flags
+    ``plus`` and ``minus`` (bools).
 
     Plus-adequate: every state with exactly one B-split has strictly fewer
     null-homologous loops than the all-A state; minus symmetrically. On a
@@ -521,18 +516,34 @@ def adequacy(d: SurfaceDiagram) -> dict[str, bool]:
     in which case the switch splits it into windings and the trivial-loop
     count still drops.
 
+    These numbers pin the bracket's extreme degrees (Kauffman, *State
+    models and the Jones polynomial*, 1987; Boden, Karimi and Sikora,
+    arXiv 2008.09895). Switching one crossing merges two state loops,
+    splits one or re-routes one, and the number of null-homologous loops
+    grows by at most one: two classes that sum to zero close one trivial
+    loop, and a split of a nonzero class has at most one trivial part. So
+    a state's top degree i - j + 2 c_S - 2 never rises along a switch. When
+    the diagram is plus-adequate the first switch away from all-A costs at
+    least 4, so only the all-A state reaches C + 2 c_a - 2 and its term
+    cannot cancel: that is the maximum degree. Symmetrically, a
+    minus-adequate diagram has minimum degree -C - 2 c_b + 2, and a diagram
+    adequate on both sides has span 2C + 2(c_a + c_b) - 4.
+
     Cost: one loop walk per extreme state, then per crossing a walk of only
     the at most two loops through it, stopping at the first crossing whose
     flip keeps the count. On alternating weaves those loops are face
     boundaries, so the call is linear in C.
     """
-    if not d.crossings:
-        return {"plus": True, "minus": True}
     tracer = StateTracer(d)
-    return {
-        "plus": all(_extreme_state(tracer, "A")[1]),
-        "minus": all(_extreme_state(tracer, "B")[1]),
-    }
+    c_a, plus = _extreme_state(tracer, "A")
+    c_b, minus = _extreme_state(tracer, "B")
+    return {"c_a": c_a, "c_b": c_b, "plus": all(plus), "minus": all(minus)}
+
+
+def adequacy(d: SurfaceDiagram) -> dict[str, bool]:
+    """The ``plus`` and ``minus`` adequacy flags of ``extreme_degrees``."""
+    ext = extreme_degrees(d)
+    return {"plus": ext["plus"], "minus": ext["minus"]}
 
 
 def degree_bounds_check(
@@ -541,13 +552,11 @@ def degree_bounds_check(
     """Degree bounds from the extreme states, with tightness flags."""
     b = bracket(d, budget=budget)
     C = len(d.crossings)
-    tracer = StateTracer(d)
-    c_a, plus = _extreme_state(tracer, "A")
-    c_b, minus = _extreme_state(tracer, "B")
+    ext = extreme_degrees(d)
     maxdeg = b.max_degree()
     mindeg = b.min_degree()
-    max_bound = C + 2 * c_a - 2
-    min_bound = -C - 2 * c_b + 2
+    max_bound = C + 2 * ext["c_a"] - 2
+    min_bound = -C - 2 * ext["c_b"] + 2
     return {
         "maxdeg": maxdeg,
         "max_bound": max_bound,
@@ -557,8 +566,8 @@ def degree_bounds_check(
         "min_bound": min_bound,
         "min_ok": mindeg >= min_bound,
         "min_tight": mindeg == min_bound,
-        "plus_adequate": all(plus),
-        "minus_adequate": all(minus),
+        "plus_adequate": ext["plus"],
+        "minus_adequate": ext["minus"],
     }
 
 

@@ -180,14 +180,17 @@ class StateTracer:
         """The winding key of packed classes given in sorted order."""
         return tuple([_unpack(p, self.base, 2 * self.genus) for p in packed])
 
-    def resolve_bits(self, bits: int, pair: Optional[list[int]] = None) -> tuple[int, WindingKey]:
-        """Loop census for the state whose crossing c is B-split iff bit c set."""
+    def resolve_bits(
+        self, bits: int, pair: Optional[list[int]] = None
+    ) -> tuple[int, tuple[int, ...]]:
+        """Loop census for the state whose crossing c is B-split iff bit c set:
+        its trivial-loop count and its sorted packed winding classes."""
         if pair is None:
             pair = self.pairing_for_bits(bits)
         classes = self.trace_loops(pair, range(self.n_darts))[1]
         winding = [p for p in classes if p is not None]
         trivial = self.base_trivial + len(classes) - len(winding)
-        return trivial, self.key(sorted(self.base_winding + tuple(winding)))
+        return trivial, tuple(sorted(self.base_winding + tuple(winding)))
 
     def pairing_for_bits(self, bits: int) -> list[int]:
         pair = list(self.pair_a)

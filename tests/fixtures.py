@@ -11,8 +11,8 @@ import os
 from pathlib import Path
 
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
-from weavekit.invariants import _extreme_state
-from weavekit.states import StateTracer
+from weavekit.invariants import extreme_degrees
+from weavekit.states import _is_b_split
 from weavekit.tessellation import PeriodicTiling, VertexSymbol
 
 
@@ -27,7 +27,7 @@ def src_env() -> dict[str, str]:
 
 def state_loop_count(d: SurfaceDiagram, kind: str) -> int:
     """Trivial-loop count of the all-A or all-B state."""
-    return _extreme_state(StateTracer(d), kind)[0]
+    return extreme_degrees(d)["c_b" if _is_b_split(kind) else "c_a"]
 
 
 def grid_weave(n: int, over_parity: int = 0) -> SurfaceDiagram:

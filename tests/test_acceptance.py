@@ -27,9 +27,9 @@ from weavekit.invariants import (
     adequacy,
     bracket,
     bracket_by_skein,
+    checkerboard_coloring,
     crossing_signs,
     degree_bounds_check,
-    degree_stats,
     kauffman_f,
     linking_matrix,
     r_parallel,
@@ -124,12 +124,13 @@ def test_criterion_05_degree_formulas(alternating):
         if C > 12:
             continue
         assert d.is_alternating() and d.is_reduced()[0] and d.validate().ok, name
-        st = degree_stats(d)
-        assert st["maxdeg"] == C + 2 * st["W"] - 2, name
-        assert st["mindeg"] == -C - 2 * st["B"] + 2, name
-        assert st["span"] == 4 * C - 4 * d.genus, name
-        assert st["W"] == state_loop_count(d, "A"), name
-        assert st["B"] == state_loop_count(d, "B"), name
+        b = bracket(d)
+        white, black = checkerboard_coloring(d)
+        assert b.max_degree() == C + 2 * len(white) - 2, name
+        assert b.min_degree() == -C - 2 * len(black) + 2, name
+        assert b.span() == 4 * C - 4 * d.genus, name
+        assert len(white) == state_loop_count(d, "A"), name
+        assert len(black) == state_loop_count(d, "B"), name
         checked += 1
     assert checked >= 5
     mutated = 0

@@ -1,5 +1,6 @@
-"""Adequacy from one loop labelling per extreme state, held to the reference
-that resolves the two extreme states and all 2C single flips whole."""
+"""Adequacy and the extreme-state loop counts from one loop labelling per
+extreme state, held to the reference that resolves the two extreme states
+and all 2C single flips whole, and to the bracket's extreme degrees."""
 
 import random
 from collections import Counter
@@ -16,8 +17,8 @@ from fixtures import (
 )
 from weavekit import cli
 from weavekit.corpus import full_corpus, genus2_corpus
-from weavekit.diagram import serialize
-from weavekit.invariants import adequacy, r_parallel
+from weavekit.diagram import Crossing, serialize
+from weavekit.invariants import adequacy, bracket, extreme_degrees, r_parallel
 from weavekit.moves import walk
 from weavekit.states import StateTracer
 from weavekit.tessellation import (
@@ -42,15 +43,13 @@ def adequacy_by_resolution(d):
     """Reference: 2C + 2 whole-state resolutions, one per extreme state and
     one per single flip away from it."""
     C = len(d.crossings)
-    if C == 0:
-        return {"plus": True, "minus": True}
     tracer = StateTracer(d)
     full = (1 << C) - 1
     c_a = tracer.resolve_bits(0)[0]
     c_b = tracer.resolve_bits(full)[0]
     plus = all(tracer.resolve_bits(1 << c)[0] < c_a for c in range(C))
     minus = all(tracer.resolve_bits(full ^ (1 << c))[0] < c_b for c in range(C))
-    return {"plus": plus, "minus": minus}
+    return {"c_a": c_a, "c_b": c_b, "plus": plus, "minus": minus}
 
 
 def _build(symbol, method, scale):
@@ -88,11 +87,29 @@ def _pool():
 def test_adequacy_matches_whole_state_resolution():
     seen = Counter()
     for name, d in _pool():
-        got = adequacy(d)
+        got = extreme_degrees(d)
         assert got == adequacy_by_resolution(d), name
+        assert adequacy(d) == {"plus": got["plus"], "minus": got["minus"]}, name
         for side in ("plus", "minus"):
             seen[d.genus, side, got[side]] += 1
+        # an adequate side pins that extreme degree of the bracket
+        C = len(d.crossings)
+        if (got["plus"] or got["minus"]) and 1 <= C <= 14:
+            b = bracket(d)
+            if got["plus"]:
+                assert b.max_degree() == C + 2 * got["c_a"] - 2, name
+            if got["minus"]:
+                assert b.min_degree() == -C - 2 * got["c_b"] + 2, name
+            if got["plus"] and got["minus"]:
+                assert b.span() == 2 * C + 2 * (got["c_a"] + got["c_b"]) - 4, name
+                seen[d.genus, "span"] += 1
+        # the mirror image swaps the A- and B-splits, so its extreme states too
+        mirror = d.replace(crossings=[Crossing(c.id, 1 - c.over_axis) for c in d.crossings])
+        assert extreme_degrees(mirror) == {
+            "c_a": got["c_b"], "c_b": got["c_a"], "plus": got["minus"], "minus": got["plus"]
+        }, name
     for genus in (1, 2):
+        assert seen[genus, "span"], genus
         for side in ("plus", "minus"):
             for value in (True, False):
                 assert seen[genus, side, value], (genus, side, value)
@@ -108,7 +125,7 @@ def test_adequacy_walks_loops_not_states(monkeypatch):
         raise AssertionError("adequacy resolved a whole state")
 
     monkeypatch.setattr(StateTracer, "resolve_bits", refuse)
-    assert [adequacy(d) for d in cases] == expected
+    assert [extreme_degrees(d) for d in cases] == expected
 
 
 def test_analyze_reaches_the_budget_on_a_large_build(tmp_path, capsys):

@@ -20,12 +20,12 @@ from weavekit.diagram import serialize
 # stdlib modules no weavekit process loads
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
 
-# the names `weavekit/__init__.py` imported eagerly before they resolved lazily
+# the public names of `weavekit/__init__.py`, which resolve lazily
 PUBLIC_NAMES = (
     "AXIS_02", "AXIS_13", "Crossing", "DiagramError", "Edge", "Face", "SurfaceDiagram",
     "Thread", "ValidationReport", "ZeroHomologyThread", "parse", "serialize",
     "BracketValue", "NotCheckerboardColorable", "TooManyCrossings", "adequacy", "bracket",
-    "bracket_by_skein", "degree_bounds_check", "degree_stats", "jones", "kauffman_f",
+    "bracket_by_skein", "degree_bounds_check", "extreme_degrees", "jones", "kauffman_f",
     "r_parallel", "writhe", "writhe_per_component", "split",
     "CanonicalResult", "NonSymplectic", "UnsupportedGenus", "apply_twist", "canonical_form",
     "dehn_twist_diagram", "is_minimal_size", "q_functional", "size", "__version__",

@@ -32,7 +32,7 @@ from weavekit.invariants import (
     checkerboard_coloring,
     crossing_signs,
     degree_bounds_check,
-    degree_stats,
+    extreme_degrees,
     format_key,
     full_winding_multiset,
     jones,
@@ -154,16 +154,18 @@ def test_jones_is_quarter_substitution():
         assert v.part(key) == {-e: c for e, c in f.part(key).items()}
 
 
-def test_degree_stats_on_alternating_builds():
+def test_degree_formulas_on_the_plain_weave():
     d = plain_weave_2x2()
-    st = degree_stats(d)
+    b = bracket(d)
+    white, black = checkerboard_coloring(d)
     C = 4
-    assert st == {"maxdeg": 6, "mindeg": -6, "span": 12, "W": 2, "B": 2}
-    assert st["maxdeg"] == C + 2 * st["W"] - 2
-    assert st["mindeg"] == -C - 2 * st["B"] + 2
-    assert st["span"] == 4 * C - 4
-    assert st["W"] == state_loop_count(d, "A")
-    assert st["B"] == state_loop_count(d, "B")
+    assert (b.max_degree(), b.min_degree(), b.span(), len(white), len(black)) == (6, -6, 12, 2, 2)
+    assert b.max_degree() == C + 2 * len(white) - 2
+    assert b.min_degree() == -C - 2 * len(black) + 2
+    assert b.span() == 4 * C - 4
+    assert len(white) == state_loop_count(d, "A")
+    assert len(black) == state_loop_count(d, "B")
+    assert extreme_degrees(d) == {"c_a": 2, "c_b": 2, "plus": True, "minus": True}
 
 
 def test_checkerboard_fails_on_non_alternating():
@@ -245,7 +247,7 @@ def test_full_winding_multiset_equals_brute_force_census():
         tracer = StateTracer(d)
         census = Counter()
         for bits in range(1 << len(d.crossings)):
-            census.update(tracer.resolve_bits(bits)[1])
+            census.update(tracer.key(tracer.resolve_bits(bits)[1]))
         assert list(full_winding_multiset(d).items()) == sorted(census.items()), name
         tested += 1
     assert tested >= 8
@@ -320,7 +322,9 @@ def test_full_winding_multiset_equals_state_walk_on_grid():
     d = grid_weave(4)
     tracer = StateTracer(d)
     census = Counter(
-        vec for bits in range(1 << len(d.crossings)) for vec in tracer.resolve_bits(bits)[1]
+        vec
+        for bits in range(1 << len(d.crossings))
+        for vec in tracer.key(tracer.resolve_bits(bits)[1])
     )
     assert len(d.crossings) >= FRONTIER_MIN_CROSSINGS
     assert list(full_winding_multiset(d).items()) == sorted(census.items())

@@ -56,7 +56,8 @@ def test_resolve_state_matches_diagram_resolution():
         tracer = StateTracer(d)
         for kinds in itertools.product("AB", repeat=len(d.crossings)):
             bits = sum(1 << cid for cid, k in enumerate(kinds) if k == "B")
-            trivial_loops, key = tracer.resolve_bits(bits)
+            trivial_loops, packed = tracer.resolve_bits(bits)
+            key = tracer.key(packed)
             dd = resolve_to_diagram(d, kinds)
             assert not dd.crossings
             classes = [normalize_class(words.abelianize(w, d.genus)) for w in dd.loops]
@@ -72,7 +73,9 @@ def test_all_a_state_counts_white_regions():
 
 
 def test_resolution_of_crossing_free_loop():
-    assert StateTracer(single_loop((1,))).resolve_bits(0) == (0, ((1, 0),))
+    tracer = StateTracer(single_loop((1,)))
+    trivial, packed = tracer.resolve_bits(0)
+    assert (trivial, tracer.key(packed)) == (0, ((1, 0),))
 
 
 def test_smoothed_diagrams_stay_well_formed():
@@ -88,8 +91,9 @@ def test_smoothed_diagrams_stay_well_formed():
 def test_tracer_and_surgery_agree_on_curl():
     d = torus_curl()
     tracer = StateTracer(d)
-    assert tracer.resolve_bits(0) == (0, ((1, -1),))
-    assert tracer.resolve_bits(1) == (0, ((1, 1),))
+    for bits, key in ((0, ((1, -1),)), (1, ((1, 1),))):
+        trivial, packed = tracer.resolve_bits(bits)
+        assert (trivial, tracer.key(packed)) == (0, key)
 
 
 def test_pairing_for_bits_takes_the_b_pairing_at_set_bits():

@@ -8,7 +8,7 @@ import pytest
 
 from fixtures import genus2_octagon, polygon_cell
 from weavekit import tessellation, words
-from weavekit.invariants import bracket, degree_stats
+from weavekit.invariants import bracket, extreme_degrees
 from weavekit.tessellation import (
     InconsistentSequence,
     MixedSetCrossing,
@@ -288,9 +288,18 @@ def test_polygon_cells_transform_through_every_method(g):
         d = transform(tiling, spec)
         assert (d.genus, len(d.crossings)) == (g, crossings), spec
         assert d.validate().ok, spec
-    alt = assign_alternating(d)  # the nBr build
-    assert alt.is_reduced()[0]
-    assert bracket(alt).span() == 4 * len(d.crossings) - 4 * g
+    # alternating, they are adequate on both sides, so the two extreme states
+    # give the span 4C - 4g; the bracket confirms it within its budget
+    for spec in (TransformSpec("nBr", 1), TransformSpec("nBr", 2), TransformSpec("nCr", 0)):
+        alt = assign_alternating(transform(tiling, spec))
+        assert alt.is_reduced()[0], spec
+        C = len(alt.crossings)
+        ext = extreme_degrees(alt)
+        assert ext["plus"] and ext["minus"], spec
+        span = 2 * C + 2 * (ext["c_a"] + ext["c_b"]) - 4
+        assert span == 4 * C - 4 * g, spec
+        if C <= 24:
+            assert bracket(alt).span() == span, spec
 
 
 @pytest.mark.parametrize("m, crossings", [(1, 4), (2, 8)])
@@ -399,9 +408,8 @@ def test_alternating_solver_on_three_direction_weaves():
         alt = assign_alternating(d)
         assert alt.is_alternating()
         assert alt.is_reduced()[0]
-        st = degree_stats(alt)
         C = len(alt.crossings)
-        assert st["span"] == 4 * C - 4
+        assert bracket(alt).span() == 4 * C - 4
 
 
 def test_alternating_assignment_makes_weaving_map_alternating():
