@@ -6,7 +6,10 @@ slots in counterclockwise order (0..3); opposite slots carry one strand
 straight through, and ``over_axis`` records which strand is on top. Each
 edge remembers the identified cell sides it crosses as a boundary word,
 read while traversing from endpoint 0 to endpoint 1. Closed curves that
-meet no crossing are kept separately as free loops.
+meet no crossing are kept separately as free loops. Edge and loop words
+are stored freely reduced, their normal form in the free group on the
+cell sides: ``Edge`` and ``SurfaceDiagram`` reduce the words they are
+given, so no code that builds a diagram reduces its own.
 
 Slot s of crossing c is dart 4c + s, and every slot table a diagram
 derives is indexed by dart. Faces and threads come from one walk over
@@ -114,12 +117,16 @@ class Crossing(Frozen):
 
 
 class Edge(Frozen):
+    """An edge between two crossing slots and the word read from end 0 to
+    end 1, stored freely reduced."""
+
     __slots__ = ("id", "ends", "word")
 
     def __init__(self, id: EdgeId, ends: tuple[End, End], word: Word = ()) -> None:
         init_field(self, "id", id)
         init_field(self, "ends", ends)
-        init_field(self, "word", word)
+        # most edges carry no word; skipping the call keeps large builds cheap
+        init_field(self, "word", words.free_reduce(word) if word else ())
 
     def directed_word(self, direction: int) -> Word:
         """Word picked up traversing the edge; direction 0 is ep0 -> ep1."""
@@ -204,7 +211,7 @@ class SurfaceDiagram:
         self.genus = genus
         self.crossings = tuple(crossings)
         self.edges = tuple(edges)
-        self.loops = tuple(tuple(w) for w in loops)
+        self.loops = tuple(words.free_reduce(w) for w in loops)
         for i, c in enumerate(self.crossings):
             if c.id != i:
                 raise DiagramError("crossing ids must be dense 0..n-1 in order")
@@ -223,7 +230,7 @@ class SurfaceDiagram:
         loops: Sequence[Word] = (),
     ) -> "SurfaceDiagram":
         crossings = [Crossing(i, ax) for i, ax in enumerate(over_axes)]
-        edges = [Edge(i, (a, b), tuple(w)) for i, (a, b, w) in enumerate(edge_specs)]
+        edges = [Edge(i, (a, b), w) for i, (a, b, w) in enumerate(edge_specs)]
         return SurfaceDiagram(genus, crossings, edges, loops)
 
     def replace(self, **kw) -> "SurfaceDiagram":
@@ -567,7 +574,7 @@ def splice(
     taken in segment order and end 0 before end 1, and each becomes an edge
     ``(start, stop, word)``. Segments left over close into free loops, each
     read from end 0 of its first segment. Words are concatenated along the
-    walk, never reduced.
+    walk and returned unreduced; the diagram built from them reduces them.
     """
     across = [-1] * (2 * len(segments))  # half 2*sid + end -> the half across its junction
     first: dict[Node, int] = {}

@@ -259,7 +259,7 @@ def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDia
     loops = list(d.loops)
     if in_eid == out_eid:
         # the curl sat on a closed one-crossing component
-        loops.append(words.free_reduce(words.concat(word_in, loop_word)))
+        loops.append(words.concat(word_in, loop_word))
         for other in d.edges:
             if other.id not in (loop_eid, in_eid):
                 specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
@@ -268,7 +268,7 @@ def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDia
         e_out = d.edges[out_eid]
         head = e_out.ends[1 - out_which]
         word_out = e_out.directed_word(out_which)
-        new_word = words.free_reduce(words.concat(word_in, loop_word, word_out))
+        new_word = words.concat(word_in, loop_word, word_out)
         # the merged strand takes the place of the lower of its two edges
         for other in d.edges:
             if other.id == min(in_eid, out_eid):
@@ -289,7 +289,7 @@ def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
     # each step arrives at the dart of its head end
     i = face.darts.index(4 * head_e[0] + head_e[1])
     j = face.darts.index(4 * head_f[0] + head_f[1])
-    path = words.free_reduce(d.boundary_word(face, i, (j - 1) % len(face)))
+    path = d.boundary_word(face, i, (j - 1) % len(face))
     x1 = len(d.crossings)
     x2 = x1 + 1
     axis = AXIS_13 if over_first else AXIS_02
@@ -299,7 +299,7 @@ def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
         if other.id in (eid_a, eid_b):
             continue
         specs.append((other.ends[0], other.ends[1], other.word))
-    specs.append((tail_e, (x1, 1), words.free_reduce(words.concat(word_e, path))))
+    specs.append((tail_e, (x1, 1), words.concat(word_e, path)))
     specs.append(((x2, 1), head_e, words.invert(path)))       # finger return leg
     specs.append(((x1, 3), (x2, 3), ()))                      # finger tip
     specs.append((tail_f, (x2, 0), ()))                       # f up to the push
@@ -325,9 +325,7 @@ def _apply_r3(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
         if e.id == third_side:
             return ()
         g_p, g_q = lift.get(e.ends[0][0], ()), lift.get(e.ends[1][0], ())
-        if not g_p and not g_q:
-            return e.word
-        return words.free_reduce(words.concat(g_p, e.word, words.invert(g_q)))
+        return words.concat(g_p, e.word, words.invert(g_q))
 
     remap: dict[End, End] = {}
     for idx in range(3):

@@ -69,8 +69,9 @@ def smooth_crossings(
     node and each pair of a removed crossing's pairing is a junction. An
     edge is taken at its first surviving slot in (crossing, slot) order and
     read away from it; edges with no surviving end follow in id order.
-    Edge words concatenate along the reconnected chains, chains that meet
-    no surviving crossing close into free loops, and both are free-reduced.
+    Edge words concatenate along the reconnected chains, and chains that
+    meet no surviving crossing close into free loops; the new diagram
+    stores both kinds of word freely reduced.
     """
     for cid in pairings:
         if not 0 <= cid < len(d.crossings):
@@ -103,10 +104,10 @@ def smooth_crossings(
         # crossings below the first removed one keep their ids and objects
         [c if c.id == i else Crossing(i, c.over_axis) for i, c in enumerate(survivors)],
         [
-            Edge(i, ((new_id[a], s), (new_id[b], t)), words.free_reduce(w))
+            Edge(i, ((new_id[a], s), (new_id[b], t)), w)
             for i, ((a, s), (b, t), w) in enumerate(edge_specs)
         ],
-        d.loops + tuple(words.free_reduce(w) for w in loops),
+        d.loops + tuple(loops),
     )
 
 

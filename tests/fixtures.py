@@ -14,6 +14,7 @@ from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
 from weavekit.invariants import extreme_degrees
 from weavekit.states import _is_b_split
 from weavekit.tessellation import PeriodicTiling, VertexSymbol
+from weavekit.words import free_reduce
 
 
 def src_env() -> dict[str, str]:
@@ -28,6 +29,11 @@ def src_env() -> dict[str, str]:
 def state_loop_count(d: SurfaceDiagram, kind: str) -> int:
     """Trivial-loop count of the all-A or all-B state."""
     return extreme_degrees(d)["c_b" if _is_b_split(kind) else "c_a"]
+
+
+def unreduced_words(d: SurfaceDiagram) -> list[tuple[int, ...]]:
+    """The edge and loop words of ``d`` that are not freely reduced."""
+    return [w for w in [e.word for e in d.edges] + list(d.loops) if free_reduce(w) != w]
 
 
 def grid_weave(n: int, over_parity: int = 0) -> SurfaceDiagram:

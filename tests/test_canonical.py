@@ -31,10 +31,10 @@ from weavekit.canonical import (
     _transvection,
     _transvection_vectors,
 )
+from weavekit.corpus import full_corpus
 from weavekit.diagram import DiagramError, Edge, SurfaceDiagram
 from weavekit.invariants import bracket, full_winding_multiset, kauffman_f, r_parallel, writhe
 from weavekit.words import normalize_class
-from weavekit import words
 
 
 def expanded(M):
@@ -228,7 +228,17 @@ def test_dehn_twist_roundtrip():
     d = plain_weave_2x2()
     back = dehn_twist_diagram(dehn_twist_diagram(d, "b", 1), "b", -1)
     for e1, e2 in zip(back.edges, d.edges):
-        assert words.free_reduce(e1.word) == words.free_reduce(e2.word)
+        assert e1.word == e2.word
+
+
+@pytest.mark.parametrize("curve", ["a", "b"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_twisting_there_and_back_returns_the_start(curve, direction):
+    # a twist substitutes words, so the way back meets each inverse pair
+    for name, d in full_corpus():
+        if d.genus == 1:
+            there = dehn_twist_diagram(d, curve, direction)
+            assert dehn_twist_diagram(there, curve, -direction) == d, name
 
 
 def test_dehn_twist_preserves_structure_and_f():

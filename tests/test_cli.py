@@ -13,7 +13,7 @@ from fixtures import grid_weave, src_env, turned
 from weavekit import cli, corpus, invariants, moves, tessellation
 from weavekit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from weavekit.corpus import full_corpus
-from weavekit.diagram import serialize
+from weavekit.diagram import SurfaceDiagram, serialize
 from weavekit.moves import Move, enumerate_moves, parse_move
 
 
@@ -390,6 +390,75 @@ def test_invariance_suite_names_the_step_of_a_wrong_bracket(monkeypatch):
         f"FAIL: normalized polynomial changed after step 4: {walked[3]}",
     ]
     assert out.splitlines()[-1] == "suite = invariance; violations = 4"
+
+
+@pytest.mark.parametrize(
+    "oracle, named", [("bracket_by_state_sum", "state sum"), ("bracket_by_skein", "skein recursion")]
+)
+def test_oracle_suite_names_every_diagram_an_oracle_disagrees_on(monkeypatch, oracle, named):
+    real = getattr(invariants, oracle)
+    monkeypatch.setattr(
+        invariants, oracle, lambda d, budget=None: real(d, budget=budget).scaled(1, 1)
+    )
+    names = [name for name, _ in cli.SUITES["oracle"].starts(corpus)]
+    code, out, _err = run_cli("verify", "--suite", "oracle")
+    assert code == EXIT_VIOLATION
+    lines = out.splitlines()
+    assert f"oracle: {len(names)} diagrams compared, {len(names)} violations" in lines
+    assert [line for line in lines if line.startswith("FAIL: ")] == [
+        f"FAIL: frontier and {named} disagree on {name}" for name in names
+    ]
+
+
+@pytest.mark.parametrize("broken", ["span bound", "move sequence"])
+def test_tait1_suite_fails_on_a_wrong_bound_or_a_smaller_diagram(monkeypatch, broken):
+    if broken == "span bound":
+        monkeypatch.setattr(moves, "crossing_number_bounds", lambda d, seed=0, budget=None: {
+            "lower": 0, "upper": len(d.crossings), "certified_lower": False, "simplified": d,
+        })
+    else:
+        monkeypatch.setattr(
+            cli, "_walk_and_simplify", lambda d, steps, seed, cap: (d, SurfaceDiagram(1, [], []))
+        )
+    starts = cli.SUITES["tait1"].starts(corpus)
+    code, out, _err = run_cli("verify", "--suite", "tait1", "--steps", "1")
+    assert code == EXIT_VIOLATION
+    assert [line for line in out.splitlines() if line.startswith("FAIL: ")] == [
+        f"FAIL: {name}: span bound gives 0, crossing count {len(d.crossings)}"
+        if broken == "span bound" else f"FAIL: {name}: a move sequence reached 0 crossings"
+        for name, d in starts
+    ]
+    assert out.splitlines()[-1] == f"suite = tait1; violations = {len(starts)}"
+
+
+def test_tait2_suite_fails_on_a_curl_left_by_the_walk(monkeypatch):
+    # one curl moves the writhe by one and takes the pair out of the class
+    def curled(d):
+        return moves.apply_move(d, Move("R1_add", (0, 1)))
+
+    monkeypatch.setattr(cli, "_walk_and_simplify", lambda d, steps, seed, cap: (d, curled(d)))
+    starts = cli.SUITES["tait2"].starts(corpus)
+    code, out, _err = run_cli("verify", "--suite", "tait2")
+    assert code == EXIT_VIOLATION
+    lines = out.splitlines()
+    for name, d in starts:
+        w1, w2 = invariants.writhe(d), invariants.writhe(curled(d))
+        assert abs(w1 - w2) == 1
+        assert f"tait2 {name}: writhe {w1} vs twisted+moved {w2} " \
+            "(pair left the reduced alternating class)" in lines
+        assert f"FAIL: {name}: writhes differ, {w1} vs {w2}" in lines
+    assert lines[-1] == f"suite = tait2; violations = {len(starts)}"
+
+
+def test_certify_ball_exits_on_a_ball_below_the_descent(monkeypatch):
+    from weavekit import canonical
+
+    # the descent takes (5,3) to q = 1; a ball minimum one below it is a violation
+    monkeypatch.setattr(canonical, "brute_force_minimum", lambda V, genus, bound: (0, {}))
+    code, out, _err = run_cli("canonicalize", "--winding", "(5,3)", "--certify-ball", "1")
+    assert code == EXIT_VIOLATION
+    assert "q_after = 1" in out
+    assert out.splitlines()[-1] == "ball_check = bound 1 min 0 match False"
 
 
 def _invariance_row(steps, seed, cap):

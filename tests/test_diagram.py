@@ -174,6 +174,8 @@ def test_parse_rejects_bad_input():
         parse("genus 1\ncrossing c0 over=13\nedge c0.0 c0.2 word=a2\n")
     with pytest.raises(DiagramError):
         parse("genus 1\ncrossing c1 over=13\n")  # names must be dense
+    with pytest.raises(DiagramError, match="^missing genus declaration$"):
+        parse("# only a comment\n\n")
 
 
 @pytest.mark.parametrize(
@@ -188,6 +190,16 @@ def test_parse_rejects_bad_input():
         ("genus 1\ncrossing c0 over=13\nedge c0.0 c0.5 word=\n", 3),
         ("genus 1\ncrossing c0 over=13\nedge c0.0 c3.2 word=\n", 3),
         ("genus 1\nedge c0.0 c3.2 word=\n\ncrossing c0 over=13\n", 2),
+        ("genus 1\ngenus 1\n", 2),
+        ("genus 0\n", 1),
+        ("genus 1\ncrossing c0\n", 2),
+        ("genus 1\ncrossing c0 over=13\ncrossing c0 over=02\n", 3),
+        ("edge c0.0 c0.2 word=\n", 1),
+        ("genus 1\ncrossing c0 over=13\nedge c0.0 c0.2\n", 3),
+        ("loop word=a\n", 1),
+        ("genus 1\nloop a\n", 2),
+        ("genus 1\nloop word=x\n", 2),
+        ("genus 1\nvertex v0\n", 2),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno):

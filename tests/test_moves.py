@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from fixtures import plain_weave_2x2, torus_curl
+from fixtures import plain_weave_2x2, torus_curl, unreduced_words
 from weavekit import words
 from weavekit.diagram import SurfaceDiagram, AXIS_13, isomorphic, serialize
 from weavekit.invariants import bracket, kauffman_f, linking_matrix, writhe
@@ -57,6 +57,27 @@ def test_wrapping_curl_is_not_removable():
     assert sites == []
     with pytest.raises(IllegalMove):
         apply_move(d, Move("R1_remove", (0,)))
+
+
+def test_r1_remove_of_a_closed_curl_leaves_a_free_loop():
+    # both strands close on the one crossing, as on a sphere, so validate()
+    # flags the Euler count; the curl is still listed and removable
+    d = SurfaceDiagram.build(1, [AXIS_13], [((0, 0), (0, 1), ()), ((0, 2), (0, 3), (1, -1))])
+    assert d.edges[1].word == ()
+    assert any(err.startswith("Euler count") for err in d.validate().errors)
+    assert Move("R1_remove", (0,)) in enumerate_moves(d)
+    out = apply_move(d, Move("R1_remove", (0,)))
+    assert (out.crossings, out.edges, out.loops) == ((), (), ((),))
+
+
+def test_walks_keep_every_word_freely_reduced():
+    # surgery concatenates words and leaves their reduction to the diagram
+    from weavekit.corpus import full_corpus
+
+    for seed, (name, start) in enumerate(full_corpus()):
+        if start.validate().ok:
+            for _, d in walk(start, 30, seed, max_crossings=len(start.crossings) + 4):
+                assert unreduced_words(d) == [], name
 
 
 def test_r2_roundtrip_every_site():

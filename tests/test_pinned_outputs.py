@@ -34,7 +34,10 @@ SYMBOLS = ("(4,4,4,4)", "(3,6,3,6)", "(3,3,3,3,3,3)", "(6,6,6)")
 
 # digests and counts taken before the splice was shared
 CORPUS = "441a16db69643ee4f9c81771744c61ac7cd45a4c61768a9c53882dd83c6a503d"
-SKELETONS = "a607cfa0b2363d57437f578fc1d73421ec6c011c414ea954b34aa2a649e04b6c"
+# re-taken when edges and loops began storing freely reduced words: the
+# earlier transcript, with every word passed through free_reduce, hashes to
+# it (two (3,3,3,3,3,3) nBr scale-2 skeletons carried Bb edges)
+SKELETONS = "279444cf29ab2892528f6e0f59d1a311ac9829e27a7f6bdc01984e97894b856a"
 BENCH_MODERATE = "bf30dfa11aefb99ee305002c8a3aae0d18ae59e66d52193014274682b553a440"
 SPLIT_COUNT = 184
 SPLITS = "5cc622ae67af58c1bf8a52eb165fea7ba9a7767313e0b84f556e5469ef4ff4db"

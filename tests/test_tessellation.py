@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fixtures import genus2_octagon, polygon_cell
+from fixtures import genus2_octagon, polygon_cell, unreduced_words
 from weavekit import tessellation, words
 from weavekit.invariants import bracket, extreme_degrees
 from weavekit.tessellation import (
@@ -312,6 +312,17 @@ def test_genus2_tiling_goes_through_transform(m, crossings):
     alt = assign_alternating(d)
     assert alt.is_reduced()[0]
     assert bracket(alt).span() == 4 * crossings - 4 * 2
+
+
+def test_transform_stores_freely_reduced_words():
+    # nBr junctions join a covering line's word to its inverse, as in an edge Bb
+    for symbol in ("(4,4,4,4)", "(3,6,3,6)", "(3,3,3,3,3,3)", "(6,6,6)"):
+        specs = [TransformSpec(method, m) for method in ("nCr", "nBr") for m in range(3)]
+        if symbol != "(6,6,6)":
+            specs.append(TransformSpec("Cr", 1))
+        for spec, scale in itertools.product(specs, range(1, 5)):
+            d = transform(build_tiling(parse_vertex_symbol(symbol), scale), spec)
+            assert unreduced_words(d) == [], (symbol, spec, scale)
 
 
 def test_cr_rejects_odd_valency():
