@@ -24,7 +24,7 @@ exactly when its base does, so no quotient is built.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import words
 from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, Frozen, init_field, map_walk
@@ -184,7 +184,8 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
             break
     q_star = q(u1) + q(u2)
 
-    # certified enumeration of every basis achieving q(u1)+q(u2) = minimum
+    # the reduced basis reaches the successive minima, so q_star is the
+    # least q(a) + q(b) of any basis; enumerate every basis that ties it
     B = _box_radius(q_star, g00 + g11, det_g)
     shorts = [
         (ux, uy)
@@ -192,21 +193,16 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
         for uy in range(-B, B + 1)
         if (ux, uy) != (0, 0) and q((ux, uy)) <= q_star
     ]
-    best_q: Optional[int] = None
-    bases: list[Matrix] = []  # every basis reaching best_q, in scan order
-    for a in shorts:
-        for b in shorts:
-            if a[0] * b[1] - a[1] * b[0] == 1:
-                s = q(a) + q(b)
-                if best_q is None or s < best_q:
-                    best_q, bases = s, []
-                if s == best_q:
-                    bases.append(((a[0], b[0]), (a[1], b[1])))
-    assert best_q is not None and best_q <= q_star
+    bases = [  # in scan order
+        ((a[0], b[0]), (a[1], b[1]))
+        for a in shorts
+        for b in shorts
+        if a[0] * b[1] - a[1] * b[0] == 1 and q(a) + q(b) == q_star
+    ]
     candidates = [(moved(M, U), U) for U in bases]
     top_set = max((s for s, _ in candidates), key=_order)
     top_matrix = min(U for s, U in candidates if s == top_set)
-    return CanonicalResult(top_set, top_matrix, q_before, best_q, True)
+    return CanonicalResult(top_set, top_matrix, q_before, q_star, True)
 
 
 def _box_radius(q_star: int, trace_g: int, det_g: int) -> int:

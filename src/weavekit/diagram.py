@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from itertools import chain
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import words
 from .words import Word
@@ -265,25 +265,34 @@ class SurfaceDiagram:
     # -- dart tables -----------------------------------------------------------
 
     @_memoized
-    def _slot_pass(self) -> tuple[list[str], tuple[Optional[tuple[EdgeId, int]], ...]]:
+    def _slot_pass(
+        self,
+    ) -> tuple[list[str], tuple[Optional[tuple[EdgeId, int]], ...], tuple[int, ...]]:
         """The one pass over the edge ends: the missing, doubly used and
-        unattached slots, in validation order, and the (edge id, endpoint
-        index) at each dart."""
+        unattached slots, in validation order, the (edge id, endpoint
+        index) at each dart, and the dart at the other end of its edge."""
         errors: list[str] = []
         n = len(self.crossings)
         at: list[Optional[tuple[EdgeId, int]]] = [None] * (4 * n)
+        flip = [0] * (4 * n)
         for e in self.edges:
+            x0 = -1  # the dart at end 0, once it is a slot
             for which, (cid, s) in enumerate(e.ends):
                 if not (0 <= cid < n) or not (0 <= s < 4):
                     errors.append(f"edge e{e.id} references missing slot c{cid}.{s}")
-                elif at[4 * cid + s] is not None:
+                    continue
+                x = 4 * cid + s
+                if at[x] is not None:
                     errors.append(f"slot double-use at c{cid}.{s}")
                 else:
-                    at[4 * cid + s] = (e.id, which)
+                    at[x] = (e.id, which)
+                if x0 >= 0:
+                    flip[x0], flip[x] = x, x0
+                x0 = x
         errors.extend(
             f"unattached slot c{x >> 2}.{x & 3}" for x, end in enumerate(at) if end is None
         )
-        return errors, tuple(at)
+        return errors, tuple(at), tuple(flip)
 
     def _check_closed(self) -> None:
         errors = self._slot_pass()[0]
@@ -302,11 +311,7 @@ class SurfaceDiagram:
         """Dart -> the dart at the other end of its edge: the flip of the
         map, shared by every dart walk. Fails on a bad slot."""
         self._check_closed()
-        flip = [0] * (4 * len(self.crossings))
-        for e in self.edges:
-            (c0, s0), (c1, s1) = e.ends
-            flip[4 * c0 + s0], flip[4 * c1 + s1] = 4 * c1 + s1, 4 * c0 + s0
-        return tuple(flip)
+        return self._slot_pass()[2]
 
     def _cycle(self, start: int, turn: int) -> tuple[tuple[int, ...], Word]:
         """Walk darts from ``start`` until it recurs: cross an edge by the
@@ -335,7 +340,6 @@ class SurfaceDiagram:
 
     @_memoized
     def faces(self) -> tuple[Face, ...]:
-        self._check_closed()
         flip = self.flips()
         arrived = bytearray(len(flip))
         out: list[Face] = []
@@ -369,7 +373,6 @@ class SurfaceDiagram:
 
     @_memoized
     def threads(self) -> tuple[Thread, ...]:
-        self._check_closed()
         flip = self.flips()
         claimed = bytearray(len(flip))
         out: list[Thread] = []
@@ -541,22 +544,50 @@ def classify(d: SurfaceDiagram) -> str:
     return "Weave" if len(directions) >= 2 else "Mixed"
 
 
-def _component_count(d: SurfaceDiagram) -> int:
-    n = len(d.crossings)
+def parity_classes(
+    n: int, links: Iterable[tuple[int, int, int]]
+) -> Optional[tuple[list[int], list[int]]]:
+    """The one union-find: merge elements 0..n-1 by parity links, where a
+    link ``(x, y, rel)`` asks that x and y differ in parity by ``rel`` and
+    puts the root of x's class under the root of y's. Returns each
+    element's root and its parity to that root, as two lists, or None at
+    the first link that disagrees with the ones before it.
+    ``_component_count`` links with rel 0; ``tessellation.assign_alternating``
+    solves its over/under system."""
     parent = list(range(n))
+    parity = [0] * n  # parity to the parent
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        # two iterative passes, as a twist chain makes paths thousands of
+        # links long; x then hangs from the root, with its parity to it
+        root, par = x, 0
+        while parent[root] != root:
+            par ^= parity[root]
+            root = parent[root]
+        while x != root:
+            up, step = parent[x], parity[x]
+            parent[x], parity[x] = root, par
+            par ^= step
+            x = up
+        return root
 
-    for e in d.edges:
-        a, b = find(e.ends[0][0]), find(e.ends[1][0])
-        if a != b:
-            parent[a] = b
-    roots = {find(i) for i in range(n)}
-    return len(roots) + len(d.loops)
+    for x, y, rel in links:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx], parity[rx] = ry, parity[x] ^ parity[y] ^ rel
+        elif parity[x] ^ parity[y] != rel:
+            return None
+    for x in range(n):
+        find(x)
+    return parent, parity
+
+
+def _component_count(d: SurfaceDiagram) -> int:
+    """Connected components: the crossing classes of ``parity_classes``
+    under the edges, plus the free loops."""
+    links = ((e.ends[0][0], e.ends[1][0], 0) for e in d.edges)
+    roots = parity_classes(len(d.crossings), links)[0]
+    return len(set(roots)) + len(d.loops)
 
 
 # -- splicing ------------------------------------------------------------------------

@@ -384,6 +384,16 @@ def bracket_by_skein(d: SurfaceDiagram, budget: Optional[int] = None) -> Bracket
 # -- writhe and orientations -------------------------------------------------------
 
 
+def _signed_crossings(d: SurfaceDiagram) -> Iterator[tuple[ThreadId, ThreadId, int]]:
+    """Per crossing in id order: the thread on its slot 0-2 axis, the thread
+    on its slot 1-3 axis and its sign. Darts 4c and 4c + 1 of crossing c
+    lie on those two passages."""
+    p = d.passages()
+    for c, (t, s02), (u, s13) in zip(d.crossings, p[0::4], p[1::4]):
+        under_after_over = (s13 - s02) % 4 == (1 if c.over_axis == AXIS_02 else 3)
+        yield t, u, 1 if under_after_over else -1
+
+
 def crossing_signs(d: SurfaceDiagram) -> dict[int, int]:
     """Signs under the canonical thread orientations.
 
@@ -393,19 +403,7 @@ def crossing_signs(d: SurfaceDiagram) -> dict[int, int]:
     when the under-strand exits one counterclockwise step after the
     over-strand exit.
     """
-    p = d.passages()
-    return {
-        c.id: _sign(c.over_axis, s02, s13)
-        for c, (_, s02), (_, s13) in zip(d.crossings, p[0::4], p[1::4])
-    }
-
-
-def _sign(over_axis: int, s02: int, s13: int) -> int:
-    """The sign of a crossing whose passages on the slot 0-2 and slot 1-3
-    axes leave by slots ``s02`` and ``s13``: darts 4c and 4c + 1 of
-    crossing c lie on those two passages."""
-    under_after_over = (s13 - s02) % 4 == (1 if over_axis == AXIS_02 else 3)
-    return 1 if under_after_over else -1
+    return {cid: sign for cid, (_, _, sign) in enumerate(_signed_crossings(d))}
 
 
 def writhe(d: SurfaceDiagram) -> int:
@@ -414,21 +412,19 @@ def writhe(d: SurfaceDiagram) -> int:
 
 def writhe_per_component(d: SurfaceDiagram) -> dict[ThreadId, int]:
     """Self-crossing sign sums; crossings between distinct threads excluded."""
-    p = d.passages()
     out: dict[ThreadId, int] = {t.id: 0 for t in d.threads()}
-    for c, (t, s02), (u, s13) in zip(d.crossings, p[0::4], p[1::4]):
+    for t, u, sign in _signed_crossings(d):
         if t == u:
-            out[t] += _sign(c.over_axis, s02, s13)
+            out[t] += sign
     return out
 
 
 def linking_matrix(d: SurfaceDiagram) -> dict[tuple[ThreadId, ThreadId], int]:
     """Linking numbers of all thread pairs (i, j), i < j, from one pass over the crossings."""
-    p = d.passages()
     out = dict.fromkeys(itertools.combinations([t.id for t in d.threads()], 2), 0)
-    for c, (t, s02), (u, s13) in zip(d.crossings, p[0::4], p[1::4]):
+    for t, u, sign in _signed_crossings(d):
         if t != u:
-            out[min(t, u), max(t, u)] += _sign(c.over_axis, s02, s13)
+            out[min(t, u), max(t, u)] += sign
     return out
 
 

@@ -42,6 +42,7 @@ from .diagram import (
     SurfaceDiagram,
     classify,
     init_field,
+    parity_classes,
     splice,
 )
 from .words import Word
@@ -620,48 +621,20 @@ def assign_alternating(d: SurfaceDiagram) -> SurfaceDiagram:
 
     This is the walk reading of alternation: consecutive crossings met by
     a thread alternate over/under regardless of which set the opposing
-    strand belongs to. The constraints form a parity system solved by
-    union-find; the first crossing of each independent component is put
-    over-axis on its slot parity for determinism.
+    strand belongs to. The constraints form a parity system, solved by the
+    shared union-find ``diagram.parity_classes``; the root of each class is
+    put over-axis on its slot parity for determinism.
     """
-    C = len(d.crossings)
-    parent = list(range(C))
-    parity = [0] * C  # parity to the representative
-
-    def find(x: int) -> tuple[int, int]:
-        # iterative: a twist chain makes paths thousands of links long
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        par = 0
-        for y in reversed(path):  # nearest the root first
-            par ^= parity[y]
-            parent[y], parity[y] = x, par
-        return x, par
-
-    def union(x: int, y: int, rel: int) -> bool:
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        parent[rx] = ry
-        parity[rx] = px ^ py ^ rel
-        return True
-
-    for t in d.threads():
-        for x1, x2 in zip(t.darts, t.darts[1:] + t.darts[:1]):
-            rel = (x1 ^ x2 ^ 1) & 1
-            if not union(x1 >> 2, x2 >> 2, rel):
-                raise InconsistentSequence(
-                    "no alternating assignment closes up on this cell"
-                )
-
-    axes: list[int] = []
-    for cid in range(C):
-        _root, par = find(cid)
-        axes.append(par)  # representative gets axis02-over; others by parity
-    crossings = [Crossing(i, ax) for i, ax in enumerate(axes)]
+    links = (
+        (x1 >> 2, x2 >> 2, (x1 ^ x2 ^ 1) & 1)
+        for t in d.threads()
+        for x1, x2 in zip(t.darts, t.darts[1:] + t.darts[:1])
+    )
+    classes = parity_classes(len(d.crossings), links)
+    if classes is None:
+        raise InconsistentSequence("no alternating assignment closes up on this cell")
+    # the root gets axis02-over; the others follow by parity
+    crossings = [Crossing(i, par) for i, par in enumerate(classes[1])]
     out = SurfaceDiagram(d.genus, tuple(crossings), d.edges, d.loops)
     assert out.is_alternating()
     return out

@@ -75,6 +75,11 @@ def relabelled(d: SurfaceDiagram, rng) -> SurfaceDiagram:
     return SurfaceDiagram(d.genus, crossings, edges, d.loops)
 
 
+def mirrored(d: SurfaceDiagram) -> SurfaceDiagram:
+    """The mirror image: every crossing's over-strand put under."""
+    return d.replace(crossings=[Crossing(c.id, 1 - c.over_axis) for c in d.crossings])
+
+
 def turned(d: SurfaceDiagram, turns: dict[int, int]) -> SurfaceDiagram:
     """The same diagram with crossing c's slots turned by ``turns[c]``: slot
     s becomes s + k, and the over axis toggles when k is odd."""

@@ -9,6 +9,7 @@ import pytest
 
 from fixtures import (
     genus2_octagon,
+    mirrored,
     plain_weave_2x2,
     relabelled,
     single_loop,
@@ -17,7 +18,7 @@ from fixtures import (
 )
 from weavekit import cli
 from weavekit.corpus import full_corpus, genus2_corpus
-from weavekit.diagram import Crossing, serialize
+from weavekit.diagram import serialize
 from weavekit.invariants import adequacy, bracket, extreme_degrees, r_parallel
 from weavekit.moves import walk
 from weavekit.states import StateTracer
@@ -104,8 +105,7 @@ def test_adequacy_matches_whole_state_resolution():
                 assert b.span() == 2 * C + 2 * (got["c_a"] + got["c_b"]) - 4, name
                 seen[d.genus, "span"] += 1
         # the mirror image swaps the A- and B-splits, so its extreme states too
-        mirror = d.replace(crossings=[Crossing(c.id, 1 - c.over_axis) for c in d.crossings])
-        assert extreme_degrees(mirror) == {
+        assert extreme_degrees(mirrored(d)) == {
             "c_a": got["c_b"], "c_b": got["c_a"], "plus": got["minus"], "minus": got["plus"]
         }, name
     for genus in (1, 2):

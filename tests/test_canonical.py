@@ -147,6 +147,37 @@ def test_box_radius_matches_the_fraction_bound():
             assert _box_radius(q_star, g00 + g11, det_g) == old
 
 
+def _successive_minima_sum(g00, g01, g11):
+    """lambda1 + lambda2 of the positive definite form [[g00, g01], [g01, g11]]
+    by search: the least nonzero q(u), plus the least q(v) over v independent
+    of a vector reaching it. On Z^2 the two minima come from one basis."""
+
+    def q(u):
+        return g00 * u[0] * u[0] + 2 * g01 * u[0] * u[1] + g11 * u[1] * u[1]
+
+    # q(1, 0) + q(0, 1) bounds the sum, and every u with q(u) <= it lies in the box
+    B = _box_radius(g00 + g11, g00 + g11, g00 * g11 - g01 * g01)
+    box = [(x, y) for x in range(-B, B + 1) for y in range(-B, B + 1) if (x, y) != (0, 0)]
+    u1 = min(box, key=q)
+    return q(u1) + min(q(v) for v in box if u1[0] * v[1] != u1[1] * v[0])
+
+
+def test_torus_descent_reaches_the_successive_minima():
+    # the Lagrange-Gauss basis is the least: no basis the certified scan
+    # meets has a smaller q(a) + q(b), so the scan only collects ties
+    rng = random.Random(23)
+    checked = 0
+    while checked < 400:
+        M = Counter(
+            (rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))
+        )
+        g00, g01, g11 = _gram(M)
+        if g00 * g11 - g01 * g01 <= 0:
+            continue
+        checked += 1
+        assert canonical_form(M, 1).q_after == _successive_minima_sum(g00, g01, g11), M
+
+
 def test_brute_force_matches_expanded_reference():
     # the random sets of acceptance criterion 10, then a state census
     rng = random.Random(20260810)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl, twill_4x4
@@ -9,6 +11,7 @@ from weavekit.diagram import (
     SurfaceDiagram,
     ZeroHomologyThread,
     isomorphic,
+    parity_classes,
     parse,
     serialize,
     splice,
@@ -26,6 +29,56 @@ def test_empty_diagram_flags_advisory():
     rep = d.validate()
     assert rep.ok and not rep.empty
     assert any("no crossings" in a for a in rep.advisories)
+
+
+def _two_coloring(n, links):
+    """Reference for ``parity_classes``: a color per element from a search
+    over the link graph, its component label, or None when a cycle of links
+    has odd total parity."""
+    adjacent = [[] for _ in range(n)]
+    for x, y, rel in links:
+        adjacent[x].append((y, rel))
+        adjacent[y].append((x, rel))
+    color, label = [None] * n, [None] * n
+    for start in range(n):
+        if color[start] is not None:
+            continue
+        color[start], label[start] = 0, start
+        todo = [start]
+        while todo:
+            x = todo.pop()
+            for y, rel in adjacent[x]:
+                if color[y] is None:
+                    color[y], label[y] = color[x] ^ rel, start
+                    todo.append(y)
+                elif color[y] != color[x] ^ rel:
+                    return None
+    return color, label
+
+
+def test_parity_classes_match_a_two_coloring():
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        links = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(0, 1))
+            for _ in range(rng.randint(0, n + 2))
+        ]
+        got, want = parity_classes(n, iter(links)), _two_coloring(n, links)
+        assert (got is None) == (want is None), links
+        if got is None:
+            refused += 1
+            continue
+        roots, parities = got
+        color, label = want
+        for x in range(n):
+            assert roots[roots[x]] == roots[x] and parities[roots[x]] == 0
+            for y in range(n):
+                assert (roots[x] == roots[y]) == (label[x] == label[y])
+                if label[x] == label[y]:
+                    assert parities[x] ^ parities[y] == color[x] ^ color[y]
+    assert 50 < refused < 350, refused
 
 
 def test_slot_double_use_is_reported():

@@ -6,6 +6,7 @@ import pytest
 
 from fixtures import (
     grid_weave,
+    mirrored,
     plain_weave_2x2,
     relabelled,
     single_loop,
@@ -350,3 +351,29 @@ def test_frontier_reaches_past_the_default_budget():
         bracket(d)
     rep = degree_bounds_check(d, budget=25)
     assert rep["max_ok"] and rep["min_ok"]
+
+
+def _mirror_pool():
+    """The valid corpus and every 5th diagram of 30-step walks from it."""
+    for name, d in _valid_corpus(16):
+        yield name, d
+        for seed in (0, 1):
+            for step, (_, dd) in enumerate(walk(d, 30, seed)):
+                if step % 5 == 4 and len(dd.crossings) <= 16:
+                    yield f"{name}/walk{seed}.{step}", dd
+
+
+def test_the_mirror_image_inverts_a_and_negates_the_signs():
+    seen = Counter()
+    for name, d in _mirror_pool():
+        m = mirrored(d)
+        assert bracket(m) == BracketValue(
+            {k: laurent.substitute_inverse(p) for k, p in bracket(d).parts.items()}
+        ), name
+        assert writhe(m) == -writhe(d), name
+        assert linking_matrix(m) == {k: -v for k, v in linking_matrix(d).items()}, name
+        got = adequacy(d)
+        assert adequacy(m) == {"plus": got["minus"], "minus": got["plus"]}, name
+        seen[d.genus] += 1
+    assert seen[1] and seen[2], seen
+

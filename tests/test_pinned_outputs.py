@@ -1,6 +1,6 @@
 """Outputs pinned by sha256, so that changes to the splice, the crossing
-smoothing, the face and thread walks and the canonical form keep them byte
-for byte.
+smoothing, the face and thread walks, the parity classes, the crossing signs
+and the canonical form keep them byte for byte.
 
 Each diagram digest covers ``serialize`` (the form the CLI writes) followed
 by every crossing, edge and loop in id order, which ``serialize`` sorts away
@@ -16,12 +16,22 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fixtures import grid_weave
+from fixtures import grid_weave, plain_weave_2x2
 from weavekit import cli, corpus
-from weavekit.diagram import AXIS_02, AXIS_13, Crossing, SurfaceDiagram, serialize
+from weavekit.diagram import (
+    AXIS_02,
+    AXIS_13,
+    Crossing,
+    DiagramError,
+    SurfaceDiagram,
+    isomorphic,
+    serialize,
+)
+from weavekit.invariants import crossing_signs, linking_matrix, writhe_per_component
 from weavekit.moves import apply_move, enumerate_moves, fuzz, simplify, walk
 from weavekit.states import split
 from weavekit.tessellation import (
+    InconsistentSequence,
     TransformSpec,
     assign_alternating,
     assign_weaving_map,
@@ -75,6 +85,16 @@ def _valid_corpus(max_crossings):
     ]
 
 
+def _bench_moderate():
+    """The moderate builds of the benchmark's build-inspect workload."""
+    return [
+        assign_weaving_map(_build("(4,4,4,4)", "Cr", 1, 14), {(1, 2): (1, 1)}),
+        assign_alternating(_build("(3,6,3,6)", "Cr", 1, 8)),
+        assign_alternating(_build("(3,3,3,3,3,3)", "Cr", 1, 8)),
+        assign_alternating(_build("(6,6,6)", "nBr", 1, 8)),
+    ]
+
+
 def test_corpus_and_builds_are_pinned():
     skeletons = [
         _build(symbol, method, m, scale)
@@ -83,16 +103,9 @@ def test_corpus_and_builds_are_pinned():
         if not (method == "Cr" and symbol == "(6,6,6)")
         for scale in (1, 2)
     ]
-    # the moderate builds of the benchmark's build-inspect workload
-    bench = [
-        assign_weaving_map(_build("(4,4,4,4)", "Cr", 1, 14), {(1, 2): (1, 1)}),
-        assign_alternating(_build("(3,6,3,6)", "Cr", 1, 8)),
-        assign_alternating(_build("(3,3,3,3,3,3)", "Cr", 1, 8)),
-        assign_alternating(_build("(6,6,6)", "nBr", 1, 8)),
-    ]
     assert _digest(d for _, d in corpus.full_corpus()) == CORPUS
     assert _digest(skeletons) == SKELETONS
-    assert _digest(bench) == BENCH_MODERATE
+    assert _digest(_bench_moderate()) == BENCH_MODERATE
 
 
 def test_every_split_is_pinned():
@@ -116,6 +129,77 @@ def test_r2_removals_along_fuzz_walks_are_pinned():
             )
     assert len(results) == R2_COUNT
     assert _digest(results) == R2_REMOVALS
+
+
+
+# -- parity classes and crossing signs ----------------------------------------------
+
+# taken while assign_alternating and the component count each ran their own
+# union-find, and the three sign readers each their own loop over crossings
+ALTERNATING = "5e8ad65bd6288d01712a1aa6d4b50c749573eb29e833707e2116800ff4b4cb8b"
+SIGNS = "73abad171e1cdf41dbd970af2996f213edd643c5859b5873d0e21b6cbc8ca49c"
+
+
+def test_assign_alternating_on_every_skeleton_is_pinned():
+    h = hashlib.sha256()
+    refused = []
+    for symbol in SYMBOLS:
+        for method, m in (("Cr", 1), *((method, m) for method in ("nCr", "nBr") for m in range(3))):
+            if method == "Cr" and symbol == "(6,6,6)":
+                continue  # no skeleton: straight strands cannot pair up at valency 3
+            for scale in (1, 2, 3):
+                h.update(f"{symbol} {method} m={m} scale={scale}\n".encode())
+                try:
+                    h.update(_text(assign_alternating(_build(symbol, method, m, scale))).encode())
+                except InconsistentSequence as exc:
+                    h.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    refused.append((symbol, method, scale))
+    # square Cr at odd scale has odd-length threads, which cannot alternate
+    assert refused == [("(4,4,4,4)", "Cr", 1), ("(4,4,4,4)", "Cr", 3)]
+    assert h.hexdigest() == ALTERNATING
+
+
+def _two_grids():
+    """Two disjoint 2x2 grids on one torus cell."""
+    grid = plain_weave_2x2()
+    n = len(grid.crossings)
+    specs = [(e.ends[0], e.ends[1], e.word) for e in grid.edges]
+    specs += [((a + n, s), (b + n, t), w) for (a, s), (b, t), w in specs]
+    return SurfaceDiagram.build(1, [c.over_axis for c in grid.crossings] * 2, specs)
+
+
+DISCONNECTED = {
+    "two-grids": (
+        _two_grids(),
+        ["disconnected: 2 components"],
+        "isomorphism needs a connected diagram, got 2 components",
+    ),
+    # free loops count as components for validate, not for isomorphic
+    "grid-and-loops": (
+        plain_weave_2x2().replace(loops=((), (1,), (2, 1, 2, 2))),
+        ["disconnected: 4 components"],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+def test_component_count_messages_are_pinned(name):
+    d, errors, message = DISCONNECTED[name]
+    assert d.validate().errors == errors
+    try:
+        outcome = isomorphic(d, d)
+    except DiagramError as exc:
+        outcome = str(exc)
+    assert outcome == message
+
+
+def test_crossing_signs_writhes_and_linking_are_pinned():
+    h = hashlib.sha256()
+    for d in _valid_corpus(99) + _bench_moderate():
+        for read in (crossing_signs, writhe_per_component, linking_matrix):
+            h.update(f"{read(d)!r}\n".encode())
+    assert h.hexdigest() == SIGNS
 
 
 # -- canonicalize -----------------------------------------------------------------
