@@ -80,13 +80,15 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
     adeq = invariants.adequacy(d)
     rep["plus_adequate"] = adeq["plus"]
     rep["minus_adequate"] = adeq["minus"]
-    rep["writhe"] = writhe = invariants.writhe(d)
+    # each crossing is a self-crossing or joins two threads, so the writhe
+    # is the two sums together
+    per_component = invariants.writhe_per_component(d)
+    linking = invariants.linking_matrix(d)
+    rep["writhe"] = writhe = sum(per_component.values()) + sum(linking.values())
     rep["writhe_per_component"] = {
-        f"t{tid}": w for tid, w in sorted(invariants.writhe_per_component(d).items())
+        f"t{tid}": w for tid, w in sorted(per_component.items())
     } if d.crossings else {}
-    rep["linking"] = {
-        f"t{i}-t{j}": v for (i, j), v in sorted(invariants.linking_matrix(d).items())
-    }
+    rep["linking"] = {f"t{i}-t{j}": v for (i, j), v in sorted(linking.items())}
     f = b.normalized(writhe)
     rep["bracket"] = b.format()
     rep["kauffman_f"] = f.format()
@@ -169,6 +171,18 @@ def _check_oracle(name, d, steps, seed, cap, budget):
         failures.append(f"frontier and state sum disagree on {name}")
     if frontier != invariants.bracket_by_skein(d, budget=budget):
         failures.append(f"frontier and skein recursion disagree on {name}")
+    # the mirror image inverts A, negates every sign and swaps the extreme states
+    m = diagram.mirror(d)
+    inverted = frontier.substitute_quarter_inverse("A")
+    if invariants.bracket_by_frontier(m, budget=budget) != inverted:
+        failures.append(f"mirror bracket is not the bracket with A inverted on {name}")
+    if invariants.writhe(m) != -invariants.writhe(d):
+        failures.append(f"mirror writhe is not the negated writhe on {name}")
+    if invariants.linking_matrix(m) != {k: -v for k, v in invariants.linking_matrix(d).items()}:
+        failures.append(f"mirror linking is not the negated linking on {name}")
+    adequate = invariants.adequacy(d)
+    if invariants.adequacy(m) != {"plus": adequate["minus"], "minus": adequate["plus"]}:
+        failures.append(f"mirror adequacy does not swap plus and minus on {name}")
     return [], failures
 
 
@@ -253,6 +267,10 @@ def cmd_build(args) -> int:
             p, q = (int(x) for x in pq.split(","))
         except ValueError:
             raise ValueError(f'--seq: expected entries like "1,2:1,1", got {chunk!r}') from None
+        try:
+            tessellation.check_sequence_entry(i, j, p, q)
+        except tessellation.TessellationError as exc:
+            raise ValueError(f"--seq: {exc}") from None
         if (i, j) in seq:
             raise ValueError(f"--seq: set pair {i},{j} is given twice")
         seq[(i, j)] = (p, q)

@@ -183,7 +183,9 @@ class ValidationReport(Record):
 
 
 def _memoized(method):
-    """Compute a derived table once per diagram, cached under the method's name."""
+    """Compute a derived table once per diagram, cached under the method's
+    name. The table must not read an over-axis: ``with_over_axes`` hands the
+    cache on to a diagram whose axes differ."""
     key = method.__name__
 
     @functools.wraps(method)
@@ -233,13 +235,22 @@ class SurfaceDiagram:
         edges = [Edge(i, (a, b), w) for i, (a, b, w) in enumerate(edge_specs)]
         return SurfaceDiagram(genus, crossings, edges, loops)
 
-    def replace(self, **kw) -> "SurfaceDiagram":
-        return SurfaceDiagram(
-            kw.get("genus", self.genus),
-            kw.get("crossings", self.crossings),
-            kw.get("edges", self.edges),
-            kw.get("loops", self.loops),
-        )
+    def with_over_axes(self, over_axes: Sequence[int]) -> "SurfaceDiagram":
+        """This diagram with crossing i's over-axis set to ``over_axes[i]``.
+
+        The result shares the edges and loops, and its derived tables start
+        as a copy of this diagram's. That is sound only because no memoized
+        table reads an over-axis: each depends on the genus, the edges and
+        the loops alone, so a table that reads one must not be memoized.
+        """
+        if len(over_axes) != len(self.crossings):
+            raise DiagramError(
+                f"{len(over_axes)} over-axes given for {len(self.crossings)} crossings"
+            )
+        crossings = [Crossing(i, ax) for i, ax in enumerate(over_axes)]
+        out = SurfaceDiagram(self.genus, crossings, self.edges, self.loops)
+        out._cache.update(self._cache)
+        return out
 
     # -- basic counts ----------------------------------------------------------
 
@@ -505,11 +516,7 @@ class SurfaceDiagram:
         comp = _component_count(self)
         if comp > 1:
             report.errors.append(f"disconnected: {comp} components")
-        try:
-            nfaces = len(self.faces())
-        except DiagramError as exc:
-            report.errors.append(str(exc))
-            return report
+        nfaces = len(self.faces())
         expected = len(self.crossings) + 2 - 2 * self.genus
         if self.crossings and nfaces != expected:
             report.errors.append(
@@ -520,6 +527,11 @@ class SurfaceDiagram:
                 word = words.format_word(words.free_reduce(f.holonomy), self.genus)
                 report.errors.append(f"region f{f.id} wraps the cell: boundary word {word}")
         return report
+
+
+def mirror(d: SurfaceDiagram) -> SurfaceDiagram:
+    """The mirror image: every crossing's over-strand put under."""
+    return d.with_over_axes([1 - c.over_axis for c in d.crossings])
 
 
 def primitive_direction(vec: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 from . import words
 from .diagram import (
     AXIS_13,
-    Crossing,
     DiagramError,
     End,
     Frozen,
@@ -494,6 +493,16 @@ def _decompose_cycle(pattern: list[bool]) -> Optional[tuple[int, int]]:
     return None
 
 
+def check_sequence_entry(i: int, j: int, p: int, q: int) -> None:
+    """Refuse a crossing-sequence entry (i, j): (p, q) whose shape is wrong
+    on any diagram: the set pair must be 1-based with i < j, and p and q at
+    least 1."""
+    if not 1 <= i < j:
+        raise TessellationError(f"bad set pair {(i, j)}; use 1-based i < j")
+    if p < 1 or q < 1:
+        raise TessellationError("crossing sequence entries must be >= 1")
+
+
 def assign_weaving_map(
     d: SurfaceDiagram, seq: dict[tuple[int, int], tuple[int, int]]
 ) -> SurfaceDiagram:
@@ -512,10 +521,9 @@ def assign_weaving_map(
         for tid in members:
             set_of_thread[tid] = si + 1
     for (i, j), (p, q) in seq.items():
-        if not (1 <= i < j <= len(sets)):
+        if j > len(sets):
             raise TessellationError(f"bad set pair {(i, j)}; use 1-based i < j")
-        if p < 1 or q < 1:
-            raise TessellationError("crossing sequence entries must be >= 1")
+        check_sequence_entry(i, j, p, q)
 
     passages = d.passages()
 
@@ -612,8 +620,7 @@ def assign_weaving_map(
         var, k, dart = crossing_info[c.id][0]
         over_first = is_over(var, k, phase_of[var])
         new_axes.append(dart % 2 if over_first else (dart + 1) % 2)
-    crossings = [Crossing(i, ax) for i, ax in enumerate(new_axes)]
-    return SurfaceDiagram(d.genus, tuple(crossings), d.edges, d.loops)
+    return d.with_over_axes(new_axes)
 
 
 def assign_alternating(d: SurfaceDiagram) -> SurfaceDiagram:
@@ -634,7 +641,6 @@ def assign_alternating(d: SurfaceDiagram) -> SurfaceDiagram:
     if classes is None:
         raise InconsistentSequence("no alternating assignment closes up on this cell")
     # the root gets axis02-over; the others follow by parity
-    crossings = [Crossing(i, par) for i, par in enumerate(classes[1])]
-    out = SurfaceDiagram(d.genus, tuple(crossings), d.edges, d.loops)
+    out = d.with_over_axes(classes[1])
     assert out.is_alternating()
     return out

@@ -13,7 +13,16 @@ from pathlib import Path
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
 from weavekit.invariants import extreme_degrees
 from weavekit.states import _is_b_split
-from weavekit.tessellation import PeriodicTiling, VertexSymbol
+from weavekit.tessellation import (
+    PeriodicTiling,
+    TransformSpec,
+    VertexSymbol,
+    assign_alternating,
+    assign_weaving_map,
+    build_tiling,
+    parse_vertex_symbol,
+    transform,
+)
 from weavekit.words import free_reduce
 
 
@@ -61,6 +70,12 @@ def plain_weave_2x2() -> SurfaceDiagram:
     return grid_weave(2)
 
 
+def plain_weave_with_loops() -> SurfaceDiagram:
+    """The 2x2 plain weave beside three free loops, one of them trivial."""
+    grid = plain_weave_2x2()
+    return SurfaceDiagram(1, grid.crossings, grid.edges, ((), (1,), (2, 1, 2, 2)))
+
+
 def relabelled(d: SurfaceDiagram, rng) -> SurfaceDiagram:
     """The same diagram with crossing ids and edge order shuffled."""
     perm = list(range(len(d.crossings)))
@@ -73,11 +88,6 @@ def relabelled(d: SurfaceDiagram, rng) -> SurfaceDiagram:
         for i, e in enumerate(rng.sample(d.edges, len(d.edges)))
     ]
     return SurfaceDiagram(d.genus, crossings, edges, d.loops)
-
-
-def mirrored(d: SurfaceDiagram) -> SurfaceDiagram:
-    """The mirror image: every crossing's over-strand put under."""
-    return d.replace(crossings=[Crossing(c.id, 1 - c.over_axis) for c in d.crossings])
 
 
 def turned(d: SurfaceDiagram, turns: dict[int, int]) -> SurfaceDiagram:
@@ -117,12 +127,7 @@ def twill_4x4() -> SurfaceDiagram:
     for y in range(n):
         for x in range(n):
             over_axes.append(AXIS_02 if ((x + y) // 2) % 2 == 0 else AXIS_13)
-    d = grid_weave(n)
-    return SurfaceDiagram.build(
-        1,
-        over_axes,
-        [(e.ends[0], e.ends[1], e.word) for e in d.edges],
-    )
+    return grid_weave(n).with_over_axes(over_axes)
 
 
 def genus2_c3(which: str = "A"):
@@ -148,3 +153,18 @@ def polygon_cell(g: int) -> PeriodicTiling:
 def genus2_octagon() -> PeriodicTiling:
     """{8,8} on the genus-2 surface: loop edges a1, b1, a2, b2."""
     return polygon_cell(2)
+
+
+def bench_moderate() -> list[SurfaceDiagram]:
+    """The moderate builds of the benchmark's build-inspect workload."""
+
+    def build(symbol: str, method: str, scale: int) -> SurfaceDiagram:
+        tiling = build_tiling(parse_vertex_symbol(symbol), scale)
+        return transform(tiling, TransformSpec(method, 1))
+
+    return [
+        assign_weaving_map(build("(4,4,4,4)", "Cr", 14), {(1, 2): (1, 1)}),
+        assign_alternating(build("(3,6,3,6)", "Cr", 8)),
+        assign_alternating(build("(3,3,3,3,3,3)", "Cr", 8)),
+        assign_alternating(build("(6,6,6)", "nBr", 8)),
+    ]

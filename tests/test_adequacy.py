@@ -9,8 +9,8 @@ import pytest
 
 from fixtures import (
     genus2_octagon,
-    mirrored,
     plain_weave_2x2,
+    plain_weave_with_loops,
     relabelled,
     single_loop,
     state_loop_count,
@@ -18,7 +18,7 @@ from fixtures import (
 )
 from weavekit import cli
 from weavekit.corpus import full_corpus, genus2_corpus
-from weavekit.diagram import serialize
+from weavekit.diagram import mirror, serialize
 from weavekit.invariants import adequacy, bracket, extreme_degrees, r_parallel
 from weavekit.moves import walk
 from weavekit.states import StateTracer
@@ -81,7 +81,7 @@ def _pool():
             if (symbol, method) != ("(4,4,4,4)", "Cr") or scale == 2:
                 yield f"{symbol}{method}s{scale}/alternating", assign_alternating(skeleton)
     yield "torus-curl", torus_curl()
-    yield "free-loops", plain_weave_2x2().replace(loops=((), (1,), (2, 1, 2, 2)))
+    yield "free-loops", plain_weave_with_loops()
     yield "single-loop", single_loop(())
 
 
@@ -105,7 +105,7 @@ def test_adequacy_matches_whole_state_resolution():
                 assert b.span() == 2 * C + 2 * (got["c_a"] + got["c_b"]) - 4, name
                 seen[d.genus, "span"] += 1
         # the mirror image swaps the A- and B-splits, so its extreme states too
-        assert extreme_degrees(mirrored(d)) == {
+        assert extreme_degrees(mirror(d)) == {
             "c_a": got["c_b"], "c_b": got["c_a"], "plus": got["minus"], "minus": got["plus"]
         }, name
     for genus in (1, 2):

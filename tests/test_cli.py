@@ -743,7 +743,9 @@ def test_malformed_seq_names_the_flag():
     ("1,2:x", "expected entries like \"1,2:1,1\", got '1,2:x'"),
     ("", "expected entries like \"1,2:1,1\", got ''"),
     ("1,2:1,1;1,2:2,2", "set pair 1,2 is given twice"),
-], ids=["malformed", "empty", "repeated"])
+    ("1,2:0,1", "crossing sequence entries must be >= 1"),
+    ("2,1:1,1", "bad set pair (2, 1); use 1-based i < j"),
+], ids=["malformed", "empty", "repeated", "zero-entry", "reversed-pair"])
 def test_seq_is_refused_before_any_tiling_work(monkeypatch, seq, message):
     def no_work(*args):
         raise AssertionError("tiling work started before --seq was read")
@@ -823,13 +825,9 @@ def test_parallel_flag_starts_no_pool(tmp_path):
     assert pooled.stderr == "False\n"
 
 
-def test_passage_table_built_once_per_report(monkeypatch):
-    # writhe, writhe_per_component and linking_matrix all read the one
-    # cached table of oriented passages; region lookups read the one
-    # corner table and dart walks the one flip table
-    from weavekit.diagram import SurfaceDiagram
-
-    built = {}
+def _count_table_builds(monkeypatch, tables):
+    """Per memoized table, the list of diagrams it is built for from now on."""
+    built = {table: [] for table in tables}
 
     def count(table):
         method = getattr(SurfaceDiagram, table)
@@ -841,17 +839,55 @@ def test_passage_table_built_once_per_report(monkeypatch):
 
         monkeypatch.setattr(SurfaceDiagram, table, counted)
 
-    tables = ("passages", "corner_face", "flips")
     for table in tables:
         count(table)
+    return built
+
+
+def test_passage_table_built_once_per_report(monkeypatch):
+    # writhe_per_component and linking_matrix read the one cached table of
+    # oriented passages, and the writhe is their two sums; region lookups
+    # read the one corner table and dart walks the one flip table
+    tables = ("passages", "corner_face", "flips")
+    built = _count_table_builds(monkeypatch, tables)
+    signing_passes = []
+    signed_crossings = invariants._signed_crossings
+
+    def counted_signing(d):
+        signing_passes.append(d)
+        return signed_crossings(d)
+
+    monkeypatch.setattr(invariants, "_signed_crossings", counted_signing)
     for name, d in full_corpus():
         if len(d.crossings) > 10:
             continue
-        built.update((table, []) for table in tables)
+        for table in tables:
+            built[table].clear()
+        signing_passes.clear()
         rep = cli.analyze_report(d, None)
         assert rep["valid"] and "linking" in rep, name
         for table in tables:
             assert len(built[table]) == 1 and built[table][0] is d, (name, table)
+        assert len(signing_passes) == 2, name
+
+
+@pytest.mark.parametrize(
+    "assign", [["--alternating"], ["--seq", "1,2:1,1"]], ids=["alternating", "seq"]
+)
+def test_build_walks_each_dart_table_once(monkeypatch, tmp_path, assign):
+    # the over/under assignment keeps the skeleton's tables, so the build
+    # walks its darts once for the skeleton and never for the assigned copy
+    tables = ("_slot_pass", "dart_edges", "flips", "faces", "corner_face", "threads", "passages")
+    built = _count_table_builds(monkeypatch, tables)
+    path = tmp_path / "w.weave"
+    code, out, err = run_cli(
+        "build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "4", *assign,
+        "-o", str(path),
+    )
+    assert code == EXIT_OK and out == "" and "classification = Weave" in err
+    for table in ("_slot_pass", "dart_edges", "flips", "threads"):
+        assert len(built[table]) == 1, table
+    assert all(len(diagrams) <= 1 for diagrams in built.values()), built
 
 
 def test_genus_above_the_cap_is_input_error(tmp_path):

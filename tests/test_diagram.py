@@ -1,16 +1,26 @@
 import random
+import types
 
 import pytest
 
-from fixtures import grid_weave, plain_weave_2x2, single_loop, torus_curl, twill_4x4
+from fixtures import (
+    bench_moderate,
+    grid_weave,
+    plain_weave_2x2,
+    single_loop,
+    torus_curl,
+    twill_4x4,
+)
 from weavekit import words
 from weavekit.diagram import (
     AXIS_02,
     AXIS_13,
+    Crossing,
     DiagramError,
     SurfaceDiagram,
     ZeroHomologyThread,
     isomorphic,
+    mirror,
     parity_classes,
     parse,
     serialize,
@@ -310,7 +320,7 @@ def test_relabelled_corpus_diagrams_are_isomorphic():
         for _ in range(3):
             copy = relabelled(d, rng)
             # store some edges the other way round, word inverted
-            copy = copy.replace(edges=[
+            copy = SurfaceDiagram(copy.genus, copy.crossings, [
                 Edge(e.id, e.ends[::-1], words.invert(e.word)) if rng.random() < 0.5 else e
                 for e in copy.edges
             ])
@@ -556,3 +566,46 @@ def test_threads_are_straight_walks_with_positive_homology():
             hom = words.abelianize(read, d.genus)
             assert hom == t.homology
             assert next((v for v in hom if v), 0) >= 0
+
+
+def _memoized_tables():
+    """The names of the derived tables ``SurfaceDiagram`` memoizes, found by
+    the ``__wrapped__`` their wrapper carries."""
+    return sorted(
+        name for name, attr in vars(SurfaceDiagram).items()
+        if isinstance(attr, types.FunctionType) and hasattr(attr, "__wrapped__")
+    )
+
+
+def test_with_over_axes_keeps_tables_that_read_no_axis():
+    # the derived diagram starts with the skeleton's tables, so a memoized
+    # table that read an over-axis would keep the skeleton's value here
+    tables = _memoized_tables()
+    assert {
+        "_slot_pass", "dart_edges", "flips", "faces", "corner_face", "threads", "passages"
+    } <= set(tables)
+    rng = random.Random(11)
+    pool = [d for _, d in _valid_corpus()]
+    pool += [mirror(d) for d in pool] + bench_moderate()
+    for d in pool:
+        for table in tables:
+            getattr(d, table)()
+        flipped = [1 - c.over_axis for c in d.crossings]
+        for axes in (flipped, [rng.randrange(2) for _ in d.crossings]):
+            derived = d.with_over_axes(axes)
+            fresh = SurfaceDiagram(
+                d.genus, [Crossing(i, ax) for i, ax in enumerate(axes)], d.edges, d.loops
+            )
+            assert derived == fresh and derived.edges is d.edges
+            for table in tables:
+                assert getattr(derived, table)() == getattr(fresh, table)(), table
+        assert mirror(mirror(d)) == d
+
+
+def test_with_over_axes_needs_one_axis_per_crossing():
+    d = plain_weave_2x2()
+    for axes in ([AXIS_13] * 3, [AXIS_13] * 5):
+        with pytest.raises(DiagramError, match=f"{len(axes)} over-axes given for 4 crossings"):
+            d.with_over_axes(axes)
+    with pytest.raises(DiagramError, match="over_axis must be"):
+        d.with_over_axes([0, 1, 2, 0])

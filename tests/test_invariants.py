@@ -6,7 +6,6 @@ import pytest
 
 from fixtures import (
     grid_weave,
-    mirrored,
     plain_weave_2x2,
     relabelled,
     single_loop,
@@ -16,7 +15,7 @@ from fixtures import (
 )
 from weavekit import laurent
 from weavekit.corpus import full_corpus, genus2_corpus
-from weavekit.diagram import SurfaceDiagram
+from weavekit.diagram import SurfaceDiagram, mirror
 from weavekit.invariants import (
     FRONTIER_MIN_CROSSINGS,
     BracketValue,
@@ -366,7 +365,7 @@ def _mirror_pool():
 def test_the_mirror_image_inverts_a_and_negates_the_signs():
     seen = Counter()
     for name, d in _mirror_pool():
-        m = mirrored(d)
+        m = mirror(d)
         assert bracket(m) == BracketValue(
             {k: laurent.substitute_inverse(p) for k, p in bracket(d).parts.items()}
         ), name

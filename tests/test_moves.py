@@ -345,8 +345,10 @@ def test_triangle_with_wrapping_holonomy_is_not_a_site():
     cid, s = m.params[0][0]
     face = d.faces()[d.corner_face()[4 * cid + s]]
     eid = d.dart_edges()[face.darts[0]][0]
-    wrapped = d.replace(
-        edges=[Edge(e.id, e.ends, e.word + (1,)) if e.id == eid else e for e in d.edges]
+    wrapped = SurfaceDiagram(
+        d.genus,
+        d.crossings,
+        [Edge(e.id, e.ends, e.word + (1,)) if e.id == eid else e for e in d.edges],
     )
     assert wrapped.validate().errors == [
         "region f0 wraps the cell: boundary word a",
@@ -370,8 +372,10 @@ def test_commutator_bigon_is_not_a_site_at_genus_2():
     m = Move("R2_remove", (4, 5))
     face = _region(up, m)
     eid = up.dart_edges()[face.darts[0]][0]
-    wrapped = up.replace(
-        edges=[Edge(e.id, e.ends, e.word + (1, 3, -1, -3)) if e.id == eid else e for e in up.edges]
+    wrapped = SurfaceDiagram(
+        up.genus,
+        up.crossings,
+        [Edge(e.id, e.ends, e.word + (1, 3, -1, -3)) if e.id == eid else e for e in up.edges],
     )
     holonomy = wrapped.faces()[face.id].holonomy
     assert words.abelianize(holonomy, 2) == (0, 0, 0, 0)

@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fixtures import grid_weave, plain_weave_2x2
+from fixtures import bench_moderate, grid_weave, plain_weave_2x2, plain_weave_with_loops
 from weavekit import cli, corpus
 from weavekit.diagram import (
     AXIS_02,
@@ -34,7 +34,6 @@ from weavekit.tessellation import (
     InconsistentSequence,
     TransformSpec,
     assign_alternating,
-    assign_weaving_map,
     build_tiling,
     parse_vertex_symbol,
     transform,
@@ -85,16 +84,6 @@ def _valid_corpus(max_crossings):
     ]
 
 
-def _bench_moderate():
-    """The moderate builds of the benchmark's build-inspect workload."""
-    return [
-        assign_weaving_map(_build("(4,4,4,4)", "Cr", 1, 14), {(1, 2): (1, 1)}),
-        assign_alternating(_build("(3,6,3,6)", "Cr", 1, 8)),
-        assign_alternating(_build("(3,3,3,3,3,3)", "Cr", 1, 8)),
-        assign_alternating(_build("(6,6,6)", "nBr", 1, 8)),
-    ]
-
-
 def test_corpus_and_builds_are_pinned():
     skeletons = [
         _build(symbol, method, m, scale)
@@ -105,7 +94,7 @@ def test_corpus_and_builds_are_pinned():
     ]
     assert _digest(d for _, d in corpus.full_corpus()) == CORPUS
     assert _digest(skeletons) == SKELETONS
-    assert _digest(_bench_moderate()) == BENCH_MODERATE
+    assert _digest(bench_moderate()) == BENCH_MODERATE
 
 
 def test_every_split_is_pinned():
@@ -176,7 +165,7 @@ DISCONNECTED = {
     ),
     # free loops count as components for validate, not for isomorphic
     "grid-and-loops": (
-        plain_weave_2x2().replace(loops=((), (1,), (2, 1, 2, 2))),
+        plain_weave_with_loops(),
         ["disconnected: 4 components"],
         True,
     ),
@@ -196,7 +185,7 @@ def test_component_count_messages_are_pinned(name):
 
 def test_crossing_signs_writhes_and_linking_are_pinned():
     h = hashlib.sha256()
-    for d in _valid_corpus(99) + _bench_moderate():
+    for d in _valid_corpus(99) + bench_moderate():
         for read in (crossing_signs, writhe_per_component, linking_matrix):
             h.update(f"{read(d)!r}\n".encode())
     assert h.hexdigest() == SIGNS
