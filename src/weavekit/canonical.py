@@ -59,10 +59,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_T(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def symplectic_form(genus: int) -> Matrix:
     n = 2 * genus
     J = [[0] * n for _ in range(n)]
@@ -77,7 +73,7 @@ def is_symplectic(U: Matrix, genus: int) -> bool:
     if len(U) != n or any(len(row) != n for row in U):
         return False
     J = symplectic_form(genus)
-    return mat_mul(mat_T(U), mat_mul(J, U)) == J
+    return mat_mul(tuple(zip(*U)), mat_mul(J, U)) == J
 
 
 def vec_mul(v: Vector, U: Matrix) -> Vector:

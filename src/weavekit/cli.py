@@ -274,6 +274,14 @@ def cmd_build(args) -> int:
         if (i, j) in seq:
             raise ValueError(f"--seq: set pair {i},{j} is given twice")
         seq[(i, j)] = (p, q)
+    # a Cr thread crosses each other set --scale times, so a pattern closes
+    # up only when p + q divides the scale
+    for (i, j), (p, q) in seq.items():
+        if spec.method == "Cr" and args.scale % (p + q):
+            raise ValueError(
+                f"--seq: p + q = {p + q} for set pair {i},{j} does not divide --scale "
+                f"{args.scale}, the number of times a Cr thread crosses each other set"
+            )
     count = tessellation.crossing_count(symbol, spec, args.scale)
     if count > tessellation.MAX_BUILD_CROSSINGS:
         raise ValueError(
@@ -283,7 +291,10 @@ def cmd_build(args) -> int:
     # the tiling is freed once transformed: it is not held at the build's peak
     d = tessellation.transform(tessellation.build_tiling(symbol, args.scale), spec)
     if seq:
-        d = tessellation.assign_weaving_map(d, seq)
+        try:
+            d = tessellation.assign_weaving_map(d, seq)
+        except tessellation.TessellationError as exc:
+            raise ValueError(f"--seq: {exc}") from None
     elif args.alternating:
         d = tessellation.assign_alternating(d)
     text = diagram.serialize(d)

@@ -482,24 +482,6 @@ class SurfaceDiagram:
             seg.extend(self.edges[eid].directed_word(1 - which))
         return tuple(seg)
 
-    # -- canonical crossing frames -------------------------------------------------
-
-    def orient_crossings(self) -> "SurfaceDiagram":
-        """Rotate frames so every over-strand sits on the slot 1-3 axis."""
-        if all(c.over_axis == AXIS_13 for c in self.crossings):
-            return self
-        rotate = {c.id: (1 if c.over_axis == AXIS_02 else 0) for c in self.crossings}
-
-        def remap(end: End) -> End:
-            cid, slot = end
-            return (cid, (slot + rotate[cid]) % 4)
-
-        crossings = [Crossing(c.id, AXIS_13) for c in self.crossings]
-        edges = [
-            Edge(e.id, (remap(e.ends[0]), remap(e.ends[1])), e.word) for e in self.edges
-        ]
-        return SurfaceDiagram(self.genus, crossings, edges, self.loops)
-
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -543,17 +525,17 @@ def primitive_direction(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
 
 
 def classify(d: SurfaceDiagram) -> str:
-    """'Weave', 'Polycatenane', or 'Mixed' by thread homology census."""
+    """'Weave', 'Polycatenane', or 'Mixed' by thread homology census: no
+    thread wraps the cell in a polycatenane, a null-homologous thread beside
+    wrapping ones makes a mixed structure, and otherwise a weave has at
+    least two ``thread_sets``."""
     threads = d.threads()
-    if not threads:
+    wrapping = sum(1 for t in threads if any(t.homology))
+    if not wrapping:
         return "Polycatenane"
-    nonzero = [t for t in threads if any(t.homology)]
-    if not nonzero:
-        return "Polycatenane"
-    if len(nonzero) < len(threads):
+    if wrapping < len(threads):
         return "Mixed"
-    directions = {primitive_direction(t.homology) for t in threads}
-    return "Weave" if len(directions) >= 2 else "Mixed"
+    return "Weave" if len(d.thread_sets()) >= 2 else "Mixed"
 
 
 def parity_classes(
@@ -702,6 +684,12 @@ def parse(text: str) -> SurfaceDiagram:
             raise DiagramError(f"line {lineno}: slot out of range in {token!r}")
         return (cid, slot)
 
+    def read_word(token: str, lineno: int) -> Word:
+        try:
+            return words.parse_word(token[len("word="):], genus)
+        except ValueError as exc:
+            raise DiagramError(f"line {lineno}: {exc}") from exc
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -718,9 +706,12 @@ def parse(text: str) -> SurfaceDiagram:
                 raise DiagramError(f"line {lineno}: genus must be >= 1")
             if genus > MAX_GENUS:
                 raise DiagramError(f"line {lineno}: genus must be at most {MAX_GENUS}")
-        elif kind == "crossing":
-            if genus is None:
-                raise DiagramError(f"line {lineno}: genus must come first")
+            continue
+        if kind not in ("crossing", "edge", "loop"):
+            raise DiagramError(f"line {lineno}: unknown declaration {kind!r}")
+        if genus is None:
+            raise DiagramError(f"line {lineno}: genus must come first")
+        if kind == "crossing":
             if len(parts) != 3 or not parts[2].startswith("over="):
                 raise DiagramError(f"line {lineno}: expected 'crossing cN over=..'")
             if parts[1][:1] != "c" or not parts[1][1:].isdecimal():
@@ -733,29 +724,16 @@ def parse(text: str) -> SurfaceDiagram:
                 raise DiagramError(f"line {lineno}: duplicate crossing c{cid}")
             crossing_axes[cid] = AXIS_13 if axis_s == "13" else AXIS_02
         elif kind == "edge":
-            if genus is None:
-                raise DiagramError(f"line {lineno}: genus must come first")
             if len(parts) != 4 or not parts[3].startswith("word="):
                 raise DiagramError(f"line {lineno}: expected 'edge cA.s cB.t word=..'")
             a = parse_end(parts[1], lineno)
             b = parse_end(parts[2], lineno)
-            try:
-                w = words.parse_word(parts[3][len("word="):], genus)
-            except ValueError as exc:
-                raise DiagramError(f"line {lineno}: {exc}") from exc
-            edge_specs.append((a, b, w))
+            edge_specs.append((a, b, read_word(parts[3], lineno)))
             edge_lines.append(lineno)
-        elif kind == "loop":
-            if genus is None:
-                raise DiagramError(f"line {lineno}: genus must come first")
+        else:
             if len(parts) != 2 or not parts[1].startswith("word="):
                 raise DiagramError(f"line {lineno}: expected 'loop word=..'")
-            try:
-                loops.append(words.parse_word(parts[1][len("word="):], genus))
-            except ValueError as exc:
-                raise DiagramError(f"line {lineno}: {exc}") from exc
-        else:
-            raise DiagramError(f"line {lineno}: unknown declaration {kind!r}")
+            loops.append(read_word(parts[1], lineno))
 
     if genus is None:
         raise DiagramError("missing genus declaration")

@@ -482,7 +482,7 @@ def _extreme_state(tracer: StateTracer, kind: str) -> tuple[int, Iterator[bool]]
     walked from c's darts under the flipped pairing; that walk covers only
     the darts of the old loops through c.
     """
-    pair = tracer.extreme_pairing(kind)
+    pair = tracer.pair_b if kind == "B" else tracer.pair_a
     loop_of, classes = tracer.trace_loops(pair, range(tracer.n_darts))
     flipped = list(pair)
     to_b = kind == "A"
@@ -581,8 +581,10 @@ def r_parallel(d: SurfaceDiagram, r: int) -> SurfaceDiagram:
         raise DiagramError("parallel multiplicity must be >= 1")
     if r == 1:
         return d
-    dd = d.orient_crossings()
-    C = len(dd.crossings)
+    C = len(d.crossings)
+    # a crossing whose over-strand is on the 0-2 axis is read one slot
+    # further on, so every grid's over-strand runs along its slots 1-3
+    turn = [1 if c.over_axis == AXIS_02 else 0 for c in d.crossings]
 
     def grid_id(cid: int, row: int, col: int) -> int:
         return cid * r * r + row * r + col
@@ -603,6 +605,7 @@ def r_parallel(d: SurfaceDiagram, r: int) -> SurfaceDiagram:
 
     def port(cid: int, slot: int, k: int) -> tuple[int, int]:
         """k-th external port of the fattened slot, counterclockwise."""
+        slot = (slot + turn[cid]) % 4
         if slot == 0:
             return (grid_id(cid, k, 0), 0)
         if slot == 1:
@@ -611,12 +614,12 @@ def r_parallel(d: SurfaceDiagram, r: int) -> SurfaceDiagram:
             return (grid_id(cid, r - 1 - k, r - 1), 2)
         return (grid_id(cid, 0, r - 1 - k), 3)
 
-    for e in dd.edges:
+    for e in d.edges:
         (c0, s0), (c1, s1) = e.ends
         for k in range(r):
             edge_specs.append((port(c0, s0, k), port(c1, s1, r - 1 - k), e.word))
 
     loops: list[words.Word] = []
-    for w in dd.loops:
+    for w in d.loops:
         loops.extend([w] * r)
-    return SurfaceDiagram.build(dd.genus, over_axes, edge_specs, loops)
+    return SurfaceDiagram.build(d.genus, over_axes, edge_specs, loops)

@@ -255,26 +255,24 @@ def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDia
         c, slot = end
         return (c - 1 if c > cid else c, slot)
 
-    specs: list[tuple[End, End, words.Word]] = []
     loops = list(d.loops)
+    merged = None
     if in_eid == out_eid:
         # the curl sat on a closed one-crossing component
         loops.append(words.concat(word_in, loop_word))
-        for other in d.edges:
-            if other.id not in (loop_eid, in_eid):
-                specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
     else:
         tail = d.edges[in_eid].ends[1 - in_which]
         e_out = d.edges[out_eid]
         head = e_out.ends[1 - out_which]
         word_out = e_out.directed_word(out_which)
-        new_word = words.concat(word_in, loop_word, word_out)
-        # the merged strand takes the place of the lower of its two edges
-        for other in d.edges:
-            if other.id == min(in_eid, out_eid):
-                specs.append((remap(tail), remap(head), new_word))
-            elif other.id not in (loop_eid, in_eid, out_eid):
-                specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
+        merged = (remap(tail), remap(head), words.concat(word_in, loop_word, word_out))
+    # the merged strand takes the place of the lower of its two edges
+    specs: list[tuple[End, End, words.Word]] = []
+    for other in d.edges:
+        if other.id not in (loop_eid, in_eid, out_eid):
+            specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
+        elif merged and other.id == min(in_eid, out_eid):
+            specs.append(merged)
     return SurfaceDiagram.build(d.genus, over_axes, specs, loops)
 
 

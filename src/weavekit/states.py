@@ -207,10 +207,6 @@ class StateTracer:
         src = self.pair_b if to_b else self.pair_a
         pair[4 * cid:4 * cid + 4] = src[4 * cid:4 * cid + 4]
 
-    def extreme_pairing(self, kind: str) -> list[int]:
-        """Dart pairing of the state that gives every crossing the same split."""
-        return self.pair_b if _is_b_split(kind) else self.pair_a
-
     def trace_loops(
         self, pair: list[int], starts: Iterable[int]
     ) -> tuple[dict[int, int], list[Optional[int]]]:

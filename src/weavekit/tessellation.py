@@ -521,9 +521,11 @@ def assign_weaving_map(
         for tid in members:
             set_of_thread[tid] = si + 1
     for (i, j), (p, q) in seq.items():
-        if j > len(sets):
-            raise TessellationError(f"bad set pair {(i, j)}; use 1-based i < j")
         check_sequence_entry(i, j, p, q)
+        if j > len(sets):
+            raise TessellationError(
+                f"set pair {(i, j)} names set {j}, but the diagram has {len(sets)} thread sets"
+            )
 
     passages = d.passages()
 

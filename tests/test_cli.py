@@ -745,7 +745,10 @@ def test_malformed_seq_names_the_flag():
     ("1,2:1,1;1,2:2,2", "set pair 1,2 is given twice"),
     ("1,2:0,1", "crossing sequence entries must be >= 1"),
     ("2,1:1,1", "bad set pair (2, 1); use 1-based i < j"),
-], ids=["malformed", "empty", "repeated", "zero-entry", "reversed-pair"])
+    # a Cr thread crosses each other set --scale times: 141 is odd
+    ("1,2:1,1", "p + q = 2 for set pair 1,2 does not divide --scale 141, "
+                "the number of times a Cr thread crosses each other set"),
+], ids=["malformed", "empty", "repeated", "zero-entry", "reversed-pair", "scale-not-divisible"])
 def test_seq_is_refused_before_any_tiling_work(monkeypatch, seq, message):
     def no_work(*args):
         raise AssertionError("tiling work started before --seq was read")
@@ -757,6 +760,22 @@ def test_seq_is_refused_before_any_tiling_work(monkeypatch, seq, message):
     )
     assert code == EXIT_INPUT and out == ""
     assert err == f"error: --seq: {message}\n"
+
+
+@pytest.mark.parametrize("method, m, scale, seq, message", [
+    ("Cr", "1", "2", "1,3:1,1", "set pair (1, 3) names set 3, but the diagram has 2 thread sets"),
+    # nCr thread counts are not linear in the scale, so nCr is checked after the build
+    ("nCr", "0", "1", "1,2:1,2", "thread 0 crosses set 1 2 times, not a multiple of 3"),
+], ids=["missing-set", "nCr-not-divisible"])
+def test_seq_refused_by_the_assignment_names_the_flag(tmp_path, method, m, scale, seq, message):
+    path = tmp_path / "w.weave"
+    code, out, err = run_cli(
+        "build", "--tiling", "(4,4,4,4)", "--method", method, "--m", m,
+        "--scale", scale, "--seq", seq, "-o", str(path),
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: --seq: {message}\n"
+    assert not path.exists()
 
 
 def test_seq_with_alternating_is_input_error(tmp_path):

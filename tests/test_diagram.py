@@ -11,7 +11,8 @@ from fixtures import (
     torus_curl,
     twill_4x4,
 )
-from weavekit import words
+from weavekit import corpus, words
+from weavekit.cli import analyze_report
 from weavekit.diagram import (
     AXIS_02,
     AXIS_13,
@@ -19,6 +20,7 @@ from weavekit.diagram import (
     DiagramError,
     SurfaceDiagram,
     ZeroHomologyThread,
+    classify,
     isomorphic,
     mirror,
     parity_classes,
@@ -196,26 +198,50 @@ def test_properness():
     assert plain_weave_2x2().is_proper() == (True, [])
     ok, bad = torus_curl().is_proper()
     assert not ok and bad == [0]
+    # a crossing is improper when any two of its four corners share a region;
+    # here three distinct corner regions are not enough
+    entries = dict(corpus.full_corpus())
+    assert entries["kagome-cr-s1"].is_proper() == (False, [0, 1, 2])
+    assert entries["hex-3cr0-s1"].is_proper() == (False, [0, 1, 2, 3, 4, 5])
+    assert entries["plain-fuzz-3"].is_proper() == (False, [6, 7])
+
+
+def _ring_beside_grid() -> SurfaceDiagram:
+    """The 2x2 plain weave with a null-homologous ring crossing one of its
+    strands twice: connected, valid, and one thread has zero homology."""
+    grid = plain_weave_2x2()
+    n = len(grid.crossings)
+    specs = [(e.ends[0], e.ends[1], e.word) for e in grid.edges]
+    a, b, w = specs[0]
+    specs[0] = (a, (n, 0), ())
+    specs += [
+        ((n, 2), (n + 1, 0), ()),
+        ((n + 1, 2), b, w),
+        ((n, 1), (n + 1, 1), ()),
+        ((n, 3), (n + 1, 3), ()),
+    ]
+    return SurfaceDiagram.build(1, [c.over_axis for c in grid.crossings] + [AXIS_02, AXIS_13], specs)
+
+
+def test_a_null_homologous_component_beside_a_weave_is_mixed():
+    grid = plain_weave_2x2()
+    assert classify(grid) == "Weave"
+    # a trivial free loop beside the two-direction weave
+    with_loop = SurfaceDiagram(1, grid.crossings, grid.edges, [()])
+    assert classify(with_loop) == "Mixed"
+    # analyze refuses a free loop beside crossings as disconnected, so its
+    # classification line is read on a ring that crosses the weave
+    ring = _ring_beside_grid()
+    assert ring.validate().ok
+    assert sorted(t.homology for t in ring.threads())[0] == (0, 0)
+    assert classify(ring) == "Mixed"
+    assert analyze_report(ring, None)["classification"] == "Mixed"
 
 
 def test_reducedness_and_periodicity_rescue():
     assert plain_weave_2x2().is_reduced() == (True, [])
     # opposite corners share the single face, but the connecting word wraps
     assert torus_curl().is_reduced() == (True, [])
-
-
-def test_orient_crossings():
-    d = plain_weave_2x2()
-    od = d.orient_crossings()
-    assert all(c.over_axis == AXIS_13 for c in od.crossings)
-    assert od.orient_crossings() is od  # idempotent
-    assert od.validate().ok
-    assert len(od.faces()) == len(d.faces())
-    assert sorted(t.homology for t in od.threads()) == sorted(
-        t.homology for t in d.threads()
-    )
-    assert od.is_alternating() == d.is_alternating()
-    assert od.is_reduced() == d.is_reduced()
 
 
 def test_serialize_parse_roundtrip():

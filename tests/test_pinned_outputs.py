@@ -27,7 +27,7 @@ from weavekit.diagram import (
     isomorphic,
     serialize,
 )
-from weavekit.invariants import crossing_signs, linking_matrix, writhe_per_component
+from weavekit.invariants import crossing_signs, linking_matrix, r_parallel, writhe_per_component
 from weavekit.moves import apply_move, enumerate_moves, fuzz, simplify, walk
 from weavekit.states import split
 from weavekit.tessellation import (
@@ -84,16 +84,20 @@ def _valid_corpus(max_crossings):
     ]
 
 
-def test_corpus_and_builds_are_pinned():
-    skeletons = [
-        _build(symbol, method, m, scale)
+def _skeletons():
+    """The 38 scale-1 and scale-2 skeletons, each with a file name."""
+    return [
+        (f"{symbol}-{method}{m}-s{scale}", _build(symbol, method, m, scale))
         for symbol in SYMBOLS
         for method, m in (("Cr", 1), ("nCr", 0), ("nCr", 1), ("nBr", 1), ("nBr", 2))
         if not (method == "Cr" and symbol == "(6,6,6)")
         for scale in (1, 2)
     ]
+
+
+def test_corpus_and_builds_are_pinned():
     assert _digest(d for _, d in corpus.full_corpus()) == CORPUS
-    assert _digest(skeletons) == SKELETONS
+    assert _digest(d for _, d in _skeletons()) == SKELETONS
     assert _digest(bench_moderate()) == BENCH_MODERATE
 
 
@@ -259,6 +263,38 @@ def test_canonicalize_outputs_are_pinned(tmp_path, monkeypatch):
     assert _canonicalize_digest(runs) == CANONICALIZE_DIAGRAMS
     runs = [["canonicalize", "--winding", w] for w in WINDING_SETS]
     assert _canonicalize_digest(runs) == CANONICALIZE_WINDINGS
+
+
+# -- analyze and r_parallel ---------------------------------------------------------
+
+# sha256 of exit code, stdout and stderr of `analyze FILE` and `--format
+# json-report analyze FILE` on every corpus entry and skeleton, taken while
+# classify grouped thread directions itself; six skeletons exceed the
+# crossing budget, so their exit code 3 and stderr are what is pinned
+ANALYZE = "4738837a806862d6a482bbbc2d9cc796b6abc85ce4839285bad9500fe3674306"
+# sha256 of r_parallel(d, r) for r = 2, 3 on every corpus entry, taken while
+# r_parallel turned the crossing frames through a diagram of its own
+R_PARALLEL = "aa96267d95932f6c0362ee1c9003364e1744a0d61811459f3d1d88b4e56ea8d1"
+
+
+def test_analyze_outputs_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    entries = list(corpus.full_corpus()) + _skeletons()
+    assert len(entries) == 60
+    h = hashlib.sha256()
+    for name, d in entries:
+        (tmp_path / f"{name}.weave").write_text(serialize(d))
+        for argv in (["analyze"], ["--format", "json-report", "analyze"]):
+            h.update(_cli(argv + [f"{name}.weave"]).encode())
+    assert h.hexdigest() == ANALYZE
+
+
+def test_r_parallel_is_pinned():
+    h = hashlib.sha256()
+    for r in (2, 3):
+        for _, d in corpus.full_corpus():
+            h.update(_text(r_parallel(d, r)).encode())
+    assert h.hexdigest() == R_PARALLEL
 
 
 # -- fuzz, verify and simplify ------------------------------------------------------

@@ -396,6 +396,20 @@ def test_assigned_sequences_read_back(scale):
         assert read_sequence(woven, 2, 1) == (q, p)
 
 
+@pytest.mark.parametrize("symbol", ["(4,4,4,4)", "(3,6,3,6)", "(3,3,3,3,3,3)"])
+def test_a_cr_thread_crosses_each_other_set_scale_times(symbol):
+    # the premise of build's refusal of a --seq whose p + q does not divide --scale
+    for scale in range(1, 9):
+        d = transform(build_tiling(parse_vertex_symbol(symbol), scale), TransformSpec("Cr", 1))
+        set_of = {t: i for i, members in enumerate(d.thread_sets()) for t in members}
+        passages = d.passages()
+        for t in d.threads():
+            counts = dict.fromkeys(set(set_of.values()) - {set_of[t.id]}, 0)
+            for x in t.darts:
+                counts[set_of[passages[x ^ 1][0]]] += 1
+            assert set(counts.values()) == {scale}, (symbol, scale, t.id, counts)
+
+
 def test_sequence_must_divide_thread_cycle():
     d = transform(square(2), TransformSpec("Cr", 1))
     with pytest.raises(InconsistentSequence):
