@@ -160,9 +160,6 @@ class Thread(Frozen):
         init_field(self, "homology", homology)
         init_field(self, "loop_index", loop_index)
 
-    def __len__(self) -> int:
-        return len(self.darts)
-
 
 class ValidationReport(Record):
     __slots__ = ("errors", "advisories")
@@ -176,10 +173,6 @@ class ValidationReport(Record):
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    @property
-    def empty(self) -> bool:
-        return not self.errors and not self.advisories
 
 
 def _memoized(method):

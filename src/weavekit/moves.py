@@ -458,12 +458,6 @@ class MoveTrace(Record):
         self.moves = [] if moves is None else moves
         self.end = start if end is None else end
 
-    def replay(self) -> SurfaceDiagram:
-        cur = self.start
-        for m in self.moves:
-            cur = apply_move(cur, m)
-        return cur
-
 
 def walk(
     d: SurfaceDiagram,

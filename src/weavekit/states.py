@@ -49,17 +49,6 @@ B_PAIRING: dict[int, Pairing] = {
 PASS_PAIRING: Pairing = ((0, 2), (1, 3))
 
 
-def _is_b_split(kind: str) -> bool:
-    """True for 'B', False for 'A'; any other split kind is a ValueError."""
-    if kind not in ("A", "B"):
-        raise ValueError(f"split kind must be 'A' or 'B', got {kind!r}")
-    return kind == "B"
-
-
-def split_pairing(crossing: Crossing, kind: str) -> Pairing:
-    return (B_PAIRING if _is_b_split(kind) else A_PAIRING)[crossing.over_axis]
-
-
 def smooth_crossings(
     d: SurfaceDiagram, pairings: Mapping[int, Pairing]
 ) -> SurfaceDiagram:
@@ -115,7 +104,10 @@ def split(d: SurfaceDiagram, cid: int, kind: str) -> SurfaceDiagram:
     """Planar smoothing of one crossing; 'A' or 'B' relative to its frame."""
     if not 0 <= cid < len(d.crossings):
         raise DiagramError(f"unknown crossing c{cid}")
-    return smooth_crossings(d, {cid: split_pairing(d.crossings[cid], kind)})
+    if kind not in ("A", "B"):
+        raise ValueError(f"split kind must be 'A' or 'B', got {kind!r}")
+    table = A_PAIRING if kind == "A" else B_PAIRING
+    return smooth_crossings(d, {cid: table[d.crossings[cid].over_axis]})
 
 
 # sorted winding classes of the non-trivial loops of a state

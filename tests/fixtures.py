@@ -12,7 +12,6 @@ from pathlib import Path
 
 from weavekit.diagram import AXIS_02, AXIS_13, Crossing, Edge, SurfaceDiagram
 from weavekit.invariants import extreme_degrees
-from weavekit.states import _is_b_split
 from weavekit.tessellation import (
     PeriodicTiling,
     TransformSpec,
@@ -37,7 +36,7 @@ def src_env() -> dict[str, str]:
 
 def state_loop_count(d: SurfaceDiagram, kind: str) -> int:
     """Trivial-loop count of the all-A or all-B state."""
-    return extreme_degrees(d)["c_b" if _is_b_split(kind) else "c_a"]
+    return extreme_degrees(d)[{"A": "c_a", "B": "c_b"}[kind]]
 
 
 def unreduced_words(d: SurfaceDiagram) -> list[tuple[int, ...]]:

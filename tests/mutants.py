@@ -1,0 +1,208 @@
+"""One-line mutants of the package and the tests that must kill them.
+
+Each row is a named edit of one line under ``src/weavekit``: the file, the
+old text, which must occur exactly once in it, the new text, and the tests
+that must fail once the edit is made. The runner copies ``src/``, ``tests/``
+and ``pyproject.toml`` into a temporary directory, applies one row there and
+runs that row's tests in a subprocess, so no test shares state with the
+mutated copy. The whole tree is copied because ``pythonpath = ["src"]``
+would otherwise load the checkout's unmutated ``src`` first.
+
+A row whose edit no test can tell apart from the source is marked
+equivalent, with the reason, and must survive; should its tests ever kill
+it, the reason is wrong and the row fails.
+
+Run ``python tests/mutants.py``. It first runs every row's tests on an
+unmutated copy, which must pass: a test that fails only in the copy would
+otherwise read as a kill. Then it prints one line per row and exits 1 when
+a row is not as the table says, or cannot be applied or run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/weavekit
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    equivalent: str = ""  # why no test can kill the row; empty for a row that must die
+
+
+MUTANTS = (
+    Mutant(
+        "is_reduced tests only the 0-2 corner pair",
+        "diagram.py",
+        "            or self._corners_merge(4 * c.id + 1, 4 * c.id + 3)",
+        "            or False",
+        ("tests/test_region_lookup.py::test_is_reduced_matches_the_position_table",),
+    ),
+    Mutant(
+        "classify drops the rule that a ring makes it Mixed",
+        "diagram.py",
+        "    if wrapping < len(threads):",
+        "    if False:",
+        ("tests/test_diagram.py::test_a_null_homologous_component_beside_a_weave_is_mixed",),
+    ),
+    Mutant(
+        "adequacy flag lost >= 0 for lost > 0",
+        "invariants.py",
+        "            yield lost > 0",
+        "            yield lost >= 0",
+        ("tests/test_acceptance.py::test_criterion_09_writhe_chain",),
+    ),
+    Mutant(
+        "adequacy swaps plus and minus",
+        "invariants.py",
+        '    return {"plus": ext["plus"], "minus": ext["minus"]}',
+        '    return {"plus": ext["minus"], "minus": ext["plus"]}',
+        ("tests/test_adequacy.py::test_adequacy_matches_whole_state_resolution",),
+    ),
+    Mutant(
+        "_acts_freely ignores fixed regions",
+        "canonical.py",
+        "            if y // 4 == x // 4 or y == flip[x] or region[y] == region[x]:",
+        "            if y // 4 == x // 4 or y == flip[x]:",
+        ("tests/test_acceptance.py::test_criterion_06_tait_one",),
+    ),
+    Mutant(
+        "R1_add bracket relation with -3 for 3",
+        "moves.py",
+        "                    lambda d, p: (3 * p[1], -1),",
+        "                    lambda d, p: (-3 * p[1], -1),",
+        ("tests/test_cli.py::test_verify_suites_pass",),
+    ),
+    Mutant(
+        "linking_matrix adds abs(sign)",
+        "invariants.py",
+        "            out[min(t, u), max(t, u)] += sign",
+        "            out[min(t, u), max(t, u)] += abs(sign)",
+        ("tests/test_acceptance.py::test_criterion_09_writhe_chain",),
+    ),
+    Mutant(
+        "is_proper tests < 3 regions for < 4",
+        "diagram.py",
+        "len(set(table[4 * c.id:4 * c.id + 4])) < 4]",
+        "len(set(table[4 * c.id:4 * c.id + 4])) < 3]",
+        ("tests/test_diagram.py::test_properness",),
+    ),
+    Mutant(
+        "frontier keeps closed windings unsorted",
+        "invariants.py",
+        "                    tuple(sorted(closed + tuple(wound))) if wound else closed,",
+        "                    closed + tuple(wound) if wound else closed,",
+        ("tests/test_acceptance.py::test_criterion_02_bracket_well_defined",),
+    ),
+    Mutant(
+        "Dehn pass reads the word unreduced",
+        "words.py",
+        "    w = _cyclic_reduce(word)",
+        "    w = tuple(word)",
+        ("tests/test_moves.py::test_every_listed_removal_and_flip_applies_at_both_genera",),
+    ),
+    Mutant(
+        "Dehn pass without cyclic trimming",
+        "words.py",
+        "    while j - i >= 2 and w[i] == -w[j - 1]:",
+        "    while False:",
+        ("tests/test_words.py",),
+        equivalent=(
+            "every word the pass reads is still freely reduced and trivial exactly when"
+            " the input is, and a freely reduced nonempty word that is trivial in a C'(1/6)"
+            " group holds more than half a relator form as a plain subword (Lyndon and"
+            " Schupp, ch. V); the pass reads every plain subword, so the trim only shortens"
+            " the word"
+        ),
+    ),
+    Mutant(
+        "R1_remove drops the curl's loop word",
+        "moves.py",
+        "        merged = (remap(tail), remap(head), words.concat(word_in, loop_word, word_out))",
+        "        merged = (remap(tail), remap(head), words.concat(word_in, word_out))",
+        ("tests/test_moves.py::test_r1_removal_is_the_passing_smoothing_of_its_crossing",),
+    ),
+)
+
+
+def _copy(tmp: str) -> Path:
+    root = Path(tmp)
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", root)
+    return root
+
+
+def _fails(root: Path, tests) -> bool:
+    """Run ``tests`` in the copy at ``root``: True when one fails, False when
+    all pass. Raises ``RuntimeError`` when pytest ends any other way (a test
+    id not found, a collection error)."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if run.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {run.returncode}\n{run.stdout}{run.stderr}")
+    return run.returncode == 1
+
+
+def baseline(rows) -> None:
+    """Run the rows' tests once on an unmutated copy and raise
+    ``RuntimeError`` unless they all pass there: ``killed`` counts any
+    failure as a kill, so this is what gives its verdict meaning."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        if _fails(_copy(tmp), dict.fromkeys(t for row in rows for t in row.tests)):
+            raise RuntimeError("a row's tests fail on the unmutated copy")
+
+
+def killed(row: Mutant) -> bool:
+    """True when one of the row's tests fails on a copy with the row
+    applied, False when they all pass; run ``baseline`` on the row first.
+    Raises ``ValueError`` when the old text does not occur exactly once."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        root = _copy(tmp)
+        target = root / "src" / "weavekit" / row.path
+        text = target.read_text()
+        found = text.count(row.old)
+        if found != 1:
+            raise ValueError(f"old text occurs {found} times in {row.path}")
+        target.write_text(text.replace(row.old, row.new))
+        return _fails(root, row.tests)
+
+
+def main() -> int:
+    try:
+        baseline(MUTANTS)
+    except RuntimeError as exc:
+        print(f"ERROR {exc}")
+        return 1
+    bad = 0
+    for row in MUTANTS:
+        start = time.monotonic()
+        try:
+            if row.equivalent:
+                verdict = "KILLED" if killed(row) else "equivalent"
+            else:
+                verdict = "killed" if killed(row) else "SURVIVED"
+        except (ValueError, RuntimeError) as exc:
+            verdict = f"ERROR {exc}"
+        bad += verdict not in ("killed", "equivalent")
+        print(f"{verdict:10} {time.monotonic() - start:5.1f} s  {row.name}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} rows as the table says")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,15 +5,11 @@ and all 2C single flips whole, and to the bracket's extreme degrees."""
 import random
 from collections import Counter
 
-import pytest
-
 from fixtures import (
     genus2_octagon,
-    plain_weave_2x2,
     plain_weave_with_loops,
     relabelled,
     single_loop,
-    state_loop_count,
     torus_curl,
 )
 from weavekit import cli
@@ -135,9 +131,3 @@ def test_analyze_reaches_the_budget_on_a_large_build(tmp_path, capsys):
     path.write_text(serialize(square))
     assert cli.main(["analyze", str(path)]) == 3
     assert "error: 1600 crossings exceed the budget of 24" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("kind", ["b", "X", "", "AB"])
-def test_state_loop_count_rejects_a_bad_kind(kind):
-    with pytest.raises(ValueError, match=f"split kind must be 'A' or 'B', got {kind!r}"):
-        state_loop_count(plain_weave_2x2(), kind)

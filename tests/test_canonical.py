@@ -375,6 +375,15 @@ def test_dehn_twist_needs_torus():
     g2 = genus2_corpus()[0][1]
     with pytest.raises(UnsupportedGenus):
         dehn_twist_diagram(g2, "a", 1)
+    # and a curve a or b and a direction of +1 or -1
+    with pytest.raises(ValueError, match="^curve must be 'a' or 'b'$"):
+        twist_matrix("c", 1)
+    d = plain_weave_2x2()
+    with pytest.raises(ValueError, match="^curve must be 'a' or 'b'$"):
+        dehn_twist_diagram(d, "c", 1)
+    for direction in (0, 2, -2):
+        with pytest.raises(ValueError, match="^direction must be \\+1 or -1$"):
+            dehn_twist_diagram(d, "a", direction)
 
 
 def test_size_counts_crossing_incident_regions():

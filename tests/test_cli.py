@@ -392,21 +392,40 @@ def test_invariance_suite_names_the_step_of_a_wrong_bracket(monkeypatch):
     assert out.splitlines()[-1] == "suite = invariance; violations = 4"
 
 
+def _times_a(real):
+    return lambda *args, **kwargs: real(*args, **kwargs).scaled(1, 1)
+
+
+# each case breaks one identity the suite checks: the owner and name patched,
+# the wrapper the real routine gets, and the FAIL line it must give
 @pytest.mark.parametrize(
-    "oracle, named", [("bracket_by_state_sum", "state sum"), ("bracket_by_skein", "skein recursion")]
+    "owner, attr, wrap, failure",
+    [
+        pytest.param(invariants, "bracket_by_state_sum", _times_a,
+                     "frontier and state sum disagree", id="bracket_by_state_sum-state sum"),
+        pytest.param(invariants, "bracket_by_skein", _times_a,
+                     "frontier and skein recursion disagree", id="bracket_by_skein-skein recursion"),
+        pytest.param(invariants.BracketValue, "substitute_quarter_inverse", _times_a,
+                     "mirror bracket is not the bracket with A inverted", id="mirror-bracket"),
+        pytest.param(invariants, "writhe", lambda real: lambda d: real(d) + 1,
+                     "mirror writhe is not the negated writhe", id="mirror-writhe"),
+        pytest.param(invariants, "linking_matrix", lambda real: lambda d: {**real(d), (0, 0): 1},
+                     "mirror linking is not the negated linking", id="mirror-linking"),
+        pytest.param(invariants, "adequacy", lambda real: lambda d: {"plus": True, "minus": False},
+                     "mirror adequacy does not swap plus and minus", id="mirror-adequacy"),
+    ],
 )
-def test_oracle_suite_names_every_diagram_an_oracle_disagrees_on(monkeypatch, oracle, named):
-    real = getattr(invariants, oracle)
-    monkeypatch.setattr(
-        invariants, oracle, lambda d, budget=None: real(d, budget=budget).scaled(1, 1)
-    )
+def test_oracle_suite_names_every_diagram_an_oracle_disagrees_on(
+    monkeypatch, owner, attr, wrap, failure
+):
+    monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
     names = [name for name, _ in cli.SUITES["oracle"].starts(corpus)]
     code, out, _err = run_cli("verify", "--suite", "oracle")
     assert code == EXIT_VIOLATION
     lines = out.splitlines()
     assert f"oracle: {len(names)} diagrams compared, {len(names)} violations" in lines
     assert [line for line in lines if line.startswith("FAIL: ")] == [
-        f"FAIL: frontier and {named} disagree on {name}" for name in names
+        f"FAIL: {failure} on {name}" for name in names
     ]
 
 

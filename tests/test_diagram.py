@@ -22,6 +22,7 @@ from weavekit.diagram import (
     ZeroHomologyThread,
     classify,
     isomorphic,
+    map_walk,
     mirror,
     parity_classes,
     parse,
@@ -33,14 +34,24 @@ from weavekit.diagram import (
 def test_plain_weave_is_well_formed():
     d = plain_weave_2x2()
     rep = d.validate()
-    assert rep.ok and rep.empty
+    assert rep.errors == [] and rep.advisories == []
 
 
 def test_empty_diagram_flags_advisory():
     d = SurfaceDiagram.build(1, [], [])
     rep = d.validate()
-    assert rep.ok and not rep.empty
+    assert rep.ok and rep.advisories
     assert any("no crossings" in a for a in rep.advisories)
+
+
+def test_constructor_refuses_a_genus_below_one_and_sparse_ids():
+    d = plain_weave_2x2()
+    with pytest.raises(DiagramError, match="^genus must be >= 1$"):
+        SurfaceDiagram(0, d.crossings, d.edges)
+    with pytest.raises(DiagramError, match="^crossing ids must be dense 0..n-1 in order$"):
+        SurfaceDiagram(1, d.crossings[1:], ())
+    with pytest.raises(DiagramError, match="^edge ids must be dense 0..n-1 in order$"):
+        SurfaceDiagram(1, d.crossings, d.edges[1:])
 
 
 def _two_coloring(n, links):
@@ -520,11 +531,14 @@ def test_isomorphic_rejects_disconnected_diagrams():
         isomorphic(two_curls, two_curls)
     with pytest.raises(DiagramError, match="connected"):
         isomorphic(plain_weave_2x2(), two_curls, exact_words=False)
+    # from c0, a walk never reaches the other curl's darts
+    assert map_walk(two_curls, two_curls, 0, 0) is None
+    # crossing-free diagrams compare their free loops as a multiset
+    loops = [SurfaceDiagram(1, [], [], ws) for ws in ([(1,), (2,)], [(2,), (1,)], [(1,), (1,)])]
+    assert isomorphic(loops[0], loops[1]) and not isomorphic(loops[0], loops[2])
 
 
 def test_map_walk_is_rigid():
-    from weavekit.diagram import map_walk
-
     d = plain_weave_2x2()
     # the 2x2 grid's translations, half turns and quarter turns onto a
     # crossing of the other axis: each root image gives one automorphism

@@ -15,7 +15,7 @@ from fixtures import (
 )
 from weavekit import laurent
 from weavekit.corpus import full_corpus, genus2_corpus
-from weavekit.diagram import SurfaceDiagram, mirror
+from weavekit.diagram import DiagramError, SurfaceDiagram, mirror
 from weavekit.invariants import (
     FRONTIER_MIN_CROSSINGS,
     BracketValue,
@@ -198,6 +198,9 @@ def test_degree_bounds_check():
 def test_r_parallel_identity():
     d = plain_weave_2x2()
     assert r_parallel(d, 1) is d
+    for r in (0, -1):
+        with pytest.raises(DiagramError, match="^parallel multiplicity must be >= 1$"):
+            r_parallel(d, r)
 
 
 def test_r_parallel_counts_and_validity():
@@ -209,6 +212,10 @@ def test_r_parallel_counts_and_validity():
     assert sorted(t.homology for t in d2.threads()) == sorted(
         t.homology for t in d.threads() for _ in range(2)
     )
+    loops = SurfaceDiagram(1, [], [], [(1,), (2, 1)])
+    loops3 = r_parallel(loops, 3)
+    assert loops3.loops == ((1,), (1,), (1,), (2, 1), (2, 1), (2, 1))
+    assert loops3.validate().ok
 
 
 def test_r_parallel_writhe_scales_quadratically():

@@ -8,19 +8,21 @@ from weavekit import words
 from weavekit.corpus import genus2_corpus
 from weavekit.diagram import DiagramError, SurfaceDiagram
 from weavekit.states import (
+    A_PAIRING,
+    B_PAIRING,
     StateTracer,
     _pack,
     _unpack,
     smooth_crossings,
     split,
-    split_pairing,
 )
 from weavekit.words import normalize_class
 
 
 def resolve_to_diagram(d, kinds):
     """Smooth every crossing, producing the crossing-free diagram."""
-    return smooth_crossings(d, {c.id: split_pairing(c, kinds[c.id]) for c in d.crossings})
+    tables = {"A": A_PAIRING, "B": B_PAIRING}
+    return smooth_crossings(d, {c.id: tables[kinds[c.id]][c.over_axis] for c in d.crossings})
 
 
 def test_split_torus_curl_by_hand():
@@ -37,6 +39,15 @@ def test_split_unknown_crossing():
         split(torus_curl(), 5, "A")
     with pytest.raises(ValueError):
         split(torus_curl(), 0, "C")
+    # the crossing is checked before the kind
+    with pytest.raises(DiagramError, match="unknown crossing c5"):
+        split(torus_curl(), 5, "C")
+
+
+@pytest.mark.parametrize("kind", ["b", "X", "", "AB"])
+def test_split_rejects_a_bad_kind(kind):
+    with pytest.raises(ValueError, match=f"split kind must be 'A' or 'B', got {kind!r}"):
+        split(plain_weave_2x2(), 0, kind)
 
 
 def test_splits_commute_for_distinct_crossings():
