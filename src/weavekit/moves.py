@@ -16,7 +16,9 @@ would read the triangle's holonomy, which is trivial in the surface
 group, so it carries none either. This works in the free group, so at
 every genus. The rewiring then shifts every triangle-side attachment by
 two slots and swaps the strand continuations into the old side slots,
-which keeps all boundary words and over-axes in place.
+which keeps all boundary words and over-axes in place. Both removals join
+strands by ``diagram.splice``: R2 through ``states.smooth_crossings``, R1
+directly, with the edges it keeps in their order.
 
 A move kind is one row of ``_KINDS``, the only place that knows it: its
 crossing change, its listing of the moves sited in one region, the regions
@@ -52,9 +54,11 @@ from .diagram import (
     End,
     Face,
     Frozen,
+    Node,
     Record,
     SurfaceDiagram,
     init_field,
+    splice,
 )
 from .states import PASS_PAIRING, smooth_crossings
 
@@ -236,44 +240,37 @@ def _apply_r1_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
 
 
 def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
-    # the one-sided region at corner x = 4 * cid + s is bounded by the loop
-    # edge on slots s and s+1; the face step arrives at slot s
+    # the one-sided region at corner x = 4 * cid + s is bounded by the loop edge
+    # on slots s and s+1; the passing pairing joins slot s+2 to s and s+1 to s+3
     x, = face.darts
     cid = x >> 2
     at = d.dart_edges()
-    loop_eid, loop_which = at[x]
+    loop_eid = at[x][0]
     in_eid, in_which = at[4 * cid + (x + 2) % 4]
-    out_eid, out_which = at[4 * cid + (x + 3) % 4]
-    # the strand arrives at slot s+2, runs round the loop from slot s to
-    # slot s+1 and leaves by slot s+3
-    word_in = d.edges[in_eid].directed_word(1 - in_which)
-    loop_word = d.edges[loop_eid].directed_word(loop_which)
+    out_eid = at[4 * cid + (x + 3) % 4][0]
+    junction = {s: ("j", a) for a, b in PASS_PAIRING for s in (a, b)}
 
-    over_axes = [c.over_axis for c in d.crossings if c.id != cid]
-
-    def remap(end: End) -> End:
+    def node(end: End) -> Node:
         c, slot = end
-        return (c - 1 if c > cid else c, slot)
+        if c == cid:
+            return junction[slot]
+        if c > cid:
+            return (c - 1, slot)
+        return end
 
-    loops = list(d.loops)
-    merged = None
-    if in_eid == out_eid:
-        # the curl sat on a closed one-crossing component
-        loops.append(words.concat(word_in, loop_word))
-    else:
-        tail = d.edges[in_eid].ends[1 - in_which]
-        e_out = d.edges[out_eid]
-        head = e_out.ends[1 - out_which]
-        word_out = e_out.directed_word(out_which)
-        merged = (remap(tail), remap(head), words.concat(word_in, loop_word, word_out))
-    # the merged strand takes the place of the lower of its two edges
-    specs: list[tuple[End, End, words.Word]] = []
-    for other in d.edges:
-        if other.id not in (loop_eid, in_eid, out_eid):
-            specs.append((remap(other.ends[0]), remap(other.ends[1]), other.word))
-        elif merged and other.id == min(in_eid, out_eid):
-            specs.append(merged)
-    return SurfaceDiagram.build(d.genus, over_axes, specs, loops)
+    segments = [(node(e.ends[0]), node(e.ends[1]), e.word) for e in d.edges]
+    # the in-edge, read towards the curl, takes the lower of its and the out-edge's
+    # places, so the joined strand keeps that place and reads from its tail; the
+    # loop edge goes last, so a closed curl's free loop reads the in-edge, then the loop
+    e_in = d.edges[in_eid]
+    tail = node(e_in.ends[1 - in_which])
+    segments[in_eid] = (tail, junction[(x + 2) % 4], e_in.directed_word(1 - in_which))
+    if out_eid < in_eid:
+        segments[in_eid], segments[out_eid] = segments[out_eid], segments[in_eid]
+    segments.append(segments.pop(loop_eid))
+    edge_specs, loops = splice(segments)
+    over_axes = [c.over_axis for c in d.crossings if c.id != cid]
+    return SurfaceDiagram.build(d.genus, over_axes, edge_specs, d.loops + tuple(loops))
 
 
 def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:

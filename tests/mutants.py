@@ -123,15 +123,31 @@ MUTANTS = (
             " the input is, and a freely reduced nonempty word that is trivial in a C'(1/6)"
             " group holds more than half a relator form as a plain subword (Lyndon and"
             " Schupp, ch. V); the pass reads every plain subword, so the trim only shortens"
-            " the word"
+            " the word; it is faster on conjugated relator products but slower on the"
+            " is_trivial calls of genus-2 fuzz walks, so no workload shows it to be a"
+            " speed step"
         ),
     ),
     Mutant(
         "R1_remove drops the curl's loop word",
         "moves.py",
-        "        merged = (remap(tail), remap(head), words.concat(word_in, loop_word, word_out))",
-        "        merged = (remap(tail), remap(head), words.concat(word_in, word_out))",
+        "    segments.append(segments.pop(loop_eid))",
+        "    segments.append(segments.pop(loop_eid)[:2] + ((),))",
         ("tests/test_moves.py::test_r1_removal_is_the_passing_smoothing_of_its_crossing",),
+    ),
+    Mutant(
+        "R1_remove keeps the in-edge in its own place",
+        "moves.py",
+        "    if out_eid < in_eid:",
+        "    if False:",
+        ("tests/test_pinned_outputs.py::test_r1_removals_are_pinned",),
+    ),
+    Mutant(
+        "R1_remove leaves the loop edge in its place",
+        "moves.py",
+        "    segments.append(segments.pop(loop_eid))",
+        "    pass",
+        ("tests/test_pinned_outputs.py::test_r1_removals_are_pinned",),
     ),
 )
 

@@ -75,8 +75,9 @@ def test_r1_removal_is_the_passing_smoothing_of_its_crossing():
     # a curl's strand runs in at slot s+2, round the loop from s to s+1 and
     # out at s+3, so removing it joins the slots as PASS_PAIRING does: the
     # general smoothing is an oracle for the move's own surgery, which
-    # numbers the edges differently (914 removals on the corpus and one
-    # 60-step walk from each entry, 332 of them with identical text)
+    # hands the splice its segments in another order and so numbers the
+    # edges differently (914 removals on the corpus and one 60-step walk
+    # from each entry, 332 of them with identical text)
     from weavekit.corpus import full_corpus
 
     checked = {1: 0, 2: 0}

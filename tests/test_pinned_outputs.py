@@ -11,6 +11,7 @@ command line.
 
 import hashlib
 import io
+import itertools
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -123,6 +124,40 @@ def test_r2_removals_along_fuzz_walks_are_pinned():
     assert len(results) == R2_COUNT
     assert _digest(results) == R2_REMOVALS
 
+
+# taken while R1_remove joined the curl's three edges by hand, before it
+# handed the crossing to the splice
+R1_COUNT = 970
+R1_REMOVALS = "d71b06f949b06c426fd269280325f5b8bae7a959b082d03e86ed36293d071343"
+# a free loop's word keeps the point and direction it is read from, so the
+# closed curls carry words on both edges and list them in either order and
+# either direction
+CURL_WORDS = ((), (1,), (2,), (1, 2), (-1,), (2, -1))  # '', a, b, ab, A, bA
+
+
+def _closed_curls():
+    for axis in (AXIS_02, AXIS_13):
+        for w1, w2 in itertools.product(CURL_WORDS, repeat=2):
+            for flip1, flip2, swap in itertools.product((False, True), repeat=3):
+                e1 = ((0, 1), (0, 0), w1) if flip1 else ((0, 0), (0, 1), w1)
+                e2 = ((0, 3), (0, 2), w2) if flip2 else ((0, 2), (0, 3), w2)
+                yield SurfaceDiagram.build(1, [axis], [e2, e1] if swap else [e1, e2])
+
+
+def test_r1_removals_are_pinned():
+    starts = [d for d in _valid_corpus(12) if d.crossings]
+    walked = [
+        d
+        for i, start in enumerate(starts)
+        for _, d in walk(start, 40, 300 + i, max_crossings=len(start.crossings) + 5)
+    ]
+    results = [
+        apply_move(d, m)
+        for d in itertools.chain(walked, _closed_curls())
+        for m in enumerate_moves(d, "R1_remove")
+    ]
+    assert len(results) == R1_COUNT
+    assert _digest(results) == R1_REMOVALS
 
 
 # -- parity classes and crossing signs ----------------------------------------------
