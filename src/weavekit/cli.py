@@ -456,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="compile a tessellation into a weave diagram")
     b.add_argument("--tiling", required=True)
     b.add_argument("--method", required=True)
-    b.add_argument("--m", type=int, default=1)
-    b.add_argument("--scale", type=int, default=1)
+    b.add_argument("--m", type=_int_within(0), default=1)
+    b.add_argument("--scale", type=_int_within(1), default=1)
     b.add_argument("--seq", default=None, help='crossing sequences like "1,2:1,1;1,3:1,1"')
     b.add_argument("--alternating", action="store_true")
     b.add_argument("-o", "--output", default=None)

@@ -10,8 +10,8 @@ or b_{k-g} (k > g); -k encodes the inverse. The empty tuple is the trivial
 word. Abelianizations live in Z^{2g} and are what the winding machinery
 consumes; the full words are kept because region-coincidence tests on
 higher-genus cells need the nonabelian element. ``is_trivial`` decides
-that element at genus >= 2 with one greedy Dehn pass over the cyclic
-forms of the surface relator, built once per genus.
+that element at genus >= 2 by Dehn's algorithm, which by Greendlinger's
+lemma needs only a plain scan of the freely reduced word.
 
 This module also owns the one sign rule for homology classes:
 ``normalize_class`` points a Z^{2g} class the way whose first nonzero
@@ -126,14 +126,6 @@ def free_reduce(word: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def _cyclic_reduce(word: Sequence[int]) -> Word:
-    w = free_reduce(word)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i, j = i + 1, j - 1
-    return w[i:j]
-
-
 _RELATOR_FORMS: dict[int, dict[int, list[Word]]] = {}
 
 
@@ -156,26 +148,26 @@ def is_trivial(word: Sequence[int], genus: int) -> bool:
 
     Genus 1 is abelian, so the net letter counts decide. For genus >= 2 the
     relator satisfies C'(1/7), so Dehn's algorithm decides (Lyndon and
-    Schupp, ch. V): in the cyclically reduced word, find a position whose
+    Schupp, ch. V): in the freely reduced word, find a position whose
     longest common prefix with one of the two relator forms starting with
     that letter is more than half the relator, replace that piece by the
-    inverse of the rest of the form, and go round again. The word is
-    trivial when it empties, nontrivial when no position has such a piece.
+    inverse of the rest of the form, free-reduce, and go round again. By
+    Greendlinger's lemma every nonempty freely reduced trivial word holds
+    such a piece, so the word is trivial exactly when it empties.
     """
     if genus == 1:
         return not any(abelianize(word, 1))
     forms = _relator_forms(genus)
     half = 2 * genus
-    w = _cyclic_reduce(word)
+    w = free_reduce(word)
     while w:
         n = len(w)
-        doubled = w + w
         for start, form in ((s, f) for s in range(n) for f in forms[w[s]]):
-            k, limit = 1, min(n, len(form))
-            while k < limit and doubled[start + k] == form[k]:
+            k, limit = 1, min(n - start, len(form))
+            while k < limit and w[start + k] == form[k]:
                 k += 1
             if k > half:
-                w = _cyclic_reduce(doubled[start + k:start + n] + invert(form[k:]))
+                w = free_reduce(w[:start] + invert(form[k:]) + w[start + k:])
                 break
         else:
             return False

@@ -108,25 +108,16 @@ MUTANTS = (
     Mutant(
         "Dehn pass reads the word unreduced",
         "words.py",
-        "    w = _cyclic_reduce(word)",
+        "    w = free_reduce(word)",
         "    w = tuple(word)",
         ("tests/test_moves.py::test_every_listed_removal_and_flip_applies_at_both_genera",),
     ),
     Mutant(
-        "Dehn pass without cyclic trimming",
+        "Dehn pass leaves a replacement's seams unreduced",
         "words.py",
-        "    while j - i >= 2 and w[i] == -w[j - 1]:",
-        "    while False:",
+        "                w = free_reduce(w[:start] + invert(form[k:]) + w[start + k:])",
+        "                w = w[:start] + invert(form[k:]) + w[start + k:]",
         ("tests/test_words.py",),
-        equivalent=(
-            "every word the pass reads is still freely reduced and trivial exactly when"
-            " the input is, and a freely reduced nonempty word that is trivial in a C'(1/6)"
-            " group holds more than half a relator form as a plain subword (Lyndon and"
-            " Schupp, ch. V); the pass reads every plain subword, so the trim only shortens"
-            " the word; it is faster on conjugated relator products but slower on the"
-            " is_trivial calls of genus-2 fuzz walks, so no workload shows it to be a"
-            " speed step"
-        ),
     ),
     Mutant(
         "R1_remove drops the curl's loop word",

@@ -565,6 +565,14 @@ def test_negative_crossing_budget_is_input_error(plain_file):
             ["canonicalize", "--winding", "(1,0);(0,1)", "--certify-ball", "1000"],
             "--certify-ball", "1000",
         ),
+        (["build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "0"], "--scale", "0"),
+        # refused as parsed, before the --seq check could blame the pattern
+        (
+            ["build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--scale", "-3",
+             "--seq", "1,2:1,1"],
+            "--scale", "-3",
+        ),
+        (["build", "--tiling", "(4,4,4,4)", "--method", "nBr", "--m", "-1"], "--m", "-1"),
     ],
 )
 def test_counts_out_of_range_are_input_errors(plain_file, argv, flag, value):
@@ -573,7 +581,8 @@ def test_counts_out_of_range_are_input_errors(plain_file, argv, flag, value):
         code, err = _rejected([a.format(f=plain_file) for a in argv])
     assert code == EXIT_INPUT
     assert out.getvalue() == ""
-    rule = "at least 0" if int(value) < 0 else "at most 20"
+    low = 1 if flag == "--scale" else 0
+    rule = f"at least {low}" if int(value) < low else "at most 20"
     assert f"argument {flag}: must be {rule}, got {value}" in err
 
 

@@ -190,6 +190,19 @@ def test_dehn_pass_matches_the_reference_on_seeded_words():
     assert 3_000 < trivial < checked - 3_000
 
 
+def test_dehn_verdict_is_the_same_on_every_rotation():
+    # a rotation is a conjugate, so it has the same verdict; the pass does
+    # not read round the word's ends, so a relator piece that a rotation
+    # splits must not change it
+    rotations = 0
+    for genus, w in _seeded_words(seed=16, per_kind=200):
+        verdict = words.is_trivial(w, genus)
+        for k in range(1, len(w)):
+            assert words.is_trivial(w[k:] + w[:k], genus) == verdict, (genus, w, k)
+            rotations += 1
+    assert rotations > 40_000
+
+
 def test_dehn_pass_matches_the_reference_on_walk_regions():
     from weavekit.corpus import genus2_corpus
     from weavekit.moves import walk
