@@ -36,7 +36,8 @@ yields each move with the diagram it gives and keeps none of them;
 Regions are looked up through the corner index ``SurfaceDiagram.corner_face``
 (a step lies in the region of its arrival corner), never by scanning every
 region: a curl or push names the region of its first step, a removal or
-flip the regions at its first crossing.
+flip the regions at its first crossing. ``_steps`` is the one reading of a
+region's steps, for the curl and push listings, push membership and surgery.
 """
 
 from __future__ import annotations
@@ -90,30 +91,23 @@ class Move(Frozen):
 # -- listings ---------------------------------------------------------------------
 
 
+def _steps(d: SurfaceDiagram, face: Face) -> list[tuple[int, int]]:
+    """The directed steps (edge, direction) round a region, one arriving at
+    each corner, in walk order."""
+    return [(eid, 1 - which) for eid, which in map(d.dart_edges().__getitem__, face.darts)]
+
+
 def _curls(d: SurfaceDiagram, face: Face) -> Iterator[tuple]:
     # a curl on edge e sits in the region of the step (e, 0), arriving at end 1
-    at = d.dart_edges()
-    return ((eid, chirality) for eid, which in map(at.__getitem__, face.darts) if which == 1
+    return ((eid, chirality) for eid, direction in _steps(d, face) if direction == 0
             for chirality in (1, -1))
-
-
-def _step_dart(d: SurfaceDiagram, step: object) -> Optional[int]:
-    """The dart a directed step (edge, direction) arrives at; None unless
-    that dart reads back as the step, as a direction past 0 and 1 does not."""
-    try:
-        eid, direction = step
-        cid, s = d.edges[eid].ends[1 - direction]
-    except (IndexError, TypeError, ValueError):
-        return None
-    x = 4 * cid + s
-    eid_back, which = d.dart_edges()[x]
-    return x if (eid_back, 1 - which) == step else None
 
 
 class _Pushes:
     """The pushes sited in a region: those of its first step, which its
     second borders too. Listed lazily, since a region of s steps lists about
-    2s^2 of them; membership reads the steps' arrival darts, not the listing."""
+    2s^2 of them; listing and membership read ``_steps``, the one reading of
+    its steps, and membership never lists."""
 
     __slots__ = ("d", "face")
 
@@ -121,8 +115,7 @@ class _Pushes:
         self.d, self.face = d, face
 
     def __iter__(self) -> Iterator[tuple]:
-        at = self.d.dart_edges()
-        steps = [(eid, 1 - which) for eid, which in map(at.__getitem__, self.face.darts)]
+        steps = _steps(self.d, self.face)
         return ((a, b, over_first) for a in steps for b in steps if a[0] != b[0]
                 for over_first in (True, False))
 
@@ -131,9 +124,8 @@ class _Pushes:
         if not isinstance(params, tuple) or len(params) != 3:
             return False
         a, b, over_first = params
-        darts = self.face.darts
-        return (_step_dart(self.d, a) in darts and _step_dart(self.d, b) in darts
-                and a[0] != b[0] and over_first in (True, False))
+        steps = _steps(self.d, self.face)
+        return a in steps and b in steps and a[0] != b[0] and over_first in (True, False)
 
 
 def _monogon_site(d: SurfaceDiagram, face: Face) -> Optional[tuple]:
@@ -281,9 +273,8 @@ def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
     e, fe = d.edges[eid_a], d.edges[eid_b]
     tail_e, head_e, word_e = e.ends[dir_a], e.ends[1 - dir_a], e.directed_word(dir_a)
     tail_f, head_f, word_f = fe.ends[dir_b], fe.ends[1 - dir_b], fe.directed_word(dir_b)
-    # each step arrives at the dart of its head end
-    i = face.darts.index(4 * head_e[0] + head_e[1])
-    j = face.darts.index(4 * head_f[0] + head_f[1])
+    steps = _steps(d, face)
+    i, j = steps.index(params[0]), steps.index(params[1])
     path = d.boundary_word(face, i, (j - 1) % len(face))
     x1 = len(d.crossings)
     x2 = x1 + 1

@@ -117,7 +117,7 @@ MUTANTS = (
         "words.py",
         "                w = free_reduce(w[:start] + invert(form[k:]) + w[start + k:])",
         "                w = w[:start] + invert(form[k:]) + w[start + k:]",
-        ("tests/test_words.py",),
+        ("tests/test_words.py::test_conjugates_of_relator_stay_trivial",),
     ),
     Mutant(
         "R1_remove drops the curl's loop word",
@@ -139,6 +139,20 @@ MUTANTS = (
         "    segments.append(segments.pop(loop_eid))",
         "    pass",
         ("tests/test_pinned_outputs.py::test_r1_removals_are_pinned",),
+    ),
+    Mutant(
+        "push membership accepts two steps of one edge",
+        "moves.py",
+        "        return a in steps and b in steps and a[0] != b[0] and over_first in (True, False)",
+        "        return a in steps and b in steps and over_first in (True, False)",
+        ("tests/test_moves.py::test_apply_move_accepts_exactly_the_listed_moves",),
+    ),
+    Mutant(
+        "curls listed on the arriving end",
+        "moves.py",
+        "    return ((eid, chirality) for eid, direction in _steps(d, face) if direction == 0",
+        "    return ((eid, chirality) for eid, direction in _steps(d, face) if direction == 1",
+        ("tests/test_moves.py::test_r1_roundtrip_and_counts",),
     ),
 )
 

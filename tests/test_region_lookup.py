@@ -6,7 +6,8 @@ the push-region search over every region's steps, the
 automorphism check comparing whole corner sets, and the isthmus test with
 its own corner-position table. They are held equal to the lookups on the
 full corpus and along seeded fuzz walks at genus 1 and 2, where both
-outcomes of every check occur.
+outcomes of every check occur. Push membership, which reads a region's
+steps without listing its pushes, is held equal to that listing.
 """
 
 from __future__ import annotations
@@ -218,3 +219,34 @@ def test_flip_checks_only_the_regions_at_its_first_crossing(monkeypatch):
     assert flipped.validate().ok
     # one check at most per corner of the flip's first crossing
     assert 1 <= len(checks) <= 4, checks
+
+
+def _malformed(d: SurfaceDiagram, push: tuple) -> list:
+    """Triples and near-triples made from a listed push: steps of a wrong
+    direction or edge, a step given as a list, a wrong ``over_first``, and
+    too few or too many parameters."""
+    a, b, over_first = push
+    out = []
+    for step in ((a[0], 2), (a[0], -1), (a[0], True), (-1, a[1]), (len(d.edges), a[1]), list(a)):
+        out += [(step, b, over_first), (b, step, over_first)]
+    out += [(a, b, 1), (a, b, 0), (a, b, None), (a, b), (a, b, over_first, over_first)]
+    return out
+
+
+def test_push_membership_is_the_listing(diagrams):
+    held = refused = 0
+    for name, d in diagrams:
+        faces = d.faces()
+        for f in faces:
+            listed = list(moves._Pushes(d, f))
+            probes = list(listed)
+            if listed:
+                probes += _malformed(d, listed[0])
+            other = faces[(f.id + 1) % len(faces)]
+            probes += list(moves._Pushes(d, other))[:1]
+            for p in probes:
+                expected = p in listed
+                assert (p in moves._Pushes(d, f)) == expected, (name, f.id, p)
+                held += expected
+                refused += not expected
+    assert held > 100000 and refused > 50000, (held, refused)
