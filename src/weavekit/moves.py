@@ -285,7 +285,7 @@ def _apply_r2_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
         if other.id in (eid_a, eid_b):
             continue
         specs.append((other.ends[0], other.ends[1], other.word))
-    specs.append((tail_e, (x1, 1), words.concat(word_e, path)))
+    specs.append((tail_e, (x1, 1), word_e + path))
     specs.append(((x2, 1), head_e, words.invert(path)))       # finger return leg
     specs.append(((x1, 3), (x2, 3), ()))                      # finger tip
     specs.append((tail_f, (x2, 0), ()))                       # f up to the push
@@ -311,7 +311,7 @@ def _apply_r3(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
         if e.id == third_side:
             return ()
         g_p, g_q = lift.get(e.ends[0][0], ()), lift.get(e.ends[1][0], ())
-        return words.concat(g_p, e.word, words.invert(g_q))
+        return g_p + e.word + words.invert(g_q)
 
     remap: dict[End, End] = {}
     for idx in range(3):

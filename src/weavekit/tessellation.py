@@ -19,7 +19,8 @@ joins, which chords it meets and in what order. Slot labels come from
 the chords' directions in integer units, so no block is drawn. A block
 is built once per valency. Blocks and lines meet at ports, one per tiling
 dart and side, and ``diagram.splice`` joins the pieces through them into
-edges and free loops.
+edges and free loops. Untwisted ``nBr`` (m = 0) crosses nothing and rings
+each tiling face once, so its free loops are the faces.
 
 Over/under data on the produced skeleton is arbitrary until a crossing
 sequence assignment fixes it.
@@ -156,30 +157,6 @@ class PeriodicTiling(Frozen):
         init_field(self, "genus", genus)
         init_field(self, "edges", edges)
         init_field(self, "darts", darts)
-
-    def euler_check(self) -> bool:
-        # rotation-system face count must close the surface: V - E + F = 2 - 2g
-        return len(self.darts) - len(self.edges) + self.face_count() == 2 - 2 * self.genus
-
-    def face_count(self) -> int:
-        # a face boundary leaves along a dart, then turns one step
-        # counterclockwise at the vertex the dart's edge reaches
-        turn: dict[tuple[int, int], tuple[int, int]] = {}
-        for dlist in self.darts:
-            for pos, dart in enumerate(dlist):
-                turn[dart] = dlist[(pos + 1) % len(dlist)]
-        count = 0
-        seen: set[tuple[int, int]] = set()
-        for dart in turn:
-            if dart in seen:
-                continue
-            count += 1
-            cur = dart
-            while cur not in seen:
-                seen.add(cur)
-                label, end = cur
-                cur = turn[(label, 1 - end)]
-        return count
 
 
 # -- curated torus cells ----------------------------------------------------------

@@ -72,13 +72,6 @@ def invert(word: Sequence[int]) -> Word:
     return tuple(-l for l in reversed(word))
 
 
-def concat(*words: Sequence[int]) -> Word:
-    out: list[int] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
 def substitute(word: Sequence[int], images: Mapping[int, Sequence[int]]) -> Word:
     """Apply a letter substitution: letter k becomes ``images[k]`` and its
     inverse the inverse image; letters without an image stay as they are."""

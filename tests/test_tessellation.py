@@ -90,15 +90,20 @@ def test_transform_spec_parse_names(method, m, spec):
     assert TransformSpec.parse(method, m) == TransformSpec(*spec)
 
 
+def face_count(tiling) -> int:
+    # untwisted nBr turns each tiling face into one ring
+    return len(transform(tiling, TransformSpec("nBr", 0)).loops)
+
+
 def test_build_tiling_counts():
     t = square(1)
-    assert (len(t.darts), len(t.edges), t.face_count()) == (1, 2, 1)
+    assert (len(t.darts), len(t.edges), face_count(t)) == (1, 2, 1)
     kag = build_tiling(parse_vertex_symbol("(3,6,3,6)"), 1)
-    assert (len(kag.darts), len(kag.edges), kag.face_count()) == (3, 6, 3)
+    assert (len(kag.darts), len(kag.edges), face_count(kag)) == (3, 6, 3)
     hc = build_tiling(parse_vertex_symbol("(6,6,6)"), 1)
-    assert (len(hc.darts), len(hc.edges), hc.face_count()) == (2, 3, 1)
+    assert (len(hc.darts), len(hc.edges), face_count(hc)) == (2, 3, 1)
     tri = build_tiling(parse_vertex_symbol("(3,3,3,3,3,3)"), 1)
-    assert (len(tri.darts), len(tri.edges), tri.face_count()) == (1, 3, 2)
+    assert (len(tri.darts), len(tri.edges), face_count(tri)) == (1, 3, 2)
     sq3 = square(3)
     assert len(sq3.darts) == 9 and len(sq3.edges) == 18
 
@@ -134,7 +139,7 @@ def test_curated_cell_is_its_own_scale_one_tiling(symbol):
     vs = parse_vertex_symbol(symbol)
     cell = tessellation._CURATED[vs.ks]
     assert (cell.symbol, cell.genus) == (vs, 1)
-    assert cell.euler_check()
+    assert len(cell.darts) - len(cell.edges) + face_count(cell) == 2 - 2 * cell.genus
     darts = [dart for dlist in cell.darts for dart in dlist]
     assert sorted(darts) == [(label, end) for label in range(len(cell.edges)) for end in (0, 1)]
     for word in cell.edges:
@@ -278,7 +283,8 @@ def test_blocks_are_well_formed(method):
 def test_polygon_cells_transform_through_every_method(g):
     # {4g,4g}: the one vertex has 2g straight strands through it
     tiling = polygon_cell(g)
-    assert tiling.euler_check() and tiling.face_count() == 1
+    assert face_count(tiling) == 1
+    assert len(tiling.darts) - len(tiling.edges) + 1 == 2 - 2 * tiling.genus
     pairs = math.comb(2 * g, 2)
     for spec, crossings in (
         (TransformSpec("Cr", 1), pairs),
@@ -305,13 +311,27 @@ def test_polygon_cells_transform_through_every_method(g):
 @pytest.mark.parametrize("m, crossings", [(1, 4), (2, 8)])
 def test_genus2_tiling_goes_through_transform(m, crossings):
     tiling = genus2_octagon()
-    assert tiling.euler_check() and tiling.face_count() == 1
+    assert face_count(tiling) == 1
+    assert len(tiling.darts) - len(tiling.edges) + 1 == 2 - 2 * tiling.genus
     d = transform(tiling, TransformSpec("nBr", m))
     assert (d.genus, len(d.crossings)) == (2, crossings)
     assert d.validate().ok
     alt = assign_alternating(d)
     assert alt.is_reduced()[0]
     assert bracket(alt).span() == 4 * crossings - 4 * 2
+
+
+def test_untwisted_nbr_rings_every_tiling_face():
+    # m = 0 puts no twist on an edge line, so each face closes into one ring
+    # and the Euler relation gives the ring count: F = E - V + 2 - 2g
+    tilings = [build_tiling(parse_vertex_symbol(s), k) for s in SYMBOLS for k in (1, 2, 3, 4)]
+    tilings += [polygon_cell(g) for g in range(2, 9)] + [genus2_octagon()]
+    for t in tilings:
+        d = transform(t, TransformSpec("nBr", 0))
+        assert (d.crossings, d.edges, d.genus) == ((), (), t.genus), t.symbol
+        assert len(d.loops) == len(t.edges) - len(t.darts) + 2 - 2 * t.genus, t.symbol
+        assert classify(d) == "Polycatenane", t.symbol
+        assert d.validate().ok, t.symbol
 
 
 def test_transform_stores_freely_reduced_words():
