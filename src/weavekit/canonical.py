@@ -23,6 +23,7 @@ exactly when its base does, so no quotient is built.
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -155,13 +156,9 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
     if det_g == 0:
         # all vectors on one line through a primitive direction p, its sign
         # taken from the first nonzero vector
-        p = None
-        for v in M:
-            if v != (0, 0):
-                g = gcd(abs(v[0]), abs(v[1]))
-                p = (v[0] // g, v[1] // g)
-                break
-        assert p is not None
+        v = next(v for v in M if v != (0, 0))
+        g = gcd(*v)
+        p = (v[0] // g, v[1] // g)
         x, y = _bezout(p[0], p[1])
         U = ((x, -p[1]), (y, p[0]))  # columns (x,y) and (-p2,p1), det = 1
         out = moved(M, U)
@@ -239,20 +236,13 @@ def _nearest_int(num: int, den: int) -> int:
 
 
 def _transvection_vectors(genus: int) -> list[Vector]:
-    n = 2 * genus
-    vecs: list[Vector] = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        vecs.append(tuple(e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sj in (1, -1):
-                e = [0] * n
-                e[i] = 1
-                e[j] = sj
-                vecs.append(tuple(e))
-    return vecs
+    """The unit vectors e_i, then e_i + e_j and e_i - e_j for each i < j."""
+    units = identity(2 * genus)
+    return list(units) + [
+        tuple(x + s * y for x, y in zip(ei, ej))
+        for ei, ej in combinations(units, 2)
+        for s in (1, -1)
+    ]
 
 
 def _transvection(v: Vector, sign: int, genus: int) -> Matrix:
@@ -290,11 +280,7 @@ def _canonical_descent(M: Multiset, genus: int) -> CanonicalResult:
                     improved = True
         return cur_q, U
 
-    best_q, best_u = None, None
-    for U0 in starts:
-        cq, U = descend(U0)
-        if best_q is None or cq < best_q or (cq == best_q and U < best_u):
-            best_q, best_u = cq, U
+    best_q, best_u = min(descend(U0) for U0 in starts)
     return CanonicalResult(moved(M, best_u), best_u, q_before, best_q, False)
 
 
@@ -335,16 +321,13 @@ def brute_force_minimum(M: Multiset, genus: int, entry_bound: int) -> tuple[int,
     best_q = q_functional(M)
     best_set = moved(M, identity(2))
     rng = range(-entry_bound, entry_bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c != 1:
-                        continue
-                    key = moved(M, ((a, b), (c, d)))
-                    qv = q_functional(key)
-                    if qv < best_q or (qv == best_q and _order(key) > _order(best_set)):
-                        best_q, best_set = qv, key
+    for a, b, c, d in product(rng, repeat=4):
+        if a * d - b * c != 1:
+            continue
+        key = moved(M, ((a, b), (c, d)))
+        qv = q_functional(key)
+        if qv < best_q or (qv == best_q and _order(key) > _order(best_set)):
+            best_q, best_set = qv, key
     return best_q, best_set
 
 
@@ -397,7 +380,7 @@ def size(d: SurfaceDiagram) -> int:
 def _automorphisms(d: SurfaceDiagram) -> Iterator[list[int]]:
     """Nontrivial over-preserving automorphisms as dart maps, walked one root
     at a time so that a caller can stop at the first it needs."""
-    maps = (map_walk(d, d, 0, t) for t in range(1, 4 * len(d.crossings)))
+    maps = (map_walk(d, d, t) for t in range(1, 4 * len(d.crossings)))
     return (phi for phi in maps if phi is not None)
 
 

@@ -511,9 +511,7 @@ def mirror(d: SurfaceDiagram) -> SurfaceDiagram:
 
 def primitive_direction(vec: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Homology direction divided by content, sign-normalized; None for zero."""
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
+    g = gcd(*vec)
     return words.normalize_class([v // g for v in vec]) if g else None
 
 
@@ -740,12 +738,11 @@ def parse(text: str) -> SurfaceDiagram:
     return SurfaceDiagram.build(genus, [crossing_axes[i] for i in ids], edge_specs, loops)
 
 
-def map_walk(
-    a: SurfaceDiagram, b: SurfaceDiagram, root_a: int, root_b: int
-) -> Optional[list[int]]:
-    """The dart map sending dart ``root_a`` to ``root_b`` that keeps the turn
-    at each crossing, the flips and over passages, or None when there is
-    none. Dart 4c + s is slot s of crossing c; slot labels are not read.
+def map_walk(a: SurfaceDiagram, b: SurfaceDiagram, root: int) -> Optional[list[int]]:
+    """The dart map sending dart 0 of ``a`` to dart ``root`` of ``b`` that
+    keeps the turn at each crossing, the flips and over passages, or None
+    when there is none. Dart 4c + s is slot s of crossing c; slot labels
+    are not read.
 
     A map is its turn and flip permutations (Jones and Singerman, 1978). It
     is rigid when connected: one dart's image fixes its crossing's other
@@ -758,7 +755,7 @@ def map_walk(
     if n != len(fb):
         return None
     phi = [-1] * n
-    todo = [(root_a, root_b)]
+    todo = [(0, root)]
     while todo:
         x, y = todo.pop()
         if phi[x] >= 0:
@@ -819,5 +816,5 @@ def isomorphic(a: SurfaceDiagram, b: SurfaceDiagram, exact_words: bool = True) -
             if t.darts
         )
 
-    walks = (map_walk(a, b, 0, t) for t in range(4 * n))
+    walks = (map_walk(a, b, t) for t in range(4 * n))
     return any(phi is not None and decorations_match(phi) for phi in walks)

@@ -73,16 +73,9 @@ def _check_budget(d: SurfaceDiagram, budget: Optional[int] = None) -> None:
 
 
 def format_key(key: WindingKey) -> str:
-    if not key:
-        return "<>"
-    runs: list[tuple[tuple[int, ...], int]] = []
-    for vec in key:
-        if runs and runs[-1][0] == vec:
-            runs[-1] = (vec, runs[-1][1] + 1)
-        else:
-            runs.append((vec, 1))
     body = " ".join(
-        "(" + ",".join(str(x) for x in vec) + ")^" + str(mult) for vec, mult in runs
+        "(" + ",".join(str(x) for x in vec) + ")^" + str(len(list(run)))
+        for vec, run in itertools.groupby(key)
     )
     return f"<{body}>"
 

@@ -366,24 +366,24 @@ def _curl_removed(d: SurfaceDiagram, params: tuple) -> tuple[int, int]:
 _KINDS = {
     "R1_add": _Kind(1, _curls, lambda d, p: _step_region(d, (p[0], 0)), _apply_r1_add,
                     lambda d, p: (3 * p[1], -1),
-                    lambda p: f"e{p[0]} chirality={'+1' if p[1] > 0 else '-1'}",
+                    lambda p: f"e{p[0]:d} chirality={'+1' if p[1] > 0 else '-1'}",
                     lambda t: (int(t[0][1:]), 1 if t[1] == "chirality=+1" else -1)),
     "R1_remove": _Kind(-1, _guarded(1, _monogon_site), lambda d, p: _crossing_regions(d, p[0]),
                        _apply_r1_remove, _curl_removed,
-                       lambda p: f"c{p[0]}",
+                       lambda p: f"c{p[0]:d}",
                        lambda t: (int(t[0][1:]),)),
     "R2_add": _Kind(2, _Pushes, lambda d, p: _step_region(d, p[0]), _apply_r2_add, _kept,
-                    lambda p: f"e{p[0][0]}.{p[0][1]} e{p[1][0]}.{p[1][1]} "
+                    lambda p: f"e{p[0][0]:d}.{p[0][1]:d} e{p[1][0]:d}.{p[1][1]:d} "
                               f"over={'first' if p[2] else 'second'}",
                     lambda t: (_step(t[0]), _step(t[1]), t[2] == "over=first")),
     "R2_remove": _Kind(-2, _guarded(2, _bigon_site), lambda d, p: _crossing_regions(d, p[0]),
                        _apply_r2_remove, _kept,
-                       lambda p: f"c{p[0]} c{p[1]}",
+                       lambda p: f"c{p[0]:d} c{p[1]:d}",
                        lambda t: (int(t[0][1:]), int(t[1][1:])),
                        form=lambda p: tuple(sorted(p))),
     "R3": _Kind(0, _guarded(3, _triangle_site), lambda d, p: _crossing_regions(d, p[0][0][0]),
                 _apply_r3, _kept,
-                lambda p: " ".join(f"c{c}.{s}" for c, s in p[0]),
+                lambda p: " ".join(f"c{c:d}.{s:d}" for c, s in p[0]),
                 lambda t: ((_step(t[0]), _step(t[1]), _step(t[2])),),
                 form=lambda p: (tuple(sorted(p[0])), *p[1:])),
 }

@@ -80,13 +80,7 @@ class VertexSymbol(Frozen):
     def canonical(ks: Sequence[int]) -> "VertexSymbol":
         """Least representative over rotations and reflection."""
         seq = tuple(ks)
-        best = None
-        for cand in (seq, tuple(reversed(seq))):
-            for r in range(len(cand)):
-                rot = cand[r:] + cand[:r]
-                if best is None or rot < best:
-                    best = rot
-        return VertexSymbol(best)
+        return VertexSymbol(min(c[r:] + c[:r] for c in (seq, seq[::-1]) for r in range(len(c))))
 
     @property
     def euclidean(self) -> bool:

@@ -21,6 +21,7 @@ bracket's winding keys and the canonical winding multisets all use it.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping, Optional, Sequence
 
 Word = tuple[int, ...]
@@ -119,20 +120,16 @@ def free_reduce(word: Sequence[int]) -> Word:
     return tuple(out)
 
 
-_RELATOR_FORMS: dict[int, dict[int, list[Word]]] = {}
-
-
+@functools.cache
 def _relator_forms(genus: int) -> dict[int, list[Word]]:
     """The cyclic forms of the surface relator, the product of the handle
     commutators [a_i, b_i], and of its inverse, by first letter. The
     relator uses each letter once, so every letter starts one of each."""
-    forms = _RELATOR_FORMS.get(genus)
-    if forms is None:
-        rel = [l for i in range(1, genus + 1) for l in (i, genus + i, -i, -(genus + i))]
-        forms = _RELATOR_FORMS[genus] = {}
-        for base in (rel, list(invert(rel))):
-            for k, letter in enumerate(base):
-                forms.setdefault(letter, []).append(tuple(base[k:] + base[:k]))
+    rel = [l for i in range(1, genus + 1) for l in (i, genus + i, -i, -(genus + i))]
+    forms: dict[int, list[Word]] = {}
+    for base in (rel, list(invert(rel))):
+        for k, letter in enumerate(base):
+            forms.setdefault(letter, []).append(tuple(base[k:] + base[:k]))
     return forms
 
 

@@ -154,6 +154,20 @@ MUTANTS = (
         "    return ((eid, chirality) for eid, direction in _steps(d, face) if direction == 1",
         ("tests/test_moves.py::test_r1_roundtrip_and_counts",),
     ),
+    Mutant(
+        "sequence assignment lets a thread cross itself",
+        "tessellation.py",
+        "            if other == t.id:",
+        "            if False:",
+        ("tests/test_tessellation.py::test_a_crossing_within_one_direction_set_is_refused",),
+    ),
+    Mutant(
+        "sequence assignment lets two threads of one set cross",
+        "tessellation.py",
+        "            if si == sj:",
+        "            if False:",
+        ("tests/test_tessellation.py::test_a_crossing_within_one_direction_set_is_refused",),
+    ),
 )
 
 

@@ -806,6 +806,21 @@ def test_seq_refused_by_the_assignment_names_the_flag(tmp_path, method, m, scale
     assert not path.exists()
 
 
+
+@pytest.mark.parametrize("scale, message", [
+    ("1", "crossing c4 is a self-crossing"),
+    ("2", "crossing c16 joins two threads of direction set 2"),
+], ids=["self-crossing", "one-set"])
+def test_seq_on_a_crossing_within_one_direction_set_names_the_flag(tmp_path, scale, message):
+    path = tmp_path / "w.weave"
+    code, out, err = run_cli(
+        "build", "--tiling", "(4,4,4,4)", "--method", "nCr", "--m", "1",
+        "--scale", scale, "--seq", "1,2:1,1", "-o", str(path),
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: --seq: {message}\n"
+    assert not path.exists()
+
 def test_seq_with_alternating_is_input_error(tmp_path):
     path = tmp_path / "w.weave"
     for tiling in ("(4,4,4,4)", "(7,7)"):

@@ -532,7 +532,7 @@ def test_isomorphic_rejects_disconnected_diagrams():
     with pytest.raises(DiagramError, match="connected"):
         isomorphic(plain_weave_2x2(), two_curls, exact_words=False)
     # from c0, a walk never reaches the other curl's darts
-    assert map_walk(two_curls, two_curls, 0, 0) is None
+    assert map_walk(two_curls, two_curls, 0) is None
     # crossing-free diagrams compare their free loops as a multiset
     loops = [SurfaceDiagram(1, [], [], ws) for ws in ([(1,), (2,)], [(2,), (1,)], [(1,), (1,)])]
     assert isomorphic(loops[0], loops[1]) and not isomorphic(loops[0], loops[2])
@@ -542,13 +542,13 @@ def test_map_walk_is_rigid():
     d = plain_weave_2x2()
     # the 2x2 grid's translations, half turns and quarter turns onto a
     # crossing of the other axis: each root image gives one automorphism
-    maps = [map_walk(d, d, 0, t) for t in range(16)]
+    maps = [map_walk(d, d, t) for t in range(16)]
     assert [t for t, phi in enumerate(maps) if phi is not None] == [0, 2, 5, 7, 9, 11, 12, 14]
     assert maps[0] == list(range(16))
     # the diagonal translation sends slot s of c0 to slot s of c3
     assert maps[12] == [12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3]
     assert maps[1] is None and maps[4] is None  # over goes to under
-    assert map_walk(d, torus_curl(), 0, 0) is None
+    assert map_walk(d, torus_curl(), 0) is None
 
 
 def test_parse_caps_the_genus():

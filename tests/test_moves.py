@@ -13,6 +13,7 @@ from weavekit.moves import (
     crossing_number_bounds,
     enumerate_moves,
     fuzz,
+    parse_move,
     simplify,
     walk,
 )
@@ -561,6 +562,21 @@ def test_apply_move_accepts_exactly_the_listed_moves():
     assert {d.genus for d in diagrams} == {1, 2}
     assert min(refused.values()) > 100 and len(refused) == 5, refused
 
+
+
+def test_a_move_equal_to_a_listed_one_prints_the_listed_line():
+    # a step direction given as False equals the listed 0, so the move
+    # applies as the listed one does; its trace must be the listed line too
+    from weavekit.corpus import full_corpus
+
+    name, d = full_corpus()[0]
+    assert name == "square-cr-s2"
+    listed = enumerate_moves(d, "R2_add")[0]
+    assert str(listed) == "R2_add e0.0 e3.1 over=second"
+    m = Move("R2_add", ((0, False), (3, 1), False))
+    assert str(m) == str(listed)
+    assert parse_move(str(m)) == m
+    assert apply_move(d, m) == apply_move(d, listed)
 
 def test_every_kind_keeps_its_bracket_relation():
     # <D'> = coefficient * A^exponent * <D> for every listed move of every

@@ -442,6 +442,20 @@ def test_sequence_requires_weave():
         assign_weaving_map(poly, {(1, 2): (1, 1)})
 
 
+
+@pytest.mark.parametrize("scale, message", [
+    (1, "crossing c4 is a self-crossing"),
+    (2, "crossing c16 joins two threads of direction set 2"),
+], ids=["self-crossing", "one-set"])
+def test_a_crossing_within_one_direction_set_is_refused(scale, message):
+    # an nCr m=1 square weave is a Weave whose threads cross themselves at
+    # scale 1 and cross a thread of their own set at scale 2
+    d = transform(square(scale), TransformSpec("nCr", 1))
+    assert classify(d) == "Weave"
+    with pytest.raises(MixedSetCrossing) as caught:
+        assign_weaving_map(d, {(1, 2): (1, 1)})
+    assert str(caught.value) == message
+
 def test_alternating_solver_on_three_direction_weaves():
     for sym, method, m in (
         ("(3,6,3,6)", "Cr", 1),
