@@ -221,9 +221,7 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 
 def _nearest_int(num: int, den: int) -> int:
-    """Round num/den to the nearest integer, ties toward zero."""
-    if den == 0:
-        return 0
+    """Round num/den to the nearest integer, ties toward zero; den > 0."""
     q, r = divmod(num, den)
     if 2 * abs(r) > den:
         return q + 1

@@ -2,7 +2,7 @@
 
 Polynomials are kept as {exponent: coefficient} dicts with no stored zero
 coefficients, so equality is plain dict equality and all arithmetic is
-exact over Z.
+exact over Z. ``add_inplace`` is where a sum drops a cancelled coefficient.
 """
 
 from __future__ import annotations
@@ -33,17 +33,9 @@ def add_inplace(acc: LaurentPoly, q: LaurentPoly, scale: int = 1) -> None:
 
 
 def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    if not p or not q:
-        return {}
     r: LaurentPoly = {}
     for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            s = r.get(e, 0) + c1 * c2
-            if s:
-                r[e] = s
-            elif e in r:
-                del r[e]
+        add_inplace(r, shift(q, e1), c1)
     return r
 
 
@@ -62,12 +54,8 @@ def power(p: LaurentPoly, k: int) -> LaurentPoly:
     if k < 0:
         raise ValueError("negative powers are not defined in the Laurent ring")
     result = dict(ONE)
-    base = p
-    while k:
-        if k & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        k >>= 1
+    for _ in range(k):
+        result = mul(result, p)
     return result
 
 

@@ -491,7 +491,6 @@ _SIMPLIFY_RESTARTS = 4
 
 def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
     """Budgeted greedy reduction: removals first, triangle flips to unstick."""
-    best = d
 
     def removals(cur: SurfaceDiagram) -> list[Move]:
         return enumerate_moves(cur, "R1_remove") or enumerate_moves(cur, "R2_remove")
@@ -501,24 +500,21 @@ def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
             cur = apply_move(cur, found[0])
         return cur
 
-    # greedy is deterministic: every restart starts from its one result
-    start = greedy(d)
+    # greedy is deterministic (d itself when it removes nothing): every
+    # restart starts from its one result
+    best = start = greedy(d)
     for attempt in range(_SIMPLIFY_RESTARTS):
         rng = random.Random(seed + attempt)
         cur = start
         for _ in range(_SIMPLIFY_ROUNDS):
+            if found := removals(cur):
+                cur = apply_move(cur, found[0])
+            elif flips := enumerate_moves(cur, "R3"):
+                cur = apply_move(cur, rng.choice(flips))
+            else:
+                break
             if len(cur.crossings) < len(best.crossings):
                 best = cur
-            found = removals(cur)
-            if found:
-                cur = apply_move(cur, found[0])
-                continue
-            flips = enumerate_moves(cur, "R3")
-            if not flips:
-                break
-            cur = apply_move(cur, rng.choice(flips))
-        if len(cur.crossings) < len(best.crossings):
-            best = cur
     return best
 
 
@@ -540,12 +536,7 @@ def crossing_number_bounds(
 
     b = bracket(d, budget=budget)
     certified = () in b.parts
-    if b.is_zero:
-        lower = 0
-        certified = False
-    else:
-        span = b.span()
-        lower = -(-span // 4) + d.genus if certified else 0
+    lower = -(-b.span() // 4) + d.genus if certified else 0
     reduced = simplify(d, seed=seed)
     upper = len(reduced.crossings)
     return {

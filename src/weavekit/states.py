@@ -137,7 +137,7 @@ class StateTracer:
     a per-state pairing jumps across a smoothed crossing, and cycles of
     their composition are the directed state loops; ``trace_loops`` labels
     both darts of every step, so each loop is walked in one direction only.
-
+    ``set_crossing`` is the one splice of a crossing's four slots into a pairing.
     """
 
     def __init__(self, d: SurfaceDiagram):
@@ -158,13 +158,11 @@ class StateTracer:
             self.wvec[4 * c1 + s1] = -p
         self.pair_a = [0] * self.n_darts
         self.pair_b = [0] * self.n_darts
-        for c in d.crossings:
-            for x, y in A_PAIRING[c.over_axis]:
-                self.pair_a[4 * c.id + x] = 4 * c.id + y
-                self.pair_a[4 * c.id + y] = 4 * c.id + x
-            for x, y in B_PAIRING[c.over_axis]:
-                self.pair_b[4 * c.id + x] = 4 * c.id + y
-                self.pair_b[4 * c.id + y] = 4 * c.id + x
+        for pair, table in ((self.pair_a, A_PAIRING), (self.pair_b, B_PAIRING)):
+            for c in d.crossings:
+                for x, y in table[c.over_axis]:
+                    pair[4 * c.id + x] = 4 * c.id + y
+                    pair[4 * c.id + y] = 4 * c.id + x
         loops = [abs(_pack(words.abelianize(w, d.genus), self.base)) for w in d.loops]
         self.base_trivial = loops.count(0)
         self.base_winding = tuple(sorted(p for p in loops if p))
@@ -190,8 +188,7 @@ class StateTracer:
         bits &= (1 << self.n_crossings) - 1
         while bits:
             low = bits & -bits
-            base = 4 * (low.bit_length() - 1)
-            pair[base:base + 4] = self.pair_b[base:base + 4]
+            self.set_crossing(pair, low.bit_length() - 1, True)
             bits ^= low
         return pair
 

@@ -168,6 +168,48 @@ MUTANTS = (
         "            if False:",
         ("tests/test_tessellation.py::test_a_crossing_within_one_direction_set_is_refused",),
     ),
+    Mutant(
+        "mul adds each shifted copy unscaled",
+        "laurent.py",
+        "        add_inplace(r, shift(q, e1), c1)",
+        "        add_inplace(r, shift(q, e1), 1)",
+        ("tests/test_laurent.py::test_mul_is_the_termwise_product",),
+    ),
+    Mutant(
+        "power multiplies once too often",
+        "laurent.py",
+        "    for _ in range(k):",
+        "    for _ in range(k + 1):",
+        ("tests/test_laurent.py::test_power_is_the_repeated_product",),
+    ),
+    Mutant(
+        "tracer fills its B table from the A pairings",
+        "states.py",
+        "(self.pair_b, B_PAIRING)):",
+        "(self.pair_b, A_PAIRING)):",
+        ("tests/test_states.py::test_resolve_state_matches_diagram_resolution",),
+    ),
+    Mutant(
+        "pairing_for_bits splices the A pairing at set bits",
+        "states.py",
+        "            self.set_crossing(pair, low.bit_length() - 1, True)",
+        "            self.set_crossing(pair, low.bit_length() - 1, False)",
+        ("tests/test_states.py::test_pairing_for_bits_takes_the_b_pairing_at_set_bits",),
+    ),
+    Mutant(
+        "simplify starts its best-so-far at the input",
+        "moves.py",
+        "    best = start = greedy(d)",
+        "    best, start = d, greedy(d)",
+        ("tests/test_pinned_outputs.py::test_simplify_results_are_pinned",),
+    ),
+    Mutant(
+        "simplify lets a later diagram of equal size win",
+        "moves.py",
+        "            if len(cur.crossings) < len(best.crossings):",
+        "            if len(cur.crossings) <= len(best.crossings):",
+        ("tests/test_pinned_outputs.py::test_simplify_results_are_pinned",),
+    ),
 )
 
 

@@ -82,6 +82,10 @@ def test_apply_twist_examples():
     assert list(twisted.items()) == [((0, 1), 1), ((1, 1), 2), ((1, 2), 1)]
     with pytest.raises(NonSymplectic):
         apply_twist({(1, 0): 1}, ((1, 0), (0, 2)), 1)
+    # a matrix of the wrong shape, square or ragged
+    for U in (identity(3), ((1, 0), (0,)), ((1, 0, 0), (0, 1))):
+        with pytest.raises(NonSymplectic, match=r"^matrix does not satisfy U\^T J U = J$"):
+            apply_twist({(1, 0): 1}, U, 1)
 
 
 def test_symplectic_check():
@@ -240,6 +244,8 @@ def test_canonical_form_higher_genus_descent():
 def test_canonical_form_rejects_bad_vectors():
     with pytest.raises(Exception):
         canonical_form({(1, 0, 0): 1}, 1)
+    with pytest.raises(DiagramError, match="^genus must be >= 1$"):
+        canonical_form({}, 0)
 
 
 def test_dehn_twist_rewrites_words():

@@ -383,3 +383,11 @@ def test_the_mirror_image_inverts_a_and_negates_the_signs():
         seen[d.genus] += 1
     assert seen[1] and seen[2], seen
 
+
+def test_the_zero_bracket_prints_zero_and_has_no_degree():
+    zero = BracketValue({})
+    assert zero.format() == "0"
+    assert repr(zero) == "BracketValue('0')"
+    for degree in (zero.max_degree, zero.min_degree):
+        with pytest.raises(ValueError, match="^zero bracket has no degree$"):
+            degree()

@@ -99,6 +99,9 @@ def test_basic_arithmetic():
     assert laurent.mul(p, q) == {0: 3, -2: -3}
     assert sub(p, p) == {}
     assert laurent.power(q, 2) == {-4: 9}
+    assert laurent.scale(p, 0) == {}
+    with pytest.raises(ValueError, match="^negative powers are not defined in the Laurent ring$"):
+        laurent.power(q, -1)
 
 
 def test_zero_coefficients_are_dropped():
@@ -113,6 +116,8 @@ def test_degrees_and_span():
     assert span(p) == 6
     with pytest.raises(ValueError):
         laurent.max_degree({})
+    with pytest.raises(ValueError, match="^zero polynomial has no degree$"):
+        laurent.min_degree({})
 
 
 def test_loop_factor_divides_its_powers():
@@ -171,3 +176,21 @@ def test_format_is_canonical():
     assert laurent.format_poly({0: 1}) == "1A^0"
     assert laurent.format_poly({2: -1, -2: 3}) == "-1A^2 + 3A^-2"
     assert laurent.format_poly({}) == "0"
+
+
+def product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Reference product: every pair of terms, collected through ``poly``."""
+    return poly((e1 + e2, c1 * c2) for e1, c1 in p.items() for e2, c2 in q.items())
+
+
+@given(polys(), polys())
+def test_mul_is_the_termwise_product(p, q):
+    assert laurent.mul(p, q) == product(p, q)
+
+
+@given(polys(), st.integers(0, 5))
+def test_power_is_the_repeated_product(p, k):
+    expected = dict(laurent.ONE)
+    for _ in range(k):
+        expected = product(expected, p)
+    assert laurent.power(p, k) == expected

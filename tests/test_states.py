@@ -42,6 +42,8 @@ def test_split_unknown_crossing():
     # the crossing is checked before the kind
     with pytest.raises(DiagramError, match="unknown crossing c5"):
         split(torus_curl(), 5, "C")
+    with pytest.raises(DiagramError, match="^unknown crossing c1$"):
+        smooth_crossings(torus_curl(), {0: A_PAIRING[0], 1: A_PAIRING[0]})
 
 
 @pytest.mark.parametrize("kind", ["b", "X", "", "AB"])

@@ -495,3 +495,48 @@ def test_alternating_solver_follows_long_twist_chains():
     alt = assign_alternating(d)
     assert len(alt.crossings) == 3000
     assert alt.is_alternating()
+
+
+def _set_one_reads(d, patterns):
+    """``d`` with the i-th thread of set 1 passing over (True) or under
+    (False) as ``patterns[i]`` says, in its walk order; every crossing of a
+    ``Cr`` build on the square tiling is on exactly one thread of set 1."""
+    threads = d.threads()
+    axes = [c.over_axis for c in d.crossings]
+    for tid, pattern in zip(d.thread_sets()[0], patterns):
+        for x, over in zip(threads[tid].darts, pattern, strict=True):
+            axes[x >> 2] = x & 1 if over else 1 - (x & 1)
+    return d.with_over_axes(axes)
+
+
+def test_read_sequence_refuses_a_thread_that_is_not_p_over_q_under():
+    d = transform(square(4), TransformSpec("Cr", 1))
+    first = d.thread_sets()[0][0]
+    over = _set_one_reads(d, [(True,) * 4])
+    assert [over.passage_is_over(x) for x in over.threads()[first].darts] == [True] * 4
+    with pytest.raises(
+        InconsistentSequence,
+        match=rf"^thread {first} does not read a cyclic \(p,q\) pattern against set 2$",
+    ):
+        read_sequence(over, 1, 2)
+    mixed = _set_one_reads(d, [(True, False) * 2, (True, True, False, False)])
+    with pytest.raises(
+        InconsistentSequence,
+        match=r"^threads of set 1 disagree against set 2: \(1, 1\) vs \(2, 2\)$",
+    ):
+        read_sequence(mixed, 1, 2)
+
+
+def test_read_sequence_refuses_sets_that_never_cross():
+    # nBr m = 1 on the genus-2 octagon: one thread per set, of classes
+    # a2 + b2, a1 + b1 and a1 + a2 - b1 - b2; the first two have
+    # intersection number 0 and do not meet
+    d = transform(genus2_octagon(), TransformSpec("nBr", 1))
+    threads = d.threads()
+    assert [threads[tid].homology for (tid,) in d.thread_sets()] == [
+        (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, -1, -1),
+    ]
+    for i, j in ((1, 2), (2, 1)):
+        with pytest.raises(TessellationError, match=f"^sets {i} and {j} never cross$"):
+            read_sequence(d, i, j)
+    assert read_sequence(d, 1, 3) == read_sequence(d, 2, 3) == (1, 1)

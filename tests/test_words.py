@@ -32,6 +32,8 @@ def test_parse_rejects_out_of_range():
         words.parse_word("c", 1)
     with pytest.raises(ValueError):
         words.parse_word("a3", 2)
+    with pytest.raises(ValueError, match="^letter 3 out of range for genus 1$"):
+        words.format_word((3,), 1)
 
 
 def test_abelianize():
