@@ -9,10 +9,11 @@ sorted keys, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import diagram
 from .diagram import DiagramError, SurfaceDiagram, TooManyCrossings
@@ -251,13 +252,24 @@ SUITES = {
 # -- command implementations -----------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _naming(flag: str, error: type[Exception] = DiagramError) -> Iterator[None]:
+    """Re-raise ``error`` from the block as a refusal that names ``flag``."""
+    try:
+        yield
+    except error as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_build(args) -> int:
     from . import tessellation
 
     if args.seq is not None and args.alternating:
         raise ValueError("--seq and --alternating cannot be combined")
-    symbol = tessellation.parse_vertex_symbol(args.tiling)
-    spec = tessellation.TransformSpec.parse(args.method, args.m)
+    with _naming("--tiling"):
+        symbol = tessellation.parse_vertex_symbol(args.tiling)
+    with _naming("--method"):
+        spec = tessellation.TransformSpec.parse(args.method, args.m)
     # read before any tiling work, so a bad entry costs no build
     seq: dict[tuple[int, int], tuple[int, int]] = {}
     for chunk in [] if args.seq is None else args.seq.split(";"):
@@ -267,10 +279,8 @@ def cmd_build(args) -> int:
             p, q = (int(x) for x in pq.split(","))
         except ValueError:
             raise ValueError(f'--seq: expected entries like "1,2:1,1", got {chunk!r}') from None
-        try:
+        with _naming("--seq"):
             tessellation.check_sequence_entry(i, j, p, q)
-        except tessellation.TessellationError as exc:
-            raise ValueError(f"--seq: {exc}") from None
         if (i, j) in seq:
             raise ValueError(f"--seq: set pair {i},{j} is given twice")
         seq[(i, j)] = (p, q)
@@ -282,7 +292,10 @@ def cmd_build(args) -> int:
                 f"--seq: p + q = {p + q} for set pair {i},{j} does not divide --scale "
                 f"{args.scale}, the number of times a Cr thread crosses each other set"
             )
-    count = tessellation.crossing_count(symbol, spec, args.scale)
+    # a symbol outside the curated set is the tiling's fault; a block the
+    # method cannot build at one of its valencies is the method's
+    with _naming("--method"), _naming("--tiling", tessellation.UnsupportedTiling):
+        count = tessellation.crossing_count(symbol, spec, args.scale)
     if count > tessellation.MAX_BUILD_CROSSINGS:
         raise ValueError(
             f"--scale {args.scale} with --m {args.m} gives {count} crossings, "
@@ -291,10 +304,8 @@ def cmd_build(args) -> int:
     # the tiling is freed once transformed: it is not held at the build's peak
     d = tessellation.transform(tessellation.build_tiling(symbol, args.scale), spec)
     if seq:
-        try:
+        with _naming("--seq"):
             d = tessellation.assign_weaving_map(d, seq)
-        except tessellation.TessellationError as exc:
-            raise ValueError(f"--seq: {exc}") from None
     elif args.alternating:
         d = tessellation.assign_alternating(d)
     text = diagram.serialize(d)
@@ -379,7 +390,8 @@ def cmd_canonicalize(args) -> int:
         genus = d.genus
     if args.certify_ball and genus > 1:
         # refused before any work; canonical_form refuses genus < 1 itself
-        canonical.check_ball_genus(genus)
+        with _naming("--certify-ball"):
+            canonical.check_ball_genus(genus)
     if args.winding is None:
         from . import invariants
 

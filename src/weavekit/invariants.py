@@ -371,7 +371,7 @@ def bracket_by_skein(d: SurfaceDiagram, budget: Optional[int] = None) -> Bracket
         rec(split(dd, 0, "B"), a_minus_b - 1)
 
     rec(d, 0)
-    return BracketValue({k: p for k, p in acc.items() if p})
+    return BracketValue(acc)
 
 
 # -- writhe and orientations -------------------------------------------------------

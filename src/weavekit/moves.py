@@ -23,15 +23,15 @@ directly, with the edges it keeps in their order.
 A move kind is one row of ``_KINDS``, the only place that knows it: its
 crossing change, its listing of the moves sited in one region, the regions
 its parameters name, the parameter form it lists, its surgery, its bracket
-relation and its trace text, which ``parse_move`` reads back.
-``enumerate_moves`` runs the rows' listings over the regions, and
-``apply_move`` accepts exactly the moves that a region named by their
-parameters lists; any other raises ``IllegalMove``. ``walk`` is the one
-seeded random walk: each step draws a kind among the kinds that have a
-move, each found at its first listed move, and then lists only that kind,
-so a seed gives the same walk as when every step listed every move. It
-yields each move with the diagram it gives and keeps none of them;
-``fuzz`` collects the moves and the last diagram.
+relation and its trace text, which ``parse_move`` reads back. ``_sites``
+is the one reading of a kind's listing, region by region: ``enumerate_moves``
+sorts what it yields, and ``apply_move`` accepts exactly the moves that a
+region named by their parameters lists; any other raises ``IllegalMove``.
+``walk`` is the one seeded random walk: each step draws a kind among the
+kinds its cap allows that ``_sites`` finds a first site of, then lists only
+that kind, so a seed gives the same walk as when every step listed every
+move. It yields each move with the diagram it gives and keeps none of
+them; ``fuzz`` collects the moves and the last diagram.
 
 Regions are looked up through the corner index ``SurfaceDiagram.corner_face``
 (a step lies in the region of its arrival corner), never by scanning every
@@ -194,27 +194,21 @@ def _crossing_regions(d: SurfaceDiagram, cid: int) -> list[int]:
     return sorted(set(d.corner_face()[4 * cid:4 * cid + 4]))
 
 
+def _sites(d: SurfaceDiagram, kind: str) -> Iterator[tuple]:
+    """The parameters ``kind`` lists, region by region and unsorted; lazy,
+    so finding a first site lists only the regions up to it."""
+    listing = _KINDS[kind].listing
+    for f in d.faces():
+        yield from listing(d, f)
+
+
 def enumerate_moves(d: SurfaceDiagram, kind: Optional[str] = None) -> list[Move]:
     """All applicable moves, ordered by kind and then by parameters; with
     ``kind``, only the moves of that kind, in the same order."""
     if kind is not None and kind not in _KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
-    found = {k: set() for k in (_KINDS if kind is None else (kind,))}
-    for f in d.faces():
-        for k, listed in found.items():
-            listed.update(_KINDS[k].listing(d, f))
-    return [Move(k, params) for k, listed in found.items() for params in sorted(listed)]
-
-
-def _kinds_present(d: SurfaceDiagram) -> set[str]:
-    """The kinds ``enumerate_moves`` would list a move of, found without
-    listing them: a kind is present once one region lists a first move."""
-    present = set()
-    for f in d.faces():
-        for kind, row in _KINDS.items():
-            if kind not in present and next(iter(row.listing(d, f)), None):
-                present.add(kind)
-    return present
+    kinds = _KINDS if kind is None else (kind,)
+    return [Move(k, params) for k in kinds for params in sorted(set(_sites(d, k)))]
 
 
 # -- surgery ----------------------------------------------------------------------
@@ -462,7 +456,9 @@ def walk(
     cur = d
     for _ in range(steps):
         n = len(cur.crossings)
-        kinds = [k for k in _kinds_present(cur) if n + _KINDS[k].delta <= max_crossings]
+        # _KINDS lists the kinds in sorted order, on which the seeded draw depends
+        kinds = [k for k, row in _KINDS.items()
+                 if n + row.delta <= max_crossings and next(_sites(cur, k), None) is not None]
         if not kinds:
             return
         if n > 0.75 * max_crossings:
@@ -471,7 +467,7 @@ def walk(
                 kinds = removals
         # choose the kind first so rare sites still get exercised, and list
         # only the moves of that kind
-        kind = rng.choice(sorted(kinds))
+        kind = rng.choice(kinds)
         pick = rng.choice(enumerate_moves(cur, kind))
         cur = apply_move(cur, pick)
         yield pick, cur

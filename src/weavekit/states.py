@@ -25,9 +25,7 @@ from . import words
 from .diagram import (
     AXIS_02,
     AXIS_13,
-    Crossing,
     DiagramError,
-    Edge,
     End,
     Node,
     SurfaceDiagram,
@@ -88,14 +86,10 @@ def smooth_crossings(
 
     edge_specs, loops = splice(segments)
     new_id = {c.id: i for i, c in enumerate(survivors)}
-    return SurfaceDiagram(
+    return SurfaceDiagram.build(
         d.genus,
-        # crossings below the first removed one keep their ids and objects
-        [c if c.id == i else Crossing(i, c.over_axis) for i, c in enumerate(survivors)],
-        [
-            Edge(i, ((new_id[a], s), (new_id[b], t)), w)
-            for i, ((a, s), (b, t), w) in enumerate(edge_specs)
-        ],
+        [c.over_axis for c in survivors],
+        [((new_id[a], s), (new_id[b], t), w) for (a, s), (b, t), w in edge_specs],
         d.loops + tuple(loops),
     )
 

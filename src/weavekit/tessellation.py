@@ -549,8 +549,8 @@ def assign_weaving_map(
     later: dict[tuple[int, int], list[tuple[int, tuple[int, int], int]]] = {
         var: [] for var in variables
     }
-    for passages in crossing_info.values():
-        (va, ka, _), (vb, kb, _) = sorted(passages)
+    for info in crossing_info.values():
+        (va, ka, _), (vb, kb, _) = sorted(info)
         later[va].append((ka, vb, kb))
     phases = {var: set(range(pattern[var][1])) for var in variables}
     phase_of: dict[tuple[int, int], int] = {}

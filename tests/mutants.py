@@ -210,6 +210,48 @@ MUTANTS = (
         "            if len(cur.crossings) <= len(best.crossings):",
         ("tests/test_pinned_outputs.py::test_simplify_results_are_pinned",),
     ),
+    Mutant(
+        "walk keeps a kind its cap excludes",
+        "moves.py",
+        "                 if n + row.delta <= max_crossings and next(",
+        "                 if next(",
+        ("tests/test_moves.py::test_fuzz_respects_cap",),
+    ),
+    Mutant(
+        "build refuses a bad --tiling without naming it",
+        "cli.py",
+        '    with _naming("--tiling"):',
+        "    with contextlib.nullcontext():",
+        ("tests/test_cli.py::test_refusals_name_the_flag_at_fault",),
+    ),
+    Mutant(
+        "build blames an odd Cr valency on --tiling and an uncurated tiling on --method",
+        "cli.py",
+        '_naming("--tiling", tessellation.UnsupportedTiling):',
+        '_naming("--tiling", tessellation.OddValencyForCr):',
+        ("tests/test_cli.py::test_refusals_name_the_flag_at_fault",),
+    ),
+    Mutant(
+        "canonicalize refuses the ball off the torus without naming --certify-ball",
+        "cli.py",
+        '        with _naming("--certify-ball"):',
+        "        with contextlib.nullcontext():",
+        ("tests/test_cli.py::test_certify_ball_off_the_torus_is_refused_before_any_work",),
+    ),
+    Mutant(
+        "corpus drops the first entry of every listing",
+        "corpus.py",
+        "    return [(name, parse(_TEXT[name])) for name in names]",
+        "    return [(name, parse(_TEXT[name])) for name in names][1:]",
+        ("tests/test_corpus.py::test_stored_corpus_is_what_its_recipes_build",),
+    ),
+    Mutant(
+        "full corpus lists its entries by name",
+        "corpus.py",
+        "    return _parsed(_TEXT)",
+        "    return _parsed(sorted(_TEXT))",
+        ("tests/test_corpus.py::test_stored_corpus_is_what_its_recipes_build",),
+    ),
 )
 
 

@@ -767,6 +767,21 @@ def test_malformed_seq_names_the_flag():
     assert err == "error: --seq: expected entries like \"1,2:1,1\", got '1,2:1'\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["build", "--tiling", "(5,5,5)", "--method", "Cr"], "--tiling"),
+    (["build", "--tiling", "4,4", "--method", "Cr"], "--tiling"),
+    (["build", "--tiling", "(4,4,4,4)", "--method", "Xr"], "--method"),
+    (["build", "--tiling", "(4,4,4,4)", "--method", "Cr", "--m", "2"], "--method"),
+    # the honeycomb's valency 3 leaves a Cr strand without a straight partner
+    (["build", "--tiling", "(6,6,6)", "--method", "Cr"], "--method"),
+    (["canonicalize", "--winding", "(1,0,0,0)", "--certify-ball", "1"], "--certify-ball"),
+], ids=["uncurated", "unparsed", "unknown-method", "Cr-with-m-2", "Cr-odd-valency", "ball-genus-2"])
+def test_refusals_name_the_flag_at_fault(argv, flag):
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
 @pytest.mark.parametrize("seq, message", [
     ("1,2:x", "expected entries like \"1,2:1,1\", got '1,2:x'"),
     ("", "expected entries like \"1,2:1,1\", got ''"),
@@ -1022,7 +1037,7 @@ def test_certify_ball_off_the_torus_is_refused_before_any_work(genus2_file, sour
     given = [str(genus2_file)] if source == "file" else ["--winding", "(1,0,0,0)"]
     code, out, err = run_cli("canonicalize", *given, "--certify-ball", "1")
     assert code == EXIT_INPUT and out == ""
-    assert err == "error: brute-force search is defined for the torus only\n"
+    assert err == "error: --certify-ball: brute-force search is defined for the torus only\n"
 
 
 def test_certify_ball_zero_still_canonicalizes_genus_2(genus2_file):

@@ -206,8 +206,11 @@ def test_fuzz_zero_steps():
 
 def test_fuzz_respects_cap():
     d = plain_weave_2x2()
-    for _, step in walk(d, 60, seed=5, max_crossings=9):
-        assert len(step.crossings) <= 9
+    # one above the start, the cap excludes a push; the start is reduced,
+    # so no removal is preferred over a push that the cap let through
+    for cap in (9, len(d.crossings) + 1):
+        for _, step in walk(d, 60, seed=5, max_crossings=cap):
+            assert len(step.crossings) <= cap
 
 
 def test_linking_invariance_along_walks():
@@ -465,11 +468,19 @@ def test_bigon_whose_removal_leaves_an_annulus_is_not_a_site():
         apply_move(d, Move("R2_remove", (0, 3)))
 
 
+def test_kinds_are_listed_in_sorted_order():
+    # walk draws a kind from a list in _KINDS order, and the walks that
+    # test_pinned_outputs.py pins were drawn from the kinds sorted
+    from weavekit.moves import _KINDS
+
+    assert list(_KINDS) == sorted(_KINDS)
+
+
 def test_listing_one_kind_matches_the_filtered_full_list():
-    # a fuzz step draws a kind among the kinds present and lists only that
-    # kind, so both must agree with the full listing, at both genera
+    # a fuzz step draws a kind among the kinds with a first site and lists
+    # only that kind, so both must agree with the full listing, at both genera
     from weavekit.corpus import alternating_corpus, full_corpus, genus2_corpus
-    from weavekit.moves import _KINDS, _kinds_present
+    from weavekit.moves import _KINDS, _sites
 
     alternating = dict(alternating_corpus())
     starts = [alternating["square-cr-s2"], alternating["kagome-cr-s2"]]
@@ -482,7 +493,8 @@ def test_listing_one_kind_matches_the_filtered_full_list():
         full = enumerate_moves(d)
         for kind in _KINDS:
             assert enumerate_moves(d, kind) == [m for m in full if m.kind == kind]
-        assert _kinds_present(d) == {m.kind for m in full}
+        present = {k for k in _KINDS if next(_sites(d, k), None) is not None}
+        assert present == {m.kind for m in full}
         seen[d.genus].update(m.kind for m in full)
     assert seen == {1: set(_KINDS), 2: set(_KINDS)}
     with pytest.raises(ValueError, match="unknown move kind 'R4'"):
