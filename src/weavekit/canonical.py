@@ -2,9 +2,11 @@
 
 Re-cutting the unit cell acts on every winding vector by a common matrix
 in Sp(2g, Z) (SL2(Z) on the torus). The canonical representative of a
-winding multiset minimizes the total squared norm over that orbit; on the
-torus the minimum is found exactly by Gauss lattice reduction of the Gram
-matrix followed by a certified enumeration of all minimizing bases, with a
+winding multiset minimizes the total squared norm over that orbit. On the
+torus a set on one line is turned onto the first axis, and an all-zero set
+takes the identity that way. Otherwise Gauss lattice reduction of the Gram
+matrix gives the least sum q(a) + q(b) over bases, the only thing read from
+it, and a certified enumeration lists every basis with that sum, with a
 deterministic tie-break: the largest multiset, compared as its expanded
 sorted tuple would be. Higher genus uses greedy descent over symplectic
 transvections and is reported as locally optimal only.
@@ -28,7 +30,7 @@ from math import gcd, isqrt
 from typing import Iterator
 
 from . import words
-from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Edge, Frozen, init_field, map_walk
+from .diagram import MAX_GENUS, DiagramError, SurfaceDiagram, Frozen, init_field, map_walk
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -139,9 +141,6 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
     q_before = q_functional(M)
     g00, g01, g11 = _gram(M)
 
-    def q(u: tuple[int, int]) -> int:
-        return g00 * u[0] * u[0] + 2 * g01 * u[0] * u[1] + g11 * u[1] * u[1]
-
     def bform(u: tuple[int, int], w: tuple[int, int]) -> int:
         return (
             g00 * u[0] * w[0]
@@ -149,14 +148,14 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
             + g11 * u[1] * w[1]
         )
 
-    if g00 == 0 and g01 == 0 and g11 == 0:
-        return CanonicalResult(moved(M, identity(2)), identity(2), q_before, q_before, True)
+    def q(u: tuple[int, int]) -> int:
+        return bform(u, u)
 
     det_g = g00 * g11 - g01 * g01
     if det_g == 0:
         # all vectors on one line through a primitive direction p, its sign
-        # taken from the first nonzero vector
-        v = next(v for v in M if v != (0, 0))
+        # taken from the first nonzero vector; all-zero sets take (1, 0), so U = I
+        v = next((v for v in M if v != (0, 0)), (1, 0))
         g = gcd(*v)
         p = (v[0] // g, v[1] // g)
         x, y = _bezout(p[0], p[1])
@@ -164,15 +163,15 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
         out = moved(M, U)
         return CanonicalResult(out, U, q_before, q_functional(out), True)
 
-    # Gauss-reduce a basis (u1, u2) of Z^2 for the quadratic form q
+    # Gauss-reduce a basis (u1, u2) of Z^2 for q; only the reduced sum is read,
+    # and it is the successive minima whatever the signs or the rounding of ties
     u1, u2 = (1, 0), (0, 1)
     while True:
         if q(u2) < q(u1):
-            u1, u2 = u2, (-u1[0], -u1[1])
+            u1, u2 = u2, u1
         qa = q(u1)
-        mu = _nearest_int(bform(u1, u2), qa)
-        if mu:
-            u2 = (u2[0] - mu * u1[0], u2[1] - mu * u1[1])
+        mu = (2 * bform(u1, u2) + qa) // (2 * qa)
+        u2 = (u2[0] - mu * u1[0], u2[1] - mu * u1[1])
         if q(u2) >= q(u1):
             break
     q_star = q(u1) + q(u2)
@@ -218,16 +217,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
-
-
-def _nearest_int(num: int, den: int) -> int:
-    """Round num/den to the nearest integer, ties toward zero; den > 0."""
-    q, r = divmod(num, den)
-    if 2 * abs(r) > den:
-        return q + 1
-    if 2 * abs(r) == den:
-        return q + (1 if q < 0 else 0)
-    return q
 
 
 # -- greedy descent for higher genus ---------------------------------------------------
@@ -359,9 +348,12 @@ def dehn_twist_diagram(
         raise ValueError("curve must be 'a' or 'b'")
 
     images = {2: (2, direction)} if curve == "a" else {1: (1, 2 * direction)}
-    edges = [Edge(e.id, e.ends, words.substitute(e.word, images)) for e in d.edges]
-    loops = [words.substitute(w, images) for w in d.loops]
-    return SurfaceDiagram(d.genus, d.crossings, edges, loops)
+    return SurfaceDiagram.build(
+        d.genus,
+        [c.over_axis for c in d.crossings],
+        [(*e.ends, words.substitute(e.word, images)) for e in d.edges],
+        [words.substitute(w, images) for w in d.loops],
+    )
 
 
 # -- diagram size ------------------------------------------------------------------------
@@ -371,8 +363,8 @@ def size(d: SurfaceDiagram) -> int:
     """Number of distinct regions incident to at least one crossing.
 
     Every region of a diagram with crossings has a corner, so that is every
-    region."""
-    return len(d.faces()) if d.crossings else 0
+    region, and a diagram without crossings has none."""
+    return len(d.faces())
 
 
 def _automorphisms(d: SurfaceDiagram) -> Iterator[list[int]]:

@@ -58,7 +58,7 @@ def analyze_report(d: SurfaceDiagram, budget: Optional[int]) -> dict[str, object
         return rep
     # first, so that a diagram above the budget is refused before other work
     b = invariants.bracket(d, budget=budget)
-    if d.crossings or d.edges:
+    if d.crossings:
         rep["faces"] = len(d.faces())
     threads = d.threads()
     rep["threads"] = len(threads)
@@ -388,8 +388,8 @@ def cmd_canonicalize(args) -> int:
     else:
         d = _read_diagram(args.file, must_be_valid=True)
         genus = d.genus
-    if args.certify_ball and genus > 1:
-        # refused before any work; canonical_form refuses genus < 1 itself
+    if args.certify_ball:
+        # refused before any work
         with _naming("--certify-ball"):
             canonical.check_ball_genus(genus)
     if args.winding is None:

@@ -479,11 +479,9 @@ class SurfaceDiagram:
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
-        if not self.crossings and not self.edges and not self.loops:
-            report.advisories.append("no crossings: empty diagram")
-            return report
-        if not self.crossings and self.loops and not self.edges:
-            report.advisories.append("no crossings: free loops only")
+        if not self.crossings and not self.edges:
+            kind = "free loops only" if self.loops else "empty diagram"
+            report.advisories.append(f"no crossings: {kind}")
             return report
         report.errors.extend(self._slot_pass()[0])
         if report.errors:
@@ -493,7 +491,7 @@ class SurfaceDiagram:
             report.errors.append(f"disconnected: {comp} components")
         nfaces = len(self.faces())
         expected = len(self.crossings) + 2 - 2 * self.genus
-        if self.crossings and nfaces != expected:
+        if nfaces != expected:
             report.errors.append(
                 f"Euler count: {nfaces} faces, expected {expected} for genus {self.genus}"
             )

@@ -499,7 +499,7 @@ def assign_weaving_map(
 
     # var key: (thread id, opposing set); phase in Z_{p+q}. Each crossing
     # records (var, position k along the var, entry dart) per passage.
-    crossings_of: dict[tuple[int, int], list[int]] = {}
+    seen: dict[tuple[int, int], int] = {}  # var -> passages so far
     crossing_info: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
     for t in d.threads():
         for dart in t.darts:
@@ -512,28 +512,25 @@ def assign_weaving_map(
                 raise MixedSetCrossing(
                     f"crossing c{cid} joins two threads of direction set {si}"
                 )
-            cids = crossings_of.setdefault((t.id, sj), [])
-            crossing_info.setdefault(cid, []).append(((t.id, sj), len(cids), dart))
-            cids.append(cid)
+            var = (t.id, sj)
+            k = seen.get(var, 0)
+            crossing_info.setdefault(cid, []).append((var, k, dart))
+            seen[var] = k + 1
 
-    def pair_pq(si: int, sj: int) -> tuple[int, int]:
+    variables = sorted(seen)
+    pattern: dict[tuple[int, int], tuple[int, int]] = {}  # var -> (p, period)
+    for var in variables:
+        tid, sj = var
+        si = set_of_thread[tid]
         key = (min(si, sj), max(si, sj))
         if key not in seq:
             raise InconsistentSequence(
                 f"no crossing sequence supplied for set pair {key}"
             )
-        p, q = seq[key]
-        return (p, q) if si < sj else (q, p)
-
-    variables = sorted(crossings_of)
-    pattern: dict[tuple[int, int], tuple[int, int]] = {}  # var -> (p, period)
-    for var in variables:
-        tid, sj = var
-        p, q = pair_pq(set_of_thread[tid], sj)
-        count = len(crossings_of[var])
-        if count % (p + q):
+        p, q = seq[key] if si < sj else seq[key][::-1]
+        if seen[var] % (p + q):
             raise InconsistentSequence(
-                f"thread {tid} crosses set {sj} {count} times, not a multiple of {p + q}"
+                f"thread {tid} crosses set {sj} {seen[var]} times, not a multiple of {p + q}"
             )
         pattern[var] = (p, p + q)
 

@@ -252,6 +252,34 @@ MUTANTS = (
         "    return _parsed(sorted(_TEXT))",
         ("tests/test_corpus.py::test_stored_corpus_is_what_its_recipes_build",),
     ),
+    Mutant(
+        "Lagrange step rounds down",
+        "canonical.py",
+        "        mu = (2 * bform(u1, u2) + qa) // (2 * qa)",
+        "        mu = bform(u1, u2) // qa",
+        ("tests/test_canonical.py::test_torus_descent_reaches_the_successive_minima",),
+    ),
+    Mutant(
+        "all-zero sets take direction (0, 1)",
+        "canonical.py",
+        "        v = next((v for v in M if v != (0, 0)), (1, 0))",
+        "        v = next((v for v in M if v != (0, 0)), (0, 1))",
+        ("tests/test_pinned_outputs.py::test_canonicalize_outputs_are_pinned",),
+    ),
+    Mutant(
+        "weaving map counts a passage twice",
+        "tessellation.py",
+        "            seen[var] = k + 1",
+        "            seen[var] = k + 2",
+        ("tests/test_tessellation.py",),
+    ),
+    Mutant(
+        "crossing-free advisories swapped",
+        "diagram.py",
+        '            kind = "free loops only" if self.loops else "empty diagram"',
+        '            kind = "empty diagram" if self.loops else "free loops only"',
+        ("tests/test_diagram.py::test_crossing_free_advisories_are_exact",),
+    ),
 )
 
 

@@ -182,6 +182,30 @@ def test_torus_descent_reaches_the_successive_minima():
         assert canonical_form(M, 1).q_after == _successive_minima_sum(g00, g01, g11), M
 
 
+def test_torus_descent_meets_ties_and_still_reaches_the_successive_minima():
+    # the reduced sum is read whatever rounding a tie 2|b(u1, u2)| = q(u1)
+    # takes. A hexagonal form, whose reduced bases all have 2|b| = q(u1), meets
+    # that tie on the last Lagrange step from every basis: the sets below
+    # are those forms, scaled and moved by SL2(Z), with one tying non-hexagonal form
+    bases = [[(1, 0), (0, 1), (1, 1)], [(1, 0), (0, 1), (1, -1)], [(1, 0), (1, 1), (0, 1), (0, 1)]]
+    moves = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)), ((1, -1), (0, 1))]
+    rng = random.Random(55)
+    for _ in range(300):
+        U = identity(2)
+        for _ in range(rng.randint(0, 6)):
+            U = mat_mul(U, rng.choice(moves))
+        scale = rng.randint(1, 3)
+        M = Counter(tuple(scale * x for x in vec_mul(v, U)) for v in rng.choice(bases))
+        assert canonical_form(M, 1).q_after == _successive_minima_sum(*_gram(M)), M
+
+
+def test_all_zero_torus_sets_take_the_identity():
+    for n in range(1, 6):
+        r = canonical_form(Counter({(0, 0): n}), 1)
+        assert (r.winding, r.matrix, r.q_before, r.q_after) == ({(0, 0): n}, identity(2), 0, 0)
+        assert r.certified
+
+
 def test_brute_force_matches_expanded_reference():
     # the random sets of acceptance criterion 10, then a state census
     rng = random.Random(20260810)

@@ -44,6 +44,16 @@ def test_empty_diagram_flags_advisory():
     assert any("no crossings" in a for a in rep.advisories)
 
 
+def test_crossing_free_advisories_are_exact():
+    for d, advisory in (
+        (SurfaceDiagram.build(1, [], []), "no crossings: empty diagram"),
+        (single_loop((1,)), "no crossings: free loops only"),
+        (single_loop((2, 1), genus=2), "no crossings: free loops only"),
+    ):
+        rep = d.validate()
+        assert (rep.errors, rep.advisories) == ([], [advisory])
+
+
 def test_constructor_refuses_a_genus_below_one_and_sparse_ids():
     d = plain_weave_2x2()
     with pytest.raises(DiagramError, match="^genus must be >= 1$"):
