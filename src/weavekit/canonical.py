@@ -199,9 +199,10 @@ def _canonical_g1(M: Multiset) -> CanonicalResult:
 
 def _box_radius(q_star: int, trace_g: int, det_g: int) -> int:
     """A radius B such that every u with q(u) <= q_star lies in [-B, B]^2:
-    q(u) >= (det G / trace G) |u|^2 bounds the search box exactly. ``det_g``
-    is positive, so floor division gives the exact integer part."""
-    return isqrt(q_star * trace_g // det_g) + 1
+    q(u) >= (det G / trace G) |u|^2 gives |u_i| <= sqrt(q_star trace G / det G).
+    ``det_g`` is positive, so floor division gives the exact integer part, and
+    the integer root of that part is the integer part of the root."""
+    return isqrt(q_star * trace_g // det_g)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ every genus. The rewiring then shifts every triangle-side attachment by
 two slots and swaps the strand continuations into the old side slots,
 which keeps all boundary words and over-axes in place. Both removals join
 strands by ``diagram.splice``: R2 through ``states.smooth_crossings``, R1
-directly, with the edges it keeps in their order.
+handing it only the strand through its curl.
 
 A move kind is one row of ``_KINDS``, the only place that knows it: its
 crossing change, its listing of the moves sited in one region, the regions
@@ -70,8 +70,8 @@ class IllegalMove(DiagramError):
 
 @functools.total_ordering
 class Move(Frozen):
-    """Moves order as their ``(kind, params)`` tuples. ``str(move)`` is its
-    trace line, which ``parse_move`` reads back."""
+    """Moves order as their ``(kind, params)`` tuples. ``str(move)`` is its trace
+    line, which ``parse_move`` reads back, or, for a malformed move, its params' repr."""
 
     __slots__ = ("kind", "params")
 
@@ -85,7 +85,10 @@ class Move(Frozen):
         return (self.kind, self.params) < (other.kind, other.params)
 
     def __str__(self) -> str:
-        return f"{self.kind} {_KINDS[self.kind].text(self.params)}"
+        try:
+            return f"{self.kind} {_KINDS[self.kind].text(self.params)}"
+        except (KeyError, IndexError, TypeError, ValueError):
+            return f"{self.kind} {self.params!r}"
 
 
 # -- listings ---------------------------------------------------------------------
@@ -226,36 +229,29 @@ def _apply_r1_add(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagra
 
 
 def _apply_r1_remove(d: SurfaceDiagram, face: Face, params: tuple) -> SurfaceDiagram:
-    # the one-sided region at corner x = 4 * cid + s is bounded by the loop edge
-    # on slots s and s+1; the passing pairing joins slot s+2 to s and s+1 to s+3
+    # the one-sided region at corner x = 4 * cid + s is bounded by the loop edge on
+    # slots s and s+1; the passing pairing joins slots of one parity: s+2 to s, s+1 to s+3
     x, = face.darts
     cid = x >> 2
     at = d.dart_edges()
     loop_eid = at[x][0]
     in_eid, in_which = at[4 * cid + (x + 2) % 4]
     out_eid = at[4 * cid + (x + 3) % 4][0]
-    junction = {s: ("j", a) for a, b in PASS_PAIRING for s in (a, b)}
 
     def node(end: End) -> Node:
         c, slot = end
-        if c == cid:
-            return junction[slot]
-        if c > cid:
-            return (c - 1, slot)
-        return end
+        return ("j", slot % 2) if c == cid else (c - (c > cid), slot)
 
-    segments = [(node(e.ends[0]), node(e.ends[1]), e.word) for e in d.edges]
-    # the in-edge, read towards the curl, takes the lower of its and the out-edge's
-    # places, so the joined strand keeps that place and reads from its tail; the
-    # loop edge goes last, so a closed curl's free loop reads the in-edge, then the loop
-    e_in = d.edges[in_eid]
-    tail = node(e_in.ends[1 - in_which])
-    segments[in_eid] = (tail, junction[(x + 2) % 4], e_in.directed_word(1 - in_which))
-    if out_eid < in_eid:
-        segments[in_eid], segments[out_eid] = segments[out_eid], segments[in_eid]
-    segments.append(segments.pop(loop_eid))
-    edge_specs, loops = splice(segments)
+    # edges keep their places, and only the curl's strand goes to the splice: the in-edge
+    # read towards the curl, the loop edge, then the out-edge unless it is the in-edge,
+    # when the curl closes into a free loop. The joined edge takes the lower place.
+    places = [[(node(e.ends[0]), node(e.ends[1]), e.word)] for e in d.edges]
+    tail = node(d.edges[in_eid].ends[1 - in_which])
+    places[in_eid] = [(tail, ("j", x % 2), d.edges[in_eid].directed_word(1 - in_which))]
+    strand = [places[eid].pop() for eid in dict.fromkeys((in_eid, loop_eid, out_eid))]
+    places[min(in_eid, out_eid)], loops = splice(strand)
     over_axes = [c.over_axis for c in d.crossings if c.id != cid]
+    edge_specs = [spec for kept in places for spec in kept]
     return SurfaceDiagram.build(d.genus, over_axes, edge_specs, d.loops + tuple(loops))
 
 
@@ -482,7 +478,6 @@ def fuzz(d: SurfaceDiagram, steps: int, seed: int, max_crossings: int = 12) -> M
 
 
 _SIMPLIFY_ROUNDS = 200
-_SIMPLIFY_RESTARTS = 4
 
 
 def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
@@ -491,26 +486,19 @@ def simplify(d: SurfaceDiagram, seed: int = 0) -> SurfaceDiagram:
     def removals(cur: SurfaceDiagram) -> list[Move]:
         return enumerate_moves(cur, "R1_remove") or enumerate_moves(cur, "R2_remove")
 
-    def greedy(cur: SurfaceDiagram) -> SurfaceDiagram:
-        while found := removals(cur):
+    while found := removals(d):
+        d = apply_move(d, found[0])
+    best = cur = d
+    rng = random.Random(seed)
+    for _ in range(_SIMPLIFY_ROUNDS):
+        if found := removals(cur):
             cur = apply_move(cur, found[0])
-        return cur
-
-    # greedy is deterministic (d itself when it removes nothing): every
-    # restart starts from its one result
-    best = start = greedy(d)
-    for attempt in range(_SIMPLIFY_RESTARTS):
-        rng = random.Random(seed + attempt)
-        cur = start
-        for _ in range(_SIMPLIFY_ROUNDS):
-            if found := removals(cur):
-                cur = apply_move(cur, found[0])
-            elif flips := enumerate_moves(cur, "R3"):
-                cur = apply_move(cur, rng.choice(flips))
-            else:
-                break
-            if len(cur.crossings) < len(best.crossings):
-                best = cur
+        elif flips := enumerate_moves(cur, "R3"):
+            cur = apply_move(cur, rng.choice(flips))
+        else:
+            break
+        if len(cur.crossings) < len(best.crossings):
+            best = cur
     return best
 
 

@@ -8,9 +8,9 @@ tables rotate accordingly.
 
 Two independent code paths produce resolved states: a surgery that hands
 the diagram's edges to ``diagram.splice``, which also assembles tessellation
-builds and removes a curl (used by the recursive bracket oracle and by the
-R2 removal move), and a flat dart tracer used by the state walk, the
-frontier evaluator and adequacy. Tests hold them to identical answers.
+builds and joins only a removed curl's strand (used by the recursive bracket
+oracle and by the R2 removal move), and a flat dart tracer used by the state
+walk, the frontier evaluator and adequacy. Tests hold them to identical answers.
 
 The tracer packs each Z^{2g} class into one int, so a loop's class is a sum
 and ``abs()`` applies the sign rule of ``words.normalize_class``;

@@ -122,22 +122,23 @@ MUTANTS = (
     Mutant(
         "R1_remove drops the curl's loop word",
         "moves.py",
-        "    segments.append(segments.pop(loop_eid))",
-        "    segments.append(segments.pop(loop_eid)[:2] + ((),))",
+        "    strand = [places[eid].pop() for eid in dict.fromkeys((in_eid, loop_eid, out_eid))]",
+        "    places[loop_eid] = [places[loop_eid][0][:2] + ((),)]; "
+        "strand = [places[eid].pop() for eid in dict.fromkeys((in_eid, loop_eid, out_eid))]",
         ("tests/test_moves.py::test_r1_removal_is_the_passing_smoothing_of_its_crossing",),
     ),
     Mutant(
         "R1_remove keeps the in-edge in its own place",
         "moves.py",
-        "    if out_eid < in_eid:",
-        "    if False:",
+        "    places[min(in_eid, out_eid)], loops = splice(strand)",
+        "    places[in_eid], loops = splice(strand)",
         ("tests/test_pinned_outputs.py::test_r1_removals_are_pinned",),
     ),
     Mutant(
-        "R1_remove leaves the loop edge in its place",
+        "R1_remove reads a closed curl from its loop edge",
         "moves.py",
-        "    segments.append(segments.pop(loop_eid))",
-        "    pass",
+        "dict.fromkeys((in_eid, loop_eid, out_eid))",
+        "dict.fromkeys((loop_eid, in_eid, out_eid))",
         ("tests/test_pinned_outputs.py::test_r1_removals_are_pinned",),
     ),
     Mutant(
@@ -197,18 +198,25 @@ MUTANTS = (
         ("tests/test_states.py::test_pairing_for_bits_takes_the_b_pairing_at_set_bits",),
     ),
     Mutant(
-        "simplify starts its best-so-far at the input",
+        "simplify lets a later diagram of equal size win",
         "moves.py",
-        "    best = start = greedy(d)",
-        "    best, start = d, greedy(d)",
+        "        if len(cur.crossings) < len(best.crossings):",
+        "        if len(cur.crossings) <= len(best.crossings):",
         ("tests/test_pinned_outputs.py::test_simplify_results_are_pinned",),
     ),
     Mutant(
-        "simplify lets a later diagram of equal size win",
+        "simplify keeps the greedy result, whatever its flip walk meets",
         "moves.py",
-        "            if len(cur.crossings) < len(best.crossings):",
-        "            if len(cur.crossings) <= len(best.crossings):",
-        ("tests/test_pinned_outputs.py::test_simplify_results_are_pinned",),
+        "            best = cur",
+        "            pass",
+        ("tests/test_moves.py::test_simplify_flips_where_greedy_removal_sticks",),
+    ),
+    Mutant(
+        "a move its kind cannot print raises",
+        "moves.py",
+        "        except (KeyError, IndexError, TypeError, ValueError):",
+        "        except (KeyError, TypeError, ValueError):",
+        ("tests/test_moves.py::test_a_malformed_move_prints_its_parameters_and_does_not_parse",),
     ),
     Mutant(
         "walk keeps a kind its cap excludes",

@@ -147,8 +147,15 @@ def test_box_radius_matches_the_fraction_bound():
             continue
         checked += 1
         for q_star in {0, 1, rng.randint(0, g00 + g11), g00 + g11}:
-            old = isqrt(int(Fraction(q_star * (g00 + g11), det_g))) + 1
-            assert _box_radius(q_star, g00 + g11, det_g) == old
+            B = _box_radius(q_star, g00 + g11, det_g)
+            assert B == isqrt(int(Fraction(q_star * (g00 + g11), det_g)))
+            if B <= 10:
+                # no vector just outside the box is short enough to be missed
+                R = range(-B - 2, B + 3)
+                assert all(
+                    g00 * x * x + 2 * g01 * x * y + g11 * y * y > q_star
+                    for x in R for y in R if max(abs(x), abs(y)) > B
+                )
 
 
 def _successive_minima_sum(g00, g01, g11):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -76,7 +77,7 @@ def test_r1_removal_is_the_passing_smoothing_of_its_crossing():
     # a curl's strand runs in at slot s+2, round the loop from s to s+1 and
     # out at s+3, so removing it joins the slots as PASS_PAIRING does: the
     # general smoothing is an oracle for the move's own surgery, which
-    # hands the splice its segments in another order and so numbers the
+    # keeps every edge it does not touch in its place and so numbers the
     # edges differently (914 removals on the corpus and one 60-step walk
     # from each entry, 332 of them with identical text)
     from weavekit.corpus import full_corpus
@@ -243,6 +244,19 @@ def test_simplify_returns_to_base():
     blown = fuzz(d, 30, seed=3, max_crossings=12).end
     settled = simplify(blown, seed=0)
     assert len(settled.crossings) == 4
+
+
+def test_simplify_flips_where_greedy_removal_sticks():
+    # this walk end has no removal site, but flipping its triangles opens
+    # some: the flip walk gets back to the start's four crossings
+    from weavekit.corpus import full_corpus
+
+    name, d = full_corpus()[0]
+    assert name == "square-cr-s2"
+    end = fuzz(d, 40, seed=1, max_crossings=8).end
+    assert len(end.crossings) == 6
+    assert not enumerate_moves(end, "R1_remove") and not enumerate_moves(end, "R2_remove")
+    assert len(simplify(end).crossings) == 4
 
 
 def test_crossing_number_bounds():
@@ -589,6 +603,20 @@ def test_a_move_equal_to_a_listed_one_prints_the_listed_line():
     assert str(m) == str(listed)
     assert parse_move(str(m)) == m
     assert apply_move(d, m) == apply_move(d, listed)
+
+
+def test_a_malformed_move_prints_its_parameters_and_does_not_parse():
+    # a move its kind cannot print falls back to the parameters' repr, a line
+    # that parse_move refuses, naming it
+    for m, line in [
+        (Move("R1_add", (0,)), "R1_add (0,)"),
+        (Move("R3", ()), "R3 ()"),
+        (Move("nope", (1,)), "nope (1,)"),
+    ]:
+        assert str(m) == line
+        with pytest.raises(ValueError, match=re.escape(f"malformed move line {line!r}")):
+            parse_move(line)
+
 
 def test_every_kind_keeps_its_bracket_relation():
     # <D'> = coefficient * A^exponent * <D> for every listed move of every

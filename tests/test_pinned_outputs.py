@@ -18,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from fixtures import bench_moderate, grid_weave, plain_weave_2x2, plain_weave_with_loops
-from weavekit import cli, corpus
+from weavekit import cli, corpus, moves
 from weavekit.diagram import (
     AXIS_02,
     AXIS_13,
@@ -27,6 +27,7 @@ from weavekit.diagram import (
     SurfaceDiagram,
     isomorphic,
     serialize,
+    splice,
 )
 from weavekit.invariants import crossing_signs, linking_matrix, r_parallel, writhe_per_component
 from weavekit.moves import apply_move, enumerate_moves, fuzz, simplify, walk
@@ -144,20 +145,41 @@ def _closed_curls():
                 yield SurfaceDiagram.build(1, [axis], [e2, e1] if swap else [e1, e2])
 
 
-def test_r1_removals_are_pinned():
+def _r1_sites():
+    """Every listed R1 removal of seeded walks from the valid corpus starts,
+    at genus 1 and 2, and of the closed curls, with its diagram."""
     starts = [d for d in _valid_corpus(12) if d.crossings]
-    walked = [
+    walked = (
         d
         for i, start in enumerate(starts)
         for _, d in walk(start, 40, 300 + i, max_crossings=len(start.crossings) + 5)
-    ]
-    results = [
-        apply_move(d, m)
-        for d in itertools.chain(walked, _closed_curls())
-        for m in enumerate_moves(d, "R1_remove")
-    ]
+    )
+    for d in itertools.chain(walked, _closed_curls()):
+        for m in enumerate_moves(d, "R1_remove"):
+            yield d, m
+
+
+def test_r1_removals_are_pinned():
+    results = [apply_move(d, m) for d, m in _r1_sites()]
     assert len(results) == R1_COUNT
     assert _digest(results) == R1_REMOVALS
+
+
+def test_r1_removal_splices_only_the_strand_through_its_curl(monkeypatch):
+    # the edges a curl does not touch are copied, so the splice joins at most
+    # the in-edge, the loop edge and the out-edge, whatever the diagram's size
+    sites = list(_r1_sites())
+    assert {d.genus for d, _ in sites} == {1, 2}
+    sizes = []
+
+    def counting_splice(segments):
+        sizes.append(len(segments))
+        return splice(segments)
+
+    monkeypatch.setattr(moves, "splice", counting_splice)
+    for d, m in sites:
+        apply_move(d, m)
+    assert len(sizes) == R1_COUNT and max(sizes) == 3
 
 
 # -- parity classes and crossing signs ----------------------------------------------
